@@ -113,16 +113,18 @@ def build_channel(spec: ChannelSpec, n: int) -> ChannelMatrix:
 
 
 def apply_channel(spec: ChannelSpec, x: np.ndarray) -> np.ndarray:
-    """Apply the channel to a block without materializing H."""
-    n = x.shape[0]
+    """Apply the channel to blocks (..., N) without materializing H."""
+    n = x.shape[-1]
     if spec.max_delay >= n:
         raise ConfigError(
             f"tap delay {spec.max_delay} does not fit in a block of {n} samples"
         )
     rows = np.arange(n)
-    out = np.zeros(n, dtype=complex)
+    out = np.zeros(x.shape, dtype=complex)
+    # a cyclic shift by d is the window [n - d, 2n - d) of two periods
+    wrapped = np.concatenate((x, x), axis=-1)
     for tap in spec.taps:
-        shifted = np.roll(x, tap.delay)
+        shifted = wrapped[..., n - tap.delay : 2 * n - tap.delay]
         if tap.doppler != 0.0:
             shifted = shifted * np.exp((2j * np.pi * tap.doppler / n) * rows)
         out += tap.gain * shifted
@@ -157,12 +159,15 @@ def to_frequency(m) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Equalizer:
-    """Linear equalizer G together with its frequency-domain form G_f."""
+    """Linear equalizer G; ``G_f`` is its frequency-domain form."""
 
     G: np.ndarray
     kind: str
     rho: float
-    G_f: np.ndarray
+
+    @property
+    def G_f(self) -> np.ndarray:
+        return to_frequency(self.G)
 
 
 def _as_channel_matrix(h) -> np.ndarray:
@@ -188,7 +193,7 @@ def zf_equalizer(h) -> Equalizer:
             condition,
         )
     g = np.linalg.solve(hm.conj().T @ hm, hm.conj().T)
-    return Equalizer(G=g, kind="zf", rho=0.0, G_f=to_frequency(g))
+    return Equalizer(G=g, kind="zf", rho=0.0)
 
 
 def mmse_equalizer(h, rho: float) -> Equalizer:
@@ -198,4 +203,4 @@ def mmse_equalizer(h, rho: float) -> Equalizer:
     hm = _as_channel_matrix(h)
     n = hm.shape[0]
     g = np.linalg.solve(hm.conj().T @ hm + rho * np.eye(n), hm.conj().T)
-    return Equalizer(G=g, kind="mmse", rho=float(rho), G_f=to_frequency(g))
+    return Equalizer(G=g, kind="mmse", rho=float(rho))

@@ -15,6 +15,7 @@ import csv
 import json
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -72,48 +73,32 @@ DEFAULT_SPARSITY = {
     "seed": 0,
 }
 
-DEFAULT_BER = {
+# the BER subcommands share their channel, noise and budget defaults
+_BER_COMMON = {
     "n": 120,
+    "channel": {"num_taps": 8, "max_doppler": 0.0},
+    "noise": {"kind": "white"},
+    "qam_order": 16,
+    "bits_per_point": 200_000,
+    "seed": 1,
+    "equalizer": "mmse",
+}
+
+DEFAULT_BER = {
+    **_BER_COMMON,
     "waveforms": [
         {"kind": "ofdm"},
         {"kind": "otfs", "l": 10},
         {"kind": "otfs", "l": 20},
         {"kind": "afdm", "q": -4.0, "alpha": 0.1},
     ],
-    "channel": {"num_taps": 8, "max_doppler": 0.0},
-    "noise": {"kind": "white"},
-    "qam_order": 16,
     "snr_db": [0.0, 5.0, 10.0, 15.0, 20.0, 25.0],
-    "bits_per_point": 200_000,
-    "seed": 1,
-    "equalizer": "mmse",
 }
 
-DEFAULT_SWEEP_L = {
-    "n": 120,
-    "l_values": [1, 2, 4, 6, 10, 20, 40, 120],
-    "waveforms": [{"kind": "ofdm"}],
-    "channel": {"num_taps": 8, "max_doppler": 0.0},
-    "noise": {"kind": "white"},
-    "qam_order": 16,
-    "snr_db": [25.0],
-    "bits_per_point": 200_000,
-    "seed": 1,
-    "equalizer": "mmse",
-}
-
+_SWEEP_COMMON = {**_BER_COMMON, "waveforms": [{"kind": "ofdm"}], "snr_db": [25.0]}
+DEFAULT_SWEEP_L = {**_SWEEP_COMMON, "l_values": [1, 2, 4, 6, 10, 20, 40, 120]}
 DEFAULT_SWEEP_Q = {
-    "n": 120,
-    "q_values": [-8, -6, -4, -2, -1, 1, 2, 4, 6, 8],
-    "alpha": 0.1,
-    "waveforms": [{"kind": "ofdm"}],
-    "channel": {"num_taps": 8, "max_doppler": 0.0},
-    "noise": {"kind": "white"},
-    "qam_order": 16,
-    "snr_db": [25.0],
-    "bits_per_point": 200_000,
-    "seed": 1,
-    "equalizer": "mmse",
+    **_SWEEP_COMMON, "q_values": [-8, -6, -4, -2, -1, 1, 2, 4, 6, 8], "alpha": 0.1
 }
 
 DEFAULT_FDMA = {
@@ -180,6 +165,7 @@ class Run:
         self.threads = args.threads
         self.started = time.perf_counter()
         self.outputs: list[str] = []
+        self.points: list[dict] = []
 
     def path(self, name: str) -> Path:
         self.out.mkdir(parents=True, exist_ok=True)
@@ -196,6 +182,8 @@ class Run:
             "duration_s": time.perf_counter() - self.started,
             "outputs": sorted(self.outputs),
         }
+        if self.points:
+            manifest["points"] = self.points
         write_json(self.out / "manifest.json", manifest)
 
 
@@ -254,12 +242,13 @@ def cmd_ber(config: dict, run: Run) -> int:
     cfg = parse_sim(config)
     curves = run_ber(cfg, threads=run.threads)
     for target, curve in zip(cfg.targets(), curves):
-        slug = target.slug if hasattr(target, "slug") else "fdma"
         write_csv(
-            run.path(f"ber_{slug}.csv"),
+            run.path(f"ber_{target.slug}.csv"),
             ["snr_db", "bits", "errors", "ber", "stderr"],
             _ber_rows(curve.points),
         )
+    # per-point frames and skips go to the manifest: the CSV layout is fixed
+    run.points = [{"label": c.label, **asdict(p)} for c in curves for p in c.points]
     write_json(
         run.path("curves.json"),
         {
@@ -279,6 +268,7 @@ def _cmd_sweep(config: dict, run: Run, param: str) -> int:
     else:
         sweep = sweep_q(cfg, config.get("q_values", DEFAULT_SWEEP_Q["q_values"]),
                         alpha=float(config.get("alpha", 0.1)), threads=run.threads)
+    run.points = [{"label": label, **asdict(p)} for label, p in zip(sweep.labels, sweep.points)]
     name = "sweep_l.csv" if param == "L" else "sweep_q.csv"
     rows = [
         [value, p.snr_db, p.bits, p.errors, p.ber, p.stderr]

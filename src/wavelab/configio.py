@@ -64,10 +64,11 @@ def parse_waveform(section: dict, default_n: int | None = None) -> WaveformConfi
         l = section.get("l")
         if l is None and k is None:
             raise ConfigError("OTFS waveform needs k and/or l")
-        if l is None:
-            l = n // int(k) if int(k) else 0
-        if k is None:
-            k = n // int(l) if int(l) else 0
+        if l is None or k is None:
+            name, given = ("k", int(k)) if l is None else ("l", int(l))
+            if given < 1 or n % given:
+                raise ConfigError(f"OTFS {name}={given} does not divide n={n}")
+            k, l = (given, n // given) if l is None else (n // given, given)
         return WaveformConfig.otfs(int(k), int(l))
     if kind == AFDM:
         q = float(_require(section, "q", "AFDM waveform"))

@@ -4,7 +4,8 @@ Each block precodes its own data (z_i = Q_i c_i); the concatenated
 frequency-domain vector is synthesized with a single size-N inverse DFT.
 Because the blocks occupy disjoint bins, they stay orthogonal over any
 channel that is diagonal in frequency, and each receiver only needs the
-size-N DFT plus its own Q_i^{-1}.
+size-N DFT plus its own Q_i^{-1}. Composition and splitting act along the
+last axis, so a stack of frames (..., N) is handled row by row.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ class BlockLayout:
     """Ordered, contiguous, non-overlapping blocks covering [0, N)."""
 
     blocks: tuple[Block, ...]
+    slug = "fdma"  # not a field: names the output files of any layout
 
     def __post_init__(self):
         if len(self.blocks) == 0:
@@ -54,6 +56,22 @@ class BlockLayout:
     @property
     def N(self) -> int:
         return self.blocks[-1].stop
+
+    @property
+    def label(self) -> str:
+        return "FDMA[" + "+".join(b.config.label for b in self.blocks) + "]"
+
+    def describe(self) -> dict:
+        return {"layout": [b.config.describe() for b in self.blocks]}
+
+    def transmit(self, data) -> np.ndarray:
+        """Data symbols (..., N), block after block, to time-domain blocks."""
+        data = np.asarray(data, dtype=complex)
+        return compose_fdma(self, [data[..., sl] for sl in self.slices()])
+
+    def receive(self, r_f) -> np.ndarray:
+        """Equalized frequency-domain blocks (..., N) to every block's data."""
+        return np.concatenate(split_frequency(r_f, self), axis=-1)
 
     @classmethod
     def from_configs(cls, configs) -> "BlockLayout":
@@ -72,34 +90,34 @@ class BlockLayout:
 def compose_fdma(layout: BlockLayout, data_blocks) -> np.ndarray:
     """Precode each block, concatenate in frequency, and synthesize.
 
-    ``data_blocks`` is a sequence of length-N_i data vectors, one per
-    block. Returns the length-N time-domain signal.
+    ``data_blocks`` holds one data array (..., N_i) per block, all with
+    the same leading shape. Returns the time-domain signal (..., N).
     """
     if len(data_blocks) != len(layout.blocks):
         raise DimensionError(
             f"got {len(data_blocks)} data blocks for {len(layout.blocks)} layout blocks"
         )
-    z = np.zeros(layout.N, dtype=complex)
-    for block, data in zip(layout.blocks, data_blocks):
-        c = np.asarray(data, dtype=complex)
-        if c.shape != (block.width,):
+    data = [np.asarray(d, dtype=complex) for d in data_blocks]
+    z = np.zeros(data[0].shape[:-1] + (layout.N,), dtype=complex)
+    for block, c in zip(layout.blocks, data):
+        if c.shape != z.shape[:-1] + (block.width,):
             raise DimensionError(
                 f"block at bin {block.start} expects {block.width} symbols, "
                 f"got shape {c.shape}"
             )
-        z[block.start : block.stop] = apply_precoder(block.config, c)
+        z[..., block.start : block.stop] = apply_precoder(block.config, c)
     return np.fft.ifft(z, norm="ortho")
 
 
 def split_frequency(r_f, layout: BlockLayout) -> list[np.ndarray]:
-    """Slice an equalized frequency-domain vector and undo each precoder."""
+    """Slice equalized frequency-domain vectors (..., N) and undo each precoder."""
     r_f = np.asarray(r_f, dtype=complex)
-    if r_f.shape != (layout.N,):
+    if r_f.ndim == 0 or r_f.shape[-1] != layout.N:
         raise DimensionError(
-            f"expected a length-{layout.N} frequency vector, got shape {r_f.shape}"
+            f"expected length-{layout.N} frequency vectors, got shape {r_f.shape}"
         )
     return [
-        apply_inverse_precoder(block.config, r_f[block.start : block.stop])
+        apply_inverse_precoder(block.config, r_f[..., block.start : block.stop])
         for block in layout.blocks
     ]
 

@@ -46,19 +46,19 @@ def qam_alphabet(order: int) -> np.ndarray:
 
 
 def qam_map(bits, order: int) -> np.ndarray:
-    """Map a 0/1 bit vector to unit-energy Gray-coded QAM symbols."""
+    """Map 0/1 bits (..., B) to unit-energy Gray-coded QAM symbols, row by row."""
     mh = _axis_bits(order)
     m = 2 * mh
     bits = np.asarray(bits)
-    if bits.ndim != 1 or bits.size == 0 or bits.size % m != 0:
+    if bits.ndim == 0 or bits.shape[-1] == 0 or bits.shape[-1] % m != 0:
         raise ConfigError(
             f"bit count must be a positive multiple of {m} for {order}-QAM, "
-            f"got {bits.size}"
+            f"got shape {bits.shape}"
         )
-    grouped = bits.reshape(-1, m).astype(np.int64)
+    grouped = bits.reshape(bits.shape[:-1] + (-1, m)).astype(np.int64)
     weights = 1 << np.arange(mh - 1, -1, -1)
-    i_codes = grouped[:, :mh] @ weights
-    q_codes = grouped[:, mh:] @ weights
+    i_codes = grouped[..., :mh] @ weights
+    q_codes = grouped[..., mh:] @ weights
     levels = 2.0 * np.arange(1 << mh) - ((1 << mh) - 1)
     scale = energy_scale(order)
     return scale * (
@@ -67,19 +67,19 @@ def qam_map(bits, order: int) -> np.ndarray:
 
 
 def qam_demap(symbols, order: int) -> np.ndarray:
-    """Per-symbol minimum-distance hard decision back to bits."""
+    """Per-symbol minimum-distance hard decision back to bits (..., B)."""
     mh = _axis_bits(order)
     symbols = np.asarray(symbols, dtype=complex)
-    if symbols.ndim != 1:
-        raise ConfigError(f"symbols must be a 1-D vector, got shape {symbols.shape}")
+    if symbols.ndim == 0:
+        raise ConfigError("symbols must have at least one axis")
     top = (1 << mh) - 1
     scale = energy_scale(order)
 
     def axis_bits(values: np.ndarray) -> np.ndarray:
         idx = np.clip(np.rint((values / scale + top) / 2.0), 0, top).astype(np.int64)
         codes = idx ^ (idx >> 1)
-        return ((codes[:, None] >> np.arange(mh - 1, -1, -1)) & 1).astype(np.uint8)
+        return ((codes[..., None] >> np.arange(mh - 1, -1, -1)) & 1).astype(np.uint8)
 
     i_bits = axis_bits(symbols.real)
     q_bits = axis_bits(symbols.imag)
-    return np.concatenate([i_bits, q_bits], axis=1).reshape(-1)
+    return np.concatenate([i_bits, q_bits], axis=-1).reshape(symbols.shape[:-1] + (-1,))

@@ -1,11 +1,18 @@
 """Seeded Monte-Carlo bit-error-rate engine.
 
-Each frame draws a channel realization, random data bits, and colored
-frequency-domain noise, runs the transmit / channel / equalize /
-demodulate pipeline, and counts bit errors. Per-frame random streams are
-derived from (master seed, SNR-point index, frame index), so results are
-bit-identical regardless of worker count, and waveforms compared under
-the same config share channel, data, and noise draws (paired comparison).
+The engine is frame-major: at each SNR point it draws a chunk of up to
+``CHUNK_FRAMES`` frames and runs every target on the shared draws. A
+target (a waveform or an FDMA layout) offers ``N``, ``label``, ``slug``,
+``transmit`` (data to time-domain blocks) and ``receive`` (equalized
+frequency-domain blocks to data), all acting along the last axis of a
+(frames, N) stack. Each frame draws a channel, data bits and noise, in
+that order, from its own stream ``frame_rng(seed, point, frame)``, and is
+drawn once: compared waveforms and the L or q values of a sweep see the
+same draws, and a frame's equalizer (per bin when quasi-static, dense
+otherwise) is built once for every target. A frame refused by
+zero-forcing is skipped for every target. ``threads`` spreads chunks
+over worker threads; counts are integer sums over frames, so results are
+bit-identical at any thread count and chunk size.
 
 SNR is defined as E_s / sigma_w^2 with unit average symbol energy, unit
 expected channel power, and noise profiles trace-normalized to N.
@@ -22,24 +29,28 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import (
+    CONDITION_LIMIT,
     ChannelGenerator,
     ChannelSpec,
     apply_channel,
     build_channel,
     frequency_response,
+    mmse_equalizer,
     realize_random_channel,
+    zf_equalizer,
 )
 from .exceptions import ConfigError, EqualizationError
-from .fdma import BlockLayout, compose_fdma, split_frequency
+from .fdma import BlockLayout
 from .noise import NoiseProfile, sample_noise
 from .qam import QAM_ORDERS, qam_demap, qam_map
-from .waveform import WaveformConfig, apply_inverse_precoder, modulate
+from .waveform import WaveformConfig
 
 MIN_BITS_PER_POINT = 10_000
 EQUALIZERS = ("mmse", "zf")
 
-# Per-bin zero-forcing refuses channels with |H| dynamic range beyond this.
-ZF_BIN_CONDITION_LIMIT = 1e12
+# Frames drawn and run together; at N=120 one (frames, N) complex array
+# of a chunk takes 61 kB.
+CHUNK_FRAMES = 32
 
 
 @dataclass(frozen=True)
@@ -73,6 +84,8 @@ class SimConfig:
             raise ConfigError(f"QAM order must be one of {QAM_ORDERS}")
         if len(self.snr_db) == 0:
             raise ConfigError("need at least one SNR point")
+        if not all(math.isfinite(s) for s in self.snr_db):
+            raise ConfigError(f"SNR points must be finite, got {list(self.snr_db)}")
         if self.bits_per_point < MIN_BITS_PER_POINT:
             raise ConfigError(
                 f"bit budget per point must be >= {MIN_BITS_PER_POINT}, "
@@ -84,7 +97,7 @@ class SimConfig:
             raise ConfigError("seed must be a nonnegative integer")
         n = self.n
         for target in self.targets():
-            if _target_n(target) != n:
+            if target.N != n:
                 raise ConfigError("all waveforms must share one subcarrier count")
         if self.profile.N != n:
             raise ConfigError(
@@ -106,7 +119,7 @@ class SimConfig:
 
     @property
     def n(self) -> int:
-        return _target_n(self.targets()[0])
+        return self.targets()[0].N
 
     def targets(self) -> tuple:
         return self.waveforms if self.layout is None else (self.layout,)
@@ -128,6 +141,7 @@ class BerPoint:
     bits: int
     errors: int
     skipped_frames: int = 0
+    frames: int = 0  # frames drawn, skipped ones included
 
     @property
     def ber(self) -> float:
@@ -161,16 +175,6 @@ class ParamSweep:
     config_digest: str
 
 
-def _target_n(target) -> int:
-    return target.N
-
-
-def _target_label(target) -> str:
-    if isinstance(target, BlockLayout):
-        return "FDMA[" + "+".join(b.config.label for b in target.blocks) + "]"
-    return target.label
-
-
 def config_fingerprint(cfg: SimConfig) -> str:
     """Stable digest of everything that determines the results."""
     if isinstance(cfg.channel, ChannelGenerator):
@@ -188,7 +192,7 @@ def config_fingerprint(cfg: SimConfig) -> str:
             ]
         }
     doc = {
-        "targets": [_describe_target(t) for t in cfg.targets()],
+        "targets": [t.describe() for t in cfg.targets()],
         "channel": channel,
         "profile": {"kind": cfg.profile.kind, "gains": [repr(g) for g in cfg.profile.gains]},
         "qam_order": cfg.qam_order,
@@ -201,149 +205,139 @@ def config_fingerprint(cfg: SimConfig) -> str:
     return hashlib.sha256(payload).hexdigest()[:16]
 
 
-def _describe_target(target) -> dict:
-    if isinstance(target, BlockLayout):
-        return {"layout": [_describe_target(b.config) for b in target.blocks]}
-    return {
-        "kind": target.kind,
-        "N": target.N,
-        "K": target.K,
-        "L": target.L,
-        "q": target.q,
-        "alpha": target.alpha,
-    }
-
-
 def frame_rng(seed: int, point_index: int, frame_index: int) -> np.random.Generator:
     """Counter-derived stream: independent of worker count and waveform."""
     return np.random.default_rng([seed, point_index, frame_index])
 
 
-def _per_bin_gains(h_f: np.ndarray, rho: float, equalizer: str) -> np.ndarray:
+def _per_bin_gains(h_f: np.ndarray, rho: float, equalizer: str):
+    """Per-bin gains for channel responses (frames, N), and the rows that
+    zero-forcing refuses, as {row: EqualizationError}."""
     mags = np.abs(h_f)
-    if equalizer == "zf":
-        condition = float(mags.max() / max(mags.min(), np.finfo(float).tiny))
-        if condition > ZF_BIN_CONDITION_LIMIT:
-            raise EqualizationError(
-                f"per-bin channel dynamic range {condition:.3e} exceeds "
-                f"{ZF_BIN_CONDITION_LIMIT:.0e}",
-                condition,
-            )
-        return 1.0 / h_f
-    return h_f.conj() / (mags**2 + rho)
+    if equalizer != "zf":
+        return h_f.conj() / (mags**2 + rho), {}
+    condition = mags.max(axis=-1) / np.maximum(mags.min(axis=-1), np.finfo(float).tiny)
+    refused = condition > CONDITION_LIMIT
+    gains = np.zeros_like(h_f)
+    gains[~refused] = 1.0 / h_f[~refused]
+    message = "per-bin channel dynamic range {:.3e} exceeds " + f"{CONDITION_LIMIT:.0e}"
+    return gains, {
+        i: EqualizationError(message.format(condition[i]), float(condition[i]))
+        for i in np.flatnonzero(refused).tolist()
+    }
 
 
-def _dense_equalizer_matrix(h: np.ndarray, rho: float, equalizer: str) -> np.ndarray:
-    n = h.shape[0]
-    if equalizer == "zf":
-        condition = float(np.linalg.cond(h))
-        if not np.isfinite(condition) or condition > ZF_BIN_CONDITION_LIMIT:
-            raise EqualizationError(
-                f"channel condition number {condition:.3e} exceeds "
-                f"{ZF_BIN_CONDITION_LIMIT:.0e}",
-                condition,
-            )
-        rho = 0.0
-    return np.linalg.solve(h.conj().T @ h + rho * np.eye(n), h.conj().T)
+def _equalize(specs, y: np.ndarray, rho: float, equalizer: str) -> dict:
+    """Equalize received blocks y (targets, frames, N) in place, into the
+    frequency domain. Returns the refused frames as {frame:
+    EqualizationError}; their rows of y are meaningless."""
+    n = y.shape[-1]
+    refused = {}
+    static = np.array([spec.is_quasi_static() for spec in specs])
+    for f in np.flatnonzero(~static).tolist():
+        # one dense H per frame: stacked over a chunk it would take frames x N^2
+        h = build_channel(specs[f], n)
+        try:
+            g = zf_equalizer(h).G if equalizer == "zf" else mmse_equalizer(h, rho).G
+        except EqualizationError as exc:
+            refused[f] = exc
+            continue
+        for row in y[:, f]:
+            row[:] = g @ row
+    np.fft.fft(y, norm="ortho", out=y)
+    rows = np.flatnonzero(static)
+    if rows.size:
+        h_f = np.array([frequency_response(specs[f], n) for f in rows])
+        gains, refusals = _per_bin_gains(h_f, rho, equalizer)
+        for r in y:  # one target at a time keeps temporaries small
+            r[rows] = gains * r[rows]
+        refused.update((int(rows[i]), exc) for i, exc in refusals.items())
+    return refused
 
 
-def _transmit(target, symbols: np.ndarray) -> np.ndarray:
-    if isinstance(target, BlockLayout):
-        parts = []
-        offset = 0
-        for block in target.blocks:
-            parts.append(symbols[offset : offset + block.width])
-            offset += block.width
-        return compose_fdma(target, parts)
-    return modulate(target, symbols).values
+def _run_chunk(cfg: SimConfig, targets, rngs, sigma_w: float):
+    """Draw one frame from each generator and run every target on it.
+
+    Returns the sent bits (frames, B), the decided bits (targets, frames,
+    B) and the refused frames as {frame: EqualizationError}.
+    """
+    specs, bits, w_f = [], [], []
+    for rng in rngs:
+        if isinstance(cfg.channel, ChannelGenerator):
+            specs.append(realize_random_channel(cfg.channel, rng))
+        else:
+            specs.append(cfg.channel)
+        bits.append(rng.integers(0, 2, size=cfg.bits_per_frame, dtype=np.uint8))
+        w_f.append(sample_noise(cfg.profile, sigma_w, rng).w_f)
+    bits = np.array(bits)
+    symbols = qam_map(bits, cfg.qam_order)
+    y = np.empty((len(targets),) + symbols.shape, dtype=complex)
+    for i, target in enumerate(targets):
+        y[i] = target.transmit(symbols)
+    for f, spec in enumerate(specs):
+        y[:, f] = apply_channel(spec, y[:, f])
+    y += np.fft.ifft(np.array(w_f), norm="ortho")
+    refused = _equalize(specs, y, sigma_w**2, cfg.equalizer)
+    rx = [qam_demap(target.receive(r_f), cfg.qam_order) for target, r_f in zip(targets, y)]
+    return bits, np.array(rx), refused
 
 
-def _receive(target, r_f: np.ndarray) -> np.ndarray:
-    if isinstance(target, BlockLayout):
-        return np.concatenate(split_frequency(r_f, target))
-    return apply_inverse_precoder(target, r_f)
-
-
-def _simulate_frame(
-    target,
-    channel,
-    profile: NoiseProfile,
-    qam_order: int,
-    sigma_w: float,
-    equalizer: str,
-    rng: np.random.Generator,
-):
-    """One frame; returns (tx_bits, rx_bits). Draw order is fixed:
-    channel, data bits, noise."""
-    n = _target_n(target)
-    if isinstance(channel, ChannelGenerator):
-        spec = realize_random_channel(channel, rng)
-    else:
-        spec = channel
-    bits = rng.integers(0, 2, size=n * int(np.log2(qam_order)), dtype=np.uint8)
-    noise = sample_noise(profile, sigma_w, rng)
-
-    symbols = qam_map(bits, qam_order)
-    x = _transmit(target, symbols)
-    y = apply_channel(spec, x) + np.fft.ifft(noise.w_f, norm="ortho")
-
-    rho = sigma_w**2
-    if spec.is_quasi_static():
-        gains = _per_bin_gains(frequency_response(spec, n), rho, equalizer)
-        r_f = gains * np.fft.fft(y, norm="ortho")
-    else:
-        g = _dense_equalizer_matrix(build_channel(spec, n).H, rho, equalizer)
-        r_f = np.fft.fft(g @ y, norm="ortho")
-
-    rx_bits = qam_demap(_receive(target, r_f), qam_order)
-    return bits, rx_bits
+def _sigma_w(snr_db: float) -> float:
+    return 10.0 ** (-float(snr_db) / 20.0)
 
 
 def run_frame(cfg: SimConfig, rng: np.random.Generator, target=None, snr_db=None):
-    """Run a single frame of ``cfg`` with an explicit generator.
+    """Run a single frame of ``cfg`` with an explicit generator, as a
+    one-frame chunk of the engine.
 
     Defaults to the first configured waveform (or the layout) and the
-    first SNR point. Returns (tx_bits, rx_bits).
+    first SNR point. Returns (tx_bits, rx_bits); raises EqualizationError
+    when the equalizer refuses the frame's channel.
     """
-    if target is None:
-        target = cfg.targets()[0]
-    if snr_db is None:
-        snr_db = cfg.snr_db[0]
-    sigma_w = 10.0 ** (-float(snr_db) / 20.0)
-    return _simulate_frame(
-        target, cfg.channel, cfg.profile, cfg.qam_order, sigma_w, cfg.equalizer, rng
-    )
+    target = cfg.targets()[0] if target is None else target
+    snr_db = cfg.snr_db[0] if snr_db is None else snr_db
+    tx, rx, refused = _run_chunk(cfg, (target,), [rng], _sigma_w(snr_db))
+    if refused:
+        raise refused[0]
+    return tx[0], rx[0, 0]
 
 
-def _run_point(cfg: SimConfig, target, point_index: int, snr_db: float, threads: int) -> BerPoint:
-    sigma_w = 10.0 ** (-snr_db / 20.0)
+def _simulate(cfg: SimConfig, targets, threads: int) -> list[tuple[BerPoint, ...]]:
+    """BER points of every target (outer) at every SNR point (inner)."""
     frames = cfg.frames_per_point
+    chunks = [range(s, min(s + CHUNK_FRAMES, frames)) for s in range(0, frames, CHUNK_FRAMES)]
+    jobs = [(pi, chunk) for pi in range(len(cfg.snr_db)) for chunk in chunks]
 
-    def one_frame(frame_index: int):
-        rng = frame_rng(cfg.seed, point_index, frame_index)
-        try:
-            tx, rx = _simulate_frame(
-                target, cfg.channel, cfg.profile, cfg.qam_order, sigma_w,
-                cfg.equalizer, rng,
-            )
-        except EqualizationError:
-            return 0, 0, 1
-        return int(np.count_nonzero(tx != rx)), tx.size, 0
+    def run(job):
+        pi, chunk = job
+        rngs = [frame_rng(cfg.seed, pi, f) for f in chunk]
+        tx, rx, refused = _run_chunk(cfg, targets, rngs, _sigma_w(cfg.snr_db[pi]))
+        kept = np.ones(len(chunk), dtype=bool)
+        kept[list(refused)] = False
+        return np.count_nonzero(rx[:, kept] != tx[kept], axis=(1, 2)), int(kept.sum())
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one_frame, range(frames)))
+            results = list(pool.map(run, jobs))
     else:
-        results = [one_frame(f) for f in range(frames)]
-
-    errors = sum(r[0] for r in results)
-    bits = sum(r[1] for r in results)
-    skipped = sum(r[2] for r in results)
-    if bits == 0:
-        raise EqualizationError(
-            f"all {frames} frames at {snr_db} dB were skipped as unequalizable", 0.0
+        results = map(run, jobs)  # streamed: one chunk's counts at a time
+    errors = np.zeros((len(targets), len(cfg.snr_db)), dtype=np.int64)
+    kept = [0] * len(cfg.snr_db)
+    for (pi, _), (chunk_errors, chunk_kept) in zip(jobs, results):
+        errors[:, pi] += chunk_errors
+        kept[pi] += chunk_kept
+    for snr_db, point_kept in zip(cfg.snr_db, kept):
+        if point_kept == 0:
+            raise EqualizationError(
+                f"all {frames} frames at {snr_db} dB were skipped as unequalizable", 0.0
+            )
+    return [
+        tuple(
+            BerPoint(snr_db, k * cfg.bits_per_frame, int(e), frames - k, frames)
+            for snr_db, k, e in zip(cfg.snr_db, kept, target_errors)
         )
-    return BerPoint(snr_db=snr_db, bits=bits, errors=errors, skipped_frames=skipped)
+        for target_errors in errors
+    ]
 
 
 def run_ber(cfg: SimConfig, threads: int = 1) -> list[BerCurve]:
@@ -353,27 +347,26 @@ def run_ber(cfg: SimConfig, threads: int = 1) -> list[BerCurve]:
     layout). Deterministic for fixed (config, seed) at any thread count.
     """
     digest = config_fingerprint(cfg)
-    curves = []
-    for target in cfg.targets():
-        points = tuple(
-            _run_point(cfg, target, pi, snr, threads)
-            for pi, snr in enumerate(cfg.snr_db)
-        )
-        curves.append(
-            BerCurve(
-                label=_target_label(target),
-                points=points,
-                seed=cfg.seed,
-                config_digest=digest,
-            )
-        )
-    return curves
+    targets = cfg.targets()
+    return [
+        BerCurve(label=target.label, points=points, seed=cfg.seed, config_digest=digest)
+        for target, points in zip(targets, _simulate(cfg, targets, threads))
+    ]
 
 
-def _single_point_template(cfg: SimConfig) -> float:
+def _sweep(cfg: SimConfig, param: str, values, targets, threads: int) -> ParamSweep:
+    """One target per swept value, all at the template's single SNR point."""
     if len(cfg.snr_db) != 1:
         raise ConfigError("parameter sweeps need a template with exactly one SNR point")
-    return cfg.snr_db[0]
+    return ParamSweep(
+        param=param,
+        values=tuple(values),
+        labels=tuple(target.label for target in targets),
+        points=tuple(points[0] for points in _simulate(cfg, targets, threads)),
+        snr_db=cfg.snr_db[0],
+        seed=cfg.seed,
+        config_digest=config_fingerprint(cfg),
+    )
 
 
 def sweep_l(cfg: SimConfig, l_values, threads: int = 1) -> ParamSweep:
@@ -382,7 +375,6 @@ def sweep_l(cfg: SimConfig, l_values, threads: int = 1) -> ParamSweep:
     Every L shares the same per-frame channel, bits, and noise draws, so
     differences reflect the precoder alone. Each L must divide N.
     """
-    snr = _single_point_template(cfg)
     n = cfg.n
     configs = []
     for l in l_values:
@@ -390,35 +382,15 @@ def sweep_l(cfg: SimConfig, l_values, threads: int = 1) -> ParamSweep:
         if l < 1 or n % l != 0:
             raise ConfigError(f"L={l} does not divide N={n}")
         configs.append(WaveformConfig.otfs(n // l, l))
-    points = tuple(_run_point(cfg, wf, 0, snr, threads) for wf in configs)
-    return ParamSweep(
-        param="L",
-        values=tuple(float(c.L) for c in configs),
-        labels=tuple(c.label for c in configs),
-        points=points,
-        snr_db=snr,
-        seed=cfg.seed,
-        config_digest=config_fingerprint(cfg),
-    )
+    return _sweep(cfg, "L", [float(c.L) for c in configs], configs, threads)
 
 
 def sweep_q(cfg: SimConfig, q_values, alpha: float = 0.1, threads: int = 1) -> ParamSweep:
     """BER versus the AFDM chirp rate q at a fixed SNR (alpha held fixed)."""
-    snr = _single_point_template(cfg)
-    n = cfg.n
     configs = []
     for q in q_values:
         q = float(q)
         if q == 0.0:
             raise ConfigError("q=0 degenerates to OFDM; sweep values must be nonzero")
-        configs.append(WaveformConfig.afdm(n, q, alpha))
-    points = tuple(_run_point(cfg, wf, 0, snr, threads) for wf in configs)
-    return ParamSweep(
-        param="q",
-        values=tuple(c.q for c in configs),
-        labels=tuple(c.label for c in configs),
-        points=points,
-        snr_db=snr,
-        seed=cfg.seed,
-        config_digest=config_fingerprint(cfg),
-    )
+        configs.append(WaveformConfig.afdm(cfg.n, q, alpha))
+    return _sweep(cfg, "q", [c.q for c in configs], configs, threads)

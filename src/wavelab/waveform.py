@@ -10,12 +10,14 @@ Dense precoder matrices are available through :func:`build_precoder` for
 analysis at moderate block sizes. :func:`modulate`, :func:`demodulate`,
 :func:`apply_precoder`, and :func:`apply_inverse_precoder` use FFT-based
 operator forms (diagonal multiplies, orthonormal FFTs, and grid reshapes)
-so that simulation loops never pay for O(N^2) matrix products.
+so that simulation loops never pay for O(N^2) matrix products. The
+operator forms act along the last axis: a stack of blocks (..., N) is
+transformed row by row, and a single vector is the one-row case.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -93,6 +95,17 @@ class WaveformConfig:
             return text.replace("-", "m").replace(".", "p")
         return "ofdm"
 
+    def describe(self) -> dict:
+        return asdict(self)
+
+    def transmit(self, data) -> np.ndarray:
+        """Data symbols (..., N) to time-domain blocks x = F^H Q c."""
+        return _synthesize(self, _as_vector(data, self.N))
+
+    def receive(self, r_f) -> np.ndarray:
+        """Equalized frequency-domain blocks (..., N) to data, Q^{-1} r_f."""
+        return apply_inverse_precoder(self, r_f)
+
 
 @dataclass(frozen=True, eq=False)
 class SignalVector:
@@ -125,8 +138,8 @@ def _as_vector(x, n: int, expected_domain: str | None = None) -> np.ndarray:
             )
         x = x.values
     v = np.asarray(x, dtype=complex)
-    if v.shape != (n,):
-        raise DimensionError(f"expected a length-{n} vector, got shape {v.shape}")
+    if v.ndim == 0 or v.shape[-1] != n:
+        raise DimensionError(f"expected length-{n} vectors, got shape {v.shape}")
     return v
 
 
@@ -229,9 +242,9 @@ def _synthesize(cfg: WaveformConfig, c: np.ndarray) -> np.ndarray:
     if cfg.kind == OFDM:
         return np.fft.ifft(c, norm="ortho")
     if cfg.kind == OTFS:
-        # column-major vec of the K x L delay-Doppler grid
-        grid = c.reshape((cfg.K, cfg.L), order="F")
-        return np.fft.ifft(grid, axis=1, norm="ortho").reshape(cfg.N, order="F")
+        # column-major vec of the K x L delay-Doppler grid, held as (..., L, K)
+        grid = c.reshape(c.shape[:-1] + (cfg.L, cfg.K))
+        return np.fft.ifft(grid, axis=-2, norm="ortho").reshape(c.shape)
     chirped = chirp_diagonal(cfg.N, cfg.alpha) * c
     return chirp_diagonal(cfg.N, cfg.q) * np.fft.ifft(chirped, norm="ortho")
 
@@ -250,8 +263,8 @@ def apply_inverse_precoder(cfg: WaveformConfig, r) -> np.ndarray:
     if cfg.kind == OFDM:
         return v.copy()
     if cfg.kind == OTFS:
-        grid = np.fft.ifft(v, norm="ortho").reshape((cfg.K, cfg.L), order="F")
-        return np.fft.fft(grid, axis=1, norm="ortho").reshape(cfg.N, order="F")
+        grid = np.fft.ifft(v, norm="ortho").reshape(v.shape[:-1] + (cfg.L, cfg.K))
+        return np.fft.fft(grid, axis=-2, norm="ortho").reshape(v.shape)
     dechirped = chirp_diagonal(cfg.N, cfg.q).conj() * np.fft.ifft(v, norm="ortho")
     return chirp_diagonal(cfg.N, cfg.alpha).conj() * np.fft.fft(dechirped, norm="ortho")
 

@@ -186,6 +186,47 @@ class TestBer:
         for name in ("ber_ofdm.csv", "ber_afdm_qm4_a0p1.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
+    def test_non_finite_snr_is_config_error(self, tmp_path):
+        config = tmp_path / "nan.yaml"
+        config.write_text(
+            "n: 60\nwaveforms: [{kind: ofdm}]\nchannel: {num_taps: 4}\n"
+            "snr_db: [.nan]\nbits_per_point: 10000\n"
+        )
+        out = tmp_path / "o"
+        assert run_cli("ber", "--config", str(config), "--out", str(out)) == 2
+        assert not out.exists()
+
+    def test_otfs_grid_must_divide_n(self, tmp_path, capsys):
+        # k=7 at n=120 used to become a 7x17 grid of 119 subcarriers
+        config = write_yaml(
+            tmp_path / "grid.yaml",
+            {
+                "n": 120,
+                "waveforms": [{"kind": "otfs", "k": 7}],
+                "channel": {"num_taps": 4},
+                "bits_per_point": 10_000,
+            },
+        )
+        out = tmp_path / "o"
+        assert run_cli("ber", "--config", config, "--out", str(out)) == 2
+        assert "k=7 does not divide n=120" in capsys.readouterr().err
+        entries = write_yaml(
+            tmp_path / "sparsity.yaml", {"entries": [{"kind": "otfs", "n": 120, "l": 7}]}
+        )
+        assert run_cli("sparsity", "--config", entries, "--out", str(out)) == 2
+        assert not out.exists()
+
+    def test_manifest_records_frames_and_skips(self, tmp_path):
+        config = self.small_config(tmp_path)
+        out = tmp_path / "out"
+        assert run_cli("ber", "--config", config, "--out", str(out)) == 0
+        points = json.loads((out / "manifest.json").read_text())["points"]
+        # 2 waveforms x 2 SNR points, 42 frames of 240 bits each
+        assert [(p["label"], p["snr_db"]) for p in points] == [
+            ("OFDM", 10.0), ("OFDM", 20.0), ("AFDM (q=-4)", 10.0), ("AFDM (q=-4)", 20.0)
+        ]
+        assert all(p["frames"] == 42 and p["skipped_frames"] == 0 for p in points)
+
     def test_dry_run_writes_nothing(self, tmp_path, capsys):
         config = self.small_config(tmp_path)
         out = tmp_path / "dry"
@@ -213,6 +254,9 @@ class TestSweeps:
         header, rows = read_csv(out / "sweep_l.csv")
         assert header[0] == "l"
         assert [float(r[0]) for r in rows] == [1.0, 3.0, 12.0]
+        points = json.loads((out / "manifest.json").read_text())["points"]
+        assert [p["label"] for p in points] == ["OTFS (L=1)", "OTFS (L=3)", "OTFS (L=12)"]
+        assert all(p["frames"] == 209 and p["skipped_frames"] == 0 for p in points)
 
     def test_sweep_q_csv(self, tmp_path):
         config = write_yaml(

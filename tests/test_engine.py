@@ -1,0 +1,172 @@
+"""Equivalence tests for the frame-major engine.
+
+The engine runs every layer on stacks of frames (..., N). These tests pin
+that a stacked call is bitwise equal to the same call row by row, and that
+CLI outputs do not depend on the thread count or on the chunk size.
+"""
+
+import json
+
+import numpy as np
+import pytest
+import yaml
+
+import wavelab as wl
+from wavelab import sim
+from wavelab.cli import main
+
+TARGETS = (
+    wl.WaveformConfig.ofdm(36),
+    wl.WaveformConfig.otfs(1, 36),
+    wl.WaveformConfig.otfs(36, 1),
+    wl.WaveformConfig.otfs(4, 9),
+    wl.WaveformConfig.afdm(36, -4.0, 0.1),
+    wl.BlockLayout.from_configs(
+        [
+            wl.WaveformConfig.ofdm(12),
+            wl.WaveformConfig.afdm(12, -4.0, 0.1),
+            wl.WaveformConfig.otfs(4, 3),
+        ]
+    ),
+)
+
+
+def stacked(rng, frames, n):
+    return rng.standard_normal((frames, n)) + 1j * rng.standard_normal((frames, n))
+
+
+def assert_rowwise(func, batch):
+    expected = np.array([func(row) for row in batch])
+    assert np.array_equal(func(batch), expected)
+
+
+class TestStackedLayers:
+    @pytest.mark.parametrize("order", wl.QAM_ORDERS)
+    def test_qam_map_and_demap(self, order):
+        rng = np.random.default_rng(order)
+        bits = rng.integers(0, 2, size=(7, 36 * int(np.log2(order))), dtype=np.uint8)
+        assert_rowwise(lambda b: wl.qam_map(b, order), bits)
+        symbols = wl.qam_map(bits, order) + 0.3 * stacked(rng, 7, 36)
+        assert_rowwise(lambda s: wl.qam_demap(s, order), symbols)
+
+    @pytest.mark.parametrize("target", TARGETS, ids=lambda t: t.slug)
+    def test_transmit_and_receive(self, target):
+        batch = stacked(np.random.default_rng(1), 7, target.N)
+        assert_rowwise(target.transmit, batch)
+        assert_rowwise(target.receive, batch)
+
+    @pytest.mark.parametrize(
+        "target", [t for t in TARGETS if isinstance(t, wl.WaveformConfig)],
+        ids=lambda t: t.slug,
+    )
+    def test_precoder_and_inverse(self, target):
+        batch = stacked(np.random.default_rng(2), 7, target.N)
+        assert_rowwise(lambda c: wl.apply_precoder(target, c), batch)
+        assert_rowwise(lambda r: wl.apply_inverse_precoder(target, r), batch)
+
+    @pytest.mark.parametrize("doppler", [0.0, 0.3])
+    def test_apply_channel(self, doppler):
+        rng = np.random.default_rng(3)
+        spec = wl.realize_random_channel(wl.ChannelGenerator(8, doppler), rng)
+        assert_rowwise(lambda x: wl.apply_channel(spec, x), stacked(rng, 5, 36))
+
+
+def test_run_frame_is_a_one_frame_chunk():
+    cfg = wl.SimConfig(
+        channel=wl.ChannelGenerator(num_taps=4, max_doppler=0.2),
+        profile=wl.make_profile("impulse", 36),
+        waveforms=TARGETS[:5],
+        snr_db=(15.0,),
+        bits_per_point=10_000,
+        seed=4,
+    )
+    curves = wl.run_ber(cfg)
+    for target, curve in zip(cfg.targets(), curves):
+        errors = 0
+        for frame in range(cfg.frames_per_point):
+            tx, rx = wl.run_frame(cfg, wl.frame_rng(cfg.seed, 0, frame), target)
+            errors += int(np.count_nonzero(tx != rx))
+        assert curve.points[0].errors == errors
+
+
+# ---------------------------------------------------------------------------
+# CLI outputs across thread counts and chunk sizes
+
+BASE = {
+    "n": 60,
+    "waveforms": [
+        {"kind": "ofdm"},
+        {"kind": "otfs", "l": 6},
+        {"kind": "afdm", "q": -4.0, "alpha": 0.1},
+    ],
+    "channel": {"num_taps": 4},
+    "noise": {"kind": "impulse"},
+    "snr_db": [10.0, 25.0],
+    "bits_per_point": 10_000,
+    "seed": 3,
+}
+CONFIGS = {
+    "quasi_static": BASE,
+    "doppler": {**BASE, "channel": {"num_taps": 4, "max_doppler": 0.3}},
+    "zf": {**BASE, "equalizer": "zf"},
+}
+NULL_CHANNEL = wl.ChannelSpec(taps=(wl.ChannelTap(0, 1.0 + 0j), wl.ChannelTap(1, -1.0 + 0j)))
+VARIANTS = [(1, None), (2, None), (1, 1), (1, 7), (2, 7)]
+
+
+def run_variants(tmp_path, monkeypatch, subcommand, doc):
+    """Exit code, CSV bytes and manifest points of every (threads, chunk)."""
+    config = tmp_path / "cfg.yaml"
+    config.write_text(yaml.safe_dump(doc))
+    results = []
+    for threads, chunk in VARIANTS:
+        out = tmp_path / f"t{threads}_c{chunk}"
+        with monkeypatch.context() as patch:
+            patch.setattr(sim, "CHUNK_FRAMES", chunk or sim.CHUNK_FRAMES)
+            code = main([subcommand, "--config", str(config), "--out", str(out),
+                         "--threads", str(threads)])
+        csvs = {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
+        manifest = out / "manifest.json"
+        points = json.loads(manifest.read_text())["points"] if manifest.exists() else None
+        results.append((code, csvs, points))
+    return results
+
+
+def skip_some_frames(monkeypatch):
+    """Replace the channel of roughly half the frames by one with a spectral
+    null, after the usual draw, so zero-forcing refuses just those frames."""
+    realize = sim.realize_random_channel
+
+    def realize_or_null(gen, rng):
+        spec = realize(gen, rng)
+        return NULL_CHANNEL if spec.taps[0].gain.real > 0 else spec
+
+    monkeypatch.setattr(sim, "realize_random_channel", realize_or_null)
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+@pytest.mark.parametrize("subcommand", ["ber", "sweep-l"])
+def test_outputs_identical_across_threads_and_chunks(tmp_path, monkeypatch, name, subcommand):
+    doc = dict(CONFIGS[name])
+    if subcommand == "sweep-l":
+        doc.update(snr_db=[25.0], l_values=[1, 6, 60])
+    if name == "zf":
+        skip_some_frames(monkeypatch)
+    results = run_variants(tmp_path, monkeypatch, subcommand, doc)
+    first = results[0]
+    assert first[0] == 0 and first[1]
+    assert all(result == first for result in results[1:])
+    points = first[2]
+    skipped = [p["skipped_frames"] for p in points]
+    if name == "zf":
+        assert all(0 < s < p["frames"] for s, p in zip(skipped, points))
+    else:
+        assert not any(skipped)
+
+
+def test_fixed_unequalizable_channel_fails_alike(tmp_path, monkeypatch):
+    # every frame shares the fixed channel, so every frame is refused
+    taps = [{"delay": 0, "gain_re": 1.0}, {"delay": 1, "gain_re": -1.0}]
+    doc = {**CONFIGS["zf"], "channel": {"taps": taps}}
+    for code, csvs, points in run_variants(tmp_path, monkeypatch, "ber", doc):
+        assert (code, csvs, points) == (3, {}, None)
