@@ -121,10 +121,8 @@ def apply_channel(spec: ChannelSpec, x: np.ndarray) -> np.ndarray:
         )
     rows = np.arange(n)
     out = np.zeros(x.shape, dtype=complex)
-    # a cyclic shift by d is the window [n - d, 2n - d) of two periods
-    wrapped = np.concatenate((x, x), axis=-1)
     for tap in spec.taps:
-        shifted = wrapped[..., n - tap.delay : 2 * n - tap.delay]
+        shifted = np.roll(x, tap.delay, axis=-1)
         if tap.doppler != 0.0:
             shifted = shifted * np.exp((2j * np.pi * tap.doppler / n) * rows)
         out += tap.gain * shifted

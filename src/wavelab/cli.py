@@ -73,32 +73,48 @@ DEFAULT_SPARSITY = {
     "seed": 0,
 }
 
-# the BER subcommands share their channel, noise and budget defaults
-_BER_COMMON = {
-    "n": 120,
-    "channel": {"num_taps": 8, "max_doppler": 0.0},
-    "noise": {"kind": "white"},
-    "qam_order": 16,
-    "bits_per_point": 200_000,
-    "seed": 1,
-    "equalizer": "mmse",
-}
-
 DEFAULT_BER = {
-    **_BER_COMMON,
+    "n": 120,
     "waveforms": [
         {"kind": "ofdm"},
         {"kind": "otfs", "l": 10},
         {"kind": "otfs", "l": 20},
         {"kind": "afdm", "q": -4.0, "alpha": 0.1},
     ],
+    "channel": {"num_taps": 8, "max_doppler": 0.0},
+    "noise": {"kind": "white"},
+    "qam_order": 16,
     "snr_db": [0.0, 5.0, 10.0, 15.0, 20.0, 25.0],
+    "bits_per_point": 200_000,
+    "seed": 1,
+    "equalizer": "mmse",
 }
 
-_SWEEP_COMMON = {**_BER_COMMON, "waveforms": [{"kind": "ofdm"}], "snr_db": [25.0]}
-DEFAULT_SWEEP_L = {**_SWEEP_COMMON, "l_values": [1, 2, 4, 6, 10, 20, 40, 120]}
+DEFAULT_SWEEP_L = {
+    "n": 120,
+    "l_values": [1, 2, 4, 6, 10, 20, 40, 120],
+    "waveforms": [{"kind": "ofdm"}],
+    "channel": {"num_taps": 8, "max_doppler": 0.0},
+    "noise": {"kind": "white"},
+    "qam_order": 16,
+    "snr_db": [25.0],
+    "bits_per_point": 200_000,
+    "seed": 1,
+    "equalizer": "mmse",
+}
+
 DEFAULT_SWEEP_Q = {
-    **_SWEEP_COMMON, "q_values": [-8, -6, -4, -2, -1, 1, 2, 4, 6, 8], "alpha": 0.1
+    "n": 120,
+    "q_values": [-8, -6, -4, -2, -1, 1, 2, 4, 6, 8],
+    "alpha": 0.1,
+    "waveforms": [{"kind": "ofdm"}],
+    "channel": {"num_taps": 8, "max_doppler": 0.0},
+    "noise": {"kind": "white"},
+    "qam_order": 16,
+    "snr_db": [25.0],
+    "bits_per_point": 200_000,
+    "seed": 1,
+    "equalizer": "mmse",
 }
 
 DEFAULT_FDMA = {

@@ -244,13 +244,12 @@ def _equalize(specs, y: np.ndarray, rho: float, equalizer: str) -> dict:
             continue
         for row in y[:, f]:
             row[:] = g @ row
-    np.fft.fft(y, norm="ortho", out=y)
+    y[...] = np.fft.fft(y, norm="ortho")
     rows = np.flatnonzero(static)
     if rows.size:
         h_f = np.array([frequency_response(specs[f], n) for f in rows])
         gains, refusals = _per_bin_gains(h_f, rho, equalizer)
-        for r in y:  # one target at a time keeps temporaries small
-            r[rows] = gains * r[rows]
+        y[:, rows] *= gains
         refused.update((int(rows[i]), exc) for i, exc in refusals.items())
     return refused
 
