@@ -19,7 +19,6 @@ from .analysis import (
 )
 from .channel import (
     ChannelGenerator,
-    ChannelMatrix,
     ChannelSpec,
     ChannelTap,
     Equalizer,
@@ -33,11 +32,9 @@ from .channel import (
     zf_equalizer,
 )
 from .exceptions import ConfigError, DimensionError, EqualizationError, WavelabError
-from .fdma import Block, BlockLayout, compose_fdma, decompose_fdma, split_frequency
+from .fdma import Block, BlockLayout
 from .noise import (
     NoiseProfile,
-    NoiseSample,
-    WhiteningReport,
     demod_noise_variance,
     make_profile,
     sample_noise,
@@ -61,16 +58,11 @@ from .waveform import (
     OFDM,
     OTFS,
     PrecoderMatrix,
-    SignalVector,
     WaveformConfig,
     afdm_inverse_column,
-    apply_inverse_precoder,
-    apply_precoder,
     build_precoder,
     chirp_diagonal,
-    demodulate,
     dft_matrix,
-    modulate,
     otfs_inverse_entry,
     otfs_inverse_matrix,
 )

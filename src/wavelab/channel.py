@@ -91,13 +91,7 @@ def realize_random_channel(
     return ChannelSpec(taps=taps, generator=gen)
 
 
-@dataclass(frozen=True, eq=False)
-class ChannelMatrix:
-    H: np.ndarray
-    spec: ChannelSpec
-
-
-def build_channel(spec: ChannelSpec, n: int) -> ChannelMatrix:
+def build_channel(spec: ChannelSpec, n: int) -> np.ndarray:
     """Realize the dense N x N matrix H = sum_l h_l Delta(theta_l) Pi^l."""
     if spec.max_delay >= n:
         raise ConfigError(
@@ -109,7 +103,7 @@ def build_channel(spec: ChannelSpec, n: int) -> ChannelMatrix:
         h[rows, (rows - tap.delay) % n] += tap.gain * np.exp(
             (2j * np.pi * tap.doppler / n) * rows
         )
-    return ChannelMatrix(h, spec)
+    return h
 
 
 def apply_channel(spec: ChannelSpec, x: np.ndarray) -> np.ndarray:
@@ -169,8 +163,6 @@ class Equalizer:
 
 
 def _as_channel_matrix(h) -> np.ndarray:
-    if isinstance(h, ChannelMatrix):
-        h = h.H
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise DimensionError(f"expected a square channel matrix, got shape {h.shape}")

@@ -35,9 +35,9 @@ from .configio import (
     parse_profile,
     parse_sim,
     parse_waveform,
+    read,
 )
 from .exceptions import ConfigError, EqualizationError, WavelabError
-from .fdma import compose_fdma, decompose_fdma
 from .noise import demod_noise_variance, make_profile, whitening_std
 from .sim import run_ber, sweep_l, sweep_q
 from .waveform import afdm_inverse_column, build_precoder
@@ -213,30 +213,32 @@ def _ber_rows(points):
 
 def cmd_analyze_noise(config: dict, run: Run) -> int:
     check_keys(config, {"n", "waveforms", "profiles", "sigma_w", "seed"}, "analyze-noise")
-    n = int(config.get("n", 64))
-    waveforms = [parse_waveform(w, default_n=n) for w in config["waveforms"]]
-    profiles = [parse_profile(p, n) for p in config["profiles"]]
-    sigma_w = float(config.get("sigma_w", 1.0))
-    summary = []
-    for profile in profiles:
-        for wf in waveforms:
-            q_inv = build_precoder(wf).Q_inv
+    n = read(config, "n", int, 64)
+    waveforms = [parse_waveform(w, default_n=n) for w in read(config, "waveforms", list)]
+    profiles = [parse_profile(p, n) for p in read(config, "profiles", list)]
+    sigma_w = read(config, "sigma_w", float, 1.0)
+    summary = {}  # (profile, waveform) index -> row, written profile-major
+    for j, wf in enumerate(waveforms):
+        q_inv = build_precoder(wf).Q_inv
+        for i, profile in enumerate(profiles):
             v = demod_noise_variance(q_inv, profile, sigma_w)
             write_csv(
                 run.path(f"variance_{wf.slug}_{profile.kind}.csv"),
                 ["subcarrier", "variance"],
                 [[m, v[m]] for m in range(n)],
             )
-            summary.append([wf.label, profile.kind, float(v.mean()), whitening_std(v)])
-    write_csv(run.path("summary.csv"), ["waveform", "profile", "mean", "std"], summary)
+            summary[i, j] = [wf.label, profile.kind, float(v.mean()), whitening_std(v)]
+        del q_inv  # free the dense N x N matrix before the next build
+    write_csv(run.path("summary.csv"), ["waveform", "profile", "mean", "std"],
+              [summary[key] for key in sorted(summary)])
     return EXIT_OK
 
 
 def cmd_sparsity(config: dict, run: Run) -> int:
     check_keys(config, {"tol", "entries", "seed"}, "sparsity")
-    tol = float(config.get("tol", 1e-9))
+    tol = read(config, "tol", float, 1e-9)
     records = []
-    for entry in config["entries"]:
+    for entry in read(config, "entries", list):
         wf = parse_waveform(entry)
         report = sparsity_profile(build_precoder(wf).Q_inv, tol=tol, label=wf.label)
         records.append(
@@ -279,11 +281,11 @@ def _cmd_sweep(config: dict, run: Run, param: str) -> int:
     extra = {"l_values"} if param == "L" else {"q_values", "alpha"}
     cfg = parse_sim(config, extra_keys=extra)
     if param == "L":
-        sweep = sweep_l(cfg, config.get("l_values", DEFAULT_SWEEP_L["l_values"]),
+        sweep = sweep_l(cfg, read(config, "l_values", [int], DEFAULT_SWEEP_L["l_values"]),
                         threads=run.threads)
     else:
-        sweep = sweep_q(cfg, config.get("q_values", DEFAULT_SWEEP_Q["q_values"]),
-                        alpha=float(config.get("alpha", 0.1)), threads=run.threads)
+        sweep = sweep_q(cfg, read(config, "q_values", [float], DEFAULT_SWEEP_Q["q_values"]),
+                        alpha=read(config, "alpha", float, 0.1), threads=run.threads)
     run.points = [{"label": label, **asdict(p)} for label, p in zip(sweep.labels, sweep.points)]
     name = "sweep_l.csv" if param == "L" else "sweep_q.csv"
     rows = [
@@ -305,22 +307,23 @@ def cmd_sweep_q(config: dict, run: Run) -> int:
 
 def cmd_fdma_demo(config: dict, run: Run) -> int:
     check_keys(config, {"layout", "jammed_block", "jam_power", "seed"}, "fdma-demo")
-    layout = parse_layout(config["layout"])
+    layout = parse_layout(read(config, "layout", list))
     n = layout.N
-    rng = np.random.default_rng(int(config.get("seed", 0)))
-    jammed = int(config.get("jammed_block", 1))
+    rng = np.random.default_rng(read(config, "seed", int, 0))
+    jammed = read(config, "jammed_block", int, 1)
     if not 0 <= jammed < len(layout.blocks):
         raise ConfigError(f"jammed_block {jammed} out of range")
-    jam_power = float(config.get("jam_power", 40.0))
+    jam_power = read(config, "jam_power", float, 40.0)
 
     # noiseless roundtrip over an identity channel
     data = [
         (rng.standard_normal(b.width) + 1j * rng.standard_normal(b.width)) / np.sqrt(2)
         for b in layout.blocks
     ]
-    recovered = decompose_fdma(compose_fdma(layout, data), layout)
+    x = layout.transmit(np.concatenate(data))
+    recovered = layout.receive(np.fft.fft(x, norm="ortho"))
     roundtrip = [
-        [i, b.config.label, float(np.max(np.abs(recovered[i] - data[i])))]
+        [i, b.config.label, float(np.max(np.abs(recovered[b.start : b.stop] - data[i])))]
         for i, b in enumerate(layout.blocks)
     ]
     write_csv(run.path("roundtrip.csv"), ["block", "waveform", "max_error"], roundtrip)
@@ -330,7 +333,8 @@ def cmd_fdma_demo(config: dict, run: Run) -> int:
     for i, block in enumerate(layout.blocks):
         alone = [np.zeros(b.width, complex) for b in layout.blocks]
         alone[i] = data[i]
-        spectrum = np.abs(np.fft.fft(compose_fdma(layout, alone), norm="ortho")) ** 2
+        x = layout.transmit(np.concatenate(alone))
+        spectrum = np.abs(np.fft.fft(x, norm="ortho")) ** 2
         inside = spectrum[block.start : block.stop].sum()
         total = spectrum.sum()
         leakage_rows.append(
@@ -379,24 +383,27 @@ def cmd_verify_appendix(config: dict, run: Run) -> int:
     check_keys(config, set(DEFAULT_VERIFY), "verify-appendix")
     failures = 0
 
-    decimation_tol = float(config.get("decimation_tol", 1e-9))
+    decimation_tol = read(config, "decimation_tol", float, 1e-9)
+    a_values = read(config, "a_values", [int])
+    b_values = read(config, "b_values", [int])
     decimation = []
-    for n in config["n_values"]:
-        for a in config["a_values"]:
-            for b in config["b_values"]:
+    for n in read(config, "n_values", [int]):
+        for a in a_values:
+            for b in b_values:
                 chirp = rational_chirp_decompose(a / b, tol=1e-12)
-                err = verify_decimation_identity(int(n), chirp)
+                err = verify_decimation_identity(n, chirp)
                 ok = err < decimation_tol
                 failures += not ok
                 decimation.append(
-                    {"n": int(n), "a": int(a), "b": int(b),
-                     "max_error": err, "ok": ok}
+                    {"n": n, "a": a, "b": b, "max_error": err, "ok": ok}
                 )
 
-    dirichlet_tol = float(config.get("dirichlet_tol", 1e-10))
+    dirichlet_tol = read(config, "dirichlet_tol", float, 1e-10)
     dirichlet = []
-    for n, b in config["dirichlet_cases"]:
-        n, b = int(n), int(b)
+    for case in read(config, "dirichlet_cases", [[int]]):
+        if len(case) != 2:
+            raise ConfigError(f"config: 'dirichlet_cases' items must be [n, b], got {case!r}")
+        n, b = case
         k = np.arange(b * n)
         direct = np.fft.fft((k < n).astype(float), norm="ortho")
         closed = np.array([rect_window_spectrum(n, b, u) for u in range(b * n)])
@@ -405,17 +412,18 @@ def cmd_verify_appendix(config: dict, run: Run) -> int:
         failures += not ok
         dirichlet.append({"n": n, "b": b, "max_error": err, "ok": ok})
 
-    threshold = float(config.get("density_threshold", 0.9))
-    sparsity_tol = float(config.get("sparsity_tol", 1e-9))
+    threshold = read(config, "density_threshold", float, 0.9)
+    sparsity_tol = read(config, "sparsity_tol", float, 1e-9)
+    density_q = read(config, "density_q", [float])
     densities = []
-    for n in config["density_n"]:
-        for q in config["density_q"]:
-            wf = parse_waveform({"kind": "afdm", "n": int(n), "q": float(q)})
+    for n in read(config, "density_n", [int]):
+        for q in density_q:
+            wf = parse_waveform({"kind": "afdm", "n": n, "q": q})
             report = sparsity_profile(build_precoder(wf).Q_inv, tol=sparsity_tol)
             ok = report.density > threshold
             failures += not ok
             densities.append(
-                {"n": int(n), "q": float(q), "density": report.density, "ok": ok}
+                {"n": n, "q": q, "density": report.density, "ok": ok}
             )
 
     # integer-rate special case: the Gauss-sum column collapses to an even comb

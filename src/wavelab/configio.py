@@ -1,11 +1,14 @@
 """YAML config parsing for the command-line experiments.
 
 Configs are plain nested key/value documents. Every parser validates keys
-eagerly and raises ConfigError with a readable message, which the CLI
+eagerly and reads every value through :func:`read`, which checks its type
+strictly; each refusal is a ConfigError naming the key, which the CLI
 maps to exit code 2.
 """
 
 from __future__ import annotations
+
+import math
 
 import yaml
 
@@ -32,17 +35,43 @@ def load_config_file(path: str) -> dict:
     return doc
 
 
+_REQUIRED = object()
+
+
+def read(section: dict, key: str, kind, default=_REQUIRED, context: str = "config"):
+    """``section[key]`` checked as ``kind``, or ``default`` when absent.
+
+    ``kind`` is int (ints and integral floats), float (finite numbers; for
+    both, booleans and strings are refused), str, dict, list, or ``[kind]``
+    for a list of such items. Each refusal is a ConfigError naming the key.
+    """
+    if key not in section:
+        if default is _REQUIRED:
+            raise ConfigError(f"{context}: missing required key {key!r}")
+        return default
+    value, name = section[key], f"{context}: {key!r}"
+    if isinstance(kind, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"{name} must be a list, got {value!r}")
+        return [read({key: item}, key, kind[0], context=context) for item in value]
+    if kind not in (int, float):
+        if not isinstance(value, kind):
+            raise ConfigError(f"{name} must be a {kind.__name__}, got {value!r}")
+        return value
+    # the chained comparison refuses NaN and infinities without converting ints
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not -math.inf < value < math.inf):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    if kind is int and value != int(value):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return kind(value)
+
+
 def merge_config(defaults: dict, overrides: dict) -> dict:
     """Shallow-per-section merge: override sections replace default ones."""
     merged = dict(defaults)
     merged.update(overrides)
     return merged
-
-
-def _require(section: dict, key: str, context: str):
-    if key not in section:
-        raise ConfigError(f"{context}: missing required key {key!r}")
-    return section[key]
 
 
 def check_keys(section: dict, allowed: set, context: str):
@@ -55,24 +84,24 @@ def parse_waveform(section: dict, default_n: int | None = None) -> WaveformConfi
     if not isinstance(section, dict):
         raise ConfigError(f"waveform entry must be a mapping, got {section!r}")
     check_keys(section, {"kind", "n", "k", "l", "q", "alpha"}, "waveform")
-    kind = str(_require(section, "kind", "waveform")).lower()
-    n = int(section.get("n", default_n or 0))
+    kind = read(section, "kind", str, context="waveform").lower()
+    n = read(section, "n", int, default_n or 0, "waveform")
     if kind == OFDM:
         return WaveformConfig.ofdm(n)
     if kind == OTFS:
-        k = section.get("k")
-        l = section.get("l")
+        k = read(section, "k", int, None, "waveform")
+        l = read(section, "l", int, None, "waveform")
         if l is None and k is None:
             raise ConfigError("OTFS waveform needs k and/or l")
         if l is None or k is None:
-            name, given = ("k", int(k)) if l is None else ("l", int(l))
+            name, given = ("k", k) if l is None else ("l", l)
             if given < 1 or n % given:
                 raise ConfigError(f"OTFS {name}={given} does not divide n={n}")
             k, l = (given, n // given) if l is None else (n // given, given)
-        return WaveformConfig.otfs(int(k), int(l))
+        return WaveformConfig.otfs(k, l)
     if kind == AFDM:
-        q = float(_require(section, "q", "AFDM waveform"))
-        return WaveformConfig.afdm(n, q, float(section.get("alpha", 0.0)))
+        q = read(section, "q", float, context="AFDM waveform")
+        return WaveformConfig.afdm(n, q, read(section, "alpha", float, 0.0, "waveform"))
     raise ConfigError(f"unknown waveform kind {kind!r}")
 
 
@@ -91,23 +120,23 @@ def parse_channel(section: dict) -> ChannelGenerator | ChannelSpec:
     if "taps" in section:
         check_keys(section, {"taps"}, "channel")
         taps = []
-        for entry in section["taps"]:
+        for entry in read(section, "taps", [dict], context="channel"):
             check_keys(entry, {"delay", "gain_re", "gain_im", "doppler"}, "channel tap")
             taps.append(
                 ChannelTap(
-                    delay=int(_require(entry, "delay", "channel tap")),
+                    delay=read(entry, "delay", int, context="channel tap"),
                     gain=complex(
-                        float(entry.get("gain_re", 0.0)),
-                        float(entry.get("gain_im", 0.0)),
+                        read(entry, "gain_re", float, 0.0, "channel tap"),
+                        read(entry, "gain_im", float, 0.0, "channel tap"),
                     ),
-                    doppler=float(entry.get("doppler", 0.0)),
+                    doppler=read(entry, "doppler", float, 0.0, "channel tap"),
                 )
             )
         return ChannelSpec(taps=tuple(taps))
     check_keys(section, {"num_taps", "max_doppler"}, "channel")
     return ChannelGenerator(
-        num_taps=int(_require(section, "num_taps", "channel")),
-        max_doppler=float(section.get("max_doppler", 0.0)),
+        num_taps=read(section, "num_taps", int, context="channel"),
+        max_doppler=read(section, "max_doppler", float, 0.0, "channel"),
     )
 
 
@@ -127,22 +156,26 @@ def channel_to_dict(channel) -> dict:
     }
 
 
+# the keyword arguments of make_profile a noise section may set, by type
 _PROFILE_KEYS = {
-    "kind", "spikes", "spike_offset", "width", "start",
-    "power_fraction", "num_taps", "gain_cap", "seed",
+    "spikes": int, "spike_offset": int, "width": int, "start": int,
+    "power_fraction": float, "num_taps": int, "gain_cap": float, "seed": int,
 }
 
 
 def parse_profile(section: dict, n: int) -> NoiseProfile:
     if not isinstance(section, dict):
         raise ConfigError("noise section must be a mapping")
-    check_keys(section, _PROFILE_KEYS | {"n"}, "noise")
-    if "n" in section and int(section["n"]) != n:
+    check_keys(section, set(_PROFILE_KEYS) | {"kind", "n"}, "noise")
+    if read(section, "n", int, n, "noise") != n:
         raise ConfigError(
             f"noise profile length {section['n']} does not match the grid size {n}"
         )
-    kind = str(_require(section, "kind", "noise")).lower()
-    kwargs = {key: section[key] for key in _PROFILE_KEYS - {"kind"} if key in section}
+    kind = read(section, "kind", str, context="noise").lower()
+    kwargs = {
+        key: read(section, key, typ, context="noise")
+        for key, typ in _PROFILE_KEYS.items() if key in section
+    }
     return make_profile(kind, n, **kwargs)
 
 
@@ -165,31 +198,31 @@ _SIM_KEYS = {
 
 def parse_sim(doc: dict, extra_keys: set = frozenset()) -> SimConfig:
     check_keys(doc, _SIM_KEYS | set(extra_keys), "config")
-    n = int(_require(doc, "n", "config"))
+    n = read(doc, "n", int)
     waveforms: tuple[WaveformConfig, ...] = ()
     layout = None
     if "layout" in doc:
-        layout = parse_layout(doc["layout"])
+        layout = parse_layout(read(doc, "layout", list))
     else:
-        entries = _require(doc, "waveforms", "config")
-        if not isinstance(entries, list) or not entries:
+        entries = read(doc, "waveforms", list)
+        if not entries:
             raise ConfigError("waveforms must be a nonempty list")
         waveforms = tuple(parse_waveform(e, default_n=n) for e in entries)
     target_n = layout.N if layout is not None else n
+    # a single SNR point may be given as a scalar
     snr = doc.get("snr_db", [25.0])
-    if not isinstance(snr, list):
-        snr = [snr]
+    snr_db = read({"snr_db": snr if isinstance(snr, list) else [snr]}, "snr_db", [float])
     return SimConfig(
-        channel=parse_channel(_require(doc, "channel", "config")),
-        profile=parse_profile(doc.get("noise", {"kind": "white"}), target_n),
+        channel=parse_channel(read(doc, "channel", dict)),
+        profile=parse_profile(read(doc, "noise", dict, {"kind": "white"}), target_n),
         waveforms=waveforms,
         layout=layout,
-        qam_order=int(doc.get("qam_order", 16)),
-        snr_db=tuple(float(s) for s in snr),
-        bits_per_point=int(doc.get("bits_per_point", 200_000)),
-        seed=int(doc.get("seed", 0)),
-        equalizer=str(doc.get("equalizer", "mmse")).lower(),
-        subcarrier_spacing_hz=float(doc.get("subcarrier_spacing_hz", 30_000.0)),
+        qam_order=read(doc, "qam_order", int, 16),
+        snr_db=tuple(snr_db),
+        bits_per_point=read(doc, "bits_per_point", int, 200_000),
+        seed=read(doc, "seed", int, 0),
+        equalizer=read(doc, "equalizer", str, "mmse").lower(),
+        subcarrier_spacing_hz=read(doc, "subcarrier_spacing_hz", float, 30_000.0),
     )
 
 

@@ -4,10 +4,12 @@ Noise is modeled in the frequency domain with a diagonal covariance
 sigma_w^2 * Gamma_f; the per-bin gains gamma_n^2 on the diagonal are held
 in a :class:`NoiseProfile`, trace-normalized to N so that total noise
 power is the same for every profile and SNR comparisons stay fair.
+:func:`sample_noise` draws one w_f, as a plain array.
 
-The whitening capability of a demodulation matrix is quantified by the
-standard deviation of the demodulated per-subcarrier noise variance: a
-flat output profile (std 0) means the matrix fully whitened the input.
+:func:`whitening_std` quantifies the whitening capability of a
+demodulation matrix Q^{-1}: the standard deviation of the demodulated
+per-subcarrier noise variance (:func:`demod_noise_variance`). A flat
+output profile (std 0) means the matrix fully whitened the input.
 """
 
 from __future__ import annotations
@@ -58,14 +60,6 @@ class NoiseProfile:
     @property
     def N(self) -> int:
         return self.gains.size
-
-
-@dataclass(frozen=True, eq=False)
-class NoiseSample:
-    """One frequency-domain draw w_f = Gamma_f^{1/2} w_w."""
-
-    w_f: np.ndarray
-    sigma_w: float
 
 
 def _normalized(gains: np.ndarray, kind: str, params: dict) -> NoiseProfile:
@@ -159,15 +153,16 @@ def make_profile(
 
 def sample_noise(
     profile: NoiseProfile, sigma_w: float, rng: np.random.Generator
-) -> NoiseSample:
-    """Draw w_f with E{w_f w_f^H} = sigma_w^2 * diag(profile.gains)."""
+) -> np.ndarray:
+    """Draw one frequency-domain noise vector w_f = Gamma_f^{1/2} w_w, with
+    E{w_f w_f^H} = sigma_w^2 * diag(profile.gains)."""
     if sigma_w < 0:
         raise ConfigError(f"sigma_w must be >= 0, got {sigma_w}")
     n = profile.N
     white = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * (
         sigma_w / np.sqrt(2.0)
     )
-    return NoiseSample(np.sqrt(profile.gains) * white, sigma_w)
+    return np.sqrt(profile.gains) * white
 
 
 def demod_noise_variance(q_inv, profile, sigma_w: float = 1.0) -> np.ndarray:
@@ -194,19 +189,3 @@ def whitening_std(v) -> float:
     if v.ndim != 1 or v.size < 1:
         raise DimensionError(f"expected a nonempty 1-D vector, got shape {v.shape}")
     return float(np.sqrt(np.mean((v - v.mean()) ** 2)))
-
-
-@dataclass(frozen=True, eq=False)
-class WhiteningReport:
-    """Per-subcarrier demodulated noise variances with summary stats."""
-
-    variances: np.ndarray
-    mean: float
-    std: float
-    label: str
-
-    @classmethod
-    def from_variances(cls, v, label: str) -> "WhiteningReport":
-        v = np.array(np.asarray(v, dtype=float))
-        v.setflags(write=False)
-        return cls(v, float(v.mean()), whitening_std(v), label)

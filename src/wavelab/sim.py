@@ -267,7 +267,7 @@ def _run_chunk(cfg: SimConfig, targets, rngs, sigma_w: float):
         else:
             specs.append(cfg.channel)
         bits.append(rng.integers(0, 2, size=cfg.bits_per_frame, dtype=np.uint8))
-        w_f.append(sample_noise(cfg.profile, sigma_w, rng).w_f)
+        w_f.append(sample_noise(cfg.profile, sigma_w, rng))
     bits = np.array(bits)
     symbols = qam_map(bits, cfg.qam_order)
     y = np.empty((len(targets),) + symbols.shape, dtype=complex)

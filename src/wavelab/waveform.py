@@ -1,18 +1,17 @@
-"""Modulation and demodulation operators for OFDM, OTFS, and AFDM.
+"""OFDM, OTFS, and AFDM as precoded OFDM.
 
 All three schemes are expressed as precoded OFDM: the transmitted block is
 x = F^H Q c, where F is the size-N unitary DFT and the precoder Q is the
 identity for OFDM, a Kronecker-structured delay-Doppler mapping for OTFS,
 and a double-chirp product for AFDM. Receivers undo the precoding with
-Q^{-1} after frequency-domain equalization.
+the demodulation matrix Q^{-1} after frequency-domain equalization.
 
-Dense precoder matrices are available through :func:`build_precoder` for
-analysis at moderate block sizes. :func:`modulate`, :func:`demodulate`,
-:func:`apply_precoder`, and :func:`apply_inverse_precoder` use FFT-based
-operator forms (diagonal multiplies, orthonormal FFTs, and grid reshapes)
-so that simulation loops never pay for O(N^2) matrix products. The
-operator forms act along the last axis: a stack of blocks (..., N) is
-transformed row by row, and a single vector is the one-row case.
+:class:`WaveformConfig` is the one operator surface: ``transmit`` (F^H Q c),
+``precode`` (Q c) and ``receive`` (Q^{-1} r_f) use FFT-based forms, so
+simulation loops never pay for O(N^2) matrix products. They act along the
+last axis: a stack of blocks (..., N) is transformed row by row. The dense
+:func:`build_precoder` and the closed forms of Q^{-1} feed the whitening
+and sparsity analysis, and are the oracles the operator forms match.
 """
 
 from __future__ import annotations
@@ -27,8 +26,6 @@ OFDM = "ofdm"
 OTFS = "otfs"
 AFDM = "afdm"
 KINDS = (OFDM, OTFS, AFDM)
-
-DOMAINS = ("data", "time", "frequency")
 
 # Dense N x N precoders beyond this size are refused; use the operator forms.
 DENSE_SIZE_LIMIT = 4096
@@ -100,43 +97,35 @@ class WaveformConfig:
 
     def transmit(self, data) -> np.ndarray:
         """Data symbols (..., N) to time-domain blocks x = F^H Q c."""
-        return _synthesize(self, _as_vector(data, self.N))
+        c = _as_vector(data, self.N)
+        if self.kind == OFDM:
+            return np.fft.ifft(c, norm="ortho")
+        if self.kind == OTFS:
+            # column-major vec of the K x L delay-Doppler grid, held as (..., L, K)
+            grid = c.reshape(c.shape[:-1] + (self.L, self.K))
+            return np.fft.ifft(grid, axis=-2, norm="ortho").reshape(c.shape)
+        chirped = chirp_diagonal(self.N, self.alpha) * c
+        return chirp_diagonal(self.N, self.q) * np.fft.ifft(chirped, norm="ortho")
+
+    def precode(self, data) -> np.ndarray:
+        """Data symbols (..., N) to frequency-domain blocks z = Q c."""
+        if self.kind == OFDM:
+            return _as_vector(data, self.N).copy()
+        return np.fft.fft(self.transmit(data), norm="ortho")
 
     def receive(self, r_f) -> np.ndarray:
         """Equalized frequency-domain blocks (..., N) to data, Q^{-1} r_f."""
-        return apply_inverse_precoder(self, r_f)
+        v = _as_vector(r_f, self.N)
+        if self.kind == OFDM:
+            return v.copy()
+        if self.kind == OTFS:
+            grid = np.fft.ifft(v, norm="ortho").reshape(v.shape[:-1] + (self.L, self.K))
+            return np.fft.fft(grid, axis=-2, norm="ortho").reshape(v.shape)
+        dechirped = chirp_diagonal(self.N, self.q).conj() * np.fft.ifft(v, norm="ortho")
+        return chirp_diagonal(self.N, self.alpha).conj() * np.fft.fft(dechirped, norm="ortho")
 
 
-@dataclass(frozen=True, eq=False)
-class SignalVector:
-    """Length-N complex vector tagged with the domain it lives in."""
-
-    values: np.ndarray
-    domain: str
-
-    def __post_init__(self):
-        if self.domain not in DOMAINS:
-            raise ConfigError(f"unknown signal domain {self.domain!r}")
-        values = np.array(self.values, dtype=complex)
-        if values.ndim != 1:
-            raise DimensionError(f"signal must be 1-D, got shape {values.shape}")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-    def __len__(self) -> int:
-        return self.values.shape[0]
-
-    def __array__(self, dtype=None):
-        return np.asarray(self.values, dtype=dtype)
-
-
-def _as_vector(x, n: int, expected_domain: str | None = None) -> np.ndarray:
-    if isinstance(x, SignalVector):
-        if expected_domain is not None and x.domain != expected_domain:
-            raise ConfigError(
-                f"expected a {expected_domain!r}-domain signal, got {x.domain!r}"
-            )
-        x = x.values
+def _as_vector(x, n: int) -> np.ndarray:
     v = np.asarray(x, dtype=complex)
     if v.ndim == 0 or v.shape[-1] != n:
         raise DimensionError(f"expected length-{n} vectors, got shape {v.shape}")
@@ -218,7 +207,7 @@ def build_precoder(cfg: WaveformConfig) -> PrecoderMatrix:
     if n > DENSE_SIZE_LIMIT:
         raise ConfigError(
             f"dense precoder limited to N <= {DENSE_SIZE_LIMIT}, got {n}; "
-            "use the operator-form modulate/demodulate instead"
+            "use the operator forms of WaveformConfig instead"
         )
     if cfg.kind == OFDM:
         q = np.eye(n, dtype=complex)
@@ -235,47 +224,3 @@ def build_precoder(cfg: WaveformConfig) -> PrecoderMatrix:
         q = (f_n * lam_q[None, :]) @ (f_n.conj().T * lam_a[None, :])
         q_inv = (lam_a.conj()[:, None] * f_n) @ (lam_q.conj()[:, None] * f_n.conj().T)
     return PrecoderMatrix(q, q_inv, cfg)
-
-
-def _synthesize(cfg: WaveformConfig, c: np.ndarray) -> np.ndarray:
-    # F^H Q c without dense products.
-    if cfg.kind == OFDM:
-        return np.fft.ifft(c, norm="ortho")
-    if cfg.kind == OTFS:
-        # column-major vec of the K x L delay-Doppler grid, held as (..., L, K)
-        grid = c.reshape(c.shape[:-1] + (cfg.L, cfg.K))
-        return np.fft.ifft(grid, axis=-2, norm="ortho").reshape(c.shape)
-    chirped = chirp_diagonal(cfg.N, cfg.alpha) * c
-    return chirp_diagonal(cfg.N, cfg.q) * np.fft.ifft(chirped, norm="ortho")
-
-
-def apply_precoder(cfg: WaveformConfig, c) -> np.ndarray:
-    """Compute z = Q c with FFT-based operators."""
-    v = _as_vector(c, cfg.N)
-    if cfg.kind == OFDM:
-        return v.copy()
-    return np.fft.fft(_synthesize(cfg, v), norm="ortho")
-
-
-def apply_inverse_precoder(cfg: WaveformConfig, r) -> np.ndarray:
-    """Compute Q^{-1} r with FFT-based operators."""
-    v = _as_vector(r, cfg.N)
-    if cfg.kind == OFDM:
-        return v.copy()
-    if cfg.kind == OTFS:
-        grid = np.fft.ifft(v, norm="ortho").reshape(v.shape[:-1] + (cfg.L, cfg.K))
-        return np.fft.fft(grid, axis=-2, norm="ortho").reshape(v.shape)
-    dechirped = chirp_diagonal(cfg.N, cfg.q).conj() * np.fft.ifft(v, norm="ortho")
-    return chirp_diagonal(cfg.N, cfg.alpha).conj() * np.fft.fft(dechirped, norm="ortho")
-
-
-def modulate(cfg: WaveformConfig, c) -> SignalVector:
-    """Map a data vector to the transmitted time-domain block x = F^H Q c."""
-    v = _as_vector(c, cfg.N, expected_domain="data")
-    return SignalVector(_synthesize(cfg, v), "time")
-
-
-def demodulate(cfg: WaveformConfig, r_f) -> SignalVector:
-    """Undo the precoding of an equalized frequency-domain vector."""
-    v = _as_vector(r_f, cfg.N, expected_domain="frequency")
-    return SignalVector(apply_inverse_precoder(cfg, v), "data")

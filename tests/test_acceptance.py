@@ -273,17 +273,21 @@ def test_criterion_09_fdma_properties():
             (rng.standard_normal(b.width) + 1j * rng.standard_normal(b.width))
             for b in layout.blocks
         ]
-        recovered = wl.decompose_fdma(wl.compose_fdma(layout, data), layout)
-        for sent, got in zip(data, recovered):
-            assert np.abs(got - sent).max() <= 1e-10
+        recovered = layout.receive(
+            np.fft.fft(layout.transmit(np.concatenate(data)), norm="ortho")
+        )
+        for sent, b in zip(data, layout.blocks):
+            assert np.abs(recovered[b.start : b.stop] - sent).max() <= 1e-10
 
         for active in range(len(layout.blocks)):
             alone = [np.zeros(b.width, complex) for b in layout.blocks]
             alone[active] = data[active]
-            pieces = wl.decompose_fdma(wl.compose_fdma(layout, alone), layout)
-            for i, piece in enumerate(pieces):
+            pieces = layout.receive(
+                np.fft.fft(layout.transmit(np.concatenate(alone)), norm="ortho")
+            )
+            for i, b in enumerate(layout.blocks):
                 if i != active:
-                    assert np.abs(piece).max() < 1e-12
+                    assert np.abs(pieces[b.start : b.stop]).max() < 1e-12
 
         flat = np.ones(layout.N)
         jammed = flat.copy()

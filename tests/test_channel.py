@@ -16,11 +16,11 @@ def random_channel_matrix(rng, n):
 class TestBuildChannel:
     def test_single_flat_tap_is_identity(self):
         spec = wl.ChannelSpec(taps=(wl.ChannelTap(0, 1.0 + 0j, 0.0),))
-        assert_allclose(wl.build_channel(spec, 6).H, np.eye(6))
+        assert_allclose(wl.build_channel(spec, 6), np.eye(6))
 
     def test_unit_delay_is_cyclic_shift(self):
         spec = wl.ChannelSpec(taps=(wl.ChannelTap(1, 1.0 + 0j, 0.0),))
-        h = wl.build_channel(spec, 4).H
+        h = wl.build_channel(spec, 4)
         shift = np.roll(np.eye(4), 1, axis=0)
         assert_allclose(h, shift)
         # DFT-diagonalization oracle on the circulant shift
@@ -32,7 +32,7 @@ class TestBuildChannel:
         n = 6
         taps = (wl.ChannelTap(0, 0.8 - 0.1j, 0.0), wl.ChannelTap(2, 0.3 + 0.4j, 0.3))
         spec = wl.ChannelSpec(taps=taps)
-        h = wl.build_channel(spec, n).H
+        h = wl.build_channel(spec, n)
         # independent elementwise construction
         expected = np.zeros((n, n), complex)
         for tap in taps:
@@ -53,13 +53,13 @@ class TestBuildChannel:
         spec = wl.realize_random_channel(gen, rng)
         n = 16
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        assert np.abs(wl.apply_channel(spec, x) - wl.build_channel(spec, n).H @ x).max() < 1e-12
+        assert np.abs(wl.apply_channel(spec, x) - wl.build_channel(spec, n) @ x).max() < 1e-12
 
     def test_frequency_response_matches_diagonal(self):
         rng = np.random.default_rng(1)
         spec = wl.realize_random_channel(wl.ChannelGenerator(num_taps=4), rng)
         n = 12
-        full = wl.to_frequency(wl.build_channel(spec, n).H)
+        full = wl.to_frequency(wl.build_channel(spec, n))
         assert np.abs(np.diag(full) - wl.frequency_response(spec, n)).max() < 1e-12
 
     def test_frequency_response_requires_quasi_static(self):
@@ -144,7 +144,7 @@ class TestMmseEqualizer:
         rng = np.random.default_rng(7)
         spec = wl.realize_random_channel(wl.ChannelGenerator(num_taps=4), rng)
         n, rho = 16, 0.05
-        h = wl.build_channel(spec, n).H
+        h = wl.build_channel(spec, n)
         eq = wl.mmse_equalizer(h, rho)
         h_f = wl.frequency_response(spec, n)
         per_bin = h_f.conj() / (np.abs(h_f) ** 2 + rho)
@@ -178,13 +178,13 @@ class TestDispersionInvariants:
     def test_zero_doppler_is_circulant(self):
         rng = np.random.default_rng(10)
         spec = wl.realize_random_channel(wl.ChannelGenerator(num_taps=8), rng)
-        h_f = wl.to_frequency(wl.build_channel(spec, 32).H)
+        h_f = wl.to_frequency(wl.build_channel(spec, 32))
         off = h_f - np.diag(np.diag(h_f))
         assert np.abs(off).max() < 1e-10
 
     def test_fractional_doppler_breaks_circulance(self):
         taps = (wl.ChannelTap(0, 1.0 + 0j, 0.0), wl.ChannelTap(1, 0.5 + 0j, 0.3))
-        h_f = wl.to_frequency(wl.build_channel(wl.ChannelSpec(taps=taps), 16).H)
+        h_f = wl.to_frequency(wl.build_channel(wl.ChannelSpec(taps=taps), 16))
         off = h_f - np.diag(np.diag(h_f))
         assert np.abs(off).max() > 1e-6
 
@@ -194,7 +194,7 @@ class TestDispersionInvariants:
             wl.ChannelGenerator(num_taps=6, max_doppler=0.3), rng
         )
         n = 24
-        h = wl.build_channel(spec, n).H
+        h = wl.build_channel(spec, n)
         eq = wl.zf_equalizer(h)
         f = wl.dft_matrix(n)
         end_to_end = eq.G_f @ f @ h @ f.conj().T

@@ -389,3 +389,44 @@ class TestVerifyAppendix:
         assert run_cli("verify-appendix", "--config", config, "--out", str(out)) == 3
         doc = json.loads((out / "verify_appendix.json").read_text())
         assert doc["failures"] > 0
+
+
+class TestStrictConfigReader:
+    # YAML text over the subcommand's defaults; each value is refused with
+    # exit 2 and an error naming its key
+    CASES = [
+        # each of these used to end in a traceback (exit 1)
+        ("ber", "channel: {taps: 5}", "taps"),
+        ("ber", "snr_db: [abc]", "snr_db"),
+        ("ber", "bits_per_point: 1.0e4", "bits_per_point"),  # a string to PyYAML
+        ("analyze-noise", "profiles: 5", "profiles"),
+        ("sparsity", "entries: 5", "entries"),
+        ("verify-appendix", "n_values: 8", "n_values"),
+        ("sweep-l", "l_values: 4", "l_values"),
+        ("ber", "channel: {taps: [5]}", "taps"),
+        ("verify-appendix", "dirichlet_cases: [[8]]", "dirichlet_cases"),
+        # each of these used to be truncated or coerced, and ran with exit 0
+        ("ber", "n: 12.7\nwaveforms: [{kind: ofdm}]", "n"),
+        ("ber", "waveforms: [{kind: otfs, l: 2.5}]", "l"),
+        ("fdma-demo", "jammed_block: 1.5", "jammed_block"),
+        ("ber", "seed: true", "seed"),
+    ]
+
+    @pytest.mark.parametrize("subcommand,text,key", CASES)
+    def test_refused_with_exit_2(self, tmp_path, capsys, subcommand, text, key):
+        config = tmp_path / "bad.yaml"
+        config.write_text(text + "\n")
+        out = tmp_path / "o"
+        assert run_cli(subcommand, "--config", str(config), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and repr(key) in err
+        assert not out.exists()
+
+    def test_integral_floats_and_ints_accepted(self):
+        from wavelab.configio import read
+
+        doc = {"n": 12.0, "q": 3, "values": [1, 2.0]}
+        assert read(doc, "n", int) == 12 and isinstance(read(doc, "n", int), int)
+        assert read(doc, "q", float) == 3.0 and isinstance(read(doc, "q", float), float)
+        assert read(doc, "values", [int]) == [1, 2]
+        assert read(doc, "absent", int, 7) == 7

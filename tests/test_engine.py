@@ -61,8 +61,8 @@ class TestStackedLayers:
     )
     def test_precoder_and_inverse(self, target):
         batch = stacked(np.random.default_rng(2), 7, target.N)
-        assert_rowwise(lambda c: wl.apply_precoder(target, c), batch)
-        assert_rowwise(lambda r: wl.apply_inverse_precoder(target, r), batch)
+        assert_rowwise(target.precode, batch)
+        assert_rowwise(target.receive, batch)
 
     @pytest.mark.parametrize("doppler", [0.0, 0.3])
     def test_apply_channel(self, doppler):

@@ -1,4 +1,4 @@
-"""Tests for multi-waveform FDMA composition and decomposition."""
+"""Tests for multi-waveform FDMA: BlockLayout transmit and receive."""
 
 import numpy as np
 import pytest
@@ -17,6 +17,14 @@ def mixed_layout():
             wl.WaveformConfig.otfs(3, 4),
         ]
     )
+
+
+def roundtrip(layout, blocks):
+    """Per-block data recovered over an identity channel."""
+    recovered = layout.receive(
+        np.fft.fft(layout.transmit(np.concatenate(blocks)), norm="ortho")
+    )
+    return [recovered[b.start : b.stop] for b in layout.blocks]
 
 
 def random_blocks(layout, seed=0):
@@ -58,9 +66,7 @@ class TestCompose:
         layout = wl.BlockLayout.from_configs([cfg])
         rng = np.random.default_rng(1)
         c = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        assert_allclose(
-            wl.compose_fdma(layout, [c]), wl.modulate(cfg, c).values, atol=1e-12
-        )
+        assert_allclose(layout.transmit(c), cfg.transmit(c), atol=1e-12)
 
     def test_two_ofdm_halves_equal_full_ofdm(self):
         n = 16
@@ -69,8 +75,8 @@ class TestCompose:
         )
         rng = np.random.default_rng(2)
         c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        combined = wl.compose_fdma(layout, [c[: n // 2], c[n // 2 :]])
-        direct = wl.modulate(wl.WaveformConfig.ofdm(n), c).values
+        combined = layout.transmit(c)
+        direct = wl.WaveformConfig.ofdm(n).transmit(c)
         assert_allclose(combined, direct, atol=1e-12)
 
     def test_afdm_block_energy_confined(self):
@@ -78,26 +84,26 @@ class TestCompose:
             [wl.WaveformConfig.ofdm(12), wl.WaveformConfig.afdm(12, -4.0, 0.1)]
         )
         data = [np.zeros(12, complex), random_blocks(layout, 3)[1]]
-        x = wl.compose_fdma(layout, data)
+        x = layout.transmit(np.concatenate(data))
         spectrum = np.abs(np.fft.fft(x, norm="ortho")) ** 2
         outside = spectrum[:12].sum()
         assert outside < 1e-20 * spectrum.sum()
 
-    def test_block_count_mismatch(self):
-        with pytest.raises(DimensionError):
-            wl.compose_fdma(mixed_layout(), [np.zeros(12, complex)])
-
     def test_block_length_mismatch(self):
-        layout = wl.BlockLayout.from_configs([wl.WaveformConfig.ofdm(8)])
-        with pytest.raises(DimensionError):
-            wl.compose_fdma(layout, [np.zeros(7, complex)])
+        # a stack whose last axis is not the layout's N, short or long
+        layout = mixed_layout()
+        for width in (12, layout.N - 1, layout.N + 1):
+            with pytest.raises(DimensionError):
+                layout.transmit(np.zeros((3, width), complex))
+            with pytest.raises(DimensionError):
+                layout.receive(np.zeros((3, width), complex))
 
 
 class TestDecompose:
     def test_mixed_roundtrip(self):
         layout = mixed_layout()
         data = random_blocks(layout, 4)
-        recovered = wl.decompose_fdma(wl.compose_fdma(layout, data), layout)
+        recovered = roundtrip(layout, data)
         for sent, got in zip(data, recovered):
             assert np.abs(got - sent).max() < 1e-10
 
@@ -111,7 +117,7 @@ class TestDecompose:
             ]
         )
         data = random_blocks(layout, 5)
-        recovered = wl.decompose_fdma(wl.compose_fdma(layout, data), layout)
+        recovered = roundtrip(layout, data)
         for sent, got in zip(data, recovered):
             assert np.abs(got - sent).max() < 1e-10
 
@@ -121,7 +127,7 @@ class TestDecompose:
         for active in range(len(layout.blocks)):
             alone = [np.zeros(b.width, complex) for b in layout.blocks]
             alone[active] = data[active]
-            recovered = wl.decompose_fdma(wl.compose_fdma(layout, alone), layout)
+            recovered = roundtrip(layout, alone)
             for i, got in enumerate(recovered):
                 if i != active:
                     assert np.abs(got).max() < 1e-12
@@ -132,17 +138,11 @@ class TestDecompose:
         rng = np.random.default_rng(7)
         spec = wl.realize_random_channel(wl.ChannelGenerator(num_taps=4), rng)
         data = random_blocks(layout, 8)
-        y = wl.apply_channel(spec, wl.compose_fdma(layout, data))
+        y = wl.apply_channel(spec, layout.transmit(np.concatenate(data)))
         gains = 1.0 / wl.frequency_response(spec, n)
-        recovered = wl.decompose_fdma(y, layout, freq_gains=gains)
-        for sent, got in zip(data, recovered):
-            assert np.abs(got - sent).max() < 1e-8
-
-    def test_wrong_gain_length(self):
-        layout = mixed_layout()
-        y = np.zeros(layout.N, complex)
-        with pytest.raises(DimensionError):
-            wl.decompose_fdma(y, layout, freq_gains=np.ones(7))
+        recovered = layout.receive(gains * np.fft.fft(y, norm="ortho"))
+        for sent, b in zip(data, layout.blocks):
+            assert np.abs(recovered[b.start : b.stop] - sent).max() < 1e-8
 
 
 class TestBlockNoise:
