@@ -14,6 +14,7 @@ from .analysis import (
     chirp_spectrum,
     rational_chirp_decompose,
     rect_window_spectrum,
+    row_sparsity,
     sparsity_profile,
     verify_decimation_identity,
 )

@@ -24,7 +24,7 @@ from . import __version__
 from .analysis import (
     rational_chirp_decompose,
     rect_window_spectrum,
-    sparsity_profile,
+    row_sparsity,
     verify_decimation_identity,
 )
 from .configio import (
@@ -38,9 +38,9 @@ from .configio import (
     read,
 )
 from .exceptions import ConfigError, EqualizationError, WavelabError
-from .noise import demod_noise_variance, make_profile, whitening_std
+from .noise import whitening_std
 from .sim import run_ber, sweep_l, sweep_q
-from .waveform import afdm_inverse_column, build_precoder
+from .waveform import afdm_inverse_column
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -217,20 +217,17 @@ def cmd_analyze_noise(config: dict, run: Run) -> int:
     waveforms = [parse_waveform(w, default_n=n) for w in read(config, "waveforms", list)]
     profiles = [parse_profile(p, n) for p in read(config, "profiles", list)]
     sigma_w = read(config, "sigma_w", float, 1.0)
-    summary = {}  # (profile, waveform) index -> row, written profile-major
-    for j, wf in enumerate(waveforms):
-        q_inv = build_precoder(wf).Q_inv
-        for i, profile in enumerate(profiles):
-            v = demod_noise_variance(q_inv, profile, sigma_w)
+    summary = []
+    for profile in profiles:
+        for wf in waveforms:
+            v = sigma_w**2 * wf.demod_power(profile.gains)
             write_csv(
                 run.path(f"variance_{wf.slug}_{profile.kind}.csv"),
                 ["subcarrier", "variance"],
                 [[m, v[m]] for m in range(n)],
             )
-            summary[i, j] = [wf.label, profile.kind, float(v.mean()), whitening_std(v)]
-        del q_inv  # free the dense N x N matrix before the next build
-    write_csv(run.path("summary.csv"), ["waveform", "profile", "mean", "std"],
-              [summary[key] for key in sorted(summary)])
+            summary.append([wf.label, profile.kind, float(v.mean()), whitening_std(v)])
+    write_csv(run.path("summary.csv"), ["waveform", "profile", "mean", "std"], summary)
     return EXIT_OK
 
 
@@ -240,7 +237,7 @@ def cmd_sparsity(config: dict, run: Run) -> int:
     records = []
     for entry in read(config, "entries", list):
         wf = parse_waveform(entry)
-        report = sparsity_profile(build_precoder(wf).Q_inv, tol=tol, label=wf.label)
+        report = row_sparsity(wf.row_magnitudes(), tol=tol, label=wf.label)
         records.append(
             {
                 "label": report.label,
@@ -313,7 +310,7 @@ def cmd_fdma_demo(config: dict, run: Run) -> int:
     jammed = read(config, "jammed_block", int, 1)
     if not 0 <= jammed < len(layout.blocks):
         raise ConfigError(f"jammed_block {jammed} out of range")
-    jam_power = read(config, "jam_power", float, 40.0)
+    jam_power = read(config, "jam_power", float, 40.0, minimum=0)
 
     # noiseless roundtrip over an identity channel
     data = [
@@ -354,17 +351,16 @@ def cmd_fdma_demo(config: dict, run: Run) -> int:
     variance_rows = []
     whitening_rows = []
     for i, block in enumerate(layout.blocks):
-        q_inv = build_precoder(block.config).Q_inv
         sl = slice(block.start, block.stop)
-        v_clean = demod_noise_variance(q_inv, flat[sl])
-        v_jam = demod_noise_variance(q_inv, jammed_gains[sl])
+        v_clean = block.config.demod_power(flat[sl])
+        v_jam = block.config.demod_power(jammed_gains[sl])
         for m in range(block.width):
             variance_rows.append([i, block.config.label, m, v_clean[m], v_jam[m]])
         # the same impulse shape dropped into this block, whitened by its Q_inv
         local = flat[sl].copy()
         local[block.width // 2] += jam_power
         whitening_rows.append(
-            [i, block.config.label, whitening_std(demod_noise_variance(q_inv, local))]
+            [i, block.config.label, whitening_std(block.config.demod_power(local))]
         )
     write_csv(
         run.path("jammer_variance.csv"),
@@ -385,9 +381,9 @@ def cmd_verify_appendix(config: dict, run: Run) -> int:
 
     decimation_tol = read(config, "decimation_tol", float, 1e-9)
     a_values = read(config, "a_values", [int])
-    b_values = read(config, "b_values", [int])
+    b_values = read(config, "b_values", [int], minimum=1)
     decimation = []
-    for n in read(config, "n_values", [int]):
+    for n in read(config, "n_values", [int], minimum=1):
         for a in a_values:
             for b in b_values:
                 chirp = rational_chirp_decompose(a / b, tol=1e-12)
@@ -400,7 +396,7 @@ def cmd_verify_appendix(config: dict, run: Run) -> int:
 
     dirichlet_tol = read(config, "dirichlet_tol", float, 1e-10)
     dirichlet = []
-    for case in read(config, "dirichlet_cases", [[int]]):
+    for case in read(config, "dirichlet_cases", [[int]], minimum=1):
         if len(case) != 2:
             raise ConfigError(f"config: 'dirichlet_cases' items must be [n, b], got {case!r}")
         n, b = case
@@ -416,10 +412,10 @@ def cmd_verify_appendix(config: dict, run: Run) -> int:
     sparsity_tol = read(config, "sparsity_tol", float, 1e-9)
     density_q = read(config, "density_q", [float])
     densities = []
-    for n in read(config, "density_n", [int]):
+    for n in read(config, "density_n", [int], minimum=1):
         for q in density_q:
             wf = parse_waveform({"kind": "afdm", "n": n, "q": q})
-            report = sparsity_profile(build_precoder(wf).Q_inv, tol=sparsity_tol)
+            report = row_sparsity(wf.row_magnitudes(), tol=sparsity_tol)
             ok = report.density > threshold
             failures += not ok
             densities.append(

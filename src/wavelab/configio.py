@@ -38,12 +38,14 @@ def load_config_file(path: str) -> dict:
 _REQUIRED = object()
 
 
-def read(section: dict, key: str, kind, default=_REQUIRED, context: str = "config"):
+def read(section: dict, key: str, kind, default=_REQUIRED, context: str = "config",
+         minimum=None):
     """``section[key]`` checked as ``kind``, or ``default`` when absent.
 
     ``kind`` is int (ints and integral floats), float (finite numbers; for
-    both, booleans and strings are refused), str, dict, list, or ``[kind]``
-    for a list of such items. Each refusal is a ConfigError naming the key.
+    both, booleans and strings are refused, and so are values below
+    ``minimum``), str, dict, list, or ``[kind]`` for a list of such items.
+    Each refusal is a ConfigError naming the key.
     """
     if key not in section:
         if default is _REQUIRED:
@@ -53,7 +55,8 @@ def read(section: dict, key: str, kind, default=_REQUIRED, context: str = "confi
     if isinstance(kind, list):
         if not isinstance(value, list):
             raise ConfigError(f"{name} must be a list, got {value!r}")
-        return [read({key: item}, key, kind[0], context=context) for item in value]
+        return [read({key: item}, key, kind[0], context=context, minimum=minimum)
+                for item in value]
     if kind not in (int, float):
         if not isinstance(value, kind):
             raise ConfigError(f"{name} must be a {kind.__name__}, got {value!r}")
@@ -64,6 +67,8 @@ def read(section: dict, key: str, kind, default=_REQUIRED, context: str = "confi
         raise ConfigError(f"{name} must be a finite number, got {value!r}")
     if kind is int and value != int(value):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}, got {value!r}")
     return kind(value)
 
 

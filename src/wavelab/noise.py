@@ -8,7 +8,8 @@ power is the same for every profile and SNR comparisons stay fair.
 
 :func:`whitening_std` quantifies the whitening capability of a
 demodulation matrix Q^{-1}: the standard deviation of the demodulated
-per-subcarrier noise variance (:func:`demod_noise_variance`). A flat
+per-subcarrier noise variance (the CLI's :meth:`WaveformConfig.demod_power`;
+its test oracle :func:`demod_noise_variance` takes a dense Q^{-1}). A flat
 output profile (std 0) means the matrix fully whitened the input.
 """
 

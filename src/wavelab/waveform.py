@@ -9,9 +9,10 @@ the demodulation matrix Q^{-1} after frequency-domain equalization.
 :class:`WaveformConfig` is the one operator surface: ``transmit`` (F^H Q c),
 ``precode`` (Q c) and ``receive`` (Q^{-1} r_f) use FFT-based forms, so
 simulation loops never pay for O(N^2) matrix products. They act along the
-last axis: a stack of blocks (..., N) is transformed row by row. The dense
-:func:`build_precoder` and the closed forms of Q^{-1} feed the whitening
-and sparsity analysis, and are the oracles the operator forms match.
+last axis: a stack of blocks (..., N) is transformed row by row. The CLI's
+whitening and sparsity analysis uses ``row_magnitudes`` and ``demod_power``,
+which take |Q^{-1}| from each waveform's structure at any N. The dense
+:func:`build_precoder` and closed forms of Q^{-1} are the oracles they match.
 """
 
 from __future__ import annotations
@@ -123,6 +124,32 @@ class WaveformConfig:
             return np.fft.fft(grid, axis=-2, norm="ortho").reshape(v.shape)
         dechirped = chirp_diagonal(self.N, self.q).conj() * np.fft.ifft(v, norm="ortho")
         return chirp_diagonal(self.N, self.alpha).conj() * np.fft.fft(dechirped, norm="ortho")
+
+    def row_magnitudes(self) -> np.ndarray:
+        """|Q^{-1}_{0,v}|. Every row of |Q^{-1}| permutes these values; alpha
+        does not enter, as Lambda_alpha is a unit-modulus diagonal."""
+        n = self.N
+        if self.kind == OFDM:
+            return np.eye(1, n)[0]
+        if self.kind == OTFS:
+            return np.where(np.arange(n) % self.L == 0, np.sqrt(self.L / n), 0.0)
+        # row 0 of the circulant factor is the Gauss-sum column reversed, c_{-v mod N}
+        return np.abs(np.roll(afdm_inverse_column(n, self.q)[::-1], 1)) / np.sqrt(n)
+
+    def demod_power(self, gains) -> np.ndarray:
+        """|Q^{-1}|^2 @ gains without forming Q^{-1}: O(N), or O(N log N) for AFDM."""
+        g = np.asarray(gains, dtype=float)
+        if g.shape != (self.N,):
+            raise DimensionError(f"gains shape {g.shape} does not match N={self.N}")
+        if np.any(g < 0):
+            raise ConfigError("noise gains must be nonnegative")
+        if self.kind == OFDM:
+            return g.copy()
+        if self.kind == OTFS:  # row u sums the residue class floor(u/K) mod L
+            return np.repeat(g.reshape(self.K, self.L).sum(0) * (self.L / self.N), self.K)
+        # |Q^{-1}_{m,v}|^2 = r_{(v-m) mod N}^2; clip the FFT rounding below 0
+        spectrum = np.fft.rfft(self.row_magnitudes() ** 2).conj() * np.fft.rfft(g)
+        return np.maximum(np.fft.irfft(spectrum, self.N), 0.0)
 
 
 def _as_vector(x, n: int) -> np.ndarray:

@@ -91,6 +91,25 @@ class TestAnalyzeNoise:
         assert len(rows) == 3
         assert all(float(row[3]) < 1e-9 for row in rows)
 
+    def test_wideband_beyond_dense_limit(self, tmp_path):
+        n, sigma_w = 8192, 1.5
+        assert n > wl.waveform.DENSE_SIZE_LIMIT
+        profiles = {"impulse": {}, "interferer": {"power_fraction": 1.0}}
+        config = write_yaml(tmp_path / "cfg.yaml", {
+            "n": n, "sigma_w": sigma_w,
+            "profiles": [{"kind": kind, **kw} for kind, kw in profiles.items()],
+            "waveforms": [{"kind": "ofdm"}, {"kind": "otfs", "l": 64},
+                          {"kind": "afdm", "q": 1 / 3, "alpha": 0.3}],
+        })
+        out = tmp_path / "out"
+        assert run_cli("analyze-noise", "--config", config, "--out", str(out)) == 0
+        _, rows = read_csv(out / "summary.csv")
+        assert len(rows) == 6
+        for row in rows:
+            # Q^{-1} is unitary, so the mean variance is sigma_w^2 mean(gamma)
+            gains = wl.make_profile(row[1], n, **profiles[row[1]]).gains
+            assert float(row[2]) == pytest.approx(sigma_w**2 * gains.mean(), rel=1e-12)
+
 
 class TestSparsity:
     def test_reports_otfs_row_count(self, tmp_path):
@@ -105,6 +124,17 @@ class TestSparsity:
         assert report["nonzeros_per_row_min"] == 8
         assert report["nonzeros_per_row_max"] == 8
         assert report["density"] == pytest.approx(8 / 64)
+
+    def test_wideband_beyond_dense_limit(self, tmp_path):
+        entries = [{"kind": "ofdm", "n": 8192}, {"kind": "otfs", "n": 8192, "l": 64},
+                   {"kind": "afdm", "n": 8192, "q": -4.0}]
+        config = write_yaml(tmp_path / "cfg.yaml", {"entries": entries})
+        out = tmp_path / "out"
+        assert run_cli("sparsity", "--config", config, "--out", str(out)) == 0
+        doc = json.loads((out / "sparsity.json").read_text())
+        # one per row, K = N/L per row, and the N/|q| comb of an integer rate
+        assert [r["nonzeros_per_row_max"] for r in doc["reports"]] == [1, 128, 2048]
+        assert all(len(r["row_counts"]) == 8192 for r in doc["reports"])
 
 
 class TestBer:
@@ -405,11 +435,16 @@ class TestStrictConfigReader:
         ("sweep-l", "l_values: 4", "l_values"),
         ("ber", "channel: {taps: [5]}", "taps"),
         ("verify-appendix", "dirichlet_cases: [[8]]", "dirichlet_cases"),
+        # each of these passed the type checks and ended in a traceback
+        ("verify-appendix", "b_values: [0]", "b_values"),
+        ("verify-appendix", "dirichlet_cases: [[0, 0]]", "dirichlet_cases"),
         # each of these used to be truncated or coerced, and ran with exit 0
         ("ber", "n: 12.7\nwaveforms: [{kind: ofdm}]", "n"),
         ("ber", "waveforms: [{kind: otfs, l: 2.5}]", "l"),
         ("fdma-demo", "jammed_block: 1.5", "jammed_block"),
         ("ber", "seed: true", "seed"),
+        # ran with exit 0 and wrote negative noise variances
+        ("fdma-demo", "jam_power: -100", "jam_power"),
     ]
 
     @pytest.mark.parametrize("subcommand,text,key", CASES)

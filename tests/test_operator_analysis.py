@@ -1,0 +1,89 @@
+"""Operator-form whitening and sparsity against the dense Q^{-1} oracle.
+
+``WaveformConfig.row_magnitudes``/``demod_power`` and ``row_sparsity``
+never form Q^{-1}; each is checked here against ``build_precoder(...).Q_inv``
+with ``demod_noise_variance`` and ``sparsity_profile`` at N <= 256.
+"""
+
+import numpy as np
+import pytest
+from numpy.testing import assert_allclose
+
+import wavelab as wl
+from wavelab.exceptions import ConfigError, DimensionError
+
+CONFIGS = [
+    wl.WaveformConfig.ofdm(64),
+    wl.WaveformConfig.otfs(1, 64),   # K = 1: one nonzero per row
+    wl.WaveformConfig.otfs(64, 1),   # L = 1: a full DFT row
+    wl.WaveformConfig.otfs(12, 10),
+    wl.WaveformConfig.otfs(16, 16),
+    *[
+        wl.WaveformConfig.afdm(n, q, alpha)
+        for n in (64, 96)
+        for q in (-4.0, 0.5, 1 / 3, -4.01, n / 2)
+        for alpha in (0.0, 0.3)
+    ],
+    wl.WaveformConfig.afdm(256, 0.5, 0.1),
+]
+
+
+def ident(cfg):
+    return f"{cfg.slug}_n{cfg.N}"
+
+
+@pytest.fixture(scope="module", params=CONFIGS, ids=ident)
+def case(request):
+    cfg = request.param
+    return cfg, wl.build_precoder(cfg).Q_inv
+
+
+def test_demod_power_matches_dense(case):
+    cfg, q_inv = case
+    rng = np.random.default_rng(cfg.N)
+    for gains in (rng.random(cfg.N), rng.exponential(size=cfg.N) ** 3):
+        dense = wl.demod_noise_variance(q_inv, gains)
+        # FFT rounding is relative to the largest variance, not to each bin
+        assert_allclose(cfg.demod_power(gains), dense, rtol=0, atol=1e-12 * dense.max())
+
+
+def test_row_magnitudes_match_every_dense_row(case):
+    cfg, q_inv = case
+    row = cfg.row_magnitudes()
+    assert_allclose(row, np.abs(q_inv[0]), rtol=0, atol=1e-13)
+    assert_allclose(np.sort(np.abs(q_inv), axis=1), np.broadcast_to(np.sort(row), q_inv.shape),
+                    rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-6, 1e-3])
+def test_row_sparsity_matches_dense(case, tol):
+    cfg, q_inv = case
+    fast = wl.row_sparsity(cfg.row_magnitudes(), tol=tol, label=cfg.label)
+    dense = wl.sparsity_profile(q_inv, tol=tol, label=cfg.label)
+    np.testing.assert_array_equal(fast.row_counts, dense.row_counts)
+    assert fast.density == dense.density
+    assert (fast.tol, fast.label) == (dense.tol, dense.label)
+
+
+def test_zero_gain_profile_stays_nonnegative(case):
+    # an interferer carrying all the power leaves every other bin at gain 0
+    cfg, q_inv = case
+    profile = wl.make_profile("interferer", cfg.N, power_fraction=1.0)
+    assert (profile.gains == 0).any()
+    v = cfg.demod_power(profile.gains)
+    assert (v >= 0).all()
+    dense = wl.demod_noise_variance(q_inv, profile)
+    assert_allclose(v, dense, rtol=0, atol=1e-12 * dense.max())
+
+
+def test_demod_power_refuses_bad_gains():
+    cfg = wl.WaveformConfig.afdm(16, 0.5)
+    with pytest.raises(ConfigError):
+        cfg.demod_power(np.r_[-1.0, np.ones(15)])
+    with pytest.raises(DimensionError):
+        cfg.demod_power(np.ones(15))
+
+
+def test_row_sparsity_refuses_zero_tolerance():
+    with pytest.raises(ConfigError):
+        wl.row_sparsity(np.ones(4), tol=0.0)
