@@ -22,7 +22,6 @@ from .channel import (
     ChannelGenerator,
     ChannelSpec,
     ChannelTap,
-    Equalizer,
     IDENTITY_CHANNEL,
     apply_channel,
     build_channel,

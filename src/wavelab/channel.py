@@ -4,7 +4,8 @@ A channel is a sum of taps, each applying a cyclic delay and a per-sample
 Doppler modulation: H = sum_l h_l * Delta(theta_l) * Pi^l, where Pi is the
 forward cyclic shift and Delta(theta) = diag(exp(2j*pi*theta*n/N)). With
 all Doppler shifts zero the matrix is circulant and diagonalizes in the
-DFT basis, which the simulator exploits for per-bin equalization.
+DFT basis, which the simulator exploits for per-bin equalization. The
+dense ZF/MMSE equalizers return G as a plain N x N array.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ class ChannelGenerator:
 
     num_taps: int
     max_doppler: float = 0.0
-    seed: int | None = None
 
     def __post_init__(self):
         if self.num_taps < 1:
@@ -58,10 +58,9 @@ class ChannelGenerator:
 
 @dataclass(frozen=True)
 class ChannelSpec:
-    """A concrete tap list, optionally remembering the generator it came from."""
+    """A concrete tap list."""
 
     taps: tuple[ChannelTap, ...]
-    generator: ChannelGenerator | None = None
 
     def __post_init__(self):
         if len(self.taps) == 0:
@@ -88,7 +87,7 @@ def realize_random_channel(
     taps = tuple(
         ChannelTap(l, complex(gains[l]), float(dopplers[l])) for l in range(nt)
     )
-    return ChannelSpec(taps=taps, generator=gen)
+    return ChannelSpec(taps=taps)
 
 
 def build_channel(spec: ChannelSpec, n: int) -> np.ndarray:
@@ -149,19 +148,6 @@ def to_frequency(m) -> np.ndarray:
     return np.fft.ifft(np.fft.fft(m, axis=0, norm="ortho"), axis=1, norm="ortho")
 
 
-@dataclass(frozen=True, eq=False)
-class Equalizer:
-    """Linear equalizer G; ``G_f`` is its frequency-domain form."""
-
-    G: np.ndarray
-    kind: str
-    rho: float
-
-    @property
-    def G_f(self) -> np.ndarray:
-        return to_frequency(self.G)
-
-
 def _as_channel_matrix(h) -> np.ndarray:
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
@@ -169,8 +155,8 @@ def _as_channel_matrix(h) -> np.ndarray:
     return h
 
 
-def zf_equalizer(h) -> Equalizer:
-    """Zero-forcing equalizer G = (H^H H)^{-1} H^H.
+def zf_equalizer(h) -> np.ndarray:
+    """Zero-forcing equalizer G = (H^H H)^{-1} H^H, as an N x N array.
 
     Raises EqualizationError (with the condition estimate attached) when
     the channel is too ill-conditioned to invert reliably.
@@ -182,15 +168,13 @@ def zf_equalizer(h) -> Equalizer:
             f"channel condition number {condition:.3e} exceeds {CONDITION_LIMIT:.0e}",
             condition,
         )
-    g = np.linalg.solve(hm.conj().T @ hm, hm.conj().T)
-    return Equalizer(G=g, kind="zf", rho=0.0)
+    return np.linalg.solve(hm.conj().T @ hm, hm.conj().T)
 
 
-def mmse_equalizer(h, rho: float) -> Equalizer:
-    """Regularized linear equalizer G = (H^H H + rho I)^{-1} H^H."""
+def mmse_equalizer(h, rho: float) -> np.ndarray:
+    """Regularized linear equalizer G = (H^H H + rho I)^{-1} H^H, as an N x N array."""
     if rho < 0:
         raise ConfigError(f"noise-to-signal ratio must be >= 0, got {rho}")
     hm = _as_channel_matrix(h)
     n = hm.shape[0]
-    g = np.linalg.solve(hm.conj().T @ hm + rho * np.eye(n), hm.conj().T)
-    return Equalizer(G=g, kind="mmse", rho=float(rho))
+    return np.linalg.solve(hm.conj().T @ hm + rho * np.eye(n), hm.conj().T)

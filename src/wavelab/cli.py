@@ -1,11 +1,12 @@
 """Command-line entry point for reproducible experiments.
 
 Subcommands: analyze-noise, sparsity, ber, sweep-l, sweep-q, fdma-demo,
-verify-appendix. Each reads an optional YAML config (sensible defaults are
-built in), writes CSV/JSON artifacts plus a manifest.json into the output
-directory, and exits 0 on success, 2 on configuration errors, 3 on
-numerical failure. Re-running with the same config and seed produces
-byte-identical CSV bodies at any thread count.
+verify-appendix. Each reads an optional YAML config whose top-level keys
+replace those of its ``DEFAULT_*`` dict, the one place its defaults live;
+writes CSV/JSON artifacts plus a manifest.json into the output directory,
+refusing two outputs of one name; and exits 0 on success, 2 on
+configuration errors, 3 on numerical failure. Re-running with the same
+config and seed produces byte-identical CSV bodies at any thread count.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .analysis import (
 from .configio import (
     check_keys,
     load_config_file,
-    merge_config,
     parse_layout,
     parse_profile,
     parse_sim,
@@ -91,30 +91,18 @@ DEFAULT_BER = {
 }
 
 DEFAULT_SWEEP_L = {
-    "n": 120,
+    **DEFAULT_BER,
     "l_values": [1, 2, 4, 6, 10, 20, 40, 120],
     "waveforms": [{"kind": "ofdm"}],
-    "channel": {"num_taps": 8, "max_doppler": 0.0},
-    "noise": {"kind": "white"},
-    "qam_order": 16,
     "snr_db": [25.0],
-    "bits_per_point": 200_000,
-    "seed": 1,
-    "equalizer": "mmse",
 }
 
 DEFAULT_SWEEP_Q = {
-    "n": 120,
+    **DEFAULT_BER,
     "q_values": [-8, -6, -4, -2, -1, 1, 2, 4, 6, 8],
     "alpha": 0.1,
     "waveforms": [{"kind": "ofdm"}],
-    "channel": {"num_taps": 8, "max_doppler": 0.0},
-    "noise": {"kind": "white"},
-    "qam_order": 16,
     "snr_db": [25.0],
-    "bits_per_point": 200_000,
-    "seed": 1,
-    "equalizer": "mmse",
 }
 
 DEFAULT_FDMA = {
@@ -147,22 +135,12 @@ DEFAULT_VERIFY = {
 # output helpers
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value)).lower()
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
 def write_csv(path: Path, header: list[str], rows) -> None:
+    """Write rows of Python scalars; floats are written as their repr."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(cell) for cell in row])
+        writer.writerows(rows)
 
 
 def write_json(path: Path, doc) -> None:
@@ -184,6 +162,8 @@ class Run:
         self.points: list[dict] = []
 
     def path(self, name: str) -> Path:
+        if name in self.outputs:
+            raise ConfigError(f"two outputs of this config would both be written to {name}")
         self.out.mkdir(parents=True, exist_ok=True)
         self.outputs.append(name)
         return self.out / name
@@ -212,11 +192,11 @@ def _ber_rows(points):
 
 
 def cmd_analyze_noise(config: dict, run: Run) -> int:
-    check_keys(config, {"n", "waveforms", "profiles", "sigma_w", "seed"}, "analyze-noise")
-    n = read(config, "n", int, 64)
+    check_keys(config, set(DEFAULT_ANALYZE), "analyze-noise")
+    n = read(config, "n", int)
     waveforms = [parse_waveform(w, default_n=n) for w in read(config, "waveforms", list)]
     profiles = [parse_profile(p, n) for p in read(config, "profiles", list)]
-    sigma_w = read(config, "sigma_w", float, 1.0)
+    sigma_w = read(config, "sigma_w", float)
     summary = []
     for profile in profiles:
         for wf in waveforms:
@@ -224,7 +204,7 @@ def cmd_analyze_noise(config: dict, run: Run) -> int:
             write_csv(
                 run.path(f"variance_{wf.slug}_{profile.kind}.csv"),
                 ["subcarrier", "variance"],
-                [[m, v[m]] for m in range(n)],
+                zip(range(n), v.tolist()),
             )
             summary.append([wf.label, profile.kind, float(v.mean()), whitening_std(v)])
     write_csv(run.path("summary.csv"), ["waveform", "profile", "mean", "std"], summary)
@@ -232,8 +212,8 @@ def cmd_analyze_noise(config: dict, run: Run) -> int:
 
 
 def cmd_sparsity(config: dict, run: Run) -> int:
-    check_keys(config, {"tol", "entries", "seed"}, "sparsity")
-    tol = read(config, "tol", float, 1e-9)
+    check_keys(config, set(DEFAULT_SPARSITY), "sparsity")
+    tol = read(config, "tol", float)
     records = []
     for entry in read(config, "entries", list):
         wf = parse_waveform(entry)
@@ -274,43 +254,38 @@ def cmd_ber(config: dict, run: Run) -> int:
     return EXIT_OK
 
 
-def _cmd_sweep(config: dict, run: Run, param: str) -> int:
-    extra = {"l_values"} if param == "L" else {"q_values", "alpha"}
-    cfg = parse_sim(config, extra_keys=extra)
-    if param == "L":
-        sweep = sweep_l(cfg, read(config, "l_values", [int], DEFAULT_SWEEP_L["l_values"]),
-                        threads=run.threads)
-    else:
-        sweep = sweep_q(cfg, read(config, "q_values", [float], DEFAULT_SWEEP_Q["q_values"]),
-                        alpha=read(config, "alpha", float, 0.1), threads=run.threads)
+def _write_sweep(run: Run, column: str, sweep) -> int:
     run.points = [{"label": label, **asdict(p)} for label, p in zip(sweep.labels, sweep.points)]
-    name = "sweep_l.csv" if param == "L" else "sweep_q.csv"
-    rows = [
-        [value, p.snr_db, p.bits, p.errors, p.ber, p.stderr]
-        for value, p in zip(sweep.values, sweep.points)
-    ]
-    write_csv(run.path(name),
-              [param.lower(), "snr_db", "bits", "errors", "ber", "stderr"], rows)
+    write_csv(
+        run.path(f"sweep_{column}.csv"),
+        [column, "snr_db", "bits", "errors", "ber", "stderr"],
+        [[value, *row] for value, row in zip(sweep.values, _ber_rows(sweep.points))],
+    )
     return EXIT_OK
 
 
 def cmd_sweep_l(config: dict, run: Run) -> int:
-    return _cmd_sweep(config, run, "L")
+    cfg = parse_sim(config, extra_keys={"l_values"})
+    sweep = sweep_l(cfg, read(config, "l_values", [int]), threads=run.threads)
+    return _write_sweep(run, "l", sweep)
 
 
 def cmd_sweep_q(config: dict, run: Run) -> int:
-    return _cmd_sweep(config, run, "q")
+    cfg = parse_sim(config, extra_keys={"q_values", "alpha"})
+    sweep = sweep_q(cfg, read(config, "q_values", [float]),
+                    alpha=read(config, "alpha", float), threads=run.threads)
+    return _write_sweep(run, "q", sweep)
 
 
 def cmd_fdma_demo(config: dict, run: Run) -> int:
-    check_keys(config, {"layout", "jammed_block", "jam_power", "seed"}, "fdma-demo")
+    check_keys(config, set(DEFAULT_FDMA), "fdma-demo")
     layout = parse_layout(read(config, "layout", list))
     n = layout.N
-    rng = np.random.default_rng(read(config, "seed", int, 0))
-    jammed = read(config, "jammed_block", int, 1)
+    rng = np.random.default_rng(read(config, "seed", int, minimum=0))
+    jammed = read(config, "jammed_block", int)
     if not 0 <= jammed < len(layout.blocks):
         raise ConfigError(f"jammed_block {jammed} out of range")
-    jam_power = read(config, "jam_power", float, 40.0, minimum=0)
+    jam_power = read(config, "jam_power", float, minimum=0)
 
     # noiseless roundtrip over an identity channel
     data = [
@@ -354,8 +329,8 @@ def cmd_fdma_demo(config: dict, run: Run) -> int:
         sl = slice(block.start, block.stop)
         v_clean = block.config.demod_power(flat[sl])
         v_jam = block.config.demod_power(jammed_gains[sl])
-        for m in range(block.width):
-            variance_rows.append([i, block.config.label, m, v_clean[m], v_jam[m]])
+        for m, pair in enumerate(zip(v_clean.tolist(), v_jam.tolist())):
+            variance_rows.append([i, block.config.label, m, *pair])
         # the same impulse shape dropped into this block, whitened by its Q_inv
         local = flat[sl].copy()
         local[block.width // 2] += jam_power
@@ -379,7 +354,7 @@ def cmd_verify_appendix(config: dict, run: Run) -> int:
     check_keys(config, set(DEFAULT_VERIFY), "verify-appendix")
     failures = 0
 
-    decimation_tol = read(config, "decimation_tol", float, 1e-9)
+    decimation_tol = read(config, "decimation_tol", float)
     a_values = read(config, "a_values", [int])
     b_values = read(config, "b_values", [int], minimum=1)
     decimation = []
@@ -394,7 +369,7 @@ def cmd_verify_appendix(config: dict, run: Run) -> int:
                     {"n": n, "a": a, "b": b, "max_error": err, "ok": ok}
                 )
 
-    dirichlet_tol = read(config, "dirichlet_tol", float, 1e-10)
+    dirichlet_tol = read(config, "dirichlet_tol", float)
     dirichlet = []
     for case in read(config, "dirichlet_cases", [[int]], minimum=1):
         if len(case) != 2:
@@ -408,8 +383,8 @@ def cmd_verify_appendix(config: dict, run: Run) -> int:
         failures += not ok
         dirichlet.append({"n": n, "b": b, "max_error": err, "ok": ok})
 
-    threshold = read(config, "density_threshold", float, 0.9)
-    sparsity_tol = read(config, "sparsity_tol", float, 1e-9)
+    threshold = read(config, "density_threshold", float)
+    sparsity_tol = read(config, "sparsity_tol", float)
     density_q = read(config, "density_q", [float])
     densities = []
     for n in read(config, "density_n", [int], minimum=1):
@@ -482,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve_config(args, defaults: dict) -> dict:
     overrides = load_config_file(args.config) if args.config else {}
-    config = merge_config(defaults, overrides)
+    config = {**defaults, **overrides}
     if args.seed is not None:
         if args.seed < 0:
             raise ConfigError("--seed must be a nonnegative integer")

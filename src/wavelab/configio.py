@@ -3,7 +3,8 @@
 Configs are plain nested key/value documents. Every parser validates keys
 eagerly and reads every value through :func:`read`, which checks its type
 strictly; each refusal is a ConfigError naming the key, which the CLI
-maps to exit code 2.
+maps to exit code 2. The CLI merges each file over its built-in defaults,
+so :func:`parse_sim` requires every top-level key it reads.
 """
 
 from __future__ import annotations
@@ -72,13 +73,6 @@ def read(section: dict, key: str, kind, default=_REQUIRED, context: str = "confi
     return kind(value)
 
 
-def merge_config(defaults: dict, overrides: dict) -> dict:
-    """Shallow-per-section merge: override sections replace default ones."""
-    merged = dict(defaults)
-    merged.update(overrides)
-    return merged
-
-
 def check_keys(section: dict, allowed: set, context: str):
     unknown = set(section) - allowed
     if unknown:
@@ -110,15 +104,6 @@ def parse_waveform(section: dict, default_n: int | None = None) -> WaveformConfi
     raise ConfigError(f"unknown waveform kind {kind!r}")
 
 
-def waveform_to_dict(cfg: WaveformConfig) -> dict:
-    doc = {"kind": cfg.kind, "n": cfg.N}
-    if cfg.kind == OTFS:
-        doc.update(k=cfg.K, l=cfg.L)
-    if cfg.kind == AFDM:
-        doc.update(q=cfg.q, alpha=cfg.alpha)
-    return doc
-
-
 def parse_channel(section: dict) -> ChannelGenerator | ChannelSpec:
     if not isinstance(section, dict):
         raise ConfigError("channel section must be a mapping")
@@ -145,22 +130,6 @@ def parse_channel(section: dict) -> ChannelGenerator | ChannelSpec:
     )
 
 
-def channel_to_dict(channel) -> dict:
-    if isinstance(channel, ChannelGenerator):
-        return {"num_taps": channel.num_taps, "max_doppler": channel.max_doppler}
-    return {
-        "taps": [
-            {
-                "delay": t.delay,
-                "gain_re": t.gain.real,
-                "gain_im": t.gain.imag,
-                "doppler": t.doppler,
-            }
-            for t in channel.taps
-        ]
-    }
-
-
 # the keyword arguments of make_profile a noise section may set, by type
 _PROFILE_KEYS = {
     "spikes": int, "spike_offset": int, "width": int, "start": int,
@@ -182,10 +151,6 @@ def parse_profile(section: dict, n: int) -> NoiseProfile:
         for key, typ in _PROFILE_KEYS.items() if key in section
     }
     return make_profile(kind, n, **kwargs)
-
-
-def profile_to_dict(profile: NoiseProfile) -> dict:
-    return {"kind": profile.kind, **profile.params}
 
 
 def parse_layout(entries, default_block_n: int = 12) -> BlockLayout:
@@ -215,36 +180,18 @@ def parse_sim(doc: dict, extra_keys: set = frozenset()) -> SimConfig:
         waveforms = tuple(parse_waveform(e, default_n=n) for e in entries)
     target_n = layout.N if layout is not None else n
     # a single SNR point may be given as a scalar
-    snr = doc.get("snr_db", [25.0])
+    snr = read(doc, "snr_db", object)
     snr_db = read({"snr_db": snr if isinstance(snr, list) else [snr]}, "snr_db", [float])
+    # checked but unused: the discrete-time model is dimensionless
+    read(doc, "subcarrier_spacing_hz", float, None)
     return SimConfig(
         channel=parse_channel(read(doc, "channel", dict)),
-        profile=parse_profile(read(doc, "noise", dict, {"kind": "white"}), target_n),
+        profile=parse_profile(read(doc, "noise", dict), target_n),
         waveforms=waveforms,
         layout=layout,
-        qam_order=read(doc, "qam_order", int, 16),
+        qam_order=read(doc, "qam_order", int),
         snr_db=tuple(snr_db),
-        bits_per_point=read(doc, "bits_per_point", int, 200_000),
-        seed=read(doc, "seed", int, 0),
-        equalizer=read(doc, "equalizer", str, "mmse").lower(),
-        subcarrier_spacing_hz=read(doc, "subcarrier_spacing_hz", float, 30_000.0),
+        bits_per_point=read(doc, "bits_per_point", int),
+        seed=read(doc, "seed", int),
+        equalizer=read(doc, "equalizer", str).lower(),
     )
-
-
-def sim_to_dict(cfg: SimConfig) -> dict:
-    doc = {
-        "n": cfg.n,
-        "channel": channel_to_dict(cfg.channel),
-        "noise": profile_to_dict(cfg.profile),
-        "qam_order": cfg.qam_order,
-        "snr_db": list(cfg.snr_db),
-        "bits_per_point": cfg.bits_per_point,
-        "seed": cfg.seed,
-        "equalizer": cfg.equalizer,
-        "subcarrier_spacing_hz": cfg.subcarrier_spacing_hz,
-    }
-    if cfg.layout is not None:
-        doc["layout"] = [waveform_to_dict(b.config) for b in cfg.layout.blocks]
-    else:
-        doc["waveforms"] = [waveform_to_dict(w) for w in cfg.waveforms]
-    return doc

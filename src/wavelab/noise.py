@@ -15,7 +15,7 @@ output profile (std 0) means the matrix fully whitened the input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +42,6 @@ class NoiseProfile:
 
     gains: np.ndarray
     kind: str
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         gains = np.array(self.gains, dtype=float)
@@ -63,11 +62,11 @@ class NoiseProfile:
         return self.gains.size
 
 
-def _normalized(gains: np.ndarray, kind: str, params: dict) -> NoiseProfile:
+def _normalized(gains: np.ndarray, kind: str) -> NoiseProfile:
     total = gains.sum()
     if total <= 0:
         raise ConfigError("noise profile has no power")
-    return NoiseProfile(gains * (gains.size / total), kind, params)
+    return NoiseProfile(gains * (gains.size / total), kind)
 
 
 def make_profile(
@@ -89,7 +88,12 @@ def make_profile(
     impulse:     ``spikes`` isolated bins, evenly spaced starting at
                  ``spike_offset``, carry ``power_fraction`` of the power;
                  the rest is spread uniformly. Default spike count is
-                 max(1, N // 32).
+                 max(1, N // 32), so when 32 divides N the spikes sit
+                 32 bins apart. If 32 also divides an OTFS grid's L
+                 (e.g. N = 1024, L = 32), each residue class mod L holds
+                 only spikes or none of them, OTFS averages nothing, and
+                 its whitening std ties OFDM's; set ``spikes`` to compare
+                 such grids.
     interferer:  one contiguous block of ``width`` bins starting at
                  ``start`` carries ``power_fraction`` of the power.
                  Default width is N // 8 + 1; a width that is a multiple
@@ -109,7 +113,7 @@ def make_profile(
         raise ConfigError(f"power fraction must be in [0, 1], got {power_fraction}")
 
     if kind == WHITE:
-        return NoiseProfile(np.ones(n), WHITE, {"n": n})
+        return NoiseProfile(np.ones(n), WHITE)
 
     if kind == IMPULSE:
         p = max(1, n // 32) if spikes is None else spikes
@@ -118,12 +122,7 @@ def make_profile(
         gains = np.full(n, (1.0 - power_fraction) * n / (n - p) if p < n else 0.0)
         idx = (spike_offset + (np.arange(p) * n) // p) % n
         gains[idx] = power_fraction * n / p
-        return _normalized(
-            gains,
-            IMPULSE,
-            {"n": n, "spikes": p, "spike_offset": spike_offset,
-             "power_fraction": power_fraction},
-        )
+        return _normalized(gains, IMPULSE)
 
     if kind == INTERFERER:
         w = (n // 8 + 1) if width is None else width
@@ -131,25 +130,19 @@ def make_profile(
             raise ConfigError(f"interferer width must be in [1, {n}], got {w}")
         gains = np.full(n, (1.0 - power_fraction) * n / (n - w) if w < n else 0.0)
         gains[(start + np.arange(w)) % n] = power_fraction * n / w
-        return _normalized(
-            gains,
-            INTERFERER,
-            {"n": n, "width": w, "start": start, "power_fraction": power_fraction},
-        )
+        return _normalized(gains, INTERFERER)
 
     # equalized
     if num_taps < 1:
         raise ConfigError(f"equalized profile needs >= 1 tap, got {num_taps}")
+    if seed < 0:
+        raise ConfigError(f"equalized profile 'seed' must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     taps = (rng.standard_normal(num_taps) + 1j * rng.standard_normal(num_taps))
     taps /= np.sqrt(2 * num_taps)
     h_f = np.fft.fft(taps, n)
     gains = np.minimum(1.0 / np.abs(h_f) ** 2, gain_cap)
-    return _normalized(
-        gains,
-        EQUALIZED,
-        {"n": n, "num_taps": num_taps, "gain_cap": gain_cap, "seed": seed},
-    )
+    return _normalized(gains, EQUALIZED)
 
 
 def sample_noise(

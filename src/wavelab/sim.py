@@ -72,8 +72,6 @@ class SimConfig:
     bits_per_point: int = 200_000
     seed: int = 0
     equalizer: str = "mmse"
-    # documentation metadata only; the discrete-time model is dimensionless
-    subcarrier_spacing_hz: float = 30_000.0
 
     def __post_init__(self):
         object.__setattr__(self, "waveforms", tuple(self.waveforms))
@@ -158,7 +156,6 @@ class BerPoint:
 class BerCurve:
     label: str
     points: tuple[BerPoint, ...]
-    seed: int
     config_digest: str
 
 
@@ -166,13 +163,9 @@ class BerCurve:
 class ParamSweep:
     """BER at a fixed SNR as a function of one waveform parameter."""
 
-    param: str
     values: tuple[float, ...]
     labels: tuple[str, ...]
     points: tuple[BerPoint, ...]
-    snr_db: float
-    seed: int
-    config_digest: str
 
 
 def config_fingerprint(cfg: SimConfig) -> str:
@@ -238,7 +231,7 @@ def _equalize(specs, y: np.ndarray, rho: float, equalizer: str) -> dict:
         # one dense H per frame: stacked over a chunk it would take frames x N^2
         h = build_channel(specs[f], n)
         try:
-            g = zf_equalizer(h).G if equalizer == "zf" else mmse_equalizer(h, rho).G
+            g = zf_equalizer(h) if equalizer == "zf" else mmse_equalizer(h, rho)
         except EqualizationError as exc:
             refused[f] = exc
             continue
@@ -348,23 +341,22 @@ def run_ber(cfg: SimConfig, threads: int = 1) -> list[BerCurve]:
     digest = config_fingerprint(cfg)
     targets = cfg.targets()
     return [
-        BerCurve(label=target.label, points=points, seed=cfg.seed, config_digest=digest)
+        BerCurve(label=target.label, points=points, config_digest=digest)
         for target, points in zip(targets, _simulate(cfg, targets, threads))
     ]
 
 
-def _sweep(cfg: SimConfig, param: str, values, targets, threads: int) -> ParamSweep:
-    """One target per swept value, all at the template's single SNR point."""
+def _sweep(cfg: SimConfig, key: str, values, targets, threads: int) -> ParamSweep:
+    """One target per swept value, all at the template's single SNR point;
+    ``key`` names the swept list in error messages."""
     if len(cfg.snr_db) != 1:
         raise ConfigError("parameter sweeps need a template with exactly one SNR point")
+    if not targets:
+        raise ConfigError(f"config: {key!r} must be a nonempty list")
     return ParamSweep(
-        param=param,
         values=tuple(values),
         labels=tuple(target.label for target in targets),
         points=tuple(points[0] for points in _simulate(cfg, targets, threads)),
-        snr_db=cfg.snr_db[0],
-        seed=cfg.seed,
-        config_digest=config_fingerprint(cfg),
     )
 
 
@@ -381,7 +373,7 @@ def sweep_l(cfg: SimConfig, l_values, threads: int = 1) -> ParamSweep:
         if l < 1 or n % l != 0:
             raise ConfigError(f"L={l} does not divide N={n}")
         configs.append(WaveformConfig.otfs(n // l, l))
-    return _sweep(cfg, "L", [float(c.L) for c in configs], configs, threads)
+    return _sweep(cfg, "l_values", [float(c.L) for c in configs], configs, threads)
 
 
 def sweep_q(cfg: SimConfig, q_values, alpha: float = 0.1, threads: int = 1) -> ParamSweep:
@@ -392,4 +384,4 @@ def sweep_q(cfg: SimConfig, q_values, alpha: float = 0.1, threads: int = 1) -> P
         if q == 0.0:
             raise ConfigError("q=0 degenerates to OFDM; sweep values must be nonzero")
         configs.append(WaveformConfig.afdm(cfg.n, q, alpha))
-    return _sweep(cfg, "q", [c.q for c in configs], configs, threads)
+    return _sweep(cfg, "q_values", [c.q for c in configs], configs, threads)

@@ -103,20 +103,20 @@ class TestRandomChannel:
 
 class TestZfEqualizer:
     def test_identity(self):
-        eq = wl.zf_equalizer(np.eye(4, dtype=complex))
-        assert_allclose(eq.G, np.eye(4))
-        assert_allclose(eq.G_f, np.eye(4), atol=1e-12)
+        g = wl.zf_equalizer(np.eye(4, dtype=complex))
+        assert_allclose(g, np.eye(4))
+        assert_allclose(wl.to_frequency(g), np.eye(4), atol=1e-12)
 
     def test_unitary_channel(self):
         f = wl.dft_matrix(8)
-        eq = wl.zf_equalizer(f)
-        assert np.abs(eq.G - f.conj().T).max() < 1e-10
+        g = wl.zf_equalizer(f)
+        assert np.abs(g - f.conj().T).max() < 1e-10
 
     def test_random_channel_residual(self):
         rng = np.random.default_rng(5)
         h = random_channel_matrix(rng, 16)
-        eq = wl.zf_equalizer(h)
-        assert np.abs(eq.G @ h - np.eye(16)).max() < 1e-8
+        g = wl.zf_equalizer(h)
+        assert np.abs(g @ h - np.eye(16)).max() < 1e-8
 
     def test_singular_channel_refused_with_condition(self):
         h = np.eye(4, dtype=complex)
@@ -128,13 +128,13 @@ class TestZfEqualizer:
 
 class TestMmseEqualizer:
     def test_identity_with_unit_rho(self):
-        eq = wl.mmse_equalizer(np.eye(4, dtype=complex), 1.0)
-        assert_allclose(eq.G, np.eye(4) / 2, atol=1e-12)
+        g = wl.mmse_equalizer(np.eye(4, dtype=complex), 1.0)
+        assert_allclose(g, np.eye(4) / 2, atol=1e-12)
 
     def test_zero_rho_reduces_to_zf(self):
         rng = np.random.default_rng(6)
         h = random_channel_matrix(rng, 8)
-        assert np.abs(wl.mmse_equalizer(h, 0.0).G - wl.zf_equalizer(h).G).max() < 1e-10
+        assert np.abs(wl.mmse_equalizer(h, 0.0) - wl.zf_equalizer(h)).max() < 1e-10
 
     def test_negative_rho_rejected(self):
         with pytest.raises(ConfigError):
@@ -145,12 +145,12 @@ class TestMmseEqualizer:
         spec = wl.realize_random_channel(wl.ChannelGenerator(num_taps=4), rng)
         n, rho = 16, 0.05
         h = wl.build_channel(spec, n)
-        eq = wl.mmse_equalizer(h, rho)
+        g_f = wl.to_frequency(wl.mmse_equalizer(h, rho))
         h_f = wl.frequency_response(spec, n)
         per_bin = h_f.conj() / (np.abs(h_f) ** 2 + rho)
-        off_diag = eq.G_f - np.diag(np.diag(eq.G_f))
+        off_diag = g_f - np.diag(np.diag(g_f))
         assert np.abs(off_diag).max() < 1e-10
-        assert np.abs(np.diag(eq.G_f) - per_bin).max() < 1e-10
+        assert np.abs(np.diag(g_f) - per_bin).max() < 1e-10
 
 
 class TestFrequencyTransform:
@@ -195,7 +195,7 @@ class TestDispersionInvariants:
         )
         n = 24
         h = wl.build_channel(spec, n)
-        eq = wl.zf_equalizer(h)
+        g_f = wl.to_frequency(wl.zf_equalizer(h))
         f = wl.dft_matrix(n)
-        end_to_end = eq.G_f @ f @ h @ f.conj().T
+        end_to_end = g_f @ f @ h @ f.conj().T
         assert np.abs(end_to_end - np.eye(n)).max() < 1e-8

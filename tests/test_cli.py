@@ -336,8 +336,9 @@ class TestFdmaDemo:
 
 
 class TestConfigSerialization:
+    # each parser against a literal YAML-shaped document
     def test_channel_round_trip(self):
-        from wavelab.configio import channel_to_dict, parse_channel
+        from wavelab.configio import parse_channel
 
         spec = wl.ChannelSpec(
             taps=(
@@ -345,29 +346,39 @@ class TestConfigSerialization:
                 wl.ChannelTap(3, 0.1 + 0.4j, 0.25),
             )
         )
-        assert parse_channel(channel_to_dict(spec)) == spec
+        doc = {
+            "taps": [
+                {"delay": 0, "gain_re": 0.6, "gain_im": -0.2, "doppler": 0.0},
+                {"delay": 3, "gain_re": 0.1, "gain_im": 0.4, "doppler": 0.25},
+            ]
+        }
+        assert parse_channel(doc) == spec
         gen = wl.ChannelGenerator(num_taps=8, max_doppler=0.3)
-        assert parse_channel(channel_to_dict(gen)) == gen
+        assert parse_channel({"num_taps": 8, "max_doppler": 0.3}) == gen
 
     def test_waveform_round_trip(self):
-        from wavelab.configio import parse_waveform, waveform_to_dict
+        from wavelab.configio import parse_waveform
 
-        for cfg in (
-            wl.WaveformConfig.ofdm(12),
-            wl.WaveformConfig.otfs(4, 3),
-            wl.WaveformConfig.afdm(12, -4.0, 0.1),
+        for doc, cfg in (
+            ({"kind": "ofdm", "n": 12}, wl.WaveformConfig.ofdm(12)),
+            ({"kind": "otfs", "n": 12, "k": 4, "l": 3}, wl.WaveformConfig.otfs(4, 3)),
+            (
+                {"kind": "afdm", "n": 12, "q": -4.0, "alpha": 0.1},
+                wl.WaveformConfig.afdm(12, -4.0, 0.1),
+            ),
         ):
-            assert parse_waveform(waveform_to_dict(cfg)) == cfg
+            assert parse_waveform(doc) == cfg
 
     def test_profile_round_trip(self):
-        from wavelab.configio import parse_profile, profile_to_dict
+        from wavelab.configio import parse_profile
 
         prof = wl.make_profile("impulse", 64, spikes=3, spike_offset=1)
-        again = parse_profile(profile_to_dict(prof), 64)
+        doc = {"kind": "impulse", "n": 64, "spikes": 3, "spike_offset": 1, "power_fraction": 0.9}
+        again = parse_profile(doc, 64)
         assert np.array_equal(prof.gains, again.gains)
 
     def test_sim_round_trip(self):
-        from wavelab.configio import parse_sim, sim_to_dict
+        from wavelab.configio import parse_sim
 
         cfg = wl.SimConfig(
             channel=wl.ChannelGenerator(num_taps=8),
@@ -377,7 +388,21 @@ class TestConfigSerialization:
             bits_per_point=10_000,
             seed=3,
         )
-        again = parse_sim(sim_to_dict(cfg))
+        again = parse_sim(
+            {
+                "n": 120,
+                "channel": {"num_taps": 8, "max_doppler": 0.0},
+                "noise": {"kind": "interferer", "n": 120, "width": 16, "start": 0,
+                          "power_fraction": 0.9},
+                "qam_order": 16,
+                "snr_db": [10.0, 20.0],
+                "bits_per_point": 10_000,
+                "seed": 3,
+                "equalizer": "mmse",
+                "subcarrier_spacing_hz": 30_000.0,
+                "waveforms": [{"kind": "otfs", "n": 120, "k": 12, "l": 10}],
+            }
+        )
         assert again.waveforms == cfg.waveforms
         assert again.channel == cfg.channel
         assert np.array_equal(again.profile.gains, cfg.profile.gains)
@@ -400,6 +425,27 @@ class TestConfigSerialization:
         assert run_cli("ber", "--config", config, "--out", str(out)) == 0
         _, rows = read_csv(out / "ber_ofdm.csv")
         assert int(rows[0][2]) == 0  # noiseless identity channel: no errors
+
+
+class TestOutputNames:
+    # each used to exit 0 after one output silently overwrote another
+    CASES = [
+        # both q values format to the slug afdm_qm4_a0
+        ("ber", "n: 12\nchannel: {num_taps: 2}\nsnr_db: [20.0]\nbits_per_point: 10000\n"
+         "waveforms: [{kind: afdm, q: -4.0000001}, {kind: afdm, q: -4.0000002}]",
+         "ber_afdm_qm4_a0.csv"),
+        ("analyze-noise", "n: 16\nprofiles: [{kind: impulse}, {kind: impulse, spikes: 2}]",
+         "variance_ofdm_impulse.csv"),
+    ]
+
+    @pytest.mark.parametrize("subcommand,text,name", CASES)
+    def test_repeated_output_name_refused(self, tmp_path, capsys, subcommand, text, name):
+        config = tmp_path / "cfg.yaml"
+        config.write_text(text + "\n")
+        out = tmp_path / "o"
+        assert run_cli(subcommand, "--config", str(config), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and name in err
 
 
 class TestVerifyAppendix:
@@ -445,6 +491,12 @@ class TestStrictConfigReader:
         ("ber", "seed: true", "seed"),
         # ran with exit 0 and wrote negative noise variances
         ("fdma-demo", "jam_power: -100", "jam_power"),
+        # each of these ran no target and ended in a traceback
+        ("sweep-l", "l_values: []", "l_values"),
+        ("sweep-q", "q_values: []", "q_values"),
+        # each of these seeded numpy with a negative seed: a traceback
+        ("fdma-demo", "seed: -3", "seed"),
+        ("sweep-l", "noise: {kind: equalized, seed: -3}", "seed"),
     ]
 
     @pytest.mark.parametrize("subcommand,text,key", CASES)

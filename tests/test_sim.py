@@ -182,6 +182,12 @@ class TestSweeps:
         with pytest.raises(ConfigError):
             wl.sweep_q(white_cfg(), [0.0])
 
+    def test_sweeps_refuse_empty_values(self):
+        with pytest.raises(ConfigError, match="l_values"):
+            wl.sweep_l(white_cfg(), [])
+        with pytest.raises(ConfigError, match="q_values"):
+            wl.sweep_q(white_cfg(), [])
+
     def test_sweeps_need_single_point_template(self):
         with pytest.raises(ConfigError):
             wl.sweep_l(white_cfg(snr_db=(10.0, 20.0)), [2])
