@@ -27,7 +27,6 @@ from .channel import (
     build_channel,
     frequency_response,
     mmse_equalizer,
-    realize_random_channel,
     to_frequency,
     zf_equalizer,
 )

@@ -4,8 +4,13 @@ A channel is a sum of taps, each applying a cyclic delay and a per-sample
 Doppler modulation: H = sum_l h_l * Delta(theta_l) * Pi^l, where Pi is the
 forward cyclic shift and Delta(theta) = diag(exp(2j*pi*theta*n/N)). With
 all Doppler shifts zero the matrix is circulant and diagonalizes in the
-DFT basis, which the simulator exploits for per-bin equalization. The
-dense ZF/MMSE equalizers return G as a plain N x N array.
+DFT basis, which the simulator exploits for per-bin equalization.
+
+A random ``ChannelGenerator`` and a fixed ``ChannelSpec`` share one
+surface: ``delays``, ``max_doppler``, ``describe()`` and ``draw(rng) ->
+(gains, dopplers)``. The channel functions take those arrays, of shape
+(..., P) for P delays, leading axes over frames. The dense ZF/MMSE
+equalizers return G as a plain N x N array.
 """
 
 from __future__ import annotations
@@ -55,10 +60,23 @@ class ChannelGenerator:
         if self.max_doppler < 0:
             raise ConfigError("max_doppler must be >= 0")
 
+    @property
+    def delays(self) -> np.ndarray:
+        return np.arange(self.num_taps)
+
+    def describe(self) -> dict:
+        return {"generator": {"num_taps": self.num_taps, "max_doppler": self.max_doppler}}
+
+    def draw(self, rng: np.random.Generator):
+        """One realization: gains, then Doppler shifts, from ``rng``."""
+        nt = self.num_taps
+        gains = (rng.standard_normal(nt) + 1j * rng.standard_normal(nt)) / np.sqrt(2 * nt)
+        return gains, rng.uniform(-self.max_doppler, self.max_doppler, nt)
+
 
 @dataclass(frozen=True)
 class ChannelSpec:
-    """A concrete tap list."""
+    """A concrete tap list; delays may repeat or skip. Draws nothing."""
 
     taps: tuple[ChannelTap, ...]
 
@@ -67,76 +85,62 @@ class ChannelSpec:
             raise ConfigError("channel spec needs at least one tap")
 
     @property
-    def max_delay(self) -> int:
-        return max(tap.delay for tap in self.taps)
+    def delays(self) -> np.ndarray:
+        return np.array([tap.delay for tap in self.taps])
 
-    def is_quasi_static(self) -> bool:
-        return all(tap.doppler == 0.0 for tap in self.taps)
+    @property
+    def max_doppler(self) -> float:
+        return max(abs(tap.doppler) for tap in self.taps)
+
+    def describe(self) -> dict:
+        return {"taps": [[t.delay, t.gain.real, t.gain.imag, t.doppler] for t in self.taps]}
+
+    def draw(self, rng: np.random.Generator):
+        gains = np.array([tap.gain for tap in self.taps], dtype=complex)
+        return gains, np.array([tap.doppler for tap in self.taps], dtype=float)
 
 
 IDENTITY_CHANNEL = ChannelSpec(taps=(ChannelTap(0, 1.0 + 0.0j, 0.0),))
 
 
-def realize_random_channel(
-    gen: ChannelGenerator, rng: np.random.Generator
-) -> ChannelSpec:
-    """Draw one channel realization from ``gen`` using ``rng``."""
-    nt = gen.num_taps
-    gains = (rng.standard_normal(nt) + 1j * rng.standard_normal(nt)) / np.sqrt(2 * nt)
-    dopplers = rng.uniform(-gen.max_doppler, gen.max_doppler, nt)
-    taps = tuple(
-        ChannelTap(l, complex(gains[l]), float(dopplers[l])) for l in range(nt)
-    )
-    return ChannelSpec(taps=taps)
+def check_delays(delays, n: int) -> None:
+    """Refuse taps whose delay does not fit in a block of ``n`` samples."""
+    if max(delays) >= n:
+        raise ConfigError(f"tap delay {max(delays)} does not fit in a block of {n} samples")
 
 
-def build_channel(spec: ChannelSpec, n: int) -> np.ndarray:
-    """Realize the dense N x N matrix H = sum_l h_l Delta(theta_l) Pi^l."""
-    if spec.max_delay >= n:
-        raise ConfigError(
-            f"tap delay {spec.max_delay} does not fit in a block of {n} samples"
-        )
+def build_channel(delays, gains, dopplers, n: int) -> np.ndarray:
+    """Realize one frame's dense N x N matrix H = sum_l h_l Delta(theta_l) Pi^l."""
+    check_delays(delays, n)
     h = np.zeros((n, n), dtype=complex)
     rows = np.arange(n)
-    for tap in spec.taps:
-        h[rows, (rows - tap.delay) % n] += tap.gain * np.exp(
-            (2j * np.pi * tap.doppler / n) * rows
-        )
+    for delay, gain, doppler in zip(delays, gains, dopplers):
+        h[rows, (rows - delay) % n] += gain * np.exp(1j * (2 * np.pi * doppler / n) * rows)
     return h
 
 
-def apply_channel(spec: ChannelSpec, x: np.ndarray) -> np.ndarray:
-    """Apply the channel to blocks (..., N) without materializing H."""
+def apply_channel(delays, gains, dopplers, x: np.ndarray) -> np.ndarray:
+    """Apply the channel to blocks x (..., N) without materializing H; the
+    leading axes of gains/dopplers (..., P) broadcast against those of x."""
     n = x.shape[-1]
-    if spec.max_delay >= n:
-        raise ConfigError(
-            f"tap delay {spec.max_delay} does not fit in a block of {n} samples"
-        )
+    check_delays(delays, n)
     rows = np.arange(n)
     out = np.zeros(x.shape, dtype=complex)
-    for tap in spec.taps:
-        shifted = np.roll(x, tap.delay, axis=-1)
-        if tap.doppler != 0.0:
-            shifted = shifted * np.exp((2j * np.pi * tap.doppler / n) * rows)
-        out += tap.gain * shifted
+    for p, delay in enumerate(delays):
+        ramp = np.exp(1j * (2 * np.pi * dopplers[..., p, None] / n) * rows)
+        out += gains[..., p, None] * (np.roll(x, delay, axis=-1) * ramp)
     return out
 
 
-def frequency_response(spec: ChannelSpec, n: int) -> np.ndarray:
-    """Per-bin transfer function of a quasi-static channel.
-
-    Returns the diagonal of F H F^H. Only valid when every tap has zero
-    Doppler, in which case H is circulant.
-    """
-    if not spec.is_quasi_static():
+def frequency_response(delays, gains, dopplers, n: int) -> np.ndarray:
+    """Per-bin transfer functions (..., N), the diagonals of F H F^H. Only
+    valid when every tap has zero Doppler, so that H is circulant."""
+    if np.any(dopplers != 0.0):
         raise ConfigError("frequency_response requires a quasi-static channel")
-    if spec.max_delay >= n:
-        raise ConfigError(
-            f"tap delay {spec.max_delay} does not fit in a block of {n} samples"
-        )
-    first_col = np.zeros(n, dtype=complex)
-    for tap in spec.taps:
-        first_col[tap.delay] += tap.gain
+    check_delays(delays, n)
+    first_col = np.zeros(gains.shape[:-1] + (n,), dtype=complex)
+    for p, delay in enumerate(delays):  # a scatter-add: delays may repeat
+        first_col[..., delay] += gains[..., p]
     return np.fft.fft(first_col)
 
 

@@ -137,6 +137,7 @@ DEFAULT_VERIFY = {
 
 def write_csv(path: Path, header: list[str], rows) -> None:
     """Write rows of Python scalars; floats are written as their repr."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -144,6 +145,7 @@ def write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def write_json(path: Path, doc) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -164,7 +166,6 @@ class Run:
     def path(self, name: str) -> Path:
         if name in self.outputs:
             raise ConfigError(f"two outputs of this config would both be written to {name}")
-        self.out.mkdir(parents=True, exist_ok=True)
         self.outputs.append(name)
         return self.out / name
 
@@ -235,22 +236,16 @@ def cmd_sparsity(config: dict, run: Run) -> int:
 
 def cmd_ber(config: dict, run: Run) -> int:
     cfg = parse_sim(config)
+    # every name is claimed before the run, so a clash costs no simulation
+    paths = [run.path(f"ber_{target.slug}.csv") for target in cfg.targets()]
+    summary = run.path("curves.json")
     curves = run_ber(cfg, threads=run.threads)
-    for target, curve in zip(cfg.targets(), curves):
-        write_csv(
-            run.path(f"ber_{target.slug}.csv"),
-            ["snr_db", "bits", "errors", "ber", "stderr"],
-            _ber_rows(curve.points),
-        )
+    for path, curve in zip(paths, curves):
+        write_csv(path, ["snr_db", "bits", "errors", "ber", "stderr"], _ber_rows(curve.points))
     # per-point frames and skips go to the manifest: the CSV layout is fixed
     run.points = [{"label": c.label, **asdict(p)} for c in curves for p in c.points]
-    write_json(
-        run.path("curves.json"),
-        {
-            "config_digest": curves[0].config_digest,
-            "labels": [c.label for c in curves],
-        },
-    )
+    write_json(summary, {"config_digest": curves[0].config_digest,
+                         "labels": [c.label for c in curves]})
     return EXIT_OK
 
 

@@ -5,11 +5,13 @@ The engine is frame-major: at each SNR point it draws a chunk of up to
 target (a waveform or an FDMA layout) offers ``N``, ``label``, ``slug``,
 ``transmit`` (data to time-domain blocks) and ``receive`` (equalized
 frequency-domain blocks to data), all acting along the last axis of a
-(frames, N) stack. Each frame draws a channel, data bits and noise, in
+(frames, N) stack. Each frame draws channel taps, data bits and noise, in
 that order, from its own stream ``frame_rng(seed, point, frame)``, and is
 drawn once: compared waveforms and the L or q values of a sweep see the
-same draws, and a frame's equalizer (per bin when quasi-static, dense
-otherwise) is built once for every target. A frame refused by
+same draws. A chunk's taps are (frames, P) gain and Doppler arrays. With
+zero ``max_doppler`` H is circulant and frames stay in the frequency
+domain (r_f = h_f F x + w_f, equalized per bin); otherwise each frame's
+dense equalizer is built once for every target. A frame refused by
 zero-forcing is skipped for every target. ``threads`` spreads chunks
 over worker threads; counts are integer sums over frames, so results are
 bit-identical at any thread count and chunk size.
@@ -34,9 +36,9 @@ from .channel import (
     ChannelSpec,
     apply_channel,
     build_channel,
+    check_delays,
     frequency_response,
     mmse_equalizer,
-    realize_random_channel,
     zf_equalizer,
 )
 from .exceptions import ConfigError, EqualizationError
@@ -101,15 +103,8 @@ class SimConfig:
             raise ConfigError(
                 f"noise profile length {self.profile.N} does not match N={n}"
             )
-        if isinstance(self.channel, ChannelGenerator):
-            if self.channel.num_taps > n:
-                raise ConfigError("channel has more taps than subcarriers")
-            doppler = self.channel.max_doppler
-        else:
-            if self.channel.max_delay >= n:
-                raise ConfigError("channel delay spread exceeds the block length")
-            doppler = 0.0 if self.channel.is_quasi_static() else 1.0
-        if self.layout is not None and doppler != 0.0:
+        check_delays(self.channel.delays, n)
+        if self.layout is not None and self.channel.max_doppler != 0.0:
             raise ConfigError(
                 "FDMA layouts support quasi-static channels only; "
                 "Doppler breaks block independence"
@@ -170,23 +165,9 @@ class ParamSweep:
 
 def config_fingerprint(cfg: SimConfig) -> str:
     """Stable digest of everything that determines the results."""
-    if isinstance(cfg.channel, ChannelGenerator):
-        channel = {
-            "generator": {
-                "num_taps": cfg.channel.num_taps,
-                "max_doppler": cfg.channel.max_doppler,
-            }
-        }
-    else:
-        channel = {
-            "taps": [
-                [t.delay, t.gain.real, t.gain.imag, t.doppler]
-                for t in cfg.channel.taps
-            ]
-        }
     doc = {
         "targets": [t.describe() for t in cfg.targets()],
-        "channel": channel,
+        "channel": cfg.channel.describe(),
         "profile": {"kind": cfg.profile.kind, "gains": [repr(g) for g in cfg.profile.gains]},
         "qam_order": cfg.qam_order,
         "snr_db": list(cfg.snr_db),
@@ -220,56 +201,43 @@ def _per_bin_gains(h_f: np.ndarray, rho: float, equalizer: str):
     }
 
 
-def _equalize(specs, y: np.ndarray, rho: float, equalizer: str) -> dict:
-    """Equalize received blocks y (targets, frames, N) in place, into the
-    frequency domain. Returns the refused frames as {frame:
-    EqualizationError}; their rows of y are meaningless."""
-    n = y.shape[-1]
-    refused = {}
-    static = np.array([spec.is_quasi_static() for spec in specs])
-    for f in np.flatnonzero(~static).tolist():
-        # one dense H per frame: stacked over a chunk it would take frames x N^2
-        h = build_channel(specs[f], n)
-        try:
-            g = zf_equalizer(h) if equalizer == "zf" else mmse_equalizer(h, rho)
-        except EqualizationError as exc:
-            refused[f] = exc
-            continue
-        for row in y[:, f]:
-            row[:] = g @ row
-    y[...] = np.fft.fft(y, norm="ortho")
-    rows = np.flatnonzero(static)
-    if rows.size:
-        h_f = np.array([frequency_response(specs[f], n) for f in rows])
-        gains, refusals = _per_bin_gains(h_f, rho, equalizer)
-        y[:, rows] *= gains
-        refused.update((int(rows[i]), exc) for i, exc in refusals.items())
-    return refused
-
-
 def _run_chunk(cfg: SimConfig, targets, rngs, sigma_w: float):
     """Draw one frame from each generator and run every target on it.
 
     Returns the sent bits (frames, B), the decided bits (targets, frames,
     B) and the refused frames as {frame: EqualizationError}.
     """
-    specs, bits, w_f = [], [], []
-    for rng in rngs:
-        if isinstance(cfg.channel, ChannelGenerator):
-            specs.append(realize_random_channel(cfg.channel, rng))
-        else:
-            specs.append(cfg.channel)
-        bits.append(rng.integers(0, 2, size=cfg.bits_per_frame, dtype=np.uint8))
-        w_f.append(sample_noise(cfg.profile, sigma_w, rng))
-    bits = np.array(bits)
+    draws = [  # per frame: channel, bits, noise, in that order
+        (*cfg.channel.draw(rng), rng.integers(0, 2, size=cfg.bits_per_frame, dtype=np.uint8),
+         sample_noise(cfg.profile, sigma_w, rng))
+        for rng in rngs
+    ]
+    gains, dopplers, bits, w_f = (np.array(column) for column in zip(*draws))
     symbols = qam_map(bits, cfg.qam_order)
-    y = np.empty((len(targets),) + symbols.shape, dtype=complex)
-    for i, target in enumerate(targets):
-        y[i] = target.transmit(symbols)
-    for f, spec in enumerate(specs):
-        y[:, f] = apply_channel(spec, y[:, f])
-    y += np.fft.ifft(np.array(w_f), norm="ortho")
-    refused = _equalize(specs, y, sigma_w**2, cfg.equalizer)
+    y = np.array([target.transmit(symbols) for target in targets])
+    delays, n, rho = cfg.channel.delays, cfg.n, sigma_w**2
+    if cfg.channel.max_doppler == 0.0:
+        # H is circulant: r_f = (h_f . F x + w_f) . G_f per bin, in place to hold one copy
+        h_f = frequency_response(delays, gains, dopplers, n)
+        g_f, refused = _per_bin_gains(h_f, rho, cfg.equalizer)
+        y = np.fft.fft(y, norm="ortho")
+        y *= h_f
+        y += w_f
+        y *= g_f
+    else:
+        y = apply_channel(delays, gains, dopplers, y) + np.fft.ifft(w_f, norm="ortho")
+        refused = {}
+        for f in range(len(rngs)):
+            # one dense H per frame: stacked over a chunk it would take frames x N^2
+            h = build_channel(delays, gains[f], dopplers[f], n)
+            try:
+                g = zf_equalizer(h) if cfg.equalizer == "zf" else mmse_equalizer(h, rho)
+            except EqualizationError as exc:
+                refused[f] = exc
+                continue
+            for row in y[:, f]:
+                row[:] = g @ row
+        y = np.fft.fft(y, norm="ortho")
     rx = [qam_demap(target.receive(r_f), cfg.qam_order) for target, r_f in zip(targets, y)]
     return bits, np.array(rx), refused
 

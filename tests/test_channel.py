@@ -8,6 +8,12 @@ import wavelab as wl
 from wavelab.exceptions import ConfigError, EqualizationError
 
 
+def taps_of(channel, rng=None):
+    """(delays, gains, dopplers) of one draw: the arrays the channel
+    functions take. A fixed tap list draws nothing from ``rng``."""
+    return (channel.delays, *channel.draw(rng))
+
+
 def random_channel_matrix(rng, n):
     h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return h / np.sqrt(n)
@@ -16,11 +22,11 @@ def random_channel_matrix(rng, n):
 class TestBuildChannel:
     def test_single_flat_tap_is_identity(self):
         spec = wl.ChannelSpec(taps=(wl.ChannelTap(0, 1.0 + 0j, 0.0),))
-        assert_allclose(wl.build_channel(spec, 6), np.eye(6))
+        assert_allclose(wl.build_channel(*taps_of(spec), 6), np.eye(6))
 
     def test_unit_delay_is_cyclic_shift(self):
         spec = wl.ChannelSpec(taps=(wl.ChannelTap(1, 1.0 + 0j, 0.0),))
-        h = wl.build_channel(spec, 4)
+        h = wl.build_channel(*taps_of(spec), 4)
         shift = np.roll(np.eye(4), 1, axis=0)
         assert_allclose(h, shift)
         # DFT-diagonalization oracle on the circulant shift
@@ -32,7 +38,7 @@ class TestBuildChannel:
         n = 6
         taps = (wl.ChannelTap(0, 0.8 - 0.1j, 0.0), wl.ChannelTap(2, 0.3 + 0.4j, 0.3))
         spec = wl.ChannelSpec(taps=taps)
-        h = wl.build_channel(spec, n)
+        h = wl.build_channel(*taps_of(spec), n)
         # independent elementwise construction
         expected = np.zeros((n, n), complex)
         for tap in taps:
@@ -45,36 +51,34 @@ class TestBuildChannel:
     def test_delay_beyond_block_rejected(self):
         spec = wl.ChannelSpec(taps=(wl.ChannelTap(4, 1.0 + 0j),))
         with pytest.raises(ConfigError):
-            wl.build_channel(spec, 4)
+            wl.build_channel(*taps_of(spec), 4)
 
     def test_apply_channel_matches_dense(self):
         rng = np.random.default_rng(0)
         gen = wl.ChannelGenerator(num_taps=5, max_doppler=0.3)
-        spec = wl.realize_random_channel(gen, rng)
+        taps = taps_of(gen, rng)
         n = 16
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        assert np.abs(wl.apply_channel(spec, x) - wl.build_channel(spec, n) @ x).max() < 1e-12
+        assert np.abs(wl.apply_channel(*taps, x) - wl.build_channel(*taps, n) @ x).max() < 1e-12
 
     def test_frequency_response_matches_diagonal(self):
         rng = np.random.default_rng(1)
-        spec = wl.realize_random_channel(wl.ChannelGenerator(num_taps=4), rng)
+        taps = taps_of(wl.ChannelGenerator(num_taps=4), rng)
         n = 12
-        full = wl.to_frequency(wl.build_channel(spec, n))
-        assert np.abs(np.diag(full) - wl.frequency_response(spec, n)).max() < 1e-12
+        full = wl.to_frequency(wl.build_channel(*taps, n))
+        assert np.abs(np.diag(full) - wl.frequency_response(*taps, n)).max() < 1e-12
 
     def test_frequency_response_requires_quasi_static(self):
         spec = wl.ChannelSpec(taps=(wl.ChannelTap(0, 1.0 + 0j, 0.2),))
         with pytest.raises(ConfigError):
-            wl.frequency_response(spec, 8)
+            wl.frequency_response(*taps_of(spec), 8)
 
 
 class TestRandomChannel:
     def test_zero_max_doppler_gives_static_taps(self):
-        spec = wl.realize_random_channel(
-            wl.ChannelGenerator(num_taps=6), np.random.default_rng(0)
-        )
-        assert all(tap.doppler == 0.0 for tap in spec.taps)
-        assert [tap.delay for tap in spec.taps] == list(range(6))
+        delays, _, dopplers = taps_of(wl.ChannelGenerator(num_taps=6), np.random.default_rng(0))
+        assert all(doppler == 0.0 for doppler in dopplers)
+        assert delays.tolist() == list(range(6))
 
     def test_power_normalization(self):
         # Monte-Carlo check of E sum|h_l|^2 = 1
@@ -83,22 +87,22 @@ class TestRandomChannel:
         total = 0.0
         draws = 10_000
         for _ in range(draws):
-            spec = wl.realize_random_channel(gen, rng)
-            total += sum(abs(t.gain) ** 2 for t in spec.taps)
+            gains, _ = gen.draw(rng)
+            total += sum(abs(gain) ** 2 for gain in gains)
         assert 0.97 <= total / draws <= 1.03
 
     def test_fixed_seed_reproducible(self):
         gen = wl.ChannelGenerator(num_taps=4, max_doppler=0.3)
-        a = wl.realize_random_channel(gen, np.random.default_rng(42))
-        b = wl.realize_random_channel(gen, np.random.default_rng(42))
-        assert a.taps == b.taps
+        a = gen.draw(np.random.default_rng(42))
+        b = gen.draw(np.random.default_rng(42))
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_doppler_bounded(self):
         rng = np.random.default_rng(3)
         gen = wl.ChannelGenerator(num_taps=8, max_doppler=0.3)
         for _ in range(50):
-            spec = wl.realize_random_channel(gen, rng)
-            assert all(abs(t.doppler) <= 0.3 for t in spec.taps)
+            _, dopplers = gen.draw(rng)
+            assert all(abs(doppler) <= 0.3 for doppler in dopplers)
 
 
 class TestZfEqualizer:
@@ -142,11 +146,11 @@ class TestMmseEqualizer:
 
     def test_quasi_static_channel_per_bin_oracle(self):
         rng = np.random.default_rng(7)
-        spec = wl.realize_random_channel(wl.ChannelGenerator(num_taps=4), rng)
+        taps = taps_of(wl.ChannelGenerator(num_taps=4), rng)
         n, rho = 16, 0.05
-        h = wl.build_channel(spec, n)
+        h = wl.build_channel(*taps, n)
         g_f = wl.to_frequency(wl.mmse_equalizer(h, rho))
-        h_f = wl.frequency_response(spec, n)
+        h_f = wl.frequency_response(*taps, n)
         per_bin = h_f.conj() / (np.abs(h_f) ** 2 + rho)
         off_diag = g_f - np.diag(np.diag(g_f))
         assert np.abs(off_diag).max() < 1e-10
@@ -177,24 +181,22 @@ class TestFrequencyTransform:
 class TestDispersionInvariants:
     def test_zero_doppler_is_circulant(self):
         rng = np.random.default_rng(10)
-        spec = wl.realize_random_channel(wl.ChannelGenerator(num_taps=8), rng)
-        h_f = wl.to_frequency(wl.build_channel(spec, 32))
+        taps = taps_of(wl.ChannelGenerator(num_taps=8), rng)
+        h_f = wl.to_frequency(wl.build_channel(*taps, 32))
         off = h_f - np.diag(np.diag(h_f))
         assert np.abs(off).max() < 1e-10
 
     def test_fractional_doppler_breaks_circulance(self):
         taps = (wl.ChannelTap(0, 1.0 + 0j, 0.0), wl.ChannelTap(1, 0.5 + 0j, 0.3))
-        h_f = wl.to_frequency(wl.build_channel(wl.ChannelSpec(taps=taps), 16))
+        h_f = wl.to_frequency(wl.build_channel(*taps_of(wl.ChannelSpec(taps=taps)), 16))
         off = h_f - np.diag(np.diag(h_f))
         assert np.abs(off).max() > 1e-6
 
     def test_zf_equalizes_end_to_end(self):
         rng = np.random.default_rng(12)
-        spec = wl.realize_random_channel(
-            wl.ChannelGenerator(num_taps=6, max_doppler=0.3), rng
-        )
+        taps = taps_of(wl.ChannelGenerator(num_taps=6, max_doppler=0.3), rng)
         n = 24
-        h = wl.build_channel(spec, n)
+        h = wl.build_channel(*taps, n)
         g_f = wl.to_frequency(wl.zf_equalizer(h))
         f = wl.dft_matrix(n)
         end_to_end = g_f @ f @ h @ f.conj().T

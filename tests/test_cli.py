@@ -9,6 +9,7 @@ import pytest
 import yaml
 
 import wavelab as wl
+from wavelab import cli
 from wavelab.cli import main
 
 
@@ -446,6 +447,18 @@ class TestOutputNames:
         assert run_cli(subcommand, "--config", str(config), "--out", str(out)) == 2
         err = capsys.readouterr().err
         assert "config error" in err and name in err
+
+    def test_ber_clash_refused_before_the_run(self, tmp_path, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("run_ber ran on a config with clashing names")
+
+        monkeypatch.setattr(cli, "run_ber", never)
+        _, text, _ = self.CASES[0]
+        config = tmp_path / "cfg.yaml"
+        config.write_text(text + "\n")
+        out = tmp_path / "o"
+        assert run_cli("ber", "--config", str(config), "--out", str(out)) == 2
+        assert not out.exists()  # no CSV, no manifest, not even the directory
 
 
 class TestVerifyAppendix:

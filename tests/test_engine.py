@@ -67,8 +67,42 @@ class TestStackedLayers:
     @pytest.mark.parametrize("doppler", [0.0, 0.3])
     def test_apply_channel(self, doppler):
         rng = np.random.default_rng(3)
-        spec = wl.realize_random_channel(wl.ChannelGenerator(8, doppler), rng)
-        assert_rowwise(lambda x: wl.apply_channel(spec, x), stacked(rng, 5, 36))
+        channel = wl.ChannelGenerator(8, doppler)
+        taps = (channel.delays, *channel.draw(rng))
+        assert_rowwise(lambda x: wl.apply_channel(*taps, x), stacked(rng, 5, 36))
+        # per-frame taps on a (targets, frames, N) stack, against each dense H
+        gains, dopplers = (np.array(c) for c in zip(*(channel.draw(rng) for _ in range(5))))
+        x = stacked(rng, 3 * 5, 36).reshape(3, 5, 36)
+        y = wl.apply_channel(channel.delays, gains, dopplers, x)
+        for f in range(5):
+            h = wl.build_channel(channel.delays, gains[f], dopplers[f], 36)
+            assert np.abs(y[:, f] - x[:, f] @ h.T).max() < 1e-12
+
+
+@pytest.mark.parametrize(
+    "channel",
+    [
+        wl.ChannelGenerator(num_taps=8),
+        wl.ChannelSpec(
+            taps=(wl.ChannelTap(0, 0.7 + 0.1j), wl.ChannelTap(0, 0.2 - 0.3j),
+                  wl.ChannelTap(3, -0.4 + 0.5j))
+        ),
+    ],
+    ids=["generator", "delays_0_0_3"],
+)
+def test_quasi_static_receive_matches_dense(channel):
+    # the engine's receive over a circulant H never leaves the frequency
+    # domain: h_f . F x + w_f, against F (H x + F^H w_f) with the dense H
+    rng = np.random.default_rng(5)
+    n = 36
+    gains, dopplers = (np.array(c) for c in zip(*(channel.draw(rng) for _ in range(4))))
+    x, w_f = stacked(rng, 4, n), stacked(rng, 4, n)
+    h_f = wl.frequency_response(channel.delays, gains, dopplers, n)
+    fast = h_f * np.fft.fft(x, norm="ortho") + w_f
+    for f in range(4):
+        h = wl.build_channel(channel.delays, gains[f], dopplers[f], n)
+        dense = np.fft.fft(h @ x[f] + np.fft.ifft(w_f[f], norm="ortho"), norm="ortho")
+        assert np.abs(fast[f] - dense).max() < 1e-12
 
 
 def test_run_frame_is_a_one_frame_chunk():
@@ -110,7 +144,6 @@ CONFIGS = {
     "doppler": {**BASE, "channel": {"num_taps": 4, "max_doppler": 0.3}},
     "zf": {**BASE, "equalizer": "zf"},
 }
-NULL_CHANNEL = wl.ChannelSpec(taps=(wl.ChannelTap(0, 1.0 + 0j), wl.ChannelTap(1, -1.0 + 0j)))
 VARIANTS = [(1, None), (2, None), (1, 1), (1, 7), (2, 7)]
 
 
@@ -134,14 +167,19 @@ def run_variants(tmp_path, monkeypatch, subcommand, doc):
 
 def skip_some_frames(monkeypatch):
     """Replace the channel of roughly half the frames by one with a spectral
-    null, after the usual draw, so zero-forcing refuses just those frames."""
-    realize = sim.realize_random_channel
+    null (gains 1, -1, 0, ...), after the usual draw, so the streams do not
+    change and zero-forcing refuses just those frames."""
+    draw = wl.ChannelGenerator.draw
 
-    def realize_or_null(gen, rng):
-        spec = realize(gen, rng)
-        return NULL_CHANNEL if spec.taps[0].gain.real > 0 else spec
+    def draw_or_null(gen, rng):
+        gains, dopplers = draw(gen, rng)
+        if gains[0].real <= 0:
+            return gains, dopplers
+        null = np.zeros_like(gains)
+        null[:2] = 1.0, -1.0
+        return null, np.zeros_like(dopplers)
 
-    monkeypatch.setattr(sim, "realize_random_channel", realize_or_null)
+    monkeypatch.setattr(wl.ChannelGenerator, "draw", draw_or_null)
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))

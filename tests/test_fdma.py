@@ -136,10 +136,11 @@ class TestDecompose:
         layout = mixed_layout()
         n = layout.N
         rng = np.random.default_rng(7)
-        spec = wl.realize_random_channel(wl.ChannelGenerator(num_taps=4), rng)
+        channel = wl.ChannelGenerator(num_taps=4)
+        taps = (channel.delays, *channel.draw(rng))
         data = random_blocks(layout, 8)
-        y = wl.apply_channel(spec, layout.transmit(np.concatenate(data)))
-        gains = 1.0 / wl.frequency_response(spec, n)
+        y = wl.apply_channel(*taps, layout.transmit(np.concatenate(data)))
+        gains = 1.0 / wl.frequency_response(*taps, n)
         recovered = layout.receive(gains * np.fft.fft(y, norm="ortho"))
         for sent, b in zip(data, layout.blocks):
             assert np.abs(recovered[b.start : b.stop] - sent).max() < 1e-8

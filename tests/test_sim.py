@@ -65,6 +65,14 @@ class TestConfigValidation:
                 bits_per_point=10_000,
             )
 
+    def test_rejects_taps_beyond_the_block(self):
+        # the generator's last delay is N; a tap list's delay N likewise
+        with pytest.raises(ConfigError, match="does not fit"):
+            white_cfg(channel=wl.ChannelGenerator(num_taps=121))
+        white_cfg(channel=wl.ChannelGenerator(num_taps=120))
+        with pytest.raises(ConfigError, match="does not fit"):
+            white_cfg(channel=wl.ChannelSpec(taps=(wl.ChannelTap(120, 1.0 + 0j),)))
+
     def test_rejects_mixed_block_sizes(self):
         with pytest.raises(ConfigError):
             white_cfg(
@@ -279,3 +287,26 @@ class TestFingerprint:
     def test_stable_across_calls(self):
         cfg = white_cfg()
         assert wl.config_fingerprint(cfg) == wl.config_fingerprint(cfg)
+
+    def test_digest_pinned(self):
+        # literal digests: curves.json of earlier runs stays comparable
+        generator = wl.SimConfig(
+            channel=wl.ChannelGenerator(num_taps=8, max_doppler=0.3),
+            profile=wl.make_profile("impulse", 120),
+            waveforms=(wl.WaveformConfig.otfs(12, 10), wl.WaveformConfig.afdm(120, -4.0, 0.1)),
+            snr_db=(10.0, 20.0),
+            bits_per_point=10_000,
+            seed=1,
+        )
+        fixed = wl.SimConfig(
+            channel=wl.ChannelSpec(
+                taps=(wl.ChannelTap(0, 0.6 - 0.2j), wl.ChannelTap(3, 0.1 + 0.4j, 0.25))
+            ),
+            profile=wl.make_profile("white", 16),
+            waveforms=(wl.WaveformConfig.ofdm(16),),
+            snr_db=(20.0,),
+            bits_per_point=10_000,
+            equalizer="zf",
+        )
+        assert wl.config_fingerprint(generator) == "76ce02202dd3f0b5"
+        assert wl.config_fingerprint(fixed) == "591bfa3041505f57"
