@@ -25,6 +25,7 @@ from .channel import (
     IDENTITY_CHANNEL,
     apply_channel,
     build_channel,
+    equalize,
     frequency_response,
     mmse_equalizer,
     to_frequency,

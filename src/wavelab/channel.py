@@ -4,13 +4,14 @@ A channel is a sum of taps, each applying a cyclic delay and a per-sample
 Doppler modulation: H = sum_l h_l * Delta(theta_l) * Pi^l, where Pi is the
 forward cyclic shift and Delta(theta) = diag(exp(2j*pi*theta*n/N)). With
 all Doppler shifts zero the matrix is circulant and diagonalizes in the
-DFT basis, which the simulator exploits for per-bin equalization.
+DFT basis, which :func:`equalize` exploits for per-bin equalization.
 
 A random ``ChannelGenerator`` and a fixed ``ChannelSpec`` share one
 surface: ``delays``, ``max_doppler``, ``describe()`` and ``draw(rng) ->
 (gains, dopplers)``. The channel functions take those arrays, of shape
 (..., P) for P delays, leading axes over frames. The dense ZF/MMSE
-equalizers return G as a plain N x N array.
+equalizers return G as a plain N x N array; ``equalize`` applies them, or
+their per-bin form, to a whole chunk of frames.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .exceptions import ConfigError, DimensionError, EqualizationError
 
 # Zero-forcing refuses channels whose condition number exceeds this.
 CONDITION_LIMIT = 1e12
+EQUALIZERS = ("mmse", "zf")
 
 
 @dataclass(frozen=True)
@@ -159,20 +161,24 @@ def _as_channel_matrix(h) -> np.ndarray:
     return h
 
 
-def zf_equalizer(h) -> np.ndarray:
-    """Zero-forcing equalizer G = (H^H H)^{-1} H^H, as an N x N array.
+def _refusal(condition: float) -> EqualizationError | None:
+    """Zero-forcing's refusal of a channel of this condition number, or None."""
+    if np.isfinite(condition) and condition <= CONDITION_LIMIT:
+        return None
+    return EqualizationError(
+        f"channel condition number {condition:.3e} exceeds {CONDITION_LIMIT:.0e}", condition
+    )
 
-    Raises EqualizationError (with the condition estimate attached) when
-    the channel is too ill-conditioned to invert reliably.
-    """
+
+def zf_equalizer(h) -> np.ndarray:
+    """Zero-forcing equalizer G = (H^H H)^{-1} H^H, as an N x N array; raises
+    EqualizationError, with the condition number attached, when the channel
+    is too ill-conditioned to invert reliably."""
     hm = _as_channel_matrix(h)
-    condition = float(np.linalg.cond(hm))
-    if not np.isfinite(condition) or condition > CONDITION_LIMIT:
-        raise EqualizationError(
-            f"channel condition number {condition:.3e} exceeds {CONDITION_LIMIT:.0e}",
-            condition,
-        )
-    return np.linalg.solve(hm.conj().T @ hm, hm.conj().T)
+    error = _refusal(float(np.linalg.cond(hm)))
+    if error is not None:
+        raise error
+    return mmse_equalizer(hm, 0.0)
 
 
 def mmse_equalizer(h, rho: float) -> np.ndarray:
@@ -180,5 +186,45 @@ def mmse_equalizer(h, rho: float) -> np.ndarray:
     if rho < 0:
         raise ConfigError(f"noise-to-signal ratio must be >= 0, got {rho}")
     hm = _as_channel_matrix(h)
-    n = hm.shape[0]
-    return np.linalg.solve(hm.conj().T @ hm + rho * np.eye(n), hm.conj().T)
+    return np.linalg.solve(hm.conj().T @ hm + rho * np.eye(len(hm)), hm.conj().T)
+
+
+def equalize(delays, gains, dopplers, z, w_f, rho: float, equalizer: str):
+    """Send a chunk's precoded bins z (targets, frames, N) through its
+    channels (gains/dopplers (frames, P)), add its noise w_f (frames, N),
+    and equalize each frame with G = (H^H H + rho I)^{-1} H^H. ``equalizer``
+    is one of EQUALIZERS: "mmse", or "zf", which is rho = 0 behind the
+    condition guard. ``z`` may be overwritten.
+
+    Returns the equalized bins (targets, frames, N), and the refused frames
+    as {frame: EqualizationError}, whose bins carry no estimate.
+    """
+    if equalizer not in EQUALIZERS:
+        raise ConfigError(f"equalizer must be one of {EQUALIZERS}")
+    n, refused = z.shape[-1], {}
+    rho = 0.0 if equalizer == "zf" else rho
+    if not np.any(dopplers):
+        # H is circulant: r_f = (h_f . z + w_f) . G_f per bin, in place to hold one copy
+        h_f = frequency_response(delays, gains, dopplers, n)
+        mags = np.abs(h_f)
+        if equalizer == "zf":
+            condition = mags.max(axis=-1) / np.maximum(mags.min(axis=-1), np.finfo(float).tiny)
+            errors = enumerate(_refusal(c) for c in condition.tolist())
+            refused = {f: error for f, error in errors if error is not None}
+            mags[list(refused)] = np.inf  # a refused frame gets zero gains
+        z *= h_f
+        z += w_f
+        z *= h_f.conj() / (mags**2 + rho)
+        return z, refused
+    y = apply_channel(delays, gains, dopplers, np.fft.ifft(z, norm="ortho"))
+    y += np.fft.ifft(w_f, norm="ortho")
+    for f in range(len(gains)):  # one dense G per frame, shared by every target
+        h = build_channel(delays, gains[f], dopplers[f], n)
+        try:
+            g = zf_equalizer(h) if equalizer == "zf" else mmse_equalizer(h, rho)
+        except EqualizationError as exc:
+            refused[f] = exc
+            continue
+        for row in y[:, f]:
+            row[:] = g @ row
+    return np.fft.fft(y, norm="ortho"), refused

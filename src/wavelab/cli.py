@@ -287,7 +287,7 @@ def cmd_fdma_demo(config: dict, run: Run) -> int:
         (rng.standard_normal(b.width) + 1j * rng.standard_normal(b.width)) / np.sqrt(2)
         for b in layout.blocks
     ]
-    x = layout.transmit(np.concatenate(data))
+    x = np.fft.ifft(layout.precode(np.concatenate(data)), norm="ortho")
     recovered = layout.receive(np.fft.fft(x, norm="ortho"))
     roundtrip = [
         [i, b.config.label, float(np.max(np.abs(recovered[b.start : b.stop] - data[i])))]
@@ -300,7 +300,7 @@ def cmd_fdma_demo(config: dict, run: Run) -> int:
     for i, block in enumerate(layout.blocks):
         alone = [np.zeros(b.width, complex) for b in layout.blocks]
         alone[i] = data[i]
-        x = layout.transmit(np.concatenate(alone))
+        x = np.fft.ifft(layout.precode(np.concatenate(alone)), norm="ortho")
         spectrum = np.abs(np.fft.fft(x, norm="ortho")) ** 2
         inside = spectrum[block.start : block.stop].sum()
         total = spectrum.sum()
@@ -457,6 +457,8 @@ def _resolve_config(args, defaults: dict) -> dict:
         if args.seed < 0:
             raise ConfigError("--seed must be a nonnegative integer")
         config["seed"] = args.seed
+    if args.threads < 1:
+        raise ConfigError("--threads must be a positive integer")
     return config
 
 

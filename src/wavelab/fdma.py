@@ -1,11 +1,11 @@
 """Multi-waveform FDMA: different waveforms on disjoint blocks of one DFT grid.
 
-A :class:`BlockLayout` is a target like a waveform. ``transmit`` writes
-each block's precoded data z_i = Q_i c_i into its bins and synthesizes the
-grid with one size-N inverse DFT; ``receive`` applies each Q_i^{-1} to its
-block's bins. The blocks stay orthogonal over any channel that is diagonal
-in frequency. Layout data is the blocks' data back to back, and both
-methods act along the last axis of a stack of frames (..., N).
+A :class:`BlockLayout` is a target like a waveform. ``precode`` writes
+each block's precoded data z_i = Q_i c_i into its bins (one size-N inverse
+DFT of the result is the time-domain block); ``receive`` applies each
+Q_i^{-1} to its block's bins. The blocks stay orthogonal over any channel
+that is diagonal in frequency. Layout data is the blocks' data back to
+back, and both methods act along the last axis of frames (..., N).
 """
 
 from __future__ import annotations
@@ -64,13 +64,13 @@ class BlockLayout:
     def describe(self) -> dict:
         return {"layout": [b.config.describe() for b in self.blocks]}
 
-    def transmit(self, data) -> np.ndarray:
-        """Data symbols (..., N), block after block, to time-domain blocks."""
+    def precode(self, data) -> np.ndarray:
+        """Data symbols (..., N), block after block, to frequency-domain blocks."""
         c = _as_vector(data, self.N)
         z = np.empty_like(c)
         for b in self.blocks:
             z[..., b.start : b.stop] = b.config.precode(c[..., b.start : b.stop])
-        return np.fft.ifft(z, norm="ortho")
+        return z
 
     def receive(self, r_f) -> np.ndarray:
         """Equalized frequency-domain blocks (..., N) to every block's data."""

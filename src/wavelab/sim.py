@@ -3,18 +3,16 @@
 The engine is frame-major: at each SNR point it draws a chunk of up to
 ``CHUNK_FRAMES`` frames and runs every target on the shared draws. A
 target (a waveform or an FDMA layout) offers ``N``, ``label``, ``slug``,
-``transmit`` (data to time-domain blocks) and ``receive`` (equalized
-frequency-domain blocks to data), all acting along the last axis of a
-(frames, N) stack. Each frame draws channel taps, data bits and noise, in
+``precode`` (data to frequency-domain blocks z = Q c) and ``receive``
+(equalized blocks to data, Q^{-1} r_f), both acting along the last axis
+of a (frames, N) stack; :func:`wavelab.channel.equalize` takes a chunk
+from z to r_f. Each frame draws channel taps, data bits and noise, in
 that order, from its own stream ``frame_rng(seed, point, frame)``, and is
 drawn once: compared waveforms and the L or q values of a sweep see the
-same draws. A chunk's taps are (frames, P) gain and Doppler arrays. With
-zero ``max_doppler`` H is circulant and frames stay in the frequency
-domain (r_f = h_f F x + w_f, equalized per bin); otherwise each frame's
-dense equalizer is built once for every target. A frame refused by
-zero-forcing is skipped for every target. ``threads`` spreads chunks
-over worker threads; counts are integer sums over frames, so results are
-bit-identical at any thread count and chunk size.
+same draws. A frame refused by zero-forcing is skipped for every target.
+``threads`` spreads chunks over worker threads; counts are integer sums
+over frames, so results are bit-identical at any thread count and chunk
+size.
 
 SNR is defined as E_s / sigma_w^2 with unit average symbol energy, unit
 expected channel power, and noise profiles trace-normalized to N.
@@ -30,17 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (
-    CONDITION_LIMIT,
-    ChannelGenerator,
-    ChannelSpec,
-    apply_channel,
-    build_channel,
-    check_delays,
-    frequency_response,
-    mmse_equalizer,
-    zf_equalizer,
-)
+from .channel import EQUALIZERS, ChannelGenerator, ChannelSpec, check_delays, equalize
 from .exceptions import ConfigError, EqualizationError
 from .fdma import BlockLayout
 from .noise import NoiseProfile, sample_noise
@@ -48,7 +36,6 @@ from .qam import QAM_ORDERS, qam_demap, qam_map
 from .waveform import WaveformConfig
 
 MIN_BITS_PER_POINT = 10_000
-EQUALIZERS = ("mmse", "zf")
 
 # Frames drawn and run together; at N=120 one (frames, N) complex array
 # of a chunk takes 61 kB.
@@ -184,23 +171,6 @@ def frame_rng(seed: int, point_index: int, frame_index: int) -> np.random.Genera
     return np.random.default_rng([seed, point_index, frame_index])
 
 
-def _per_bin_gains(h_f: np.ndarray, rho: float, equalizer: str):
-    """Per-bin gains for channel responses (frames, N), and the rows that
-    zero-forcing refuses, as {row: EqualizationError}."""
-    mags = np.abs(h_f)
-    if equalizer != "zf":
-        return h_f.conj() / (mags**2 + rho), {}
-    condition = mags.max(axis=-1) / np.maximum(mags.min(axis=-1), np.finfo(float).tiny)
-    refused = condition > CONDITION_LIMIT
-    gains = np.zeros_like(h_f)
-    gains[~refused] = 1.0 / h_f[~refused]
-    message = "per-bin channel dynamic range {:.3e} exceeds " + f"{CONDITION_LIMIT:.0e}"
-    return gains, {
-        i: EqualizationError(message.format(condition[i]), float(condition[i]))
-        for i in np.flatnonzero(refused).tolist()
-    }
-
-
 def _run_chunk(cfg: SimConfig, targets, rngs, sigma_w: float):
     """Draw one frame from each generator and run every target on it.
 
@@ -214,31 +184,10 @@ def _run_chunk(cfg: SimConfig, targets, rngs, sigma_w: float):
     ]
     gains, dopplers, bits, w_f = (np.array(column) for column in zip(*draws))
     symbols = qam_map(bits, cfg.qam_order)
-    y = np.array([target.transmit(symbols) for target in targets])
-    delays, n, rho = cfg.channel.delays, cfg.n, sigma_w**2
-    if cfg.channel.max_doppler == 0.0:
-        # H is circulant: r_f = (h_f . F x + w_f) . G_f per bin, in place to hold one copy
-        h_f = frequency_response(delays, gains, dopplers, n)
-        g_f, refused = _per_bin_gains(h_f, rho, cfg.equalizer)
-        y = np.fft.fft(y, norm="ortho")
-        y *= h_f
-        y += w_f
-        y *= g_f
-    else:
-        y = apply_channel(delays, gains, dopplers, y) + np.fft.ifft(w_f, norm="ortho")
-        refused = {}
-        for f in range(len(rngs)):
-            # one dense H per frame: stacked over a chunk it would take frames x N^2
-            h = build_channel(delays, gains[f], dopplers[f], n)
-            try:
-                g = zf_equalizer(h) if cfg.equalizer == "zf" else mmse_equalizer(h, rho)
-            except EqualizationError as exc:
-                refused[f] = exc
-                continue
-            for row in y[:, f]:
-                row[:] = g @ row
-        y = np.fft.fft(y, norm="ortho")
-    rx = [qam_demap(target.receive(r_f), cfg.qam_order) for target, r_f in zip(targets, y)]
+    z = np.array([target.precode(symbols) for target in targets])
+    r_f, refused = equalize(cfg.channel.delays, gains, dopplers, z, w_f, sigma_w**2,
+                            cfg.equalizer)
+    rx = [qam_demap(target.receive(r), cfg.qam_order) for target, r in zip(targets, r_f)]
     return bits, np.array(rx), refused
 
 

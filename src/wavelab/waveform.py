@@ -6,12 +6,13 @@ identity for OFDM, a Kronecker-structured delay-Doppler mapping for OTFS,
 and a double-chirp product for AFDM. Receivers undo the precoding with
 the demodulation matrix Q^{-1} after frequency-domain equalization.
 
-:class:`WaveformConfig` is the one operator surface: ``transmit`` (F^H Q c),
-``precode`` (Q c) and ``receive`` (Q^{-1} r_f) use FFT-based forms, so
-simulation loops never pay for O(N^2) matrix products. They act along the
-last axis: a stack of blocks (..., N) is transformed row by row. The CLI's
-whitening and sparsity analysis uses ``row_magnitudes`` and ``demod_power``,
-which take |Q^{-1}| from each waveform's structure at any N. The dense
+:class:`WaveformConfig` is the one operator surface: ``precode`` (z = Q c)
+and ``receive`` (Q^{-1} r_f) use FFT-based forms, so simulation loops never
+pay for O(N^2) matrix products; the one F^H between them belongs to the
+channel (:func:`wavelab.channel.equalize`). They act along the last axis: a
+stack of blocks (..., N) is transformed row by row. The CLI's whitening and
+sparsity analysis uses ``row_magnitudes`` and ``demod_power``, which take
+|Q^{-1}| from each waveform's structure at any N. The dense
 :func:`build_precoder` and closed forms of Q^{-1} are the oracles they match.
 """
 
@@ -96,23 +97,19 @@ class WaveformConfig:
     def describe(self) -> dict:
         return asdict(self)
 
-    def transmit(self, data) -> np.ndarray:
-        """Data symbols (..., N) to time-domain blocks x = F^H Q c."""
+    def precode(self, data) -> np.ndarray:
+        """Data symbols (..., N) to frequency-domain blocks z = Q c."""
         c = _as_vector(data, self.N)
         if self.kind == OFDM:
-            return np.fft.ifft(c, norm="ortho")
+            return c.copy()
         if self.kind == OTFS:
             # column-major vec of the K x L delay-Doppler grid, held as (..., L, K)
             grid = c.reshape(c.shape[:-1] + (self.L, self.K))
-            return np.fft.ifft(grid, axis=-2, norm="ortho").reshape(c.shape)
-        chirped = chirp_diagonal(self.N, self.alpha) * c
-        return chirp_diagonal(self.N, self.q) * np.fft.ifft(chirped, norm="ortho")
-
-    def precode(self, data) -> np.ndarray:
-        """Data symbols (..., N) to frequency-domain blocks z = Q c."""
-        if self.kind == OFDM:
-            return _as_vector(data, self.N).copy()
-        return np.fft.fft(self.transmit(data), norm="ortho")
+            x = np.fft.ifft(grid, axis=-2, norm="ortho").reshape(c.shape)
+        else:
+            chirped = chirp_diagonal(self.N, self.alpha) * c
+            x = chirp_diagonal(self.N, self.q) * np.fft.ifft(chirped, norm="ortho")
+        return np.fft.fft(x, norm="ortho")
 
     def receive(self, r_f) -> np.ndarray:
         """Equalized frequency-domain blocks (..., N) to data, Q^{-1} r_f."""

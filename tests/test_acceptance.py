@@ -273,18 +273,16 @@ def test_criterion_09_fdma_properties():
             (rng.standard_normal(b.width) + 1j * rng.standard_normal(b.width))
             for b in layout.blocks
         ]
-        recovered = layout.receive(
-            np.fft.fft(layout.transmit(np.concatenate(data)), norm="ortho")
-        )
+        x = np.fft.ifft(layout.precode(np.concatenate(data)), norm="ortho")
+        recovered = layout.receive(np.fft.fft(x, norm="ortho"))
         for sent, b in zip(data, layout.blocks):
             assert np.abs(recovered[b.start : b.stop] - sent).max() <= 1e-10
 
         for active in range(len(layout.blocks)):
             alone = [np.zeros(b.width, complex) for b in layout.blocks]
             alone[active] = data[active]
-            pieces = layout.receive(
-                np.fft.fft(layout.transmit(np.concatenate(alone)), norm="ortho")
-            )
+            x = np.fft.ifft(layout.precode(np.concatenate(alone)), norm="ortho")
+            pieces = layout.receive(np.fft.fft(x, norm="ortho"))
             for i, b in enumerate(layout.blocks):
                 if i != active:
                     assert np.abs(pieces[b.start : b.stop]).max() < 1e-12

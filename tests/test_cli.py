@@ -217,6 +217,15 @@ class TestBer:
         for name in ("ber_ofdm.csv", "ber_afdm_qm4_a0p1.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_refused(self, tmp_path, capsys, threads):
+        # both used to exit 0 and run serially
+        config = self.small_config(tmp_path)
+        out = tmp_path / "o"
+        assert run_cli("ber", "--config", config, "--out", str(out), "--threads", threads) == 2
+        assert "--threads must be a positive integer" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_finite_snr_is_config_error(self, tmp_path):
         config = tmp_path / "nan.yaml"
         config.write_text(

@@ -5,7 +5,9 @@ that a stacked call is bitwise equal to the same call row by row, and that
 CLI outputs do not depend on the thread count or on the chunk size.
 """
 
+import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ import yaml
 import wavelab as wl
 from wavelab import sim
 from wavelab.cli import main
+from wavelab.exceptions import EqualizationError
 
 TARGETS = (
     wl.WaveformConfig.ofdm(36),
@@ -52,7 +55,7 @@ class TestStackedLayers:
     @pytest.mark.parametrize("target", TARGETS, ids=lambda t: t.slug)
     def test_transmit_and_receive(self, target):
         batch = stacked(np.random.default_rng(1), 7, target.N)
-        assert_rowwise(target.transmit, batch)
+        assert_rowwise(lambda c: np.fft.ifft(target.precode(c), norm="ortho"), batch)
         assert_rowwise(target.receive, batch)
 
     @pytest.mark.parametrize(
@@ -91,10 +94,11 @@ class TestStackedLayers:
     ids=["generator", "delays_0_0_3"],
 )
 def test_quasi_static_receive_matches_dense(channel):
-    # the engine's receive over a circulant H never leaves the frequency
-    # domain: h_f . F x + w_f, against F (H x + F^H w_f) with the dense H
+    # a circulant H never leaves the frequency domain: h_f . F x + w_f against
+    # F (H x + F^H w_f), and equalize's per-bin G_f . (h_f . z + w_f) against
+    # F G (H F^H z + F^H w_f), with the dense H and G
     rng = np.random.default_rng(5)
-    n = 36
+    n, rho = 36, 0.05
     gains, dopplers = (np.array(c) for c in zip(*(channel.draw(rng) for _ in range(4))))
     x, w_f = stacked(rng, 4, n), stacked(rng, 4, n)
     h_f = wl.frequency_response(channel.delays, gains, dopplers, n)
@@ -103,6 +107,48 @@ def test_quasi_static_receive_matches_dense(channel):
         h = wl.build_channel(channel.delays, gains[f], dopplers[f], n)
         dense = np.fft.fft(h @ x[f] + np.fft.ifft(w_f[f], norm="ortho"), norm="ortho")
         assert np.abs(fast[f] - dense).max() < 1e-12
+    z = stacked(rng, 3 * 4, n).reshape(3, 4, n)
+    for equalizer in wl.channel.EQUALIZERS:
+        fast, refused = wl.equalize(channel.delays, gains, dopplers, z.copy(), w_f, rho,
+                                    equalizer)
+        assert refused == {}
+        for f in range(4):
+            h = wl.build_channel(channel.delays, gains[f], dopplers[f], n)
+            g = wl.zf_equalizer(h) if equalizer == "zf" else wl.mmse_equalizer(h, rho)
+            for t in range(3):
+                y = h @ np.fft.ifft(z[t, f], norm="ortho") + np.fft.ifft(w_f[f], norm="ortho")
+                dense = np.fft.fft(g @ y, norm="ortho")
+                assert np.abs(fast[t, f] - dense).max() < 1e-10
+
+
+@pytest.mark.parametrize("doppler", [0.0, 0.2], ids=["per_bin", "dense"])
+def test_refused_frames_match_dense_zf(doppler):
+    # frame 1 has a spectral null at bin 0: gains [1, -1] at delays 0 and 1;
+    # Doppler on the other frames sends the chunk down the dense path
+    rng = np.random.default_rng(6)
+    n, delays = 16, np.arange(2)
+    gains = np.array([[0.9, 0.3j], [1.0, -1.0], [0.5, 0.2 + 0.1j]])
+    dopplers = np.zeros((3, 2))
+    dopplers[[0, 2], 1] = doppler
+    z, w_f = stacked(rng, 2 * 3, n).reshape(2, 3, n), stacked(rng, 3, n)
+    r_f, refused = wl.equalize(delays, gains, dopplers, z, w_f, 0.0, "zf")
+    assert np.isfinite(r_f).all()  # a refused frame's bins still demap quietly
+    dense = {}
+    for f in range(3):
+        try:
+            wl.zf_equalizer(wl.build_channel(delays, gains[f], dopplers[f], n))
+        except EqualizationError as exc:
+            dense[f] = exc
+    assert set(refused) == set(dense) == {1}
+    for exc in (*refused.values(), *dense.values()):  # one message for both paths
+        assert re.fullmatch(r"channel condition number \S+ exceeds 1e\+12", str(exc))
+
+
+@pytest.mark.parametrize("doppler", [0.0, 0.2], ids=["per_bin", "dense"])
+def test_unknown_equalizer_refused(doppler):
+    z, w_f = np.ones((1, 1, 8), dtype=complex), np.zeros((1, 8), dtype=complex)
+    with pytest.raises(wl.ConfigError, match="equalizer must be one of"):
+        wl.equalize(np.arange(1), np.ones((1, 1)), np.full((1, 1), doppler), z, w_f, 0.1, "ZF")
 
 
 def test_run_frame_is_a_one_frame_chunk():

@@ -1,4 +1,4 @@
-"""Tests for multi-waveform FDMA: BlockLayout transmit and receive."""
+"""Tests for multi-waveform FDMA: BlockLayout precode and receive."""
 
 import numpy as np
 import pytest
@@ -21,9 +21,8 @@ def mixed_layout():
 
 def roundtrip(layout, blocks):
     """Per-block data recovered over an identity channel."""
-    recovered = layout.receive(
-        np.fft.fft(layout.transmit(np.concatenate(blocks)), norm="ortho")
-    )
+    x = np.fft.ifft(layout.precode(np.concatenate(blocks)), norm="ortho")
+    recovered = layout.receive(np.fft.fft(x, norm="ortho"))
     return [recovered[b.start : b.stop] for b in layout.blocks]
 
 
@@ -66,7 +65,11 @@ class TestCompose:
         layout = wl.BlockLayout.from_configs([cfg])
         rng = np.random.default_rng(1)
         c = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        assert_allclose(layout.transmit(c), cfg.transmit(c), atol=1e-12)
+        assert_allclose(
+            np.fft.ifft(layout.precode(c), norm="ortho"),
+            np.fft.ifft(cfg.precode(c), norm="ortho"),
+            atol=1e-12,
+        )
 
     def test_two_ofdm_halves_equal_full_ofdm(self):
         n = 16
@@ -75,8 +78,8 @@ class TestCompose:
         )
         rng = np.random.default_rng(2)
         c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        combined = layout.transmit(c)
-        direct = wl.WaveformConfig.ofdm(n).transmit(c)
+        combined = np.fft.ifft(layout.precode(c), norm="ortho")
+        direct = np.fft.ifft(wl.WaveformConfig.ofdm(n).precode(c), norm="ortho")
         assert_allclose(combined, direct, atol=1e-12)
 
     def test_afdm_block_energy_confined(self):
@@ -84,7 +87,7 @@ class TestCompose:
             [wl.WaveformConfig.ofdm(12), wl.WaveformConfig.afdm(12, -4.0, 0.1)]
         )
         data = [np.zeros(12, complex), random_blocks(layout, 3)[1]]
-        x = layout.transmit(np.concatenate(data))
+        x = np.fft.ifft(layout.precode(np.concatenate(data)), norm="ortho")
         spectrum = np.abs(np.fft.fft(x, norm="ortho")) ** 2
         outside = spectrum[:12].sum()
         assert outside < 1e-20 * spectrum.sum()
@@ -94,7 +97,7 @@ class TestCompose:
         layout = mixed_layout()
         for width in (12, layout.N - 1, layout.N + 1):
             with pytest.raises(DimensionError):
-                layout.transmit(np.zeros((3, width), complex))
+                layout.precode(np.zeros((3, width), complex))
             with pytest.raises(DimensionError):
                 layout.receive(np.zeros((3, width), complex))
 
@@ -139,7 +142,8 @@ class TestDecompose:
         channel = wl.ChannelGenerator(num_taps=4)
         taps = (channel.delays, *channel.draw(rng))
         data = random_blocks(layout, 8)
-        y = wl.apply_channel(*taps, layout.transmit(np.concatenate(data)))
+        x = np.fft.ifft(layout.precode(np.concatenate(data)), norm="ortho")
+        y = wl.apply_channel(*taps, x)
         gains = 1.0 / wl.frequency_response(*taps, n)
         recovered = layout.receive(gains * np.fft.fft(y, norm="ortho"))
         for sent, b in zip(data, layout.blocks):
