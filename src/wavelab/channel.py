@@ -9,9 +9,10 @@ DFT basis, which :func:`equalize` exploits for per-bin equalization.
 A random ``ChannelGenerator`` and a fixed ``ChannelSpec`` share one
 surface: ``delays``, ``max_doppler``, ``describe()`` and ``draw(rng) ->
 (gains, dopplers)``. The channel functions take those arrays, of shape
-(..., P) for P delays, leading axes over frames. The dense ZF/MMSE
-equalizers return G as a plain N x N array; ``equalize`` applies them, or
-their per-bin form, to a whole chunk of frames.
+(..., P) for P delays, leading axes over frames. ``equalize`` carries a
+whole chunk of frames, per bin or through the cyclic band H^H H + rho I
+built from the taps; the dense ZF/MMSE equalizers (G as a plain N x N
+array) are test oracles only.
 """
 
 from __future__ import annotations
@@ -171,7 +172,7 @@ def _refusal(condition: float) -> EqualizationError | None:
 
 
 def zf_equalizer(h) -> np.ndarray:
-    """Zero-forcing equalizer G = (H^H H)^{-1} H^H, as an N x N array; raises
+    """Test oracle: zero-forcing G = (H^H H)^{-1} H^H, as an N x N array; raises
     EqualizationError, with the condition number attached, when the channel
     is too ill-conditioned to invert reliably."""
     hm = _as_channel_matrix(h)
@@ -182,7 +183,7 @@ def zf_equalizer(h) -> np.ndarray:
 
 
 def mmse_equalizer(h, rho: float) -> np.ndarray:
-    """Regularized linear equalizer G = (H^H H + rho I)^{-1} H^H, as an N x N array."""
+    """Test oracle: regularized G = (H^H H + rho I)^{-1} H^H, as an N x N array."""
     if rho < 0:
         raise ConfigError(f"noise-to-signal ratio must be >= 0, got {rho}")
     hm = _as_channel_matrix(h)
@@ -192,15 +193,19 @@ def mmse_equalizer(h, rho: float) -> np.ndarray:
 def equalize(delays, gains, dopplers, z, w_f, rho: float, equalizer: str):
     """Send a chunk's precoded bins z (targets, frames, N) through its
     channels (gains/dopplers (frames, P)), add its noise w_f (frames, N),
-    and equalize each frame with G = (H^H H + rho I)^{-1} H^H. ``equalizer``
-    is one of EQUALIZERS: "mmse", or "zf", which is rho = 0 behind the
-    condition guard. ``z`` may be overwritten.
+    and equalize each frame with G = (H^H H + rho I)^{-1} H^H: per bin when
+    every Doppler is zero, else by one solve of (H^H H + rho I) x = H^H y per
+    frame with the targets as right-hand sides. ``equalizer`` is one of
+    EQUALIZERS: "mmse", or "zf", which is rho = 0 behind the condition
+    guard. ``z`` may be overwritten.
 
     Returns the equalized bins (targets, frames, N), and the refused frames
     as {frame: EqualizationError}, whose bins carry no estimate.
     """
     if equalizer not in EQUALIZERS:
         raise ConfigError(f"equalizer must be one of {EQUALIZERS}")
+    if not rho >= 0:  # NaN as well
+        raise ConfigError(f"noise-to-signal ratio must be >= 0, got {rho}")
     n, refused = z.shape[-1], {}
     rho = 0.0 if equalizer == "zf" else rho
     if not np.any(dopplers):
@@ -216,15 +221,29 @@ def equalize(delays, gains, dopplers, z, w_f, rho: float, equalizer: str):
         z += w_f
         z *= h_f.conj() / (mags**2 + rho)
         return z, refused
+    # H = sum_p diag(u_p) Pi^{d_p} with u_p[m] = h_p exp(2j pi theta_p m / N),
+    # so H^H y = sum_p Pi^{-d_p} (u_p^* . y) and neither it nor H^H H needs H
+    rows = np.arange(n)
+    u = gains[..., None] * np.exp(1j * (2 * np.pi / n) * dopplers[..., None] * rows)
     y = apply_channel(delays, gains, dopplers, np.fft.ifft(z, norm="ortho"))
     y += np.fft.ifft(w_f, norm="ortho")
-    for f in range(len(gains)):  # one dense G per frame, shared by every target
-        h = build_channel(delays, gains[f], dopplers[f], n)
-        try:
-            g = zf_equalizer(h) if equalizer == "zf" else mmse_equalizer(h, rho)
-        except EqualizationError as exc:
-            refused[f] = exc
+    rhs = sum(np.roll(u[:, p].conj() * y, -d, axis=-1) for p, d in enumerate(delays))
+    # H^H H is a cyclic band: A[i, i + d_a - d_b] += u_a^*[i + d_a] u_b[i + d_a]
+    diffs = (delays[:, None] - delays) % n
+    deltas = np.array(sorted(set(diffs.flat)))  # np.unique would import numpy.ma
+    band_of = deltas.searchsorted(diffs)
+    band = np.zeros((len(gains), len(deltas), n), dtype=complex)
+    for (a, b), k in np.ndenumerate(band_of):
+        band[:, k] += np.roll(u[:, a].conj() * u[:, b], -delays[a], axis=-1)
+    band[:, 0] += rho  # deltas[0] == 0
+    if equalizer == "zf":
+        hs = (build_channel(delays, g, d, n) for g, d in zip(gains, dopplers))
+        errors = enumerate(_refusal(float(np.linalg.cond(h))) for h in hs)
+        refused = {f: error for f, error in errors if error is not None}
+    cols, gram = (rows + deltas[:, None]) % n, np.zeros((n, n), dtype=complex)
+    for f in range(len(gains)):
+        if f in refused:  # its bins keep H^H y
             continue
-        for row in y[:, f]:
-            row[:] = g @ row
-    return np.fft.fft(y, norm="ortho"), refused
+        gram[rows, cols] = band[f]
+        rhs[:, f] = np.linalg.solve(gram, rhs[:, f].T).T
+    return np.fft.fft(rhs, norm="ortho"), refused

@@ -8,6 +8,7 @@ CLI outputs do not depend on the thread count or on the chunk size.
 import dataclasses
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -121,6 +122,53 @@ def test_quasi_static_receive_matches_dense(channel):
                 assert np.abs(fast[t, f] - dense).max() < 1e-10
 
 
+@pytest.mark.parametrize(
+    "channel, n",
+    [
+        (wl.ChannelGenerator(num_taps=8, max_doppler=0.3), 36),
+        (wl.ChannelSpec(taps=(wl.ChannelTap(0, 0.7 + 0.1j, 0.1),
+                              wl.ChannelTap(0, 0.2 - 0.3j, -0.25),
+                              wl.ChannelTap(3, -0.4 + 0.5j, 0.3))), 36),
+        (wl.ChannelGenerator(num_taps=8, max_doppler=0.3), 8),
+    ],
+    ids=["generator", "delays_0_0_3", "wrapped_band"],
+)
+def test_dispersive_receive_matches_dense(channel, n):
+    # the banded H^H H + rho I and the adjoint H^H y against F G (H F^H z + F^H w_f)
+    # with the dense H and G; at N = 8 with 8 taps the delay differences wrap
+    # mod N onto shared diagonals
+    rng = np.random.default_rng(5)
+    rho = 0.05
+    gains, dopplers = (np.array(c) for c in zip(*(channel.draw(rng) for _ in range(4))))
+    z, w_f = stacked(rng, 3 * 4, n).reshape(3, 4, n), stacked(rng, 4, n)
+    for equalizer in wl.channel.EQUALIZERS:
+        fast, refused = wl.equalize(channel.delays, gains, dopplers, z.copy(), w_f, rho,
+                                    equalizer)
+        assert refused == {}
+        for f in range(4):
+            h = wl.build_channel(channel.delays, gains[f], dopplers[f], n)
+            g = wl.zf_equalizer(h) if equalizer == "zf" else wl.mmse_equalizer(h, rho)
+            y = np.fft.ifft(z[:, f], norm="ortho") @ h.T + np.fft.ifft(w_f[f], norm="ortho")
+            dense = np.fft.fft(y @ g.T, norm="ortho")
+            assert np.abs(fast[:, f] - dense).max() < 1e-10
+
+
+@pytest.mark.parametrize("equalizer", wl.channel.EQUALIZERS)
+def test_dispersive_chunk_solves_frame_by_frame(equalizer):
+    # a chunk of 32 frames never holds a (frames, N, N) stack at once
+    rng = np.random.default_rng(7)
+    frames, n, channel = 32, 120, wl.ChannelGenerator(num_taps=8, max_doppler=0.3)
+    gains, dopplers = (np.array(c) for c in zip(*(channel.draw(rng) for _ in range(frames))))
+    z, w_f = stacked(rng, 4 * frames, n).reshape(4, frames, n), stacked(rng, frames, n)
+    tracemalloc.start()
+    try:
+        wl.equalize(channel.delays, gains, dopplers, z, w_f, 0.05, equalizer)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < frames * n * n * np.dtype(complex).itemsize
+
+
 @pytest.mark.parametrize("doppler", [0.0, 0.2], ids=["per_bin", "dense"])
 def test_refused_frames_match_dense_zf(doppler):
     # frame 1 has a spectral null at bin 0: gains [1, -1] at delays 0 and 1;
@@ -149,6 +197,16 @@ def test_unknown_equalizer_refused(doppler):
     z, w_f = np.ones((1, 1, 8), dtype=complex), np.zeros((1, 8), dtype=complex)
     with pytest.raises(wl.ConfigError, match="equalizer must be one of"):
         wl.equalize(np.arange(1), np.ones((1, 1)), np.full((1, 1), doppler), z, w_f, 0.1, "ZF")
+
+
+@pytest.mark.parametrize("doppler", [0.0, 0.2], ids=["per_bin", "dense"])
+@pytest.mark.parametrize("rho", [-1.25, np.nan])
+def test_bad_rho_refused(doppler, rho):
+    # rho = -1.25 meets |h_f|^2 at a bin of this channel, where G_f would blow up
+    z, w_f = np.ones((1, 1, 8), dtype=complex), np.zeros((1, 8), dtype=complex)
+    gains, dopplers = np.array([[1.0, 0.5]]), np.array([[0.0, doppler]])
+    with pytest.raises(wl.ConfigError, match="noise-to-signal ratio must be >= 0"):
+        wl.equalize(np.arange(2), gains, dopplers, z, w_f, rho, "mmse")
 
 
 def test_run_frame_is_a_one_frame_chunk():
@@ -189,6 +247,7 @@ CONFIGS = {
     "quasi_static": BASE,
     "doppler": {**BASE, "channel": {"num_taps": 4, "max_doppler": 0.3}},
     "zf": {**BASE, "equalizer": "zf"},
+    "doppler_zf": {**BASE, "channel": {"num_taps": 4, "max_doppler": 0.3}, "equalizer": "zf"},
 }
 VARIANTS = [(1, None), (2, None), (1, 1), (1, 7), (2, 7)]
 
@@ -234,7 +293,7 @@ def test_outputs_identical_across_threads_and_chunks(tmp_path, monkeypatch, name
     doc = dict(CONFIGS[name])
     if subcommand == "sweep-l":
         doc.update(snr_db=[25.0], l_values=[1, 6, 60])
-    if name == "zf":
+    if name.endswith("zf"):
         skip_some_frames(monkeypatch)
     results = run_variants(tmp_path, monkeypatch, subcommand, doc)
     first = results[0]
@@ -242,7 +301,7 @@ def test_outputs_identical_across_threads_and_chunks(tmp_path, monkeypatch, name
     assert all(result == first for result in results[1:])
     points = first[2]
     skipped = [p["skipped_frames"] for p in points]
-    if name == "zf":
+    if name.endswith("zf"):
         assert all(0 < s < p["frames"] for s, p in zip(skipped, points))
     else:
         assert not any(skipped)
