@@ -11,36 +11,24 @@ __version__ = "0.1.0"
 from .analysis import (
     RationalChirp,
     SparsityReport,
-    chirp_spectrum,
     rational_chirp_decompose,
     rect_window_spectrum,
     row_sparsity,
-    sparsity_profile,
     verify_decimation_identity,
 )
 from .channel import (
     ChannelGenerator,
     ChannelSpec,
     ChannelTap,
-    IDENTITY_CHANNEL,
     apply_channel,
     build_channel,
     equalize,
     frequency_response,
-    mmse_equalizer,
-    to_frequency,
-    zf_equalizer,
 )
 from .exceptions import ConfigError, DimensionError, EqualizationError, WavelabError
 from .fdma import Block, BlockLayout
-from .noise import (
-    NoiseProfile,
-    demod_noise_variance,
-    make_profile,
-    sample_noise,
-    whitening_std,
-)
-from .qam import QAM_ORDERS, qam_alphabet, qam_demap, qam_map
+from .noise import NoiseProfile, make_profile, sample_noise, whitening_std
+from .qam import QAM_ORDERS, qam_demap, qam_map
 from .sim import (
     BerCurve,
     BerPoint,
@@ -49,7 +37,6 @@ from .sim import (
     config_fingerprint,
     frame_rng,
     run_ber,
-    run_frame,
     sweep_l,
     sweep_q,
 )
@@ -57,12 +44,7 @@ from .waveform import (
     AFDM,
     OFDM,
     OTFS,
-    PrecoderMatrix,
     WaveformConfig,
     afdm_inverse_column,
-    build_precoder,
     chirp_diagonal,
-    dft_matrix,
-    otfs_inverse_entry,
-    otfs_inverse_matrix,
 )

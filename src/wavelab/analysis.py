@@ -6,8 +6,8 @@ mechanically checks the factorization that explains why the AFDM
 demodulator is generally dense: a rational chirp rate a/b turns the
 size-N quadratic Gauss sum into a size-bN chirp spectrum convolved with a
 rectangular-window (Dirichlet kernel) spectrum, then decimated by b.
-The CLI uses :func:`row_sparsity`, which never forms the matrix; the dense
-:func:`sparsity_profile` is its test oracle.
+The CLI uses :func:`row_sparsity`, which never forms the matrix; its dense
+oracle ``sparsity_profile`` lives in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -35,23 +35,6 @@ class SparsityReport:
     density: float
     tol: float
     label: str
-
-
-def sparsity_profile(m, tol: float = DEFAULT_SPARSITY_TOL, label: str = "") -> SparsityReport:
-    """Count entries with magnitude above tol * max|M|, per row and overall."""
-    if tol <= 0:
-        raise ConfigError(f"sparsity tolerance must be > 0, got {tol}")
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {m.shape}")
-    mags = np.abs(m)
-    peak = mags.max()
-    if peak == 0.0:
-        counts = np.zeros(m.shape[0], dtype=int)
-    else:
-        counts = (mags > tol * peak).sum(axis=1)
-    density = float(counts.sum()) / m.size
-    return SparsityReport(counts, density, tol, label)
 
 
 def row_sparsity(row, tol: float = DEFAULT_SPARSITY_TOL, label: str = "") -> SparsityReport:
@@ -149,18 +132,3 @@ def rect_window_spectrum(n: int, b: int, u: int) -> complex:
         return complex(n / np.sqrt(bn))
     phase = np.exp(-1j * np.pi * u * (1.0 / b - 1.0 / bn))
     return complex(phase / np.sqrt(bn) * np.sin(np.pi * u / b) / np.sin(np.pi * u / bn))
-
-
-def chirp_spectrum(n: int, b: int, a: int, u: int) -> complex:
-    """Size-bN unitary DFT of the full-length chirp exp(-1j*pi*a*k^2/(bN)), at u.
-
-    Direct summation of (1/sqrt(bN)) * sum_k exp(-1j*pi*a*k^2/(bN))
-    * exp(-2j*pi*k*u/(bN)). Sparse with evenly spaced nonzeros only when
-    b = 1 and N/a is an integer; dense otherwise.
-    """
-    bn = b * n
-    if not 0 <= u < bn:
-        raise IndexError(f"index {u} out of range for size {bn}")
-    k = np.arange(bn)
-    terms = np.exp((-1j * np.pi * a / bn) * k * k) * np.exp((-2j * np.pi * u / bn) * k)
-    return complex(terms.sum() / np.sqrt(bn))

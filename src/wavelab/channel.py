@@ -11,8 +11,8 @@ surface: ``delays``, ``max_doppler``, ``describe()`` and ``draw(rng) ->
 (gains, dopplers)``. The channel functions take those arrays, of shape
 (..., P) for P delays, leading axes over frames. ``equalize`` carries a
 whole chunk of frames, per bin or through the cyclic band H^H H + rho I
-built from the taps; the dense ZF/MMSE equalizers (G as a plain N x N
-array) are test oracles only.
+built from the taps. The dense ZF/MMSE equalizers it is checked against
+(G as a plain N x N array) live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ConfigError, DimensionError, EqualizationError
+from .exceptions import ConfigError, EqualizationError
 
 # Zero-forcing refuses channels whose condition number exceeds this.
 CONDITION_LIMIT = 1e12
@@ -103,9 +103,6 @@ class ChannelSpec:
         return gains, np.array([tap.doppler for tap in self.taps], dtype=float)
 
 
-IDENTITY_CHANNEL = ChannelSpec(taps=(ChannelTap(0, 1.0 + 0.0j, 0.0),))
-
-
 def check_delays(delays, n: int) -> None:
     """Refuse taps whose delay does not fit in a block of ``n`` samples."""
     if max(delays) >= n:
@@ -147,21 +144,6 @@ def frequency_response(delays, gains, dopplers, n: int) -> np.ndarray:
     return np.fft.fft(first_col)
 
 
-def to_frequency(m) -> np.ndarray:
-    """Similarity transform F M F^H by the unitary DFT."""
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {m.shape}")
-    return np.fft.ifft(np.fft.fft(m, axis=0, norm="ortho"), axis=1, norm="ortho")
-
-
-def _as_channel_matrix(h) -> np.ndarray:
-    h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise DimensionError(f"expected a square channel matrix, got shape {h.shape}")
-    return h
-
-
 def _refusal(condition: float) -> EqualizationError | None:
     """Zero-forcing's refusal of a channel of this condition number, or None."""
     if np.isfinite(condition) and condition <= CONDITION_LIMIT:
@@ -169,25 +151,6 @@ def _refusal(condition: float) -> EqualizationError | None:
     return EqualizationError(
         f"channel condition number {condition:.3e} exceeds {CONDITION_LIMIT:.0e}", condition
     )
-
-
-def zf_equalizer(h) -> np.ndarray:
-    """Test oracle: zero-forcing G = (H^H H)^{-1} H^H, as an N x N array; raises
-    EqualizationError, with the condition number attached, when the channel
-    is too ill-conditioned to invert reliably."""
-    hm = _as_channel_matrix(h)
-    error = _refusal(float(np.linalg.cond(hm)))
-    if error is not None:
-        raise error
-    return mmse_equalizer(hm, 0.0)
-
-
-def mmse_equalizer(h, rho: float) -> np.ndarray:
-    """Test oracle: regularized G = (H^H H + rho I)^{-1} H^H, as an N x N array."""
-    if rho < 0:
-        raise ConfigError(f"noise-to-signal ratio must be >= 0, got {rho}")
-    hm = _as_channel_matrix(h)
-    return np.linalg.solve(hm.conj().T @ hm + rho * np.eye(len(hm)), hm.conj().T)
 
 
 def equalize(delays, gains, dopplers, z, w_f, rho: float, equalizer: str):

@@ -197,7 +197,7 @@ def cmd_analyze_noise(config: dict, run: Run) -> int:
     n = read(config, "n", int)
     waveforms = [parse_waveform(w, default_n=n) for w in read(config, "waveforms", list)]
     profiles = [parse_profile(p, n) for p in read(config, "profiles", list)]
-    sigma_w = read(config, "sigma_w", float)
+    sigma_w = read(config, "sigma_w", float, minimum=0)
     summary = []
     for profile in profiles:
         for wf in waveforms:
@@ -345,11 +345,19 @@ def cmd_fdma_demo(config: dict, run: Run) -> int:
     return EXIT_OK
 
 
+def _tolerance(config: dict, key: str) -> float:
+    """A check's tolerance: refused unless > 0, since no error passes a bound of 0."""
+    tol = read(config, key, float)
+    if tol <= 0:
+        raise ConfigError(f"config: {key!r} must be > 0, got {tol!r}")
+    return tol
+
+
 def cmd_verify_appendix(config: dict, run: Run) -> int:
     check_keys(config, set(DEFAULT_VERIFY), "verify-appendix")
     failures = 0
 
-    decimation_tol = read(config, "decimation_tol", float)
+    decimation_tol = _tolerance(config, "decimation_tol")
     a_values = read(config, "a_values", [int])
     b_values = read(config, "b_values", [int], minimum=1)
     decimation = []
@@ -364,7 +372,7 @@ def cmd_verify_appendix(config: dict, run: Run) -> int:
                     {"n": n, "a": a, "b": b, "max_error": err, "ok": ok}
                 )
 
-    dirichlet_tol = read(config, "dirichlet_tol", float)
+    dirichlet_tol = _tolerance(config, "dirichlet_tol")
     dirichlet = []
     for case in read(config, "dirichlet_cases", [[int]], minimum=1):
         if len(case) != 2:
@@ -454,9 +462,8 @@ def _resolve_config(args, defaults: dict) -> dict:
     overrides = load_config_file(args.config) if args.config else {}
     config = {**defaults, **overrides}
     if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError("--seed must be a nonnegative integer")
         config["seed"] = args.seed
+    read(config, "seed", int, minimum=0)  # checked, not rewritten: the manifest echoes it
     if args.threads < 1:
         raise ConfigError("--threads must be a positive integer")
     return config

@@ -9,8 +9,9 @@ power is the same for every profile and SNR comparisons stay fair.
 :func:`whitening_std` quantifies the whitening capability of a
 demodulation matrix Q^{-1}: the standard deviation of the demodulated
 per-subcarrier noise variance (the CLI's :meth:`WaveformConfig.demod_power`;
-its test oracle :func:`demod_noise_variance` takes a dense Q^{-1}). A flat
-output profile (std 0) means the matrix fully whitened the input.
+its oracle ``demod_noise_variance`` in ``tests/oracles.py`` takes a dense
+Q^{-1}). A flat output profile (std 0) means the matrix fully whitened the
+input.
 """
 
 from __future__ import annotations
@@ -157,24 +158,6 @@ def sample_noise(
         sigma_w / np.sqrt(2.0)
     )
     return np.sqrt(profile.gains) * white
-
-
-def demod_noise_variance(q_inv, profile, sigma_w: float = 1.0) -> np.ndarray:
-    """Analytic per-subcarrier variance of the demodulated noise.
-
-    Computes v_m = sigma_w^2 * sum_v |Q^{-1}_{m,v}|^2 * gamma_v^2, the
-    diagonal of sigma_w^2 * Q^{-1} Gamma_f Q^{-H} for diagonal Gamma_f.
-    ``profile`` may be a NoiseProfile or a raw gains vector.
-    """
-    q_inv = np.asarray(q_inv, dtype=complex)
-    gains = profile.gains if isinstance(profile, NoiseProfile) else np.asarray(profile, float)
-    if q_inv.ndim != 2 or q_inv.shape[0] != q_inv.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {q_inv.shape}")
-    if gains.shape != (q_inv.shape[1],):
-        raise DimensionError(
-            f"gains shape {gains.shape} does not match matrix size {q_inv.shape[1]}"
-        )
-    return sigma_w**2 * ((np.abs(q_inv) ** 2) @ gains)
 
 
 def whitening_std(v) -> float:

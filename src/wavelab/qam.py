@@ -36,15 +36,6 @@ def energy_scale(order: int) -> float:
     return 1.0 / np.sqrt(2.0 * (order - 1) / 3.0)
 
 
-def qam_alphabet(order: int) -> np.ndarray:
-    """Constellation point for every bit pattern, indexed by the bit integer."""
-    mh = _axis_bits(order)
-    bits = ((np.arange(order)[:, None] >> np.arange(2 * mh - 1, -1, -1)) & 1).astype(
-        np.uint8
-    )
-    return qam_map(bits.reshape(-1), order)
-
-
 def qam_map(bits, order: int) -> np.ndarray:
     """Map 0/1 bits (..., B) to unit-energy Gray-coded QAM symbols, row by row."""
     mh = _axis_bits(order)

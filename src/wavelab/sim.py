@@ -195,22 +195,6 @@ def _sigma_w(snr_db: float) -> float:
     return 10.0 ** (-float(snr_db) / 20.0)
 
 
-def run_frame(cfg: SimConfig, rng: np.random.Generator, target=None, snr_db=None):
-    """Run a single frame of ``cfg`` with an explicit generator, as a
-    one-frame chunk of the engine.
-
-    Defaults to the first configured waveform (or the layout) and the
-    first SNR point. Returns (tx_bits, rx_bits); raises EqualizationError
-    when the equalizer refuses the frame's channel.
-    """
-    target = cfg.targets()[0] if target is None else target
-    snr_db = cfg.snr_db[0] if snr_db is None else snr_db
-    tx, rx, refused = _run_chunk(cfg, (target,), [rng], _sigma_w(snr_db))
-    if refused:
-        raise refused[0]
-    return tx[0], rx[0, 0]
-
-
 def _simulate(cfg: SimConfig, targets, threads: int) -> list[tuple[BerPoint, ...]]:
     """BER points of every target (outer) at every SNR point (inner)."""
     frames = cfg.frames_per_point

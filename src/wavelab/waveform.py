@@ -12,8 +12,8 @@ pay for O(N^2) matrix products; the one F^H between them belongs to the
 channel (:func:`wavelab.channel.equalize`). They act along the last axis: a
 stack of blocks (..., N) is transformed row by row. The CLI's whitening and
 sparsity analysis uses ``row_magnitudes`` and ``demod_power``, which take
-|Q^{-1}| from each waveform's structure at any N. The dense
-:func:`build_precoder` and closed forms of Q^{-1} are the oracles they match.
+|Q^{-1}| from each waveform's structure at any N. The dense precoders and
+closed forms of Q^{-1} they are checked against live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -28,9 +28,6 @@ OFDM = "ofdm"
 OTFS = "otfs"
 AFDM = "afdm"
 KINDS = (OFDM, OTFS, AFDM)
-
-# Dense N x N precoders beyond this size are refused; use the operator forms.
-DENSE_SIZE_LIMIT = 4096
 
 
 @dataclass(frozen=True)
@@ -156,44 +153,10 @@ def _as_vector(x, n: int) -> np.ndarray:
     return v
 
 
-def dft_matrix(n: int) -> np.ndarray:
-    """Unitary DFT matrix with entry (j, k) = exp(-2j*pi*j*k/n) / sqrt(n)."""
-    if n < 1:
-        raise DimensionError(f"transform size must be a positive integer, got {n}")
-    idx = np.arange(n)
-    return np.exp((-2j * np.pi / n) * np.outer(idx, idx)) / np.sqrt(n)
-
-
 def chirp_diagonal(n: int, rate: float) -> np.ndarray:
     """Diagonal of the chirp matrix: entries exp(1j*pi*rate*k^2/n)."""
     k = np.arange(n)
     return np.exp((1j * np.pi * rate / n) * k * k)
-
-
-def otfs_inverse_entry(u: int, v: int, k: int, l: int) -> complex:
-    """Closed-form entry (u, v) of the OTFS demodulation matrix Q^{-1}.
-
-    Rows are supported on the K columns v with (v - floor(u/K)) mod L == 0,
-    where each nonzero entry has magnitude sqrt(L/N).
-    """
-    n = k * l
-    if not (0 <= u < n and 0 <= v < n):
-        raise IndexError(f"indices ({u}, {v}) out of range for N={n}")
-    mu, r = divmod(u, k)
-    if (v - mu) % l != 0:
-        return 0j
-    return l / np.sqrt(l * n) * np.exp(2j * np.pi * v * r / n)
-
-
-def otfs_inverse_matrix(k: int, l: int) -> np.ndarray:
-    """Vectorized closed form of the OTFS Q^{-1} (same entries as above)."""
-    n = k * l
-    u = np.arange(n)[:, None]
-    v = np.arange(n)[None, :]
-    mu = u // k
-    r = u % k
-    entries = l / np.sqrt(l * n) * np.exp((2j * np.pi / n) * v * r)
-    return np.where((v - mu) % l == 0, entries, 0j)
 
 
 def afdm_inverse_column(n: int, q: float) -> np.ndarray:
@@ -209,42 +172,3 @@ def afdm_inverse_column(n: int, q: float) -> np.ndarray:
     k = np.arange(n)
     phases = np.exp((-1j * np.pi * q / n) * k * k)
     return np.fft.fft(phases) / np.sqrt(n)
-
-
-@dataclass(frozen=True, eq=False)
-class PrecoderMatrix:
-    """Dense unitary precoder Q and its inverse for one waveform config.
-
-    Q and Q_inv are built from independent factorizations (forward product
-    vs. inverse product or closed form), so Q_inv ~= Q^H is a checkable
-    property rather than a construction artifact.
-    """
-
-    Q: np.ndarray
-    Q_inv: np.ndarray
-    config: WaveformConfig
-
-
-def build_precoder(cfg: WaveformConfig) -> PrecoderMatrix:
-    """Materialize the dense N x N precoder pair for ``cfg``."""
-    n = cfg.N
-    if n > DENSE_SIZE_LIMIT:
-        raise ConfigError(
-            f"dense precoder limited to N <= {DENSE_SIZE_LIMIT}, got {n}; "
-            "use the operator forms of WaveformConfig instead"
-        )
-    if cfg.kind == OFDM:
-        q = np.eye(n, dtype=complex)
-        q_inv = np.eye(n, dtype=complex)
-    elif cfg.kind == OTFS:
-        f_n = dft_matrix(n)
-        f_l = dft_matrix(cfg.L)
-        q = f_n @ np.kron(f_l.conj().T, np.eye(cfg.K))
-        q_inv = otfs_inverse_matrix(cfg.K, cfg.L)
-    else:
-        f_n = dft_matrix(n)
-        lam_q = chirp_diagonal(n, cfg.q)
-        lam_a = chirp_diagonal(n, cfg.alpha)
-        q = (f_n * lam_q[None, :]) @ (f_n.conj().T * lam_a[None, :])
-        q_inv = (lam_a.conj()[:, None] * f_n) @ (lam_q.conj()[:, None] * f_n.conj().T)
-    return PrecoderMatrix(q, q_inv, cfg)

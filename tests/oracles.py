@@ -1,0 +1,221 @@
+"""Dense oracles and test-only helpers.
+
+wavelab computes Q, Q^{-1}, |Q^{-1}|^2, H and G only in operator form:
+``WaveformConfig.precode``/``receive``, ``row_magnitudes``/``demod_power``
+and ``channel.equalize``. The dense N x N forms below are what the tests
+check those operator forms against; nothing in ``src/`` calls them.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from wavelab.analysis import DEFAULT_SPARSITY_TOL, SparsityReport
+from wavelab.channel import ChannelSpec, ChannelTap, _refusal
+from wavelab.exceptions import ConfigError, DimensionError
+from wavelab.qam import _axis_bits, qam_map
+from wavelab.sim import SimConfig, _run_chunk, _sigma_w
+from wavelab.waveform import OFDM, OTFS, WaveformConfig, chirp_diagonal
+
+# ---------------------------------------------------------------------------
+# waveform: dense precoders
+
+# Dense N x N precoders beyond this size are refused; use the operator forms.
+DENSE_SIZE_LIMIT = 4096
+
+
+def dft_matrix(n: int) -> np.ndarray:
+    """Unitary DFT matrix with entry (j, k) = exp(-2j*pi*j*k/n) / sqrt(n)."""
+    if n < 1:
+        raise DimensionError(f"transform size must be a positive integer, got {n}")
+    idx = np.arange(n)
+    return np.exp((-2j * np.pi / n) * np.outer(idx, idx)) / np.sqrt(n)
+
+
+def otfs_inverse_entry(u: int, v: int, k: int, l: int) -> complex:
+    """Closed-form entry (u, v) of the OTFS demodulation matrix Q^{-1}.
+
+    Rows are supported on the K columns v with (v - floor(u/K)) mod L == 0,
+    where each nonzero entry has magnitude sqrt(L/N).
+    """
+    n = k * l
+    if not (0 <= u < n and 0 <= v < n):
+        raise IndexError(f"indices ({u}, {v}) out of range for N={n}")
+    mu, r = divmod(u, k)
+    if (v - mu) % l != 0:
+        return 0j
+    return l / np.sqrt(l * n) * np.exp(2j * np.pi * v * r / n)
+
+
+def otfs_inverse_matrix(k: int, l: int) -> np.ndarray:
+    """Vectorized closed form of the OTFS Q^{-1} (same entries as above)."""
+    n = k * l
+    u = np.arange(n)[:, None]
+    v = np.arange(n)[None, :]
+    mu = u // k
+    r = u % k
+    entries = l / np.sqrt(l * n) * np.exp((2j * np.pi / n) * v * r)
+    return np.where((v - mu) % l == 0, entries, 0j)
+
+
+@dataclass(frozen=True, eq=False)
+class PrecoderMatrix:
+    """Dense unitary precoder Q and its inverse for one waveform config.
+
+    Q and Q_inv are built from independent factorizations (forward product
+    vs. inverse product or closed form), so Q_inv ~= Q^H is a checkable
+    property rather than a construction artifact.
+    """
+
+    Q: np.ndarray
+    Q_inv: np.ndarray
+    config: WaveformConfig
+
+
+def build_precoder(cfg: WaveformConfig) -> PrecoderMatrix:
+    """Materialize the dense N x N precoder pair for ``cfg``."""
+    n = cfg.N
+    if n > DENSE_SIZE_LIMIT:
+        raise ConfigError(
+            f"dense precoder limited to N <= {DENSE_SIZE_LIMIT}, got {n}; "
+            "use the operator forms of WaveformConfig instead"
+        )
+    if cfg.kind == OFDM:
+        q = np.eye(n, dtype=complex)
+        q_inv = np.eye(n, dtype=complex)
+    elif cfg.kind == OTFS:
+        f_n = dft_matrix(n)
+        f_l = dft_matrix(cfg.L)
+        q = f_n @ np.kron(f_l.conj().T, np.eye(cfg.K))
+        q_inv = otfs_inverse_matrix(cfg.K, cfg.L)
+    else:
+        f_n = dft_matrix(n)
+        lam_q = chirp_diagonal(n, cfg.q)
+        lam_a = chirp_diagonal(n, cfg.alpha)
+        q = (f_n * lam_q[None, :]) @ (f_n.conj().T * lam_a[None, :])
+        q_inv = (lam_a.conj()[:, None] * f_n) @ (lam_q.conj()[:, None] * f_n.conj().T)
+    return PrecoderMatrix(q, q_inv, cfg)
+
+
+# ---------------------------------------------------------------------------
+# channel: the identity channel, the DFT similarity and dense G
+
+IDENTITY_CHANNEL = ChannelSpec(taps=(ChannelTap(0, 1.0 + 0.0j, 0.0),))
+
+
+def to_frequency(m) -> np.ndarray:
+    """Similarity transform F M F^H by the unitary DFT."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise DimensionError(f"expected a square matrix, got shape {m.shape}")
+    return np.fft.ifft(np.fft.fft(m, axis=0, norm="ortho"), axis=1, norm="ortho")
+
+
+def _as_channel_matrix(h) -> np.ndarray:
+    h = np.asarray(h, dtype=complex)
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise DimensionError(f"expected a square channel matrix, got shape {h.shape}")
+    return h
+
+
+def zf_equalizer(h) -> np.ndarray:
+    """Zero-forcing G = (H^H H)^{-1} H^H, as an N x N array; raises
+    EqualizationError, with the condition number attached, when the channel
+    is too ill-conditioned to invert reliably."""
+    hm = _as_channel_matrix(h)
+    error = _refusal(float(np.linalg.cond(hm)))
+    if error is not None:
+        raise error
+    return mmse_equalizer(hm, 0.0)
+
+
+def mmse_equalizer(h, rho: float) -> np.ndarray:
+    """Regularized G = (H^H H + rho I)^{-1} H^H, as an N x N array."""
+    if rho < 0:
+        raise ConfigError(f"noise-to-signal ratio must be >= 0, got {rho}")
+    hm = _as_channel_matrix(h)
+    return np.linalg.solve(hm.conj().T @ hm + rho * np.eye(len(hm)), hm.conj().T)
+
+
+# ---------------------------------------------------------------------------
+# noise and analysis: dense |Q^{-1}|^2 and sparsity
+
+
+def demod_noise_variance(q_inv, gains, sigma_w: float = 1.0) -> np.ndarray:
+    """Analytic per-subcarrier variance of the demodulated noise.
+
+    Computes v_m = sigma_w^2 * sum_v |Q^{-1}_{m,v}|^2 * gamma_v^2, the
+    diagonal of sigma_w^2 * Q^{-1} Gamma_f Q^{-H} for diagonal Gamma_f.
+    """
+    q_inv = np.asarray(q_inv, dtype=complex)
+    gains = np.asarray(gains, float)
+    if q_inv.ndim != 2 or q_inv.shape[0] != q_inv.shape[1]:
+        raise DimensionError(f"expected a square matrix, got shape {q_inv.shape}")
+    if gains.shape != (q_inv.shape[1],):
+        raise DimensionError(
+            f"gains shape {gains.shape} does not match matrix size {q_inv.shape[1]}"
+        )
+    return sigma_w**2 * ((np.abs(q_inv) ** 2) @ gains)
+
+
+def sparsity_profile(m, tol: float = DEFAULT_SPARSITY_TOL, label: str = "") -> SparsityReport:
+    """Count entries with magnitude above tol * max|M|, per row and overall."""
+    if tol <= 0:
+        raise ConfigError(f"sparsity tolerance must be > 0, got {tol}")
+    m = np.asarray(m, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise DimensionError(f"expected a square matrix, got shape {m.shape}")
+    mags = np.abs(m)
+    peak = mags.max()
+    if peak == 0.0:
+        counts = np.zeros(m.shape[0], dtype=int)
+    else:
+        counts = (mags > tol * peak).sum(axis=1)
+    density = float(counts.sum()) / m.size
+    return SparsityReport(counts, density, tol, label)
+
+
+def chirp_spectrum(n: int, b: int, a: int, u: int) -> complex:
+    """Size-bN unitary DFT of the full-length chirp exp(-1j*pi*a*k^2/(bN)), at u.
+
+    Direct summation of (1/sqrt(bN)) * sum_k exp(-1j*pi*a*k^2/(bN))
+    * exp(-2j*pi*k*u/(bN)). Sparse with evenly spaced nonzeros only when
+    b = 1 and N/a is an integer; dense otherwise.
+    """
+    bn = b * n
+    if not 0 <= u < bn:
+        raise IndexError(f"index {u} out of range for size {bn}")
+    k = np.arange(bn)
+    terms = np.exp((-1j * np.pi * a / bn) * k * k) * np.exp((-2j * np.pi * u / bn) * k)
+    return complex(terms.sum() / np.sqrt(bn))
+
+
+# ---------------------------------------------------------------------------
+# qam and sim
+
+
+def qam_alphabet(order: int) -> np.ndarray:
+    """Constellation point for every bit pattern, indexed by the bit integer."""
+    mh = _axis_bits(order)
+    bits = ((np.arange(order)[:, None] >> np.arange(2 * mh - 1, -1, -1)) & 1).astype(
+        np.uint8
+    )
+    return qam_map(bits.reshape(-1), order)
+
+
+def run_frame(cfg: SimConfig, rng: np.random.Generator, target=None, snr_db=None):
+    """Run a single frame of ``cfg`` with an explicit generator, as a
+    one-frame chunk of the engine.
+
+    Defaults to the first configured waveform (or the layout) and the
+    first SNR point. Returns (tx_bits, rx_bits); raises EqualizationError
+    when the equalizer refuses the frame's channel.
+    """
+    target = cfg.targets()[0] if target is None else target
+    snr_db = cfg.snr_db[0] if snr_db is None else snr_db
+    tx, rx, refused = _run_chunk(cfg, (target,), [rng], _sigma_w(snr_db))
+    if refused:
+        raise refused[0]
+    return tx[0], rx[0, 0]

