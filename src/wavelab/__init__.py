@@ -32,7 +32,6 @@ from .qam import QAM_ORDERS, qam_demap, qam_map
 from .sim import (
     BerCurve,
     BerPoint,
-    ParamSweep,
     SimConfig,
     config_fingerprint,
     frame_rng,

@@ -2,20 +2,24 @@
 
 Subcommands: analyze-noise, sparsity, ber, sweep-l, sweep-q, fdma-demo,
 verify-appendix. Each reads an optional YAML config whose top-level keys
-replace those of its ``DEFAULT_*`` dict, the one place its defaults live;
-writes CSV/JSON artifacts plus a manifest.json into the output directory,
-refusing two outputs of one name; and exits 0 on success, 2 on
-configuration errors, 3 on numerical failure. Re-running with the same
-config and seed produces byte-identical CSV bodies at any thread count.
+replace those of its ``DEFAULT_*`` dict, the one place its defaults live.
+Its handler parses the whole config and claims every output name, refusing
+two of one name, then returns its work, which writes CSV/JSON artifacts
+and a manifest.json into the output directory; ``--dry-run`` lists the
+names instead. Exits 0 on success, 2 on configuration errors (dry runs
+too), 3 on numerical failure. Re-running with the same config and seed
+produces byte-identical CSV bodies at any thread count.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import asdict
 from pathlib import Path
 
@@ -188,161 +192,11 @@ def _ber_rows(points):
     return [[p.snr_db, p.bits, p.errors, p.ber, p.stderr] for p in points]
 
 
-# ---------------------------------------------------------------------------
-# subcommands
-
-
-def cmd_analyze_noise(config: dict, run: Run) -> int:
-    check_keys(config, set(DEFAULT_ANALYZE), "analyze-noise")
-    n = read(config, "n", int)
-    waveforms = [parse_waveform(w, default_n=n) for w in read(config, "waveforms", list)]
-    profiles = [parse_profile(p, n) for p in read(config, "profiles", list)]
-    sigma_w = read(config, "sigma_w", float, minimum=0)
-    summary = []
-    for profile in profiles:
-        for wf in waveforms:
-            v = sigma_w**2 * wf.demod_power(profile.gains)
-            write_csv(
-                run.path(f"variance_{wf.slug}_{profile.kind}.csv"),
-                ["subcarrier", "variance"],
-                zip(range(n), v.tolist()),
-            )
-            summary.append([wf.label, profile.kind, float(v.mean()), whitening_std(v)])
-    write_csv(run.path("summary.csv"), ["waveform", "profile", "mean", "std"], summary)
-    return EXIT_OK
-
-
-def cmd_sparsity(config: dict, run: Run) -> int:
-    check_keys(config, set(DEFAULT_SPARSITY), "sparsity")
-    tol = read(config, "tol", float)
-    records = []
-    for entry in read(config, "entries", list):
-        wf = parse_waveform(entry)
-        report = row_sparsity(wf.row_magnitudes(), tol=tol, label=wf.label)
-        records.append(
-            {
-                "label": report.label,
-                "n": wf.N,
-                "tol": report.tol,
-                "density": report.density,
-                "nonzeros_per_row_min": int(report.row_counts.min()),
-                "nonzeros_per_row_max": int(report.row_counts.max()),
-                "row_counts": report.row_counts.tolist(),
-            }
-        )
-    write_json(run.path("sparsity.json"), {"reports": records})
-    return EXIT_OK
-
-
-def cmd_ber(config: dict, run: Run) -> int:
-    cfg = parse_sim(config)
-    # every name is claimed before the run, so a clash costs no simulation
-    paths = [run.path(f"ber_{target.slug}.csv") for target in cfg.targets()]
-    summary = run.path("curves.json")
+def _curves(run: Run, cfg) -> list:
     curves = run_ber(cfg, threads=run.threads)
-    for path, curve in zip(paths, curves):
-        write_csv(path, ["snr_db", "bits", "errors", "ber", "stderr"], _ber_rows(curve.points))
     # per-point frames and skips go to the manifest: the CSV layout is fixed
     run.points = [{"label": c.label, **asdict(p)} for c in curves for p in c.points]
-    write_json(summary, {"config_digest": curves[0].config_digest,
-                         "labels": [c.label for c in curves]})
-    return EXIT_OK
-
-
-def _write_sweep(run: Run, column: str, sweep) -> int:
-    run.points = [{"label": label, **asdict(p)} for label, p in zip(sweep.labels, sweep.points)]
-    write_csv(
-        run.path(f"sweep_{column}.csv"),
-        [column, "snr_db", "bits", "errors", "ber", "stderr"],
-        [[value, *row] for value, row in zip(sweep.values, _ber_rows(sweep.points))],
-    )
-    return EXIT_OK
-
-
-def cmd_sweep_l(config: dict, run: Run) -> int:
-    cfg = parse_sim(config, extra_keys={"l_values"})
-    sweep = sweep_l(cfg, read(config, "l_values", [int]), threads=run.threads)
-    return _write_sweep(run, "l", sweep)
-
-
-def cmd_sweep_q(config: dict, run: Run) -> int:
-    cfg = parse_sim(config, extra_keys={"q_values", "alpha"})
-    sweep = sweep_q(cfg, read(config, "q_values", [float]),
-                    alpha=read(config, "alpha", float), threads=run.threads)
-    return _write_sweep(run, "q", sweep)
-
-
-def cmd_fdma_demo(config: dict, run: Run) -> int:
-    check_keys(config, set(DEFAULT_FDMA), "fdma-demo")
-    layout = parse_layout(read(config, "layout", list))
-    n = layout.N
-    rng = np.random.default_rng(read(config, "seed", int, minimum=0))
-    jammed = read(config, "jammed_block", int)
-    if not 0 <= jammed < len(layout.blocks):
-        raise ConfigError(f"jammed_block {jammed} out of range")
-    jam_power = read(config, "jam_power", float, minimum=0)
-
-    # noiseless roundtrip over an identity channel
-    data = [
-        (rng.standard_normal(b.width) + 1j * rng.standard_normal(b.width)) / np.sqrt(2)
-        for b in layout.blocks
-    ]
-    x = np.fft.ifft(layout.precode(np.concatenate(data)), norm="ortho")
-    recovered = layout.receive(np.fft.fft(x, norm="ortho"))
-    roundtrip = [
-        [i, b.config.label, float(np.max(np.abs(recovered[b.start : b.stop] - data[i])))]
-        for i, b in enumerate(layout.blocks)
-    ]
-    write_csv(run.path("roundtrip.csv"), ["block", "waveform", "max_error"], roundtrip)
-
-    # spectral containment of each block alone
-    leakage_rows = []
-    for i, block in enumerate(layout.blocks):
-        alone = [np.zeros(b.width, complex) for b in layout.blocks]
-        alone[i] = data[i]
-        x = np.fft.ifft(layout.precode(np.concatenate(alone)), norm="ortho")
-        spectrum = np.abs(np.fft.fft(x, norm="ortho")) ** 2
-        inside = spectrum[block.start : block.stop].sum()
-        total = spectrum.sum()
-        leakage_rows.append(
-            [i, block.config.label, float((total - inside) / total)]
-        )
-    write_csv(
-        run.path("leakage.csv"),
-        ["block", "waveform", "out_of_block_energy_fraction"],
-        leakage_rows,
-    )
-
-    # analytic demodulated noise variance with a jammer confined to one block
-    flat = np.ones(n)
-    jammed_gains = flat.copy()
-    block_j = layout.blocks[jammed]
-    jammed_gains[block_j.start : block_j.stop] += jam_power
-    variance_rows = []
-    whitening_rows = []
-    for i, block in enumerate(layout.blocks):
-        sl = slice(block.start, block.stop)
-        v_clean = block.config.demod_power(flat[sl])
-        v_jam = block.config.demod_power(jammed_gains[sl])
-        for m, pair in enumerate(zip(v_clean.tolist(), v_jam.tolist())):
-            variance_rows.append([i, block.config.label, m, *pair])
-        # the same impulse shape dropped into this block, whitened by its Q_inv
-        local = flat[sl].copy()
-        local[block.width // 2] += jam_power
-        whitening_rows.append(
-            [i, block.config.label, whitening_std(block.config.demod_power(local))]
-        )
-    write_csv(
-        run.path("jammer_variance.csv"),
-        ["block", "waveform", "subcarrier", "variance_clean", "variance_jammed"],
-        variance_rows,
-    )
-    write_csv(
-        run.path("block_whitening.csv"),
-        ["block", "waveform", "whitening_std"],
-        whitening_rows,
-    )
-    return EXIT_OK
+    return curves
 
 
 def _tolerance(config: dict, key: str) -> float:
@@ -353,75 +207,232 @@ def _tolerance(config: dict, key: str) -> float:
     return tol
 
 
-def cmd_verify_appendix(config: dict, run: Run) -> int:
-    check_keys(config, set(DEFAULT_VERIFY), "verify-appendix")
-    failures = 0
+# ---------------------------------------------------------------------------
+# subcommands: each parses its config, claims its outputs and returns its work
 
+
+def cmd_analyze_noise(config: dict, run: Run) -> Callable[[], int]:
+    check_keys(config, set(DEFAULT_ANALYZE), "analyze-noise")
+    n = read(config, "n", int)
+    waveforms = [parse_waveform(w, default_n=n) for w in read(config, "waveforms", [dict])]
+    if any(wf.N != n for wf in waveforms):
+        raise ConfigError(f"config: every waveform must have the grid size 'n' = {n}")
+    profiles = [parse_profile(p, n) for p in read(config, "profiles", [dict])]
+    sigma_w = read(config, "sigma_w", float, minimum=0)
+    curves = [(profile, wf, run.path(f"variance_{wf.slug}_{profile.kind}.csv"))
+              for profile in profiles for wf in waveforms]
+    summary_path = run.path("summary.csv")
+
+    def work() -> int:
+        summary = []
+        for profile, wf, path in curves:
+            v = sigma_w**2 * wf.demod_power(profile.gains)
+            write_csv(path, ["subcarrier", "variance"], zip(range(n), v.tolist()))
+            summary.append([wf.label, profile.kind, float(v.mean()), whitening_std(v)])
+        write_csv(summary_path, ["waveform", "profile", "mean", "std"], summary)
+        return EXIT_OK
+
+    return work
+
+
+def cmd_sparsity(config: dict, run: Run) -> Callable[[], int]:
+    check_keys(config, set(DEFAULT_SPARSITY), "sparsity")
+    tol = _tolerance(config, "tol")
+    waveforms = [parse_waveform(entry) for entry in read(config, "entries", [dict])]
+    path = run.path("sparsity.json")
+
+    def work() -> int:
+        records = []
+        for wf in waveforms:
+            report = row_sparsity(wf.row_magnitudes(), tol=tol, label=wf.label)
+            records.append({
+                "label": report.label,
+                "n": wf.N,
+                "tol": report.tol,
+                "density": report.density,
+                "nonzeros_per_row_min": int(report.row_counts.min()),
+                "nonzeros_per_row_max": int(report.row_counts.max()),
+                "row_counts": report.row_counts.tolist(),
+            })
+        write_json(path, {"reports": records})
+        return EXIT_OK
+
+    return work
+
+
+def cmd_ber(config: dict, run: Run) -> Callable[[], int]:
+    cfg = parse_sim(config)
+    paths = [run.path(f"ber_{target.slug}.csv") for target in cfg.targets()]
+    summary = run.path("curves.json")
+
+    def work() -> int:
+        curves = _curves(run, cfg)
+        for path, curve in zip(paths, curves):
+            write_csv(path, ["snr_db", "bits", "errors", "ber", "stderr"],
+                      _ber_rows(curve.points))
+        write_json(summary, {"config_digest": curves[0].config_digest,
+                             "labels": [c.label for c in curves]})
+        return EXIT_OK
+
+    return work
+
+
+def _sweep_table(run: Run, column: str, cfg, values) -> Callable[[], int]:
+    """Work of a sweep: ``cfg`` runs one waveform per swept value at one SNR point."""
+    path = run.path(f"sweep_{column}.csv")
+
+    def work() -> int:
+        points = [curve.points[0] for curve in _curves(run, cfg)]
+        write_csv(path, [column, "snr_db", "bits", "errors", "ber", "stderr"],
+                  [[value, *row] for value, row in zip(values, _ber_rows(points))])
+        return EXIT_OK
+
+    return work
+
+
+def cmd_sweep_l(config: dict, run: Run) -> Callable[[], int]:
+    cfg = sweep_l(parse_sim(config, extra_keys={"l_values"}), read(config, "l_values", [int]))
+    return _sweep_table(run, "l", cfg, [float(wf.L) for wf in cfg.waveforms])
+
+
+def cmd_sweep_q(config: dict, run: Run) -> Callable[[], int]:
+    cfg = sweep_q(parse_sim(config, extra_keys={"q_values", "alpha"}),
+                  read(config, "q_values", [float]), alpha=read(config, "alpha", float))
+    return _sweep_table(run, "q", cfg, [wf.q for wf in cfg.waveforms])
+
+
+def cmd_fdma_demo(config: dict, run: Run) -> Callable[[], int]:
+    check_keys(config, set(DEFAULT_FDMA), "fdma-demo")
+    layout = parse_layout(read(config, "layout", [dict]))
+    n = layout.N
+    seed = read(config, "seed", int, minimum=0)
+    jammed = read(config, "jammed_block", int)
+    if not 0 <= jammed < len(layout.blocks):
+        raise ConfigError(f"jammed_block {jammed} out of range")
+    jam_power = read(config, "jam_power", float, minimum=0)
+    roundtrip_path = run.path("roundtrip.csv")
+    leakage_path = run.path("leakage.csv")
+    variance_path = run.path("jammer_variance.csv")
+    whitening_path = run.path("block_whitening.csv")
+
+    def work() -> int:
+        rng = np.random.default_rng(seed)
+        # noiseless roundtrip over an identity channel
+        data = [
+            (rng.standard_normal(b.width) + 1j * rng.standard_normal(b.width)) / np.sqrt(2)
+            for b in layout.blocks
+        ]
+        x = np.fft.ifft(layout.precode(np.concatenate(data)), norm="ortho")
+        recovered = layout.receive(np.fft.fft(x, norm="ortho"))
+        roundtrip = [
+            [i, b.config.label, float(np.max(np.abs(recovered[b.start : b.stop] - data[i])))]
+            for i, b in enumerate(layout.blocks)
+        ]
+        write_csv(roundtrip_path, ["block", "waveform", "max_error"], roundtrip)
+
+        # spectral containment of each block alone
+        leakage_rows = []
+        for i, block in enumerate(layout.blocks):
+            alone = [np.zeros(b.width, complex) for b in layout.blocks]
+            alone[i] = data[i]
+            x = np.fft.ifft(layout.precode(np.concatenate(alone)), norm="ortho")
+            spectrum = np.abs(np.fft.fft(x, norm="ortho")) ** 2
+            inside = spectrum[block.start : block.stop].sum()
+            total = spectrum.sum()
+            leakage_rows.append([i, block.config.label, float((total - inside) / total)])
+        write_csv(leakage_path, ["block", "waveform", "out_of_block_energy_fraction"],
+                  leakage_rows)
+
+        # analytic demodulated noise variance with a jammer confined to one block
+        flat = np.ones(n)
+        jammed_gains = flat.copy()
+        block_j = layout.blocks[jammed]
+        jammed_gains[block_j.start : block_j.stop] += jam_power
+        variance_rows = []
+        whitening_rows = []
+        for i, block in enumerate(layout.blocks):
+            sl = slice(block.start, block.stop)
+            v_clean = block.config.demod_power(flat[sl])
+            v_jam = block.config.demod_power(jammed_gains[sl])
+            for m, pair in enumerate(zip(v_clean.tolist(), v_jam.tolist())):
+                variance_rows.append([i, block.config.label, m, *pair])
+            # the same impulse shape dropped into this block, whitened by its Q_inv
+            local = flat[sl].copy()
+            local[block.width // 2] += jam_power
+            whitening_rows.append(
+                [i, block.config.label, whitening_std(block.config.demod_power(local))]
+            )
+        write_csv(variance_path,
+                  ["block", "waveform", "subcarrier", "variance_clean", "variance_jammed"],
+                  variance_rows)
+        write_csv(whitening_path, ["block", "waveform", "whitening_std"], whitening_rows)
+        return EXIT_OK
+
+    return work
+
+
+def cmd_verify_appendix(config: dict, run: Run) -> Callable[[], int]:
+    check_keys(config, set(DEFAULT_VERIFY), "verify-appendix")
     decimation_tol = _tolerance(config, "decimation_tol")
+    n_values = read(config, "n_values", [int], minimum=1)
     a_values = read(config, "a_values", [int])
     b_values = read(config, "b_values", [int], minimum=1)
-    decimation = []
-    for n in read(config, "n_values", [int], minimum=1):
-        for a in a_values:
-            for b in b_values:
-                chirp = rational_chirp_decompose(a / b, tol=1e-12)
-                err = verify_decimation_identity(n, chirp)
-                ok = err < decimation_tol
-                failures += not ok
-                decimation.append(
-                    {"n": n, "a": a, "b": b, "max_error": err, "ok": ok}
-                )
-
     dirichlet_tol = _tolerance(config, "dirichlet_tol")
-    dirichlet = []
-    for case in read(config, "dirichlet_cases", [[int]], minimum=1):
+    dirichlet_cases = read(config, "dirichlet_cases", [[int]], minimum=1)
+    for case in dirichlet_cases:
         if len(case) != 2:
             raise ConfigError(f"config: 'dirichlet_cases' items must be [n, b], got {case!r}")
-        n, b = case
-        k = np.arange(b * n)
-        direct = np.fft.fft((k < n).astype(float), norm="ortho")
-        closed = np.array([rect_window_spectrum(n, b, u) for u in range(b * n)])
-        err = float(np.max(np.abs(direct - closed)))
-        ok = err < dirichlet_tol
-        failures += not ok
-        dirichlet.append({"n": n, "b": b, "max_error": err, "ok": ok})
-
     threshold = read(config, "density_threshold", float)
-    sparsity_tol = read(config, "sparsity_tol", float)
+    if not 0 < threshold < 1:  # a density is at most 1
+        raise ConfigError(f"config: 'density_threshold' must be in (0, 1), got {threshold!r}")
+    sparsity_tol = _tolerance(config, "sparsity_tol")
     density_q = read(config, "density_q", [float])
-    densities = []
-    for n in read(config, "density_n", [int], minimum=1):
-        for q in density_q:
-            wf = parse_waveform({"kind": "afdm", "n": n, "q": q})
-            report = row_sparsity(wf.row_magnitudes(), tol=sparsity_tol)
-            ok = report.density > threshold
-            failures += not ok
-            densities.append(
-                {"n": n, "q": q, "density": report.density, "ok": ok}
-            )
+    density_waveforms = [
+        (n, q, parse_waveform({"kind": "afdm", "n": n, "q": q}))
+        for n in read(config, "density_n", [int], minimum=1) for q in density_q
+    ]
+    path = run.path("verify_appendix.json")
 
-    # integer-rate special case: the Gauss-sum column collapses to an even comb
-    column = afdm_inverse_column(8, 4.0)
-    support = np.flatnonzero(np.abs(column) > sparsity_tol * np.abs(column).max())
-    sparse_ok = support.tolist() == [0, 4]
-    failures += not sparse_ok
+    def work() -> int:
+        decimation = []
+        for n, a, b in itertools.product(n_values, a_values, b_values):
+            err = verify_decimation_identity(n, rational_chirp_decompose(a / b, tol=1e-12))
+            decimation.append({"n": n, "a": a, "b": b, "max_error": err,
+                               "ok": err < decimation_tol})
 
-    write_json(
-        run.path("verify_appendix.json"),
-        {
+        dirichlet = []
+        for n, b in dirichlet_cases:
+            k = np.arange(b * n)
+            direct = np.fft.fft((k < n).astype(float), norm="ortho")
+            closed = np.array([rect_window_spectrum(n, b, u) for u in range(b * n)])
+            err = float(np.max(np.abs(direct - closed)))
+            dirichlet.append({"n": n, "b": b, "max_error": err, "ok": err < dirichlet_tol})
+
+        densities = []
+        for n, q, wf in density_waveforms:
+            density = row_sparsity(wf.row_magnitudes(), tol=sparsity_tol).density
+            densities.append({"n": n, "q": q, "density": density, "ok": density > threshold})
+
+        # integer-rate special case: the Gauss-sum column collapses to an even comb
+        column = afdm_inverse_column(8, 4.0)
+        support = np.flatnonzero(np.abs(column) > sparsity_tol * np.abs(column).max())
+        sparse_ok = support.tolist() == [0, 4]
+        failures = sum(not r["ok"] for r in decimation + dirichlet + densities) + (not sparse_ok)
+
+        write_json(path, {
             "decimation_identity": decimation,
             "dirichlet_closed_form": dirichlet,
             "rational_chirp_density": densities,
-            "sparse_special_case": {
-                "n": 8, "q": 4.0, "support": support.tolist(), "ok": sparse_ok,
-            },
+            "sparse_special_case": {"n": 8, "q": 4.0, "support": support.tolist(),
+                                    "ok": sparse_ok},
             "failures": failures,
-        },
-    )
-    if failures:
-        print(f"verify-appendix: {failures} identity check(s) failed", file=sys.stderr)
-        return EXIT_NUMERICAL
-    return EXIT_OK
+        })
+        if failures:
+            print(f"verify-appendix: {failures} identity check(s) failed", file=sys.stderr)
+            return EXIT_NUMERICAL
+        return EXIT_OK
+
+    return work
 
 
 # ---------------------------------------------------------------------------
@@ -475,12 +486,15 @@ def main(argv=None) -> int:
     out_dir = args.out or f"wavelab_out/{args.subcommand}"
     try:
         config = _resolve_config(args, defaults)
+        run = Run(args.subcommand, out_dir, config, args)
+        work = handler(config, run)
         if args.dry_run:
             print(f"wavelab {args.subcommand}: config OK; would write to {out_dir}")
             print(json.dumps(config, indent=2, sort_keys=True, default=str))
+            for name in sorted(run.outputs):
+                print(f"output: {name}")
             return EXIT_OK
-        run = Run(args.subcommand, out_dir, config, args)
-        code = handler(config, run)
+        code = work()
         run.finish()
         return code
     except ConfigError as exc:

@@ -45,8 +45,8 @@ def read(section: dict, key: str, kind, default=_REQUIRED, context: str = "confi
 
     ``kind`` is int (ints and integral floats), float (finite numbers; for
     both, booleans and strings are refused, and so are values below
-    ``minimum``), str, dict, list, or ``[kind]`` for a list of such items.
-    Each refusal is a ConfigError naming the key.
+    ``minimum``), str, dict, list, or ``[kind]`` for a nonempty list of
+    such items. Each refusal is a ConfigError naming the key.
     """
     if key not in section:
         if default is _REQUIRED:
@@ -54,8 +54,8 @@ def read(section: dict, key: str, kind, default=_REQUIRED, context: str = "confi
         return default
     value, name = section[key], f"{context}: {key!r}"
     if isinstance(kind, list):
-        if not isinstance(value, list):
-            raise ConfigError(f"{name} must be a list, got {value!r}")
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{name} must be a nonempty list, got {value!r}")
         return [read({key: item}, key, kind[0], context=context, minimum=minimum)
                 for item in value]
     if kind not in (int, float):
@@ -80,8 +80,6 @@ def check_keys(section: dict, allowed: set, context: str):
 
 
 def parse_waveform(section: dict, default_n: int | None = None) -> WaveformConfig:
-    if not isinstance(section, dict):
-        raise ConfigError(f"waveform entry must be a mapping, got {section!r}")
     check_keys(section, {"kind", "n", "k", "l", "q", "alpha"}, "waveform")
     kind = read(section, "kind", str, context="waveform").lower()
     n = read(section, "n", int, default_n or 0, "waveform")
@@ -105,8 +103,6 @@ def parse_waveform(section: dict, default_n: int | None = None) -> WaveformConfi
 
 
 def parse_channel(section: dict) -> ChannelGenerator | ChannelSpec:
-    if not isinstance(section, dict):
-        raise ConfigError("channel section must be a mapping")
     if "taps" in section:
         check_keys(section, {"taps"}, "channel")
         taps = []
@@ -138,8 +134,6 @@ _PROFILE_KEYS = {
 
 
 def parse_profile(section: dict, n: int) -> NoiseProfile:
-    if not isinstance(section, dict):
-        raise ConfigError("noise section must be a mapping")
     check_keys(section, set(_PROFILE_KEYS) | {"kind", "n"}, "noise")
     if read(section, "n", int, n, "noise") != n:
         raise ConfigError(
@@ -154,8 +148,6 @@ def parse_profile(section: dict, n: int) -> NoiseProfile:
 
 
 def parse_layout(entries, default_block_n: int = 12) -> BlockLayout:
-    if not isinstance(entries, list) or not entries:
-        raise ConfigError("layout must be a nonempty list of waveform blocks")
     configs = [parse_waveform(entry, default_n=default_block_n) for entry in entries]
     return BlockLayout.from_configs(configs)
 
@@ -172,12 +164,9 @@ def parse_sim(doc: dict, extra_keys: set = frozenset()) -> SimConfig:
     waveforms: tuple[WaveformConfig, ...] = ()
     layout = None
     if "layout" in doc:
-        layout = parse_layout(read(doc, "layout", list))
+        layout = parse_layout(read(doc, "layout", [dict]))
     else:
-        entries = read(doc, "waveforms", list)
-        if not entries:
-            raise ConfigError("waveforms must be a nonempty list")
-        waveforms = tuple(parse_waveform(e, default_n=n) for e in entries)
+        waveforms = tuple(parse_waveform(e, default_n=n) for e in read(doc, "waveforms", [dict]))
     target_n = layout.N if layout is not None else n
     # a single SNR point may be given as a scalar
     snr = read(doc, "snr_db", object)

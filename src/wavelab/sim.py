@@ -24,7 +24,7 @@ import hashlib
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -141,15 +141,6 @@ class BerCurve:
     config_digest: str
 
 
-@dataclass(frozen=True)
-class ParamSweep:
-    """BER at a fixed SNR as a function of one waveform parameter."""
-
-    values: tuple[float, ...]
-    labels: tuple[str, ...]
-    points: tuple[BerPoint, ...]
-
-
 def config_fingerprint(cfg: SimConfig) -> str:
     """Stable digest of everything that determines the results."""
     doc = {
@@ -195,8 +186,9 @@ def _sigma_w(snr_db: float) -> float:
     return 10.0 ** (-float(snr_db) / 20.0)
 
 
-def _simulate(cfg: SimConfig, targets, threads: int) -> list[tuple[BerPoint, ...]]:
+def _simulate(cfg: SimConfig, threads: int) -> list[tuple[BerPoint, ...]]:
     """BER points of every target (outer) at every SNR point (inner)."""
+    targets = cfg.targets()
     frames = cfg.frames_per_point
     chunks = [range(s, min(s + CHUNK_FRAMES, frames)) for s in range(0, frames, CHUNK_FRAMES)]
     jobs = [(pi, chunk) for pi in range(len(cfg.snr_db)) for chunk in chunks]
@@ -240,29 +232,23 @@ def run_ber(cfg: SimConfig, threads: int = 1) -> list[BerCurve]:
     layout). Deterministic for fixed (config, seed) at any thread count.
     """
     digest = config_fingerprint(cfg)
-    targets = cfg.targets()
     return [
         BerCurve(label=target.label, points=points, config_digest=digest)
-        for target, points in zip(targets, _simulate(cfg, targets, threads))
+        for target, points in zip(cfg.targets(), _simulate(cfg, threads))
     ]
 
 
-def _sweep(cfg: SimConfig, key: str, values, targets, threads: int) -> ParamSweep:
-    """One target per swept value, all at the template's single SNR point;
-    ``key`` names the swept list in error messages."""
+def _swept(cfg: SimConfig, key: str, waveforms) -> SimConfig:
+    """``cfg`` running ``waveforms``, one per value of the swept list ``key``."""
     if len(cfg.snr_db) != 1:
         raise ConfigError("parameter sweeps need a template with exactly one SNR point")
-    if not targets:
+    if not waveforms:
         raise ConfigError(f"config: {key!r} must be a nonempty list")
-    return ParamSweep(
-        values=tuple(values),
-        labels=tuple(target.label for target in targets),
-        points=tuple(points[0] for points in _simulate(cfg, targets, threads)),
-    )
+    return replace(cfg, waveforms=tuple(waveforms))
 
 
-def sweep_l(cfg: SimConfig, l_values, threads: int = 1) -> ParamSweep:
-    """BER versus the OTFS Doppler-grid size L at a fixed SNR.
+def sweep_l(cfg: SimConfig, l_values) -> SimConfig:
+    """``cfg`` (one SNR point) running OTFS at each grid size L, for :func:`run_ber`.
 
     Every L shares the same per-frame channel, bits, and noise draws, so
     differences reflect the precoder alone. Each L must divide N.
@@ -274,15 +260,15 @@ def sweep_l(cfg: SimConfig, l_values, threads: int = 1) -> ParamSweep:
         if l < 1 or n % l != 0:
             raise ConfigError(f"L={l} does not divide N={n}")
         configs.append(WaveformConfig.otfs(n // l, l))
-    return _sweep(cfg, "l_values", [float(c.L) for c in configs], configs, threads)
+    return _swept(cfg, "l_values", configs)
 
 
-def sweep_q(cfg: SimConfig, q_values, alpha: float = 0.1, threads: int = 1) -> ParamSweep:
-    """BER versus the AFDM chirp rate q at a fixed SNR (alpha held fixed)."""
+def sweep_q(cfg: SimConfig, q_values, alpha: float = 0.1) -> SimConfig:
+    """``cfg`` (one SNR point) running AFDM at each chirp rate q, alpha held fixed."""
     configs = []
     for q in q_values:
         q = float(q)
         if q == 0.0:
             raise ConfigError("q=0 degenerates to OFDM; sweep values must be nonzero")
         configs.append(WaveformConfig.afdm(cfg.n, q, alpha))
-    return _sweep(cfg, "q_values", [c.q for c in configs], configs, threads)
+    return _swept(cfg, "q_values", configs)

@@ -183,11 +183,12 @@ def test_criterion_06_parameter_trends():
             bits_per_point=200_000,
             seed=1,
         )
-        sweep = wl.sweep_l(cfg, [1, 2, 3, 4, 6, 12], threads=2)
+        curves = wl.run_ber(wl.sweep_l(cfg, [1, 2, 3, 4, 6, 12]), threads=2)
+        sweep = [c.points[0] for c in curves]
         ofdm = wl.run_ber(cfg, threads=2)[0].points[0]
-        bers = [p.ber for p in sweep.points]
+        bers = [p.ber for p in sweep]
         assert int(np.argmin(bers)) == 0
-        full_grid = sweep.points[-1]
+        full_grid = sweep[-1]
         assert abs(full_grid.ber - ofdm.ber) <= 3 * gap_sigma(full_grid, ofdm)
 
         # (b) chirp-rate sweep: flat at the pre-validated desk-scale bound,
@@ -204,7 +205,8 @@ def test_criterion_06_parameter_trends():
                 bits_per_point=budget,
                 seed=1,
             )
-            points = wl.sweep_q(cfg_q, Q_GRID, alpha=0.1, threads=2).points
+            curves = wl.run_ber(wl.sweep_q(cfg_q, Q_GRID, alpha=0.1), threads=2)
+            points = [c.points[0] for c in curves]
             bers = [p.ber for p in points]
             assert max(bers) / min(bers) <= bound, (grid_n, max(bers) / min(bers))
 

@@ -320,6 +320,21 @@ class TestSweeps:
         assert header[0] == "q"
         assert len(rows) == 2
 
+    @pytest.mark.parametrize("dry_run", [False, True])
+    @pytest.mark.parametrize("subcommand,swept", [("sweep-l", {"l_values": [1, 3]}),
+                                                  ("sweep-q", {"q_values": [-4.0, 2.0]})])
+    def test_layout_refused(self, tmp_path, capsys, subcommand, swept, dry_run):
+        # used to exit 0 and sweep the swept waveform on the layout's grid
+        config = write_yaml(tmp_path / "layout.yaml", {
+            "layout": [{"kind": "ofdm", "n": 6}, {"kind": "ofdm", "n": 6}],
+            "bits_per_point": 10_000, "channel": {"num_taps": 2}, **swept,
+        })
+        out = tmp_path / "o"
+        argv = [subcommand, "--config", config, "--out", str(out)]
+        assert run_cli(*argv, *(["--dry-run"] if dry_run else [])) == 2
+        assert "either waveforms or a block layout" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestFdmaDemo:
     def test_outputs_and_containment(self, tmp_path):
@@ -458,6 +473,7 @@ class TestOutputNames:
         assert run_cli(subcommand, "--config", str(config), "--out", str(out)) == 2
         err = capsys.readouterr().err
         assert "config error" in err and name in err
+        assert not out.exists()  # every name is claimed before the first write
 
     def test_ber_clash_refused_before_the_run(self, tmp_path, monkeypatch):
         def never(*args, **kwargs):
@@ -533,17 +549,41 @@ class TestStrictConfigReader:
         # each of these failed every check it bounds and exited 3
         ("verify-appendix", "decimation_tol: 0.0", "decimation_tol"),
         ("verify-appendix", "dirichlet_tol: -1.0", "dirichlet_tol"),
+        ("verify-appendix", "density_threshold: 1.5", "density_threshold"),
+        # each of these checked nothing and exited 0
+        ("verify-appendix", "density_threshold: -1.0", "density_threshold"),
+        ("verify-appendix", "n_values: []", "n_values"),
+        ("verify-appendix", "a_values: []", "a_values"),
+        ("verify-appendix", "b_values: []", "b_values"),
+        ("verify-appendix", "dirichlet_cases: []", "dirichlet_cases"),
+        ("verify-appendix", "density_q: []", "density_q"),
+        ("verify-appendix", "density_n: []", "density_n"),
+        ("analyze-noise", "profiles: []", "profiles"),
+        ("sparsity", "entries: []", "entries"),
+        # each of these was refused only by the work, with no key named
+        ("verify-appendix", "sparsity_tol: -1.0", "sparsity_tol"),
+        ("sparsity", "tol: 0.0", "tol"),
+        ("analyze-noise", "waveforms: [{kind: ofdm, n: 8}]", "n"),
     ]
 
-    @pytest.mark.parametrize("subcommand,text,key", CASES)
-    def test_refused_with_exit_2(self, tmp_path, capsys, subcommand, text, key):
+    @staticmethod
+    def refused(tmp_path, capsys, subcommand, text, key, *flags):
         config = tmp_path / "bad.yaml"
         config.write_text(text + "\n")
         out = tmp_path / "o"
-        assert run_cli(subcommand, "--config", str(config), "--out", str(out)) == 2
+        assert run_cli(subcommand, "--config", str(config), "--out", str(out), *flags) == 2
         err = capsys.readouterr().err
         assert "config error" in err and repr(key) in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("subcommand,text,key", CASES)
+    def test_refused_with_exit_2(self, tmp_path, capsys, subcommand, text, key):
+        self.refused(tmp_path, capsys, subcommand, text, key)
+
+    @pytest.mark.parametrize("subcommand,text,key", CASES)
+    def test_dry_run_refused_with_exit_2(self, tmp_path, capsys, subcommand, text, key):
+        # a dry run used to check only the seed and print "config OK"
+        self.refused(tmp_path, capsys, subcommand, text, key, "--dry-run")
 
     def test_integral_floats_and_ints_accepted(self):
         from wavelab.configio import read

@@ -4,9 +4,11 @@ Each case takes a small valid config of one subcommand, replaces the value
 at one key (or list item) with a value from a fixed pool of wrong shapes
 and types, writes it as YAML and runs ``main`` in-process. An exception
 escaping ``main`` fails the test, as would a traceback at the command line.
+A case refused with exit 2 must be refused by its ``--dry-run`` as well.
 """
 
 import copy
+import json
 import math
 
 import numpy as np
@@ -132,3 +134,18 @@ def test_every_case_exits_0_2_or_3(tmp_path, subcommand):
         except Exception as exc:  # report which case broke the contract
             pytest.fail(f"{subcommand} {path}={value!r} raised {exc!r}")
         assert code in (0, 2, 3), f"{subcommand} {path}={value!r} exited {code}"
+        if code == 2:
+            dry = main(argv[:-1] + [str(tmp_path / f"dry{i}"), "--dry-run"])
+            assert dry == 2, f"{subcommand} {path}={value!r}: the dry run exited {dry}"
+
+
+@pytest.mark.parametrize("subcommand", list(CONFIGS))
+def test_dry_run_lists_the_outputs(tmp_path, capsys, subcommand):
+    config = tmp_path / "base.yaml"
+    config.write_text(yaml.safe_dump(CONFIGS[subcommand]))
+    argv = [subcommand, "--threads", "1", "--config", str(config), "--out", str(tmp_path / "o")]
+    assert main(argv + ["--dry-run"]) == 0
+    planned = [line.removeprefix("output: ") for line in capsys.readouterr().out.splitlines()
+               if line.startswith("output: ")]
+    assert main(argv) == 0
+    assert planned == json.loads((tmp_path / "o" / "manifest.json").read_text())["outputs"]

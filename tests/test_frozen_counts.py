@@ -107,6 +107,6 @@ def test_run_ber_counts_are_frozen(name):
 
 def test_sweep_l_counts_are_frozen():
     cfg = sim(wl.ChannelGenerator(4), snr_db=(15.0,))
-    sweep = wl.sweep_l(cfg, [1, 2, 4, 8, 16])
-    assert [(p.errors, p.skipped_frames) for p in sweep.points] == FROZEN_SWEEP_L
+    sweep = [c.points[0] for c in wl.run_ber(wl.sweep_l(cfg, [1, 2, 4, 8, 16]))]
+    assert [(p.errors, p.skipped_frames) for p in sweep] == FROZEN_SWEEP_L
 

@@ -204,18 +204,20 @@ class TestSweeps:
 
     def test_sweep_l_shares_draws_with_run_ber(self):
         cfg = white_cfg(bits_per_point=20_000)
-        sweep = wl.sweep_l(cfg, [1, 120])
+        swept = wl.sweep_l(cfg, [1, 120])
+        points = [c.points[0] for c in wl.run_ber(swept)]
         ofdm_point = wl.run_ber(cfg)[0].points[0]
         # L = N reproduces the OFDM point exactly under shared streams
-        assert sweep.points[1] == ofdm_point
-        assert sweep.values == (1.0, 120.0)
+        assert points[1] == ofdm_point
+        assert tuple(float(wf.L) for wf in swept.waveforms) == (1.0, 120.0)
 
     def test_sweep_l_ber_nondecreasing(self):
         # wideband grid at desk scale; at most one inversion within 2 sigma
         cfg = white_cfg(bits_per_point=200_000, seed=1)
-        sweep = wl.sweep_l(cfg, [1, 2, 4, 6, 10, 20, 40, 120])
+        curves = wl.run_ber(wl.sweep_l(cfg, [1, 2, 4, 6, 10, 20, 40, 120]))
+        points = [c.points[0] for c in curves]
         inversions = 0
-        for prev, nxt in zip(sweep.points, sweep.points[1:]):
+        for prev, nxt in zip(points, points[1:]):
             if nxt.ber < prev.ber:
                 inversions += 1
                 band = 2 * math.sqrt(prev.stderr**2 + nxt.stderr**2)
