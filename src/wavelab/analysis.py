@@ -62,10 +62,6 @@ class RationalChirp:
         if math.gcd(abs(self.a), self.b) != 1:
             raise ConfigError(f"{self.a}/{self.b} is not gcd-reduced")
 
-    @property
-    def q_approx(self) -> float:
-        return self.a / self.b
-
 
 def rational_chirp_decompose(q: float, tol: float = 1e-9) -> RationalChirp:
     """Smallest-denominator fraction a/b with |q - a/b| <= tol.

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ConfigError, EqualizationError
+from .exceptions import ConfigError
 
 # Zero-forcing refuses channels whose condition number exceeds this.
 CONDITION_LIMIT = 1e12
@@ -144,15 +144,6 @@ def frequency_response(delays, gains, dopplers, n: int) -> np.ndarray:
     return np.fft.fft(first_col)
 
 
-def _refusal(condition: float) -> EqualizationError | None:
-    """Zero-forcing's refusal of a channel of this condition number, or None."""
-    if np.isfinite(condition) and condition <= CONDITION_LIMIT:
-        return None
-    return EqualizationError(
-        f"channel condition number {condition:.3e} exceeds {CONDITION_LIMIT:.0e}", condition
-    )
-
-
 def equalize(delays, gains, dopplers, z, w_f, rho: float, equalizer: str):
     """Send a chunk's precoded bins z (targets, frames, N) through its
     channels (gains/dopplers (frames, P)), add its noise w_f (frames, N),
@@ -162,24 +153,29 @@ def equalize(delays, gains, dopplers, z, w_f, rho: float, equalizer: str):
     EQUALIZERS: "mmse", or "zf", which is rho = 0 behind the condition
     guard. ``z`` may be overwritten.
 
-    Returns the equalized bins (targets, frames, N), and the refused frames
-    as {frame: EqualizationError}, whose bins carry no estimate.
+    Returns the equalized bins (targets, frames, N) and ``refused``, a
+    (frames,) bool mask of the frames whose condition number zero-forcing
+    refuses (all False under MMSE); a refused frame's bins carry no estimate.
     """
     if equalizer not in EQUALIZERS:
         raise ConfigError(f"equalizer must be one of {EQUALIZERS}")
     if not rho >= 0:  # NaN as well
         raise ConfigError(f"noise-to-signal ratio must be >= 0, got {rho}")
-    n, refused = z.shape[-1], {}
-    rho = 0.0 if equalizer == "zf" else rho
-    if not np.any(dopplers):
-        # H is circulant: r_f = (h_f . z + w_f) . G_f per bin, in place to hold one copy
+    n, per_bin = z.shape[-1], not np.any(dopplers)
+    condition = np.zeros(len(gains))  # MMSE refuses no frame
+    if per_bin:
         h_f = frequency_response(delays, gains, dopplers, n)
         mags = np.abs(h_f)
         if equalizer == "zf":
             condition = mags.max(axis=-1) / np.maximum(mags.min(axis=-1), np.finfo(float).tiny)
-            errors = enumerate(_refusal(c) for c in condition.tolist())
-            refused = {f: error for f, error in errors if error is not None}
-            mags[list(refused)] = np.inf  # a refused frame gets zero gains
+    elif equalizer == "zf":
+        hs = (build_channel(delays, g, d, n) for g, d in zip(gains, dopplers))
+        condition = np.array([np.linalg.cond(h) for h in hs])
+    refused = ~(condition <= CONDITION_LIMIT)  # NaN and inf as well
+    rho = 0.0 if equalizer == "zf" else rho
+    if per_bin:
+        # H is circulant: r_f = (h_f . z + w_f) . G_f per bin, in place to hold one copy
+        mags[refused] = np.inf  # a refused frame gets zero gains
         z *= h_f
         z += w_f
         z *= h_f.conj() / (mags**2 + rho)
@@ -199,13 +195,9 @@ def equalize(delays, gains, dopplers, z, w_f, rho: float, equalizer: str):
     for (a, b), k in np.ndenumerate(band_of):
         band[:, k] += np.roll(u[:, a].conj() * u[:, b], -delays[a], axis=-1)
     band[:, 0] += rho  # deltas[0] == 0
-    if equalizer == "zf":
-        hs = (build_channel(delays, g, d, n) for g, d in zip(gains, dopplers))
-        errors = enumerate(_refusal(float(np.linalg.cond(h))) for h in hs)
-        refused = {f: error for f, error in errors if error is not None}
     cols, gram = (rows + deltas[:, None]) % n, np.zeros((n, n), dtype=complex)
     for f in range(len(gains)):
-        if f in refused:  # its bins keep H^H y
+        if refused[f]:  # its bins keep H^H y
             continue
         gram[rows, cols] = band[f]
         rhs[:, f] = np.linalg.solve(gram, rhs[:, f].T).T

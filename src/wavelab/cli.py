@@ -27,6 +27,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
+    MAX_EXPANDED_SIZE,
     rational_chirp_decompose,
     rect_window_spectrum,
     row_sparsity,
@@ -43,7 +44,7 @@ from .configio import (
 )
 from .exceptions import ConfigError, EqualizationError, WavelabError
 from .noise import whitening_std
-from .sim import run_ber, sweep_l, sweep_q
+from .sim import config_fingerprint, run_ber, sweep_l, sweep_q
 from .waveform import afdm_inverse_column
 
 EXIT_OK = 0
@@ -270,7 +271,7 @@ def cmd_ber(config: dict, run: Run) -> Callable[[], int]:
         for path, curve in zip(paths, curves):
             write_csv(path, ["snr_db", "bits", "errors", "ber", "stderr"],
                       _ber_rows(curve.points))
-        write_json(summary, {"config_digest": curves[0].config_digest,
+        write_json(summary, {"config_digest": config_fingerprint(cfg),
                              "labels": [c.label for c in curves]})
         return EXIT_OK
 
@@ -377,6 +378,12 @@ def cmd_verify_appendix(config: dict, run: Run) -> Callable[[], int]:
     n_values = read(config, "n_values", [int], minimum=1)
     a_values = read(config, "a_values", [int])
     b_values = read(config, "b_values", [int], minimum=1)
+    chirps = [(n, a, b, rational_chirp_decompose(a / b, tol=1e-12))
+              for n, a, b in itertools.product(n_values, a_values, b_values)]
+    for n, a, b, chirp in chirps:
+        if chirp.b * n > MAX_EXPANDED_SIZE:
+            raise ConfigError(f"config: 'n_values' item {n} with a/b = {a}/{b} needs a "
+                              f"size-{chirp.b * n} transform, over the {MAX_EXPANDED_SIZE} guard")
     dirichlet_tol = _tolerance(config, "dirichlet_tol")
     dirichlet_cases = read(config, "dirichlet_cases", [[int]], minimum=1)
     for case in dirichlet_cases:
@@ -395,8 +402,8 @@ def cmd_verify_appendix(config: dict, run: Run) -> Callable[[], int]:
 
     def work() -> int:
         decimation = []
-        for n, a, b in itertools.product(n_values, a_values, b_values):
-            err = verify_decimation_identity(n, rational_chirp_decompose(a / b, tol=1e-12))
+        for n, a, b, chirp in chirps:
+            err = verify_decimation_identity(n, chirp)
             decimation.append({"n": n, "a": a, "b": b, "max_error": err,
                                "ok": err < decimation_tol})
 

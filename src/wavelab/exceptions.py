@@ -14,11 +14,4 @@ class DimensionError(WavelabError, ValueError):
 
 
 class EqualizationError(WavelabError, RuntimeError):
-    """Channel too ill-conditioned to equalize.
-
-    Carries the condition-number estimate that triggered the refusal.
-    """
-
-    def __init__(self, message: str, condition: float):
-        super().__init__(message)
-        self.condition = condition
+    """Zero-forcing refused every frame of an SNR point as too ill-conditioned."""

@@ -10,9 +10,9 @@ from z to r_f. Each frame draws channel taps, data bits and noise, in
 that order, from its own stream ``frame_rng(seed, point, frame)``, and is
 drawn once: compared waveforms and the L or q values of a sweep see the
 same draws. A frame refused by zero-forcing is skipped for every target.
-``threads`` spreads chunks over worker threads; counts are integer sums
-over frames, so results are bit-identical at any thread count and chunk
-size.
+``threads`` spreads chunks over worker threads, one per CPU at most;
+counts are integer sums over frames, so results are bit-identical at any
+thread count and chunk size.
 
 SNR is defined as E_s / sigma_w^2 with unit average symbol energy, unit
 expected channel power, and noise profiles trace-normalized to N.
@@ -23,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -138,7 +139,6 @@ class BerPoint:
 class BerCurve:
     label: str
     points: tuple[BerPoint, ...]
-    config_digest: str
 
 
 def config_fingerprint(cfg: SimConfig) -> str:
@@ -166,7 +166,7 @@ def _run_chunk(cfg: SimConfig, targets, rngs, sigma_w: float):
     """Draw one frame from each generator and run every target on it.
 
     Returns the sent bits (frames, B), the decided bits (targets, frames,
-    B) and the refused frames as {frame: EqualizationError}.
+    B) and the (frames,) bool mask of the frames zero-forcing refused.
     """
     draws = [  # per frame: channel, bits, noise, in that order
         (*cfg.channel.draw(rng), rng.integers(0, 2, size=cfg.bits_per_frame, dtype=np.uint8),
@@ -186,8 +186,15 @@ def _sigma_w(snr_db: float) -> float:
     return 10.0 ** (-float(snr_db) / 20.0)
 
 
-def _simulate(cfg: SimConfig, threads: int) -> list[tuple[BerPoint, ...]]:
-    """BER points of every target (outer) at every SNR point (inner)."""
+def run_ber(cfg: SimConfig, threads: int = 1) -> list[BerCurve]:
+    """Accumulate frames over the bit budget at every SNR point.
+
+    Returns one curve per configured waveform (a single curve for a
+    layout). Chunks run on up to ``threads`` worker threads, at most one
+    per CPU. A frame zero-forcing refuses is skipped for every target;
+    raises EqualizationError when every frame of a point is. Deterministic
+    for fixed (config, seed) at any thread count.
+    """
     targets = cfg.targets()
     frames = cfg.frames_per_point
     chunks = [range(s, min(s + CHUNK_FRAMES, frames)) for s in range(0, frames, CHUNK_FRAMES)]
@@ -197,12 +204,11 @@ def _simulate(cfg: SimConfig, threads: int) -> list[tuple[BerPoint, ...]]:
         pi, chunk = job
         rngs = [frame_rng(cfg.seed, pi, f) for f in chunk]
         tx, rx, refused = _run_chunk(cfg, targets, rngs, _sigma_w(cfg.snr_db[pi]))
-        kept = np.ones(len(chunk), dtype=bool)
-        kept[list(refused)] = False
+        kept = ~refused
         return np.count_nonzero(rx[:, kept] != tx[kept], axis=(1, 2)), int(kept.sum())
 
     if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=min(threads, os.cpu_count() or 1)) as pool:
             results = list(pool.map(run, jobs))
     else:
         results = map(run, jobs)  # streamed: one chunk's counts at a time
@@ -214,27 +220,14 @@ def _simulate(cfg: SimConfig, threads: int) -> list[tuple[BerPoint, ...]]:
     for snr_db, point_kept in zip(cfg.snr_db, kept):
         if point_kept == 0:
             raise EqualizationError(
-                f"all {frames} frames at {snr_db} dB were skipped as unequalizable", 0.0
+                f"all {frames} frames at {snr_db} dB were skipped as unequalizable"
             )
     return [
-        tuple(
+        BerCurve(target.label, tuple(
             BerPoint(snr_db, k * cfg.bits_per_frame, int(e), frames - k, frames)
             for snr_db, k, e in zip(cfg.snr_db, kept, target_errors)
-        )
-        for target_errors in errors
-    ]
-
-
-def run_ber(cfg: SimConfig, threads: int = 1) -> list[BerCurve]:
-    """Accumulate frames over the bit budget at every SNR point.
-
-    Returns one curve per configured waveform (a single curve for a
-    layout). Deterministic for fixed (config, seed) at any thread count.
-    """
-    digest = config_fingerprint(cfg)
-    return [
-        BerCurve(label=target.label, points=points, config_digest=digest)
-        for target, points in zip(cfg.targets(), _simulate(cfg, threads))
+        ))
+        for target, target_errors in zip(targets, errors)
     ]
 
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from wavelab.analysis import DEFAULT_SPARSITY_TOL, SparsityReport
-from wavelab.channel import ChannelSpec, ChannelTap, _refusal
-from wavelab.exceptions import ConfigError, DimensionError
+from wavelab.channel import CONDITION_LIMIT, ChannelSpec, ChannelTap
+from wavelab.exceptions import ConfigError, DimensionError, EqualizationError
 from wavelab.qam import _axis_bits, qam_map
 from wavelab.sim import SimConfig, _run_chunk, _sigma_w
 from wavelab.waveform import OFDM, OTFS, WaveformConfig, chirp_diagonal
@@ -122,12 +122,14 @@ def _as_channel_matrix(h) -> np.ndarray:
 
 def zf_equalizer(h) -> np.ndarray:
     """Zero-forcing G = (H^H H)^{-1} H^H, as an N x N array; raises
-    EqualizationError, with the condition number attached, when the channel
-    is too ill-conditioned to invert reliably."""
+    EqualizationError, whose message names the condition number, when the
+    channel is too ill-conditioned to invert reliably."""
     hm = _as_channel_matrix(h)
-    error = _refusal(float(np.linalg.cond(hm)))
-    if error is not None:
-        raise error
+    condition = float(np.linalg.cond(hm))
+    if not condition <= CONDITION_LIMIT:  # NaN and inf as well
+        raise EqualizationError(
+            f"channel condition number {condition:.3e} exceeds {CONDITION_LIMIT:.0e}"
+        )
     return mmse_equalizer(hm, 0.0)
 
 
@@ -216,6 +218,6 @@ def run_frame(cfg: SimConfig, rng: np.random.Generator, target=None, snr_db=None
     target = cfg.targets()[0] if target is None else target
     snr_db = cfg.snr_db[0] if snr_db is None else snr_db
     tx, rx, refused = _run_chunk(cfg, (target,), [rng], _sigma_w(snr_db))
-    if refused:
-        raise refused[0]
+    if refused[0]:
+        raise EqualizationError("zero-forcing refused the frame's channel")
     return tx[0], rx[0, 0]

@@ -1,5 +1,7 @@
 """Tests for channel construction, randomization, and equalizers."""
 
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -129,7 +131,8 @@ class TestZfEqualizer:
         h[0, 0] = 0.0
         with pytest.raises(EqualizationError) as err:
             zf_equalizer(h)
-        assert err.value.condition > 1e12 or not np.isfinite(err.value.condition)
+        condition = float(re.search(r"condition number (\S+) exceeds", str(err.value))[1])
+        assert condition > 1e12 or not np.isfinite(condition)
 
 
 class TestMmseEqualizer:

@@ -564,6 +564,7 @@ class TestStrictConfigReader:
         ("verify-appendix", "sparsity_tol: -1.0", "sparsity_tol"),
         ("sparsity", "tol: 0.0", "tol"),
         ("analyze-noise", "waveforms: [{kind: ofdm, n: 8}]", "n"),
+        ("verify-appendix", "n_values: [2000000]", "n_values"),
     ]
 
     @staticmethod

@@ -1,11 +1,13 @@
 """Tests for the Monte-Carlo BER engine."""
 
 import math
+import os
 
 import numpy as np
 import pytest
 
 import wavelab as wl
+from wavelab import sim
 from wavelab.exceptions import ConfigError, EqualizationError
 
 from oracles import IDENTITY_CHANNEL, build_precoder, demod_noise_variance, run_frame
@@ -166,6 +168,29 @@ class TestDeterminism:
         serial = wl.run_ber(cfg, threads=1)[0]
         threaded = wl.run_ber(cfg, threads=4)[0]
         assert serial.points == threaded.points
+
+    def test_threads_capped_at_cpu_count(self, monkeypatch):
+        # a pool that records its size and runs the jobs serially: no thread starts
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(sim, "ThreadPoolExecutor", SerialPool)
+        cfg = white_cfg(seed=42, bits_per_point=20_000)
+        capped = wl.run_ber(cfg, threads=10**6)
+        assert sizes and max(sizes) <= (os.cpu_count() or 1)
+        assert capped == wl.run_ber(cfg, threads=1)
 
     def test_different_seed_changes_counts(self):
         grid = (15.0, 20.0, 25.0)

@@ -1,10 +1,12 @@
-"""src/ holds only what runs: every top-level name is used somewhere in src/.
+"""src/ holds only what runs: every top-level name, and every method or
+property of a class, is used somewhere in src/.
 
 A function, class or constant that only the tests call belongs in
 ``tests/oracles.py``. Exports in ``__init__.py`` and docstrings are not uses.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "wavelab"
@@ -31,8 +33,29 @@ def loaded_names(statement):
             yield node.attr
 
 
+def parse_src():
+    return {path: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+
+
+def methods(tree):
+    """(name, node) of each non-dunder method or property of a top-level class."""
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("__"):
+                    yield node.name, node
+
+
+def attribute_loads(node) -> Counter:
+    """How often ``node`` loads each ``x.name``."""
+    return Counter(
+        sub.attr for sub in ast.walk(node)
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+    )
+
+
 def test_every_top_level_name_is_used_in_src():
-    trees = {path: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+    trees = parse_src()
     # a use inside its own definition is not a use
     uses = {id(stmt): set(loaded_names(stmt)) for tree in trees.values() for stmt in tree.body}
     unused = [
@@ -42,3 +65,16 @@ def test_every_top_level_name_is_used_in_src():
         if not any(name in names for key, names in uses.items() if key != id(node))
     ]
     assert not unused, "defined in src/ but used only outside it:\n" + "\n".join(unused)
+
+
+def test_every_method_and_property_is_used_in_src():
+    trees = parse_src()
+    loads = sum((attribute_loads(tree) for tree in trees.values()), Counter())
+    # a load inside its own definition is not a use
+    unused = [
+        f"{path.name}: {name}"
+        for path, tree in trees.items()
+        for name, node in methods(tree)
+        if loads[name] - attribute_loads(node)[name] == 0
+    ]
+    assert not unused, "a src/ method or property used only outside src/:\n" + "\n".join(unused)
