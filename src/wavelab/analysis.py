@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -23,7 +22,9 @@ from .waveform import afdm_inverse_column
 
 DEFAULT_SPARSITY_TOL = 1e-9
 
-# Guard on the size-bN transforms used by the decimation identity.
+# Largest array length a config may ask for: a grid size N, a tap count or
+# a size-bN transform of the decimation identity. The parse refuses more,
+# naming the key, before any array is allocated.
 MAX_EXPANDED_SIZE = 1 << 20
 
 
@@ -72,6 +73,8 @@ def rational_chirp_decompose(q: float, tol: float = 1e-9) -> RationalChirp:
     within tolerance and minimal in b. The denominator is bounded by
     ceil(1/tol), which always suffices.
     """
+    from fractions import Fraction  # with decimal: only verify-appendix calls this
+
     if tol <= 0:
         raise ConfigError(f"tolerance must be > 0, got {tol}")
     exact = Fraction(q)

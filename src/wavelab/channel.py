@@ -167,7 +167,8 @@ def equalize(delays, gains, dopplers, z, w_f, rho: float, equalizer: str):
         h_f = frequency_response(delays, gains, dopplers, n)
         mags = np.abs(h_f)
         if equalizer == "zf":
-            condition = mags.max(axis=-1) / np.maximum(mags.min(axis=-1), np.finfo(float).tiny)
+            top, bottom = mags.max(axis=-1), np.maximum(mags.min(axis=-1), np.finfo(float).tiny)
+            condition = np.where(top > 0, top / bottom, np.inf)  # no power: no inverse
     elif equalizer == "zf":
         hs = (build_channel(delays, g, d, n) for g, d in zip(gains, dopplers))
         condition = np.array([np.linalg.cond(h) for h in hs])

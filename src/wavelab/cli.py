@@ -35,6 +35,7 @@ from .analysis import (
 )
 from .configio import (
     check_keys,
+    check_size,
     load_config_file,
     parse_layout,
     parse_profile,
@@ -180,6 +181,8 @@ class Run:
             "config": self.config,
             "seed": self.config.get("seed", 0),
             "version": __version__,
+            "python": ".".join(map(str, sys.version_info[:3])),
+            "numpy": np.__version__,
             "threads": self.threads,
             "duration_s": time.perf_counter() - self.started,
             "outputs": sorted(self.outputs),
@@ -389,14 +392,17 @@ def cmd_verify_appendix(config: dict, run: Run) -> Callable[[], int]:
     for case in dirichlet_cases:
         if len(case) != 2:
             raise ConfigError(f"config: 'dirichlet_cases' items must be [n, b], got {case!r}")
+        check_size(case[0] * case[1], "dirichlet_cases", "config")
     threshold = read(config, "density_threshold", float)
     if not 0 < threshold < 1:  # a density is at most 1
         raise ConfigError(f"config: 'density_threshold' must be in (0, 1), got {threshold!r}")
     sparsity_tol = _tolerance(config, "sparsity_tol")
     density_q = read(config, "density_q", [float])
+    density_n = [check_size(n, "density_n", "config")
+                 for n in read(config, "density_n", [int], minimum=1)]
     density_waveforms = [
         (n, q, parse_waveform({"kind": "afdm", "n": n, "q": q}))
-        for n in read(config, "density_n", [int], minimum=1) for q in density_q
+        for n in density_n for q in density_q
     ]
     path = run.path("verify_appendix.json")
 

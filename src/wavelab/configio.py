@@ -3,8 +3,9 @@
 Configs are plain nested key/value documents. Every parser validates keys
 eagerly and reads every value through :func:`read`, which checks its type
 strictly; each refusal is a ConfigError naming the key, which the CLI
-maps to exit code 2. The CLI merges each file over its built-in defaults,
-so :func:`parse_sim` requires every top-level key it reads.
+maps to exit code 2. Sizes pass :func:`check_size`, so a huge one is refused
+before any array is allocated. The CLI merges each file over its built-in
+defaults, so :func:`parse_sim` requires every top-level key it reads.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import math
 
 import yaml
 
+from .analysis import MAX_EXPANDED_SIZE
 from .channel import ChannelGenerator, ChannelSpec, ChannelTap
 from .exceptions import ConfigError
 from .fdma import BlockLayout
@@ -79,13 +81,21 @@ def check_keys(section: dict, allowed: set, context: str):
         raise ConfigError(f"{context}: unknown keys {sorted(unknown)}")
 
 
+def check_size(size: int, key: str, context: str) -> int:
+    """``size``, refused above MAX_EXPANDED_SIZE before any array of that size exists."""
+    if size > MAX_EXPANDED_SIZE:
+        raise ConfigError(f"{context}: {key!r} gives size {size}, "
+                          f"over the {MAX_EXPANDED_SIZE} guard")
+    return size
+
+
 def parse_waveform(section: dict, default_n: int | None = None) -> WaveformConfig:
     check_keys(section, {"kind", "n", "k", "l", "q", "alpha"}, "waveform")
     kind = read(section, "kind", str, context="waveform").lower()
     n = read(section, "n", int, default_n or 0, "waveform")
     if kind == OFDM:
-        return WaveformConfig.ofdm(n)
-    if kind == OTFS:
+        wf = WaveformConfig.ofdm(n)
+    elif kind == OTFS:
         k = read(section, "k", int, None, "waveform")
         l = read(section, "l", int, None, "waveform")
         if l is None and k is None:
@@ -95,11 +105,14 @@ def parse_waveform(section: dict, default_n: int | None = None) -> WaveformConfi
             if given < 1 or n % given:
                 raise ConfigError(f"OTFS {name}={given} does not divide n={n}")
             k, l = (given, n // given) if l is None else (n // given, given)
-        return WaveformConfig.otfs(k, l)
-    if kind == AFDM:
+        wf = WaveformConfig.otfs(k, l)
+    elif kind == AFDM:
         q = read(section, "q", float, context="AFDM waveform")
-        return WaveformConfig.afdm(n, q, read(section, "alpha", float, 0.0, "waveform"))
-    raise ConfigError(f"unknown waveform kind {kind!r}")
+        wf = WaveformConfig.afdm(n, q, read(section, "alpha", float, 0.0, "waveform"))
+    else:
+        raise ConfigError(f"unknown waveform kind {kind!r}")
+    check_size(wf.N, "n", "waveform")
+    return wf
 
 
 def parse_channel(section: dict) -> ChannelGenerator | ChannelSpec:
@@ -120,8 +133,9 @@ def parse_channel(section: dict) -> ChannelGenerator | ChannelSpec:
             )
         return ChannelSpec(taps=tuple(taps))
     check_keys(section, {"num_taps", "max_doppler"}, "channel")
+    num_taps = read(section, "num_taps", int, context="channel")
     return ChannelGenerator(
-        num_taps=read(section, "num_taps", int, context="channel"),
+        num_taps=check_size(num_taps, "num_taps", "channel"),
         max_doppler=read(section, "max_doppler", float, 0.0, "channel"),
     )
 
@@ -144,6 +158,7 @@ def parse_profile(section: dict, n: int) -> NoiseProfile:
         key: read(section, key, typ, context="noise")
         for key, typ in _PROFILE_KEYS.items() if key in section
     }
+    check_size(kwargs.get("num_taps", 1), "num_taps", "noise")
     return make_profile(kind, n, **kwargs)
 
 

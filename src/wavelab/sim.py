@@ -20,11 +20,9 @@ expected channel power, and noise profiles trace-normalized to N.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -143,6 +141,8 @@ class BerCurve:
 
 def config_fingerprint(cfg: SimConfig) -> str:
     """Stable digest of everything that determines the results."""
+    import hashlib  # only ber writes the digest
+
     doc = {
         "targets": [t.describe() for t in cfg.targets()],
         "channel": cfg.channel.describe(),
@@ -208,6 +208,8 @@ def run_ber(cfg: SimConfig, threads: int = 1) -> list[BerCurve]:
         return np.count_nonzero(rx[:, kept] != tx[kept], axis=(1, 2)), int(kept.sum())
 
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor  # loads logging: pools only
+
         with ThreadPoolExecutor(max_workers=min(threads, os.cpu_count() or 1)) as pool:
             results = list(pool.map(run, jobs))
     else:

@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +48,11 @@ class TestAnalyzeNoise:
         assert len(curves) == 9
         assert (out_dir / "summary.csv").exists()
         assert (out_dir / "manifest.json").exists()
+
+    def test_manifest_records_versions(self, out_dir):
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert platform.python_version().startswith(manifest["python"])
+        assert manifest["numpy"] == np.__version__
 
     def test_summary_ordering_per_profile(self, out_dir):
         header, rows = read_csv(out_dir / "summary.csv")
@@ -268,6 +277,24 @@ class TestBer:
             ("OFDM", 10.0), ("OFDM", 20.0), ("AFDM (q=-4)", 10.0), ("AFDM (q=-4)", 20.0)
         ]
         assert all(p["frames"] == 42 and p["skipped_frames"] == 0 for p in points)
+
+    def test_zf_refuses_a_channel_with_no_power(self, tmp_path, capsys):
+        # used to exit 0 with BER 0.49 from NaN bins, and two RuntimeWarnings
+        config = write_yaml(
+            tmp_path / "zero.yaml",
+            {
+                "n": 16,
+                "waveforms": [{"kind": "ofdm"}],
+                "channel": {"taps": [{"delay": 0, "gain_re": 0.0}]},
+                "equalizer": "zf",
+                "bits_per_point": 10_000,
+            },
+        )
+        out = tmp_path / "o"
+        assert run_cli("ber", "--config", config, "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: all 157 frames at 0.0 dB were skipped" in err
+        assert "Traceback" not in err
 
     def test_dry_run_writes_nothing(self, tmp_path, capsys):
         config = self.small_config(tmp_path)
@@ -565,6 +592,14 @@ class TestStrictConfigReader:
         ("sparsity", "tol: 0.0", "tol"),
         ("analyze-noise", "waveforms: [{kind: ofdm, n: 8}]", "n"),
         ("verify-appendix", "n_values: [2000000]", "n_values"),
+        # each of these allocated an array of that size: a traceback (exit 1)
+        ("ber", "n: 1000000000000000000", "n"),
+        ("ber", "channel: {num_taps: 1000000000000000000}", "num_taps"),
+        ("ber", "noise: {kind: equalized, num_taps: 1000000000000000000}", "num_taps"),
+        ("analyze-noise", "n: 1000000000000000000", "n"),
+        ("sparsity", "entries: [{kind: otfs, k: 1000000000, l: 1000000000}]", "n"),
+        ("verify-appendix", "dirichlet_cases: [[1000000000000000000, 1]]", "dirichlet_cases"),
+        ("verify-appendix", "density_n: [1000000000000000000]", "density_n"),
     ]
 
     @staticmethod
@@ -594,3 +629,41 @@ class TestStrictConfigReader:
         assert read(doc, "q", float) == 3.0 and isinstance(read(doc, "q", float), float)
         assert read(doc, "values", [int]) == [1, 2]
         assert read(doc, "absent", int, 7) == 7
+
+
+class TestStartup:
+    """A process loads only what its run uses: rare-path modules are imported
+    in the functions that need them (see README, Conventions)."""
+
+    # the thread pool (with logging) and the rational arithmetic of verify-appendix
+    RARE = {"concurrent.futures", "logging", "fractions", "decimal"}
+    SCRIPT = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "from wavelab.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(json.dumps([code, sorted(set(sys.modules) - before)]))\n"
+    )
+    CASES = [  # subcommand, config text, flags, whether the run may load hashlib
+        ("ber", "n: 12\nwaveforms: [{kind: ofdm}]\nchannel: {num_taps: 2}\n"
+         "snr_db: [10.0]\nbits_per_point: 10000", [], True),  # numpy.random loads it
+        ("ber", "n: 12\nwaveforms: [{kind: ofdm}]", ["--dry-run"], False),
+        ("analyze-noise", "n: 16\nprofiles: [{kind: impulse}]", ["--dry-run"], False),
+        ("sparsity", "entries: [{kind: afdm, n: 16, q: 0.5}]", [], False),
+    ]
+
+    @pytest.mark.parametrize("subcommand,text,flags,may_load_hashlib", CASES,
+                             ids=["ber", "ber-dry-run", "analyze-noise-dry-run", "sparsity"])
+    def test_rare_modules_stay_unloaded(self, tmp_path, subcommand, text, flags,
+                                        may_load_hashlib):
+        config = tmp_path / "cfg.yaml"
+        config.write_text(text + "\n")
+        argv = [subcommand, "--config", str(config), "--out", str(tmp_path / "o"), *flags]
+        src = str(Path(wl.__file__).resolve().parent.parent)
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT, *argv], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        code, loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert code == 0, proc.stderr
+        assert not self.RARE & set(loaded)
+        assert may_load_hashlib or "hashlib" not in loaded

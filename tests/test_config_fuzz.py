@@ -5,6 +5,8 @@ at one key (or list item) with a value from a fixed pool of wrong shapes
 and types, writes it as YAML and runs ``main`` in-process. An exception
 escaping ``main`` fails the test, as would a traceback at the command line.
 A case refused with exit 2 must be refused by its ``--dry-run`` as well.
+Values too large to run are tried by ``--dry-run`` alone, which must exit 0
+or 2 without allocating them.
 """
 
 import copy
@@ -21,6 +23,9 @@ SEED = 2024
 CASES_PER_CONFIG = 48
 
 POOL = [-3, 0, math.nan, True, "abc", [], [[1, 2]], {"x": 1}]
+
+# sizes and budgets no real run could finish: tried at every key by --dry-run alone
+DRY_RUN_POOL = [10**18]
 
 _BER = {
     "n": 12,
@@ -137,6 +142,20 @@ def test_every_case_exits_0_2_or_3(tmp_path, subcommand):
         if code == 2:
             dry = main(argv[:-1] + [str(tmp_path / f"dry{i}"), "--dry-run"])
             assert dry == 2, f"{subcommand} {path}={value!r}: the dry run exited {dry}"
+
+
+@pytest.mark.parametrize("subcommand", list(CONFIGS))
+def test_huge_values_dry_run_exits_0_or_2(tmp_path, subcommand):
+    for i, path in enumerate(_paths(CONFIGS[subcommand])):
+        for value in DRY_RUN_POOL:
+            config = tmp_path / f"case{i}.yaml"
+            config.write_text(yaml.safe_dump(_with_value(CONFIGS[subcommand], path, value)))
+            argv = [subcommand, "--dry-run", "--config", str(config), "--out", str(tmp_path)]
+            try:
+                code = main(argv)
+            except Exception as exc:  # e.g. numpy's _ArrayMemoryError
+                pytest.fail(f"{subcommand} {path}={value!r} raised {exc!r}")
+            assert code in (0, 2), f"{subcommand} {path}={value!r} exited {code}"
 
 
 @pytest.mark.parametrize("subcommand", list(CONFIGS))

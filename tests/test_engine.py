@@ -176,23 +176,24 @@ def test_dispersive_chunk_solves_frame_by_frame(equalizer):
 @pytest.mark.parametrize("doppler", [0.0, 0.2], ids=["per_bin", "dense"])
 def test_refused_frames_match_dense_zf(doppler):
     # frame 1 has a spectral null at bin 0: gains [1, -1] at delays 0 and 1;
+    # frame 3 has no power at all (its per-bin guard once read 0/tiny = 0);
     # Doppler on the other frames sends the chunk down the dense path
     rng = np.random.default_rng(6)
     n, delays = 16, np.arange(2)
-    gains = np.array([[0.9, 0.3j], [1.0, -1.0], [0.5, 0.2 + 0.1j]])
-    dopplers = np.zeros((3, 2))
+    gains = np.array([[0.9, 0.3j], [1.0, -1.0], [0.5, 0.2 + 0.1j], [0.0, 0.0]])
+    dopplers = np.zeros((4, 2))
     dopplers[[0, 2], 1] = doppler
-    z, w_f = stacked(rng, 2 * 3, n).reshape(2, 3, n), stacked(rng, 3, n)
+    z, w_f = stacked(rng, 2 * 4, n).reshape(2, 4, n), stacked(rng, 4, n)
     r_f, refused = wl.equalize(delays, gains, dopplers, z, w_f, 0.0, "zf")
-    assert refused.dtype == bool and refused.shape == (3,)
+    assert refused.dtype == bool and refused.shape == (4,)
     assert np.isfinite(r_f).all()  # a refused frame's bins still demap quietly
     dense = {}
-    for f in range(3):
+    for f in range(4):
         try:
             zf_equalizer(wl.build_channel(delays, gains[f], dopplers[f], n))
         except EqualizationError as exc:
             dense[f] = exc
-    assert set(np.flatnonzero(refused)) == set(dense) == {1}
+    assert set(np.flatnonzero(refused)) == set(dense) == {1, 3}
     for exc in dense.values():
         assert re.fullmatch(r"channel condition number \S+ exceeds 1e\+12", str(exc))
 

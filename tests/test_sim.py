@@ -1,5 +1,6 @@
 """Tests for the Monte-Carlo BER engine."""
 
+import concurrent.futures
 import math
 import os
 
@@ -7,7 +8,6 @@ import numpy as np
 import pytest
 
 import wavelab as wl
-from wavelab import sim
 from wavelab.exceptions import ConfigError, EqualizationError
 
 from oracles import IDENTITY_CHANNEL, build_precoder, demod_noise_variance, run_frame
@@ -186,7 +186,7 @@ class TestDeterminism:
             def map(self, fn, jobs):
                 return map(fn, jobs)
 
-        monkeypatch.setattr(sim, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
         cfg = white_cfg(seed=42, bits_per_point=20_000)
         capped = wl.run_ber(cfg, threads=10**6)
         assert sizes and max(sizes) <= (os.cpu_count() or 1)
