@@ -73,7 +73,8 @@ class ChannelGenerator:
     def draw(self, rng: np.random.Generator):
         """One realization: gains, then Doppler shifts, from ``rng``."""
         nt = self.num_taps
-        gains = (rng.standard_normal(nt) + 1j * rng.standard_normal(nt)) / np.sqrt(2 * nt)
+        real, imag = rng.standard_normal(2 * nt).reshape(2, nt)  # the values of two nt-draws
+        gains = (real + 1j * imag) / np.sqrt(2 * nt)
         return gains, rng.uniform(-self.max_doppler, self.max_doppler, nt)
 
 

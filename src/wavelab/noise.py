@@ -154,9 +154,8 @@ def sample_noise(
     if sigma_w < 0:
         raise ConfigError(f"sigma_w must be >= 0, got {sigma_w}")
     n = profile.N
-    white = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * (
-        sigma_w / np.sqrt(2.0)
-    )
+    real, imag = rng.standard_normal(2 * n).reshape(2, n)  # the values of two n-draws
+    white = (real + 1j * imag) * (sigma_w / np.sqrt(2.0))
     return np.sqrt(profile.gains) * white
 
 

@@ -121,6 +121,7 @@ class BerPoint:
     errors: int
     skipped_frames: int = 0
     frames: int = 0  # frames drawn, skipped ones included
+    errors_sq: int = 0  # sum over kept frames of the squared per-frame error count
 
     @property
     def ber(self) -> float:
@@ -168,8 +169,9 @@ def _run_chunk(cfg: SimConfig, targets, rngs, sigma_w: float):
     Returns the sent bits (frames, B), the decided bits (targets, frames,
     B) and the (frames,) bool mask of the frames zero-forcing refused.
     """
+    bits_per_frame = cfg.bits_per_frame
     draws = [  # per frame: channel, bits, noise, in that order
-        (*cfg.channel.draw(rng), rng.integers(0, 2, size=cfg.bits_per_frame, dtype=np.uint8),
+        (*cfg.channel.draw(rng), rng.integers(0, 2, size=bits_per_frame, dtype=np.uint8),
          sample_noise(cfg.profile, sigma_w, rng))
         for rng in rngs
     ]
@@ -205,7 +207,8 @@ def run_ber(cfg: SimConfig, threads: int = 1) -> list[BerCurve]:
         rngs = [frame_rng(cfg.seed, pi, f) for f in chunk]
         tx, rx, refused = _run_chunk(cfg, targets, rngs, _sigma_w(cfg.snr_db[pi]))
         kept = ~refused
-        return np.count_nonzero(rx[:, kept] != tx[kept], axis=(1, 2)), int(kept.sum())
+        frame_errors = np.count_nonzero(rx[:, kept] != tx[kept], axis=2)  # (targets, kept)
+        return np.stack([frame_errors, frame_errors**2], axis=-1).sum(axis=1), int(kept.sum())
 
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor  # loads logging: pools only
@@ -214,7 +217,7 @@ def run_ber(cfg: SimConfig, threads: int = 1) -> list[BerCurve]:
             results = list(pool.map(run, jobs))
     else:
         results = map(run, jobs)  # streamed: one chunk's counts at a time
-    errors = np.zeros((len(targets), len(cfg.snr_db)), dtype=np.int64)
+    errors = np.zeros((len(targets), len(cfg.snr_db), 2), dtype=np.int64)  # sum, sum of squares
     kept = [0] * len(cfg.snr_db)
     for (pi, _), (chunk_errors, chunk_kept) in zip(jobs, results):
         errors[:, pi] += chunk_errors
@@ -226,8 +229,8 @@ def run_ber(cfg: SimConfig, threads: int = 1) -> list[BerCurve]:
             )
     return [
         BerCurve(target.label, tuple(
-            BerPoint(snr_db, k * cfg.bits_per_frame, int(e), frames - k, frames)
-            for snr_db, k, e in zip(cfg.snr_db, kept, target_errors)
+            BerPoint(snr_db, k * cfg.bits_per_frame, int(e), frames - k, frames, int(e2))
+            for snr_db, k, (e, e2) in zip(cfg.snr_db, kept, target_errors)
         ))
         for target, target_errors in zip(targets, errors)
     ]

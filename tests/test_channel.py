@@ -101,6 +101,16 @@ class TestRandomChannel:
         b = gen.draw(np.random.default_rng(42))
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
+    def test_draw_keeps_the_two_call_stream(self):
+        # one standard_normal(2P) call gives the values of two P-draws: the stream the
+        # frozen counts rest on
+        gains, dopplers = wl.ChannelGenerator(num_taps=5, max_doppler=0.3).draw(
+            np.random.default_rng(42))
+        rng = np.random.default_rng(42)
+        expected = (rng.standard_normal(5) + 1j * rng.standard_normal(5)) / np.sqrt(10)
+        assert np.array_equal(gains, expected)
+        assert np.array_equal(dopplers, rng.uniform(-0.3, 0.3, 5))
+
     def test_doppler_bounded(self):
         rng = np.random.default_rng(3)
         gen = wl.ChannelGenerator(num_taps=8, max_doppler=0.3)

@@ -1,6 +1,7 @@
 """Tests for the command-line interface: configs, outputs, exit codes."""
 
 import csv
+import gc
 import json
 import os
 import platform
@@ -633,16 +634,19 @@ class TestStrictConfigReader:
 
 class TestStartup:
     """A process loads only what its run uses: rare-path modules are imported
-    in the functions that need them (see README, Conventions)."""
+    in the functions that need them (see README, Conventions). ``main``
+    freezes the import-time heap, once per process."""
 
     # the thread pool (with logging) and the rational arithmetic of verify-appendix
     RARE = {"concurrent.futures", "logging", "fractions", "decimal"}
     SCRIPT = (
-        "import json, sys\n"
+        "import gc, json, sys\n"
         "before = set(sys.modules)\n"
         "from wavelab.cli import main\n"
+        "frozen = gc.get_freeze_count()\n"
         "code = main(sys.argv[1:])\n"
-        "print(json.dumps([code, sorted(set(sys.modules) - before)]))\n"
+        "print(json.dumps([code, sorted(set(sys.modules) - before), frozen,\n"
+        "                  gc.get_freeze_count()]))\n"
     )
     CASES = [  # subcommand, config text, flags, whether the run may load hashlib
         ("ber", "n: 12\nwaveforms: [{kind: ofdm}]\nchannel: {num_taps: 2}\n"
@@ -652,10 +656,9 @@ class TestStartup:
         ("sparsity", "entries: [{kind: afdm, n: 16, q: 0.5}]", [], False),
     ]
 
-    @pytest.mark.parametrize("subcommand,text,flags,may_load_hashlib", CASES,
-                             ids=["ber", "ber-dry-run", "analyze-noise-dry-run", "sparsity"])
-    def test_rare_modules_stay_unloaded(self, tmp_path, subcommand, text, flags,
-                                        may_load_hashlib):
+    def run_fresh(self, tmp_path, subcommand, text, flags):
+        """``main`` in a new interpreter: the modules it loaded, and the
+        freeze count before and after it."""
         config = tmp_path / "cfg.yaml"
         config.write_text(text + "\n")
         argv = [subcommand, "--config", str(config), "--out", str(tmp_path / "o"), *flags]
@@ -663,7 +666,27 @@ class TestStartup:
         proc = subprocess.run([sys.executable, "-c", self.SCRIPT, *argv], capture_output=True,
                               text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        code, loaded = json.loads(proc.stdout.splitlines()[-1])
+        code, loaded, frozen_before, frozen_after = json.loads(proc.stdout.splitlines()[-1])
         assert code == 0, proc.stderr
+        return loaded, frozen_before, frozen_after
+
+    @pytest.mark.parametrize("subcommand,text,flags,may_load_hashlib", CASES,
+                             ids=["ber", "ber-dry-run", "analyze-noise-dry-run", "sparsity"])
+    def test_rare_modules_stay_unloaded(self, tmp_path, subcommand, text, flags,
+                                        may_load_hashlib):
+        loaded, _, _ = self.run_fresh(tmp_path, subcommand, text, flags)
         assert not self.RARE & set(loaded)
         assert may_load_hashlib or "hashlib" not in loaded
+
+    def test_main_freezes_the_import_heap(self, tmp_path):
+        _, frozen_before, frozen_after = self.run_fresh(tmp_path, *self.CASES[1][:3])
+        assert frozen_before == 0 and frozen_after > 0
+
+    def test_main_freezes_once_per_process(self, tmp_path):
+        argv = ["ber", "--out", str(tmp_path / "o"), "--dry-run"]
+        assert main(argv) == 0
+        frozen = gc.get_freeze_count()
+        young = [[] for _ in range(1000)]  # noqa: F841 (tracked objects a second freeze would take)
+        assert main(argv) == 0
+        # without a freeze the permanent generation only shrinks, as its objects die
+        assert 0 < gc.get_freeze_count() <= frozen

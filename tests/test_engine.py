@@ -215,22 +215,46 @@ def test_bad_rho_refused(doppler, rho):
         wl.equalize(np.arange(2), gains, dopplers, z, w_f, rho, "mmse")
 
 
+def frame_by_frame(cfg, target):
+    """(errors, errors_sq, skipped_frames) of the first point, one frame at a time."""
+    errors, skipped = [], 0
+    for frame in range(cfg.frames_per_point):
+        try:
+            tx, rx = run_frame(cfg, wl.frame_rng(cfg.seed, 0, frame), target)
+        except EqualizationError:
+            skipped += 1
+            continue
+        errors.append(int(np.count_nonzero(tx != rx)))
+    return sum(errors), sum(e * e for e in errors), skipped
+
+
+FRAME_CFG = wl.SimConfig(
+    channel=wl.ChannelGenerator(num_taps=4, max_doppler=0.2),
+    profile=wl.make_profile("impulse", 36),
+    waveforms=TARGETS[:5],
+    snr_db=(15.0,),
+    bits_per_point=10_000,
+    seed=4,
+)
+
+
 def test_run_frame_is_a_one_frame_chunk():
-    cfg = wl.SimConfig(
-        channel=wl.ChannelGenerator(num_taps=4, max_doppler=0.2),
-        profile=wl.make_profile("impulse", 36),
-        waveforms=TARGETS[:5],
-        snr_db=(15.0,),
-        bits_per_point=10_000,
-        seed=4,
-    )
+    curves = wl.run_ber(FRAME_CFG)
+    for target, curve in zip(FRAME_CFG.targets(), curves):
+        point = curve.points[0]
+        assert (point.errors, point.errors_sq, point.skipped_frames) == frame_by_frame(
+            FRAME_CFG, target)
+
+
+def test_errors_sq_sums_kept_frames_only(monkeypatch):
+    skip_some_frames(monkeypatch)
+    cfg = dataclasses.replace(FRAME_CFG, equalizer="zf")
     curves = wl.run_ber(cfg)
     for target, curve in zip(cfg.targets(), curves):
-        errors = 0
-        for frame in range(cfg.frames_per_point):
-            tx, rx = run_frame(cfg, wl.frame_rng(cfg.seed, 0, frame), target)
-            errors += int(np.count_nonzero(tx != rx))
-        assert curve.points[0].errors == errors
+        point = curve.points[0]
+        assert 0 < point.skipped_frames < point.frames
+        assert (point.errors, point.errors_sq, point.skipped_frames) == frame_by_frame(
+            cfg, target)
 
 
 # ---------------------------------------------------------------------------

@@ -85,6 +85,15 @@ class TestSampleNoise:
         w_f = wl.sample_noise(prof, 0.0, np.random.default_rng(0))
         assert_allclose(w_f, np.zeros(8))
 
+    def test_keeps_the_two_call_stream(self):
+        # one standard_normal(2N) call gives the values of two N-draws: the stream the
+        # frozen counts rest on
+        prof = wl.make_profile("impulse", 32)
+        w_f = wl.sample_noise(prof, 0.7, np.random.default_rng(MC_SEED))
+        rng = np.random.default_rng(MC_SEED)
+        white = (rng.standard_normal(32) + 1j * rng.standard_normal(32)) * (0.7 / np.sqrt(2.0))
+        assert np.array_equal(w_f, np.sqrt(prof.gains) * white)
+
     def test_white_per_bin_variance(self):
         # 25000 draws x 4 bins = 1e5 scalar samples; se per bin ~ 0.63%
         prof = wl.make_profile("white", 4)
