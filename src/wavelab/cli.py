@@ -268,8 +268,8 @@ def cmd_sparsity(config: dict, run: Run) -> Callable[[], int]:
 
 
 def cmd_ber(config: dict, run: Run) -> Callable[[], int]:
-    cfg = parse_sim(config)
-    paths = [run.path(f"ber_{target.slug}.csv") for target in cfg.targets()]
+    cfg = parse_sim(config, extra_keys={"layout"})
+    paths = [run.path(f"ber_{target.slug}.csv") for target in cfg.targets]
     summary = run.path("curves.json")
 
     def work() -> int:
@@ -299,13 +299,13 @@ def _sweep_table(run: Run, column: str, cfg, values) -> Callable[[], int]:
 
 def cmd_sweep_l(config: dict, run: Run) -> Callable[[], int]:
     cfg = sweep_l(parse_sim(config, extra_keys={"l_values"}), read(config, "l_values", [int]))
-    return _sweep_table(run, "l", cfg, [float(wf.L) for wf in cfg.waveforms])
+    return _sweep_table(run, "l", cfg, [float(wf.L) for wf in cfg.targets])
 
 
 def cmd_sweep_q(config: dict, run: Run) -> Callable[[], int]:
     cfg = sweep_q(parse_sim(config, extra_keys={"q_values", "alpha"}),
                   read(config, "q_values", [float]), alpha=read(config, "alpha", float))
-    return _sweep_table(run, "q", cfg, [wf.q for wf in cfg.waveforms])
+    return _sweep_table(run, "q", cfg, [wf.q for wf in cfg.targets])
 
 
 def cmd_fdma_demo(config: dict, run: Run) -> Callable[[], int]:

@@ -1,11 +1,12 @@
 """YAML config parsing for the command-line experiments.
 
 Configs are plain nested key/value documents. Every parser validates keys
-eagerly and reads every value through :func:`read`, which checks its type
-strictly; each refusal is a ConfigError naming the key, which the CLI
-maps to exit code 2. Sizes pass :func:`check_size`, so a huge one is refused
-before any array is allocated. The CLI merges each file over its built-in
-defaults, so :func:`parse_sim` requires every top-level key it reads.
+eagerly (a noise section takes only its kind's keys) and reads every value
+through :func:`read`, which checks its type strictly; each refusal is a
+ConfigError naming the key, which the CLI maps to exit code 2. Sizes pass
+:func:`check_size`, so a huge one is refused before any array is
+allocated. The CLI merges each file over its built-in defaults, so
+:func:`parse_sim` requires every top-level key it reads.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .exceptions import ConfigError
 from .fdma import BlockLayout
 from .noise import NoiseProfile, make_profile
 from .sim import SimConfig
-from .waveform import AFDM, OFDM, OTFS, WaveformConfig
+from .waveform import KINDS, OFDM, OTFS, WaveformConfig
 
 
 def load_config_file(path: str) -> dict:
@@ -90,9 +91,14 @@ def check_size(size: int, key: str, context: str) -> int:
 
 
 def parse_waveform(section: dict, default_n: int | None = None) -> WaveformConfig:
+    """One waveform, ``n`` defaulting to ``default_n``; an OTFS k*l grid needs no ``n``."""
     check_keys(section, {"kind", "n", "k", "l", "q", "alpha"}, "waveform")
     kind = read(section, "kind", str, context="waveform").lower()
-    n = read(section, "n", int, default_n or 0, "waveform")
+    if kind not in KINDS:
+        raise ConfigError(f"unknown waveform kind {kind!r}")
+    n = read(section, "n", int, default_n, "waveform", minimum=1)
+    if n is None and not (kind == OTFS and "k" in section and "l" in section):
+        raise ConfigError("waveform: missing required key 'n'")
     if kind == OFDM:
         wf = WaveformConfig.ofdm(n)
     elif kind == OTFS:
@@ -105,12 +111,12 @@ def parse_waveform(section: dict, default_n: int | None = None) -> WaveformConfi
             if given < 1 or n % given:
                 raise ConfigError(f"OTFS {name}={given} does not divide n={n}")
             k, l = (given, n // given) if l is None else (n // given, given)
+        elif "n" in section and k * l != n:
+            raise ConfigError(f"waveform: 'n' = {n} is not the OTFS grid size k*l = {k * l}")
         wf = WaveformConfig.otfs(k, l)
-    elif kind == AFDM:
+    else:
         q = read(section, "q", float, context="AFDM waveform")
         wf = WaveformConfig.afdm(n, q, read(section, "alpha", float, 0.0, "waveform"))
-    else:
-        raise ConfigError(f"unknown waveform kind {kind!r}")
     check_size(wf.N, "n", "waveform")
     return wf
 
@@ -140,59 +146,61 @@ def parse_channel(section: dict) -> ChannelGenerator | ChannelSpec:
     )
 
 
-# the keyword arguments of make_profile a noise section may set, by type
+# per noise kind, the keyword arguments of make_profile its section may set, by type
 _PROFILE_KEYS = {
-    "spikes": int, "spike_offset": int, "width": int, "start": int,
-    "power_fraction": float, "num_taps": int, "gain_cap": float, "seed": int,
+    "white": {},
+    "impulse": {"spikes": int, "spike_offset": int, "power_fraction": float},
+    "interferer": {"width": int, "start": int, "power_fraction": float},
+    "equalized": {"num_taps": int, "gain_cap": float, "seed": int},
 }
 
 
 def parse_profile(section: dict, n: int) -> NoiseProfile:
-    check_keys(section, set(_PROFILE_KEYS) | {"kind", "n"}, "noise")
-    if read(section, "n", int, n, "noise") != n:
-        raise ConfigError(
-            f"noise profile length {section['n']} does not match the grid size {n}"
-        )
     kind = read(section, "kind", str, context="noise").lower()
-    kwargs = {
-        key: read(section, key, typ, context="noise")
-        for key, typ in _PROFILE_KEYS.items() if key in section
-    }
+    if kind not in _PROFILE_KEYS:
+        raise ConfigError(f"unknown noise profile kind {kind!r}")
+    keys = _PROFILE_KEYS[kind]
+    check_keys(section, set(keys) | {"kind", "n"}, f"{kind} noise")
+    if read(section, "n", int, n, "noise") != n:
+        raise ConfigError(f"noise profile length {section['n']} does not match the grid size {n}")
+    kwargs = {key: read(section, key, typ, context="noise")
+              for key, typ in keys.items() if key in section}
     check_size(kwargs.get("num_taps", 1), "num_taps", "noise")
     return make_profile(kind, n, **kwargs)
 
 
 def parse_layout(entries, default_block_n: int = 12) -> BlockLayout:
-    configs = [parse_waveform(entry, default_n=default_block_n) for entry in entries]
-    return BlockLayout.from_configs(configs)
+    return BlockLayout([parse_waveform(entry, default_n=default_block_n) for entry in entries])
 
 
 _SIM_KEYS = {
-    "n", "waveforms", "layout", "channel", "noise", "qam_order",
+    "n", "waveforms", "channel", "noise", "qam_order",
     "snr_db", "bits_per_point", "seed", "equalizer", "subcarrier_spacing_hz",
 }
 
 
 def parse_sim(doc: dict, extra_keys: set = frozenset()) -> SimConfig:
+    """The BER experiment of ``doc``; a ``layout`` key, where ``extra_keys``
+    allows it, runs one FDMA target over a quasi-static channel only."""
     check_keys(doc, _SIM_KEYS | set(extra_keys), "config")
     n = read(doc, "n", int)
-    waveforms: tuple[WaveformConfig, ...] = ()
-    layout = None
     if "layout" in doc:
-        layout = parse_layout(read(doc, "layout", [dict]))
+        targets = (parse_layout(read(doc, "layout", [dict])),)
     else:
-        waveforms = tuple(parse_waveform(e, default_n=n) for e in read(doc, "waveforms", [dict]))
-    target_n = layout.N if layout is not None else n
+        targets = tuple(parse_waveform(e, default_n=n) for e in read(doc, "waveforms", [dict]))
     # a single SNR point may be given as a scalar
     snr = read(doc, "snr_db", object)
     snr_db = read({"snr_db": snr if isinstance(snr, list) else [snr]}, "snr_db", [float])
     # checked but unused: the discrete-time model is dimensionless
     read(doc, "subcarrier_spacing_hz", float, None)
+    channel = parse_channel(read(doc, "channel", dict))
+    if "layout" in doc and channel.max_doppler != 0.0:
+        raise ConfigError("FDMA layouts support quasi-static channels only; "
+                          "Doppler breaks block independence")
     return SimConfig(
-        channel=parse_channel(read(doc, "channel", dict)),
-        profile=parse_profile(read(doc, "noise", dict), target_n),
-        waveforms=waveforms,
-        layout=layout,
+        channel=channel,
+        profile=parse_profile(read(doc, "noise", dict), targets[0].N),
+        targets=targets,
         qam_order=read(doc, "qam_order", int),
         snr_db=tuple(snr_db),
         bits_per_point=read(doc, "bits_per_point", int),

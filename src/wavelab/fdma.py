@@ -1,6 +1,7 @@
 """Multi-waveform FDMA: different waveforms on disjoint blocks of one DFT grid.
 
-A :class:`BlockLayout` is a target like a waveform. ``precode`` writes
+``BlockLayout(configs)`` lays the waveforms out back to back from bin 0,
+one :class:`Block` each, and is a target like a waveform. ``precode`` writes
 each block's precoded data z_i = Q_i c_i into its bins (one size-N inverse
 DFT of the result is the time-domain block); ``receive`` applies each
 Q_i^{-1} to its block's bins. The blocks stay orthogonal over any channel
@@ -10,7 +11,8 @@ back, and both methods act along the last axis of frames (..., N).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,22 +38,19 @@ class Block:
 
 @dataclass(frozen=True)
 class BlockLayout:
-    """Ordered, contiguous, non-overlapping blocks covering [0, N)."""
+    """Waveform blocks laid out back to back from bin 0, covering [0, N)."""
 
-    blocks: tuple[Block, ...]
+    configs: tuple[WaveformConfig, ...]
+    blocks: tuple[Block, ...] = field(init=False)  # one per config, derived
     slug = "fdma"  # not a field: names the output files of any layout
 
     def __post_init__(self):
-        if len(self.blocks) == 0:
+        configs = tuple(self.configs)
+        if not configs:
             raise ConfigError("layout needs at least one block")
-        expected = 0
-        for i, block in enumerate(self.blocks):
-            if block.start != expected:
-                raise ConfigError(
-                    f"block {i} starts at bin {block.start}, expected {expected}; "
-                    "blocks must be contiguous and non-overlapping"
-                )
-            expected = block.stop
+        starts = itertools.accumulate((c.N for c in configs), initial=0)
+        object.__setattr__(self, "configs", configs)
+        object.__setattr__(self, "blocks", tuple(map(Block, configs, starts)))
 
     @property
     def N(self) -> int:
@@ -59,10 +58,10 @@ class BlockLayout:
 
     @property
     def label(self) -> str:
-        return "FDMA[" + "+".join(b.config.label for b in self.blocks) + "]"
+        return "FDMA[" + "+".join(c.label for c in self.configs) + "]"
 
     def describe(self) -> dict:
-        return {"layout": [b.config.describe() for b in self.blocks]}
+        return {"layout": [c.describe() for c in self.configs]}
 
     def precode(self, data) -> np.ndarray:
         """Data symbols (..., N), block after block, to frequency-domain blocks."""
@@ -78,13 +77,3 @@ class BlockLayout:
         return np.concatenate(
             [b.config.receive(v[..., b.start : b.stop]) for b in self.blocks], axis=-1
         )
-
-    @classmethod
-    def from_configs(cls, configs) -> "BlockLayout":
-        """Lay the given waveform configs out back to back from bin 0."""
-        blocks = []
-        start = 0
-        for cfg in configs:
-            blocks.append(Block(cfg, start))
-            start += cfg.N
-        return cls(tuple(blocks))

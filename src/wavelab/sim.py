@@ -2,7 +2,7 @@
 
 The engine is frame-major: at each SNR point it draws a chunk of up to
 ``CHUNK_FRAMES`` frames and runs every target on the shared draws. A
-target (a waveform or an FDMA layout) offers ``N``, ``label``, ``slug``,
+target (a waveform or an FDMA grid) offers ``N``, ``label``, ``slug``,
 ``precode`` (data to frequency-domain blocks z = Q c) and ``receive``
 (equalized blocks to data, Q^{-1} r_f), both acting along the last axis
 of a (frames, N) stack; :func:`wavelab.channel.equalize` takes a chunk
@@ -29,7 +29,6 @@ import numpy as np
 
 from .channel import EQUALIZERS, ChannelGenerator, ChannelSpec, check_delays, equalize
 from .exceptions import ConfigError, EqualizationError
-from .fdma import BlockLayout
 from .noise import NoiseProfile, sample_noise
 from .qam import QAM_ORDERS, qam_demap, qam_map
 from .waveform import WaveformConfig
@@ -45,16 +44,15 @@ CHUNK_FRAMES = 32
 class SimConfig:
     """Full description of one BER experiment.
 
-    Exactly one of ``waveforms`` (compared under shared draws) or
-    ``layout`` (a multi-waveform FDMA grid, quasi-static channels only)
-    must be provided. ``channel`` is either a ChannelGenerator (redrawn
-    every frame, block fading) or a fixed ChannelSpec.
+    ``targets`` run under shared draws and share one block length N: the
+    waveforms compared, or one FDMA grid of several. ``channel`` is either a
+    ChannelGenerator (redrawn every frame, block fading) or a fixed
+    ChannelSpec.
     """
 
     channel: ChannelGenerator | ChannelSpec
     profile: NoiseProfile
-    waveforms: tuple[WaveformConfig, ...] = ()
-    layout: BlockLayout | None = None
+    targets: tuple
     qam_order: int = 16
     snr_db: tuple[float, ...] = (25.0,)
     bits_per_point: int = 200_000
@@ -62,10 +60,10 @@ class SimConfig:
     equalizer: str = "mmse"
 
     def __post_init__(self):
-        object.__setattr__(self, "waveforms", tuple(self.waveforms))
+        object.__setattr__(self, "targets", tuple(self.targets))
         object.__setattr__(self, "snr_db", tuple(float(s) for s in self.snr_db))
-        if (len(self.waveforms) == 0) == (self.layout is None):
-            raise ConfigError("provide either waveforms or a block layout, not both")
+        if not self.targets:
+            raise ConfigError("need at least one target")
         if self.qam_order not in QAM_ORDERS:
             raise ConfigError(f"QAM order must be one of {QAM_ORDERS}")
         if len(self.snr_db) == 0:
@@ -82,26 +80,15 @@ class SimConfig:
         if self.seed < 0:
             raise ConfigError("seed must be a nonnegative integer")
         n = self.n
-        for target in self.targets():
-            if target.N != n:
-                raise ConfigError("all waveforms must share one subcarrier count")
+        if any(target.N != n for target in self.targets):
+            raise ConfigError("all targets must share one subcarrier count")
         if self.profile.N != n:
-            raise ConfigError(
-                f"noise profile length {self.profile.N} does not match N={n}"
-            )
+            raise ConfigError(f"noise profile length {self.profile.N} does not match N={n}")
         check_delays(self.channel.delays, n)
-        if self.layout is not None and self.channel.max_doppler != 0.0:
-            raise ConfigError(
-                "FDMA layouts support quasi-static channels only; "
-                "Doppler breaks block independence"
-            )
 
     @property
     def n(self) -> int:
-        return self.targets()[0].N
-
-    def targets(self) -> tuple:
-        return self.waveforms if self.layout is None else (self.layout,)
+        return self.targets[0].N
 
     @property
     def bits_per_frame(self) -> int:
@@ -145,7 +132,7 @@ def config_fingerprint(cfg: SimConfig) -> str:
     import hashlib  # only ber writes the digest
 
     doc = {
-        "targets": [t.describe() for t in cfg.targets()],
+        "targets": [t.describe() for t in cfg.targets],
         "channel": cfg.channel.describe(),
         "profile": {"kind": cfg.profile.kind, "gains": [repr(g) for g in cfg.profile.gains]},
         "qam_order": cfg.qam_order,
@@ -191,13 +178,12 @@ def _sigma_w(snr_db: float) -> float:
 def run_ber(cfg: SimConfig, threads: int = 1) -> list[BerCurve]:
     """Accumulate frames over the bit budget at every SNR point.
 
-    Returns one curve per configured waveform (a single curve for a
-    layout). Chunks run on up to ``threads`` worker threads, at most one
-    per CPU. A frame zero-forcing refuses is skipped for every target;
-    raises EqualizationError when every frame of a point is. Deterministic
-    for fixed (config, seed) at any thread count.
+    Returns one curve per target. Chunks run on up to ``threads`` worker
+    threads, at most one per CPU. A frame zero-forcing refuses is skipped
+    for every target; raises EqualizationError when every frame of a point
+    is. Deterministic for fixed (config, seed) at any thread count.
     """
-    targets = cfg.targets()
+    targets = cfg.targets
     frames = cfg.frames_per_point
     chunks = [range(s, min(s + CHUNK_FRAMES, frames)) for s in range(0, frames, CHUNK_FRAMES)]
     jobs = [(pi, chunk) for pi in range(len(cfg.snr_db)) for chunk in chunks]
@@ -242,7 +228,7 @@ def _swept(cfg: SimConfig, key: str, waveforms) -> SimConfig:
         raise ConfigError("parameter sweeps need a template with exactly one SNR point")
     if not waveforms:
         raise ConfigError(f"config: {key!r} must be a nonempty list")
-    return replace(cfg, waveforms=tuple(waveforms))
+    return replace(cfg, targets=tuple(waveforms))
 
 
 def sweep_l(cfg: SimConfig, l_values) -> SimConfig:

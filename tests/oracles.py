@@ -211,11 +211,11 @@ def run_frame(cfg: SimConfig, rng: np.random.Generator, target=None, snr_db=None
     """Run a single frame of ``cfg`` with an explicit generator, as a
     one-frame chunk of the engine.
 
-    Defaults to the first configured waveform (or the layout) and the
-    first SNR point. Returns (tx_bits, rx_bits); raises EqualizationError
-    when the equalizer refuses the frame's channel.
+    Defaults to the first target and the first SNR point. Returns
+    (tx_bits, rx_bits); raises EqualizationError when the equalizer refuses
+    the frame's channel.
     """
-    target = cfg.targets()[0] if target is None else target
+    target = cfg.targets[0] if target is None else target
     snr_db = cfg.snr_db[0] if snr_db is None else snr_db
     tx, rx, refused = _run_chunk(cfg, (target,), [rng], _sigma_w(snr_db))
     if refused[0]:

@@ -151,7 +151,7 @@ def test_criterion_05_ber_ordering():
         cfg = wl.SimConfig(
             channel=wl.ChannelGenerator(num_taps=8),
             profile=wl.make_profile("white", n),
-            waveforms=(
+            targets=(
                 wl.WaveformConfig.ofdm(n),
                 wl.WaveformConfig.otfs(12, 10),
                 wl.WaveformConfig.otfs(6, 20),
@@ -178,7 +178,7 @@ def test_criterion_06_parameter_trends():
         cfg = wl.SimConfig(
             channel=wl.ChannelGenerator(num_taps=8),
             profile=wl.make_profile("white", n),
-            waveforms=(wl.WaveformConfig.ofdm(n),),
+            targets=(wl.WaveformConfig.ofdm(n),),
             snr_db=(25.0,),
             bits_per_point=200_000,
             seed=1,
@@ -200,7 +200,7 @@ def test_criterion_06_parameter_trends():
             cfg_q = wl.SimConfig(
                 channel=wl.ChannelGenerator(num_taps=8),
                 profile=wl.make_profile("white", grid_n),
-                waveforms=(wl.WaveformConfig.ofdm(grid_n),),
+                targets=(wl.WaveformConfig.ofdm(grid_n),),
                 snr_db=(25.0,),
                 bits_per_point=budget,
                 seed=1,
@@ -221,7 +221,7 @@ def test_criterion_07_dispersive_impulse_noise():
         cfg = wl.SimConfig(
             channel=wl.ChannelGenerator(num_taps=8, max_doppler=0.3),
             profile=wl.make_profile("impulse", n),
-            waveforms=(wl.WaveformConfig.otfs(12, 10), wl.WaveformConfig.afdm(n, -4.0, 0.1)),
+            targets=(wl.WaveformConfig.otfs(12, 10), wl.WaveformConfig.afdm(n, -4.0, 0.1)),
             snr_db=grid[-2:],
             bits_per_point=200_000,
             seed=1,
@@ -264,7 +264,7 @@ def test_criterion_08_appendix_identities():
 
 def test_criterion_09_fdma_properties():
     def body():
-        layout = wl.BlockLayout.from_configs(
+        layout = wl.BlockLayout(
             [
                 wl.WaveformConfig.ofdm(12),
                 wl.WaveformConfig.afdm(12, -4.0, 0.1),

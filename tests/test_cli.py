@@ -352,7 +352,7 @@ class TestSweeps:
     @pytest.mark.parametrize("subcommand,swept", [("sweep-l", {"l_values": [1, 3]}),
                                                   ("sweep-q", {"q_values": [-4.0, 2.0]})])
     def test_layout_refused(self, tmp_path, capsys, subcommand, swept, dry_run):
-        # used to exit 0 and sweep the swept waveform on the layout's grid
+        # a sweep runs waveforms only: only ber reads a layout
         config = write_yaml(tmp_path / "layout.yaml", {
             "layout": [{"kind": "ofdm", "n": 6}, {"kind": "ofdm", "n": 6}],
             "bits_per_point": 10_000, "channel": {"num_taps": 2}, **swept,
@@ -360,7 +360,7 @@ class TestSweeps:
         out = tmp_path / "o"
         argv = [subcommand, "--config", config, "--out", str(out)]
         assert run_cli(*argv, *(["--dry-run"] if dry_run else [])) == 2
-        assert "either waveforms or a block layout" in capsys.readouterr().err
+        assert "unknown keys ['layout']" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -417,6 +417,7 @@ class TestConfigSerialization:
         for doc, cfg in (
             ({"kind": "ofdm", "n": 12}, wl.WaveformConfig.ofdm(12)),
             ({"kind": "otfs", "n": 12, "k": 4, "l": 3}, wl.WaveformConfig.otfs(4, 3)),
+            ({"kind": "otfs", "k": 4, "l": 3}, wl.WaveformConfig.otfs(4, 3)),
             (
                 {"kind": "afdm", "n": 12, "q": -4.0, "alpha": 0.1},
                 wl.WaveformConfig.afdm(12, -4.0, 0.1),
@@ -438,7 +439,7 @@ class TestConfigSerialization:
         cfg = wl.SimConfig(
             channel=wl.ChannelGenerator(num_taps=8),
             profile=wl.make_profile("interferer", 120),
-            waveforms=(wl.WaveformConfig.otfs(12, 10),),
+            targets=(wl.WaveformConfig.otfs(12, 10),),
             snr_db=(10.0, 20.0),
             bits_per_point=10_000,
             seed=3,
@@ -458,7 +459,7 @@ class TestConfigSerialization:
                 "waveforms": [{"kind": "otfs", "n": 120, "k": 12, "l": 10}],
             }
         )
-        assert again.waveforms == cfg.waveforms
+        assert again.targets == cfg.targets
         assert again.channel == cfg.channel
         assert np.array_equal(again.profile.gains, cfg.profile.gains)
         assert wl.config_fingerprint(again) == wl.config_fingerprint(cfg)
@@ -601,6 +602,17 @@ class TestStrictConfigReader:
         ("sparsity", "entries: [{kind: otfs, k: 1000000000, l: 1000000000}]", "n"),
         ("verify-appendix", "dirichlet_cases: [[1000000000000000000, 1]]", "dirichlet_cases"),
         ("verify-appendix", "density_n: [1000000000000000000]", "density_n"),
+        # each of these ran with exit 0 and ignored a key of another noise kind
+        ("ber", "noise: {kind: white, spikes: 3}", "spikes"),
+        ("ber", "noise: {kind: interferer, spikes: 3}", "spikes"),
+        ("analyze-noise", "profiles: [{kind: equalized, width: 3}]", "width"),
+        # built N = 9, and blamed the noise length or reported n = 9
+        ("ber", "n: 12\nwaveforms: [{kind: otfs, n: 12, k: 3, l: 3}]", "n"),
+        ("sparsity", "entries: [{kind: otfs, n: 12, k: 3, l: 3}]", "n"),
+        # each of these read a missing n as 0 and was refused with no key named
+        ("sparsity", "entries: [{kind: ofdm}]", "n"),
+        ("sparsity", "entries: [{kind: afdm, q: 0.5}]", "n"),
+        ("sparsity", "entries: [{kind: otfs, l: 3}]", "n"),
     ]
 
     @staticmethod

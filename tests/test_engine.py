@@ -27,7 +27,7 @@ TARGETS = (
     wl.WaveformConfig.otfs(36, 1),
     wl.WaveformConfig.otfs(4, 9),
     wl.WaveformConfig.afdm(36, -4.0, 0.1),
-    wl.BlockLayout.from_configs(
+    wl.BlockLayout(
         [
             wl.WaveformConfig.ofdm(12),
             wl.WaveformConfig.afdm(12, -4.0, 0.1),
@@ -231,7 +231,7 @@ def frame_by_frame(cfg, target):
 FRAME_CFG = wl.SimConfig(
     channel=wl.ChannelGenerator(num_taps=4, max_doppler=0.2),
     profile=wl.make_profile("impulse", 36),
-    waveforms=TARGETS[:5],
+    targets=TARGETS[:5],
     snr_db=(15.0,),
     bits_per_point=10_000,
     seed=4,
@@ -240,7 +240,7 @@ FRAME_CFG = wl.SimConfig(
 
 def test_run_frame_is_a_one_frame_chunk():
     curves = wl.run_ber(FRAME_CFG)
-    for target, curve in zip(FRAME_CFG.targets(), curves):
+    for target, curve in zip(FRAME_CFG.targets, curves):
         point = curve.points[0]
         assert (point.errors, point.errors_sq, point.skipped_frames) == frame_by_frame(
             FRAME_CFG, target)
@@ -250,7 +250,7 @@ def test_errors_sq_sums_kept_frames_only(monkeypatch):
     skip_some_frames(monkeypatch)
     cfg = dataclasses.replace(FRAME_CFG, equalizer="zf")
     curves = wl.run_ber(cfg)
-    for target, curve in zip(cfg.targets(), curves):
+    for target, curve in zip(cfg.targets, curves):
         point = curve.points[0]
         assert 0 < point.skipped_frames < point.frames
         assert (point.errors, point.errors_sq, point.skipped_frames) == frame_by_frame(

@@ -49,7 +49,7 @@ def sim(channel, noise="white", n=N, **overrides):
     base = dict(
         channel=channel,
         profile=wl.make_profile(noise, n),
-        waveforms=waveforms(n),
+        targets=waveforms(n),
         snr_db=(5.0, 15.0),
         bits_per_point=10_000,
         seed=3,
@@ -73,11 +73,10 @@ CASES = {
     "dispersive_zf": lambda: sim(wl.ChannelGenerator(4, 0.3), equalizer="zf"),
     "fdma_layout": lambda: sim(
         wl.ChannelGenerator(4),
-        waveforms=(),
-        layout=wl.BlockLayout.from_configs(
+        targets=(wl.BlockLayout(
             [wl.WaveformConfig.ofdm(8), wl.WaveformConfig.afdm(8, -4.0, 0.1),
              wl.WaveformConfig.otfs(2, 4)]
-        ),
+        ),),
         profile=wl.make_profile("white", 24),
     ),
     "fixed_taps_doppler": lambda: sim(FIXED_TAPS, snr_db=(10.0, 20.0)),

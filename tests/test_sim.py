@@ -1,6 +1,7 @@
 """Tests for the Monte-Carlo BER engine."""
 
 import concurrent.futures
+import json
 import math
 import os
 
@@ -17,7 +18,7 @@ def white_cfg(n=120, **overrides):
     base = dict(
         channel=wl.ChannelGenerator(num_taps=8),
         profile=wl.make_profile("white", n),
-        waveforms=(wl.WaveformConfig.ofdm(n),),
+        targets=(wl.WaveformConfig.ofdm(n),),
         snr_db=(25.0,),
         bits_per_point=10_000,
         seed=7,
@@ -52,22 +53,35 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             white_cfg(profile=wl.make_profile("white", 64))
 
-    def test_rejects_waveforms_and_layout_together(self):
-        layout = wl.BlockLayout.from_configs([wl.WaveformConfig.ofdm(120)])
-        with pytest.raises(ConfigError):
-            white_cfg(layout=layout)
+    def test_rejects_layout_with_doppler(self, tmp_path, capsys):
+        # a library layout over Doppler runs (joint MMSE over all N bins);
+        # the parse refuses it, on real runs and dry runs alike
+        from wavelab.cli import main
+        from wavelab.configio import parse_sim
 
-    def test_rejects_layout_with_doppler(self):
-        layout = wl.BlockLayout.from_configs(
-            [wl.WaveformConfig.ofdm(60), wl.WaveformConfig.ofdm(60)]
+        layout = wl.BlockLayout([wl.WaveformConfig.ofdm(60), wl.WaveformConfig.ofdm(60)])
+        wl.SimConfig(
+            channel=wl.ChannelGenerator(num_taps=4, max_doppler=0.3),
+            profile=wl.make_profile("white", 120),
+            targets=(layout,),
+            bits_per_point=10_000,
         )
-        with pytest.raises(ConfigError):
-            wl.SimConfig(
-                channel=wl.ChannelGenerator(num_taps=4, max_doppler=0.3),
-                profile=wl.make_profile("white", 120),
-                layout=layout,
-                bits_per_point=10_000,
-            )
+        doc = {
+            "n": 120, "layout": [{"kind": "ofdm", "n": 60}, {"kind": "ofdm", "n": 60}],
+            "channel": {"num_taps": 4, "max_doppler": 0.3}, "noise": {"kind": "white"},
+            "qam_order": 16, "snr_db": [20.0], "bits_per_point": 10_000, "seed": 1,
+            "equalizer": "mmse",
+        }
+        message = "FDMA layouts support quasi-static channels only"
+        with pytest.raises(ConfigError, match=message):
+            parse_sim(doc, extra_keys={"layout"})
+        config = tmp_path / "layout.yaml"
+        config.write_text(json.dumps(doc))
+        for dry_run in ([], ["--dry-run"]):
+            out = tmp_path / "out"
+            assert main(["ber", "--config", str(config), "--out", str(out), *dry_run]) == 2
+            assert message in capsys.readouterr().err
+            assert not out.exists()
 
     def test_rejects_taps_beyond_the_block(self):
         # the generator's last delay is N; a tap list's delay N likewise
@@ -80,7 +94,7 @@ class TestConfigValidation:
     def test_rejects_mixed_block_sizes(self):
         with pytest.raises(ConfigError):
             white_cfg(
-                waveforms=(wl.WaveformConfig.ofdm(120), wl.WaveformConfig.ofdm(60))
+                targets=(wl.WaveformConfig.ofdm(120), wl.WaveformConfig.ofdm(60))
             )
 
 
@@ -94,7 +108,7 @@ class TestRunFrame:
             cfg = wl.SimConfig(
                 channel=IDENTITY_CHANNEL,
                 profile=wl.make_profile("white", 64),
-                waveforms=(wf,),
+                targets=(wf,),
                 snr_db=(300.0,),
                 bits_per_point=10_000,
             )
@@ -109,7 +123,7 @@ class TestRunFrame:
         cfg = wl.SimConfig(
             channel=null_spec,
             profile=wl.make_profile("white", 16),
-            waveforms=(wl.WaveformConfig.ofdm(16),),
+            targets=(wl.WaveformConfig.ofdm(16),),
             snr_db=(20.0,),
             bits_per_point=10_000,
             equalizer="zf",
@@ -127,7 +141,7 @@ class TestRunFrame:
         cfg = wl.SimConfig(
             channel=null_spec,
             profile=wl.make_profile("white", 16),
-            waveforms=(wl.WaveformConfig.ofdm(16),),
+            targets=(wl.WaveformConfig.ofdm(16),),
             snr_db=(20.0,),
             bits_per_point=10_000,
             equalizer="mmse",
@@ -145,7 +159,7 @@ class TestAwgnOracle:
         cfg = wl.SimConfig(
             channel=IDENTITY_CHANNEL,
             profile=wl.make_profile("white", 128),
-            waveforms=(wl.WaveformConfig.ofdm(128),),
+            targets=(wl.WaveformConfig.ofdm(128),),
             snr_db=(snr_db,),
             bits_per_point=bits,
             seed=3,
@@ -201,7 +215,7 @@ class TestDeterminism:
     def test_otfs_full_grid_identical_to_ofdm(self):
         # L = N is the same precoder; shared draws make the counts equal
         cfg = white_cfg(
-            waveforms=(wl.WaveformConfig.ofdm(120), wl.WaveformConfig.otfs(1, 120)),
+            targets=(wl.WaveformConfig.ofdm(120), wl.WaveformConfig.otfs(1, 120)),
             bits_per_point=20_000,
         )
         ofdm, otfs = wl.run_ber(cfg)
@@ -234,7 +248,7 @@ class TestSweeps:
         ofdm_point = wl.run_ber(cfg)[0].points[0]
         # L = N reproduces the OFDM point exactly under shared streams
         assert points[1] == ofdm_point
-        assert tuple(float(wf.L) for wf in swept.waveforms) == (1.0, 120.0)
+        assert tuple(float(wf.L) for wf in swept.targets) == (1.0, 120.0)
 
     def test_sweep_l_ber_nondecreasing(self):
         # wideband grid at desk scale; at most one inversion within 2 sigma
@@ -269,7 +283,7 @@ class TestRankingConsistency:
             cfg = wl.SimConfig(
                 channel=IDENTITY_CHANNEL,
                 profile=profile,
-                waveforms=wfs,
+                targets=wfs,
                 snr_db=(25.0,),
                 bits_per_point=300_000,
                 seed=1,
@@ -283,7 +297,7 @@ class TestRankingConsistency:
 
 class TestFdmaSimulation:
     def test_layout_ber_runs_and_is_deterministic(self):
-        layout = wl.BlockLayout.from_configs(
+        layout = wl.BlockLayout(
             [
                 wl.WaveformConfig.ofdm(12),
                 wl.WaveformConfig.afdm(12, -4.0, 0.1),
@@ -292,7 +306,7 @@ class TestFdmaSimulation:
         cfg = wl.SimConfig(
             channel=wl.ChannelGenerator(num_taps=4),
             profile=wl.make_profile("white", 24),
-            layout=layout,
+            targets=(layout,),
             snr_db=(20.0,),
             bits_per_point=10_000,
             seed=5,
@@ -309,7 +323,7 @@ class TestFingerprint:
         a = wl.config_fingerprint(white_cfg(seed=1))
         b = wl.config_fingerprint(white_cfg(seed=2))
         c = wl.config_fingerprint(
-            white_cfg(seed=1, waveforms=(wl.WaveformConfig.otfs(12, 10),))
+            white_cfg(seed=1, targets=(wl.WaveformConfig.otfs(12, 10),))
         )
         assert a != b and a != c
 
@@ -322,7 +336,7 @@ class TestFingerprint:
         generator = wl.SimConfig(
             channel=wl.ChannelGenerator(num_taps=8, max_doppler=0.3),
             profile=wl.make_profile("impulse", 120),
-            waveforms=(wl.WaveformConfig.otfs(12, 10), wl.WaveformConfig.afdm(120, -4.0, 0.1)),
+            targets=(wl.WaveformConfig.otfs(12, 10), wl.WaveformConfig.afdm(120, -4.0, 0.1)),
             snr_db=(10.0, 20.0),
             bits_per_point=10_000,
             seed=1,
@@ -332,7 +346,7 @@ class TestFingerprint:
                 taps=(wl.ChannelTap(0, 0.6 - 0.2j), wl.ChannelTap(3, 0.1 + 0.4j, 0.25))
             ),
             profile=wl.make_profile("white", 16),
-            waveforms=(wl.WaveformConfig.ofdm(16),),
+            targets=(wl.WaveformConfig.ofdm(16),),
             snr_db=(20.0,),
             bits_per_point=10_000,
             equalizer="zf",
