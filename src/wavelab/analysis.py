@@ -17,15 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .configio import MAX_EXPANDED_SIZE
 from .exceptions import ConfigError, DimensionError
 from .waveform import afdm_inverse_column
 
 DEFAULT_SPARSITY_TOL = 1e-9
-
-# Largest array length a config may ask for: a grid size N, a tap count or
-# a size-bN transform of the decimation identity. The parse refuses more,
-# naming the key, before any array is allocated.
-MAX_EXPANDED_SIZE = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)

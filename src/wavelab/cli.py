@@ -8,9 +8,11 @@ two of one name, then returns its work, which writes CSV/JSON artifacts
 and a manifest.json into the output directory; ``--dry-run`` lists the
 names instead. Exits 0 on success, 2 on configuration errors (dry runs
 too), 3 on numerical failure. Re-running with the same config and seed
-produces byte-identical CSV bodies at any thread count. ``main`` freezes
-the import-time heap once per process (``gc.freeze``), so no later
-collection, those at interpreter exit included, walks it again.
+produces byte-identical CSV bodies at any thread count. Each handler
+imports the modules its run uses: the analyses never load the BER engine,
+nor a BER run ``analysis``. Once it has parsed, ``main`` freezes the heap
+once per process (``gc.freeze``), so no later collection, those at
+interpreter exit included, walks it again.
 """
 
 from __future__ import annotations
@@ -29,14 +31,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import (
-    MAX_EXPANDED_SIZE,
-    rational_chirp_decompose,
-    rect_window_spectrum,
-    row_sparsity,
-    verify_decimation_identity,
-)
 from .configio import (
+    MAX_EXPANDED_SIZE,
     check_keys,
     check_size,
     load_config_file,
@@ -47,9 +43,6 @@ from .configio import (
     read,
 )
 from .exceptions import ConfigError, EqualizationError, WavelabError
-from .noise import whitening_std
-from .sim import config_fingerprint, run_ber, sweep_l, sweep_q
-from .waveform import afdm_inverse_column
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -200,6 +193,7 @@ def _ber_rows(points):
 
 
 def _curves(run: Run, cfg) -> list:
+    from .sim import run_ber
     curves = run_ber(cfg, threads=run.threads)
     # per-point frames and skips go to the manifest: the CSV layout is fixed
     run.points = [{"label": c.label, **asdict(p)} for c in curves for p in c.points]
@@ -219,8 +213,9 @@ def _tolerance(config: dict, key: str) -> float:
 
 
 def cmd_analyze_noise(config: dict, run: Run) -> Callable[[], int]:
+    from .noise import whitening_std
     check_keys(config, set(DEFAULT_ANALYZE), "analyze-noise")
-    n = read(config, "n", int)
+    n = read(config, "n", int, minimum=1)
     waveforms = [parse_waveform(w, default_n=n) for w in read(config, "waveforms", [dict])]
     if any(wf.N != n for wf in waveforms):
         raise ConfigError(f"config: every waveform must have the grid size 'n' = {n}")
@@ -243,6 +238,7 @@ def cmd_analyze_noise(config: dict, run: Run) -> Callable[[], int]:
 
 
 def cmd_sparsity(config: dict, run: Run) -> Callable[[], int]:
+    from .analysis import row_sparsity
     check_keys(config, set(DEFAULT_SPARSITY), "sparsity")
     tol = _tolerance(config, "tol")
     waveforms = [parse_waveform(entry) for entry in read(config, "entries", [dict])]
@@ -268,6 +264,7 @@ def cmd_sparsity(config: dict, run: Run) -> Callable[[], int]:
 
 
 def cmd_ber(config: dict, run: Run) -> Callable[[], int]:
+    from .sim import config_fingerprint
     cfg = parse_sim(config, extra_keys={"layout"})
     paths = [run.path(f"ber_{target.slug}.csv") for target in cfg.targets]
     summary = run.path("curves.json")
@@ -298,17 +295,20 @@ def _sweep_table(run: Run, column: str, cfg, values) -> Callable[[], int]:
 
 
 def cmd_sweep_l(config: dict, run: Run) -> Callable[[], int]:
+    from .sim import sweep_l
     cfg = sweep_l(parse_sim(config, extra_keys={"l_values"}), read(config, "l_values", [int]))
     return _sweep_table(run, "l", cfg, [float(wf.L) for wf in cfg.targets])
 
 
 def cmd_sweep_q(config: dict, run: Run) -> Callable[[], int]:
+    from .sim import sweep_q
     cfg = sweep_q(parse_sim(config, extra_keys={"q_values", "alpha"}),
                   read(config, "q_values", [float]), alpha=read(config, "alpha", float))
     return _sweep_table(run, "q", cfg, [wf.q for wf in cfg.targets])
 
 
 def cmd_fdma_demo(config: dict, run: Run) -> Callable[[], int]:
+    from .noise import whitening_std
     check_keys(config, set(DEFAULT_FDMA), "fdma-demo")
     layout = parse_layout(read(config, "layout", [dict]))
     n = layout.N
@@ -379,6 +379,9 @@ def cmd_fdma_demo(config: dict, run: Run) -> Callable[[], int]:
 
 
 def cmd_verify_appendix(config: dict, run: Run) -> Callable[[], int]:
+    from .analysis import (rational_chirp_decompose, rect_window_spectrum, row_sparsity,
+                           verify_decimation_identity)
+    from .waveform import afdm_inverse_column
     check_keys(config, set(DEFAULT_VERIFY), "verify-appendix")
     decimation_tol = _tolerance(config, "decimation_tol")
     n_values = read(config, "n_values", [int], minimum=1)
@@ -497,8 +500,6 @@ def _resolve_config(args, defaults: dict) -> dict:
 
 
 def main(argv=None) -> int:
-    if not gc.get_freeze_count():  # once per process: tests call main many times
-        gc.freeze()  # the imports' ~23k long-lived objects: no collection walks them again
     args = build_parser().parse_args(argv)
     handler, defaults = _SUBCOMMANDS[args.subcommand]
     out_dir = args.out or f"wavelab_out/{args.subcommand}"
@@ -506,6 +507,8 @@ def main(argv=None) -> int:
         config = _resolve_config(args, defaults)
         run = Run(args.subcommand, out_dir, config, args)
         work = handler(config, run)
+        if not gc.get_freeze_count():  # once per process: tests call main many times
+            gc.freeze()  # after the parse, so the handler's imports are frozen too
         if args.dry_run:
             print(f"wavelab {args.subcommand}: config OK; would write to {out_dir}")
             print(json.dumps(config, indent=2, sort_keys=True, default=str))

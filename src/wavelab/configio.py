@@ -5,26 +5,33 @@ eagerly (a noise section takes only its kind's keys) and reads every value
 through :func:`read`, which checks its type strictly; each refusal is a
 ConfigError naming the key, which the CLI maps to exit code 2. Sizes pass
 :func:`check_size`, so a huge one is refused before any array is
-allocated. The CLI merges each file over its built-in defaults, so
-:func:`parse_sim` requires every top-level key it reads.
+allocated. Each parser imports its section's module when it runs. The
+CLI merges each file over its built-in defaults, so :func:`parse_sim`
+requires every top-level key it reads.
 """
 
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
-import yaml
-
-from .analysis import MAX_EXPANDED_SIZE
-from .channel import ChannelGenerator, ChannelSpec, ChannelTap
 from .exceptions import ConfigError
-from .fdma import BlockLayout
-from .noise import NoiseProfile, make_profile
-from .sim import SimConfig
 from .waveform import KINDS, OFDM, OTFS, WaveformConfig
+
+if TYPE_CHECKING:  # each parser imports its section's module when it runs
+    from .channel import ChannelGenerator, ChannelSpec
+    from .fdma import BlockLayout
+    from .noise import NoiseProfile
+    from .sim import SimConfig
+
+# Largest array length a config may ask for: a grid size N, a tap count or
+# a size-bN transform of the decimation identity. The parse refuses more,
+# naming the key, before any array is allocated.
+MAX_EXPANDED_SIZE = 1 << 20
 
 
 def load_config_file(path: str) -> dict:
+    import yaml
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = yaml.safe_load(fh)
@@ -122,6 +129,7 @@ def parse_waveform(section: dict, default_n: int | None = None) -> WaveformConfi
 
 
 def parse_channel(section: dict) -> ChannelGenerator | ChannelSpec:
+    from .channel import ChannelGenerator, ChannelSpec, ChannelTap
     if "taps" in section:
         check_keys(section, {"taps"}, "channel")
         taps = []
@@ -156,6 +164,7 @@ _PROFILE_KEYS = {
 
 
 def parse_profile(section: dict, n: int) -> NoiseProfile:
+    from .noise import make_profile
     kind = read(section, "kind", str, context="noise").lower()
     if kind not in _PROFILE_KEYS:
         raise ConfigError(f"unknown noise profile kind {kind!r}")
@@ -170,6 +179,7 @@ def parse_profile(section: dict, n: int) -> NoiseProfile:
 
 
 def parse_layout(entries, default_block_n: int = 12) -> BlockLayout:
+    from .fdma import BlockLayout
     return BlockLayout([parse_waveform(entry, default_n=default_block_n) for entry in entries])
 
 
@@ -182,8 +192,10 @@ _SIM_KEYS = {
 def parse_sim(doc: dict, extra_keys: set = frozenset()) -> SimConfig:
     """The BER experiment of ``doc``; a ``layout`` key, where ``extra_keys``
     allows it, runs one FDMA target over a quasi-static channel only."""
+    from .sim import SimConfig
     check_keys(doc, _SIM_KEYS | set(extra_keys), "config")
-    n = read(doc, "n", int)
+    # a layout's blocks take their own sizes, so it reads n but never uses it
+    n = read(doc, "n", int, minimum=None if "layout" in doc else 1)
     if "layout" in doc:
         targets = (parse_layout(read(doc, "layout", [dict])),)
     else:

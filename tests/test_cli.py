@@ -508,7 +508,7 @@ class TestOutputNames:
         def never(*args, **kwargs):
             raise AssertionError("run_ber ran on a config with clashing names")
 
-        monkeypatch.setattr(cli, "run_ber", never)
+        monkeypatch.setattr(wl.sim, "run_ber", never)
         _, text, _ = self.CASES[0]
         config = tmp_path / "cfg.yaml"
         config.write_text(text + "\n")
@@ -613,6 +613,11 @@ class TestStrictConfigReader:
         ("sparsity", "entries: [{kind: ofdm}]", "n"),
         ("sparsity", "entries: [{kind: afdm, q: 0.5}]", "n"),
         ("sparsity", "entries: [{kind: otfs, l: 3}]", "n"),
+        # each of these reached the waveform as its size and was refused with no key named
+        ("analyze-noise", "n: 0", "n"),
+        ("ber", "n: 0\nwaveforms: [{kind: ofdm}]", "n"),
+        ("ber", "n: -12\nwaveforms: [{kind: otfs, l: 3}]", "n"),
+        ("sweep-l", "n: 0", "n"),
     ]
 
     @staticmethod
@@ -646,8 +651,9 @@ class TestStrictConfigReader:
 
 class TestStartup:
     """A process loads only what its run uses: rare-path modules are imported
-    in the functions that need them (see README, Conventions). ``main``
-    freezes the import-time heap, once per process."""
+    in the functions that need them, and each subcommand's handler imports
+    the modules its run uses (see README, Conventions). ``main`` freezes the
+    heap once the handler has parsed, once per process."""
 
     # the thread pool (with logging) and the rational arithmetic of verify-appendix
     RARE = {"concurrent.futures", "logging", "fractions", "decimal"}
@@ -667,13 +673,35 @@ class TestStartup:
         ("analyze-noise", "n: 16\nprofiles: [{kind: impulse}]", ["--dry-run"], False),
         ("sparsity", "entries: [{kind: afdm, n: 16, q: 0.5}]", [], False),
     ]
+    BER_ENGINE = {"wavelab.sim", "wavelab.channel", "wavelab.fdma", "wavelab.qam"}
+    LAYOUT = "layout: [{kind: ofdm, n: 12}, {kind: otfs, k: 4, l: 3}]"
+    MODULE_CASES = [  # subcommand, config text (None: no --config), flags, loads, never loads
+        ("analyze-noise", "n: 16\nprofiles: [{kind: impulse}]", [],
+         {"wavelab.noise", "yaml"}, BER_ENGINE | {"wavelab.analysis"}),
+        ("sparsity", "entries: [{kind: afdm, n: 16, q: 0.5}]", [],
+         {"wavelab.analysis", "yaml"}, BER_ENGINE),
+        ("verify-appendix", None, [], {"wavelab.analysis"}, BER_ENGINE | {"yaml"}),
+        ("verify-appendix", "n_values: [8]", [], {"wavelab.analysis", "yaml"}, BER_ENGINE),
+        (*CASES[0][:3], {"wavelab.sim", "wavelab.qam"}, {"wavelab.analysis", "wavelab.fdma"}),
+        (*CASES[1][:3], {"wavelab.sim"}, {"wavelab.analysis"}),
+        ("ber", LAYOUT + "\nchannel: {num_taps: 2}\nsnr_db: [10.0]\nbits_per_point: 10000", [],
+         {"wavelab.sim", "wavelab.fdma"}, {"wavelab.analysis"}),
+        ("sweep-l", "l_values: [1, 2]\nn: 12", ["--dry-run"], {"wavelab.sim"},
+         {"wavelab.analysis"}),
+        ("sweep-q", "q_values: [1.0, 2.0]\nn: 12", ["--dry-run"], {"wavelab.sim"},
+         {"wavelab.analysis"}),
+        ("fdma-demo", LAYOUT, [], {"wavelab.fdma", "wavelab.noise"},
+         {"wavelab.analysis", "wavelab.sim", "wavelab.qam"}),
+    ]
 
     def run_fresh(self, tmp_path, subcommand, text, flags):
-        """``main`` in a new interpreter: the modules it loaded, and the
-        freeze count before and after it."""
-        config = tmp_path / "cfg.yaml"
-        config.write_text(text + "\n")
-        argv = [subcommand, "--config", str(config), "--out", str(tmp_path / "o"), *flags]
+        """``main`` in a new interpreter, with ``text`` as its config: the
+        modules it loaded, and the freeze count before and after it."""
+        argv = [subcommand, "--out", str(tmp_path / "o"), *flags]
+        if text is not None:
+            config = tmp_path / "cfg.yaml"
+            config.write_text(text + "\n")
+            argv += ["--config", str(config)]
         src = str(Path(wl.__file__).resolve().parent.parent)
         proc = subprocess.run([sys.executable, "-c", self.SCRIPT, *argv], capture_output=True,
                               text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
@@ -689,6 +717,18 @@ class TestStartup:
         loaded, _, _ = self.run_fresh(tmp_path, subcommand, text, flags)
         assert not self.RARE & set(loaded)
         assert may_load_hashlib or "hashlib" not in loaded
+
+    @pytest.mark.parametrize(
+        "subcommand,text,flags,loads,never_loads", MODULE_CASES,
+        ids=["analyze-noise", "sparsity", "verify-appendix", "verify-appendix-config", "ber",
+             "ber-dry-run", "ber-layout", "sweep-l-dry-run", "sweep-q-dry-run",
+             "fdma-demo"])
+    def test_each_subcommand_loads_only_what_it_runs(self, tmp_path, subcommand, text, flags,
+                                                     loads, never_loads):
+        loaded, _, frozen_after = self.run_fresh(tmp_path, subcommand, text, flags)
+        assert loads <= set(loaded)
+        assert not never_loads & set(loaded)
+        assert frozen_after > 0
 
     def test_main_freezes_the_import_heap(self, tmp_path):
         _, frozen_before, frozen_after = self.run_fresh(tmp_path, *self.CASES[1][:3])
