@@ -7,11 +7,11 @@ all Doppler shifts zero the matrix is circulant and diagonalizes in the
 DFT basis, which :func:`equalize` exploits for per-bin equalization.
 
 A random ``ChannelGenerator`` and a fixed ``ChannelSpec`` share one
-surface: ``delays``, ``max_doppler``, ``describe()`` and ``draw(rng) ->
-(gains, dopplers)``. The channel functions take those arrays, of shape
-(..., P) for P delays, leading axes over frames. ``equalize`` carries a
-whole chunk of frames, per bin or through the cyclic band H^H H + rho I
-built from the taps. The dense ZF/MMSE equalizers it is checked against
+surface: ``delays``, ``max_doppler``, ``describe()`` and ``draw(rngs) ->
+(gains, dopplers)``, one realization per generator, each (frames, P). The
+channel functions take those arrays, of shape (..., P) for P delays,
+leading axes over frames. ``equalize`` carries a whole chunk of frames,
+per bin or through the cyclic band H^H H + rho I built from the taps. The dense ZF/MMSE equalizers it is checked against
 (G as a plain N x N array) live in ``tests/oracles.py``.
 """
 
@@ -70,12 +70,14 @@ class ChannelGenerator:
     def describe(self) -> dict:
         return {"generator": {"num_taps": self.num_taps, "max_doppler": self.max_doppler}}
 
-    def draw(self, rng: np.random.Generator):
-        """One realization: gains, then Doppler shifts, from ``rng``."""
-        nt = self.num_taps
-        real, imag = rng.standard_normal(2 * nt).reshape(2, nt)  # the values of two nt-draws
-        gains = (real + 1j * imag) / np.sqrt(2 * nt)
-        return gains, rng.uniform(-self.max_doppler, self.max_doppler, nt)
+    def draw(self, rngs):
+        """One realization per generator: gains, then Doppler shifts, each (frames, P)."""
+        nt, top = self.num_taps, self.max_doppler
+        raw, dopplers = zip(*[  # per stream: the values of two nt-draws, then nt uniforms
+            (rng.standard_normal(2 * nt), rng.uniform(-top, top, nt)) for rng in rngs
+        ])
+        raw = np.array(raw)
+        return (raw[:, :nt] + 1j * raw[:, nt:]) / np.sqrt(2 * nt), np.array(dopplers)
 
 
 @dataclass(frozen=True)
@@ -99,9 +101,11 @@ class ChannelSpec:
     def describe(self) -> dict:
         return {"taps": [[t.delay, t.gain.real, t.gain.imag, t.doppler] for t in self.taps]}
 
-    def draw(self, rng: np.random.Generator):
-        gains = np.array([tap.gain for tap in self.taps], dtype=complex)
-        return gains, np.array([tap.doppler for tap in self.taps], dtype=float)
+    def draw(self, rngs):
+        """The taps' gains and Doppler shifts, one row per generator."""
+        rows = (len(rngs), 1)
+        return (np.tile(np.array([tap.gain for tap in self.taps], dtype=complex), rows),
+                np.tile(np.array([tap.doppler for tap in self.taps], dtype=float), rows))
 
 
 def check_delays(delays, n: int) -> None:

@@ -172,6 +172,10 @@ class Run:
         return self.out / name
 
     def finish(self) -> None:
+        try:  # numpy < 1.26 takes no mode
+            blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+        except (TypeError, KeyError):
+            blas = None
         manifest = {
             "subcommand": self.subcommand,
             "config": self.config,
@@ -179,6 +183,7 @@ class Run:
             "version": __version__,
             "python": ".".join(map(str, sys.version_info[:3])),
             "numpy": np.__version__,
+            "blas": blas,
             "threads": self.threads,
             "duration_s": time.perf_counter() - self.started,
             "outputs": sorted(self.outputs),

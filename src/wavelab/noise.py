@@ -4,7 +4,7 @@ Noise is modeled in the frequency domain with a diagonal covariance
 sigma_w^2 * Gamma_f; the per-bin gains gamma_n^2 on the diagonal are held
 in a :class:`NoiseProfile`, trace-normalized to N so that total noise
 power is the same for every profile and SNR comparisons stay fair.
-:func:`sample_noise` draws one w_f, as a plain array.
+:func:`sample_noise` draws one w_f per generator, as a (frames, N) array.
 
 :func:`whitening_std` quantifies the whitening capability of a
 demodulation matrix Q^{-1}: the standard deviation of the demodulated
@@ -146,16 +146,14 @@ def make_profile(
     return _normalized(gains, EQUALIZED)
 
 
-def sample_noise(
-    profile: NoiseProfile, sigma_w: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Draw one frequency-domain noise vector w_f = Gamma_f^{1/2} w_w, with
-    E{w_f w_f^H} = sigma_w^2 * diag(profile.gains)."""
+def sample_noise(profile: NoiseProfile, sigma_w: float, rngs) -> np.ndarray:
+    """Draw one frequency-domain noise vector w_f = Gamma_f^{1/2} w_w per
+    generator, (frames, N), with E{w_f w_f^H} = sigma_w^2 * diag(profile.gains)."""
     if sigma_w < 0:
         raise ConfigError(f"sigma_w must be >= 0, got {sigma_w}")
     n = profile.N
-    real, imag = rng.standard_normal(2 * n).reshape(2, n)  # the values of two n-draws
-    white = (real + 1j * imag) * (sigma_w / np.sqrt(2.0))
+    raw = np.array([rng.standard_normal(2 * n) for rng in rngs])  # two n-draws each
+    white = (raw[:, :n] + 1j * raw[:, n:]) * (sigma_w / np.sqrt(2.0))
     return np.sqrt(profile.gains) * white
 
 

@@ -1,10 +1,13 @@
-"""Gray-mapped square QAM with hard-decision demapping.
+"""Gray-mapped square QAM with hard decisions on symbol labels.
 
-Bit convention: each symbol consumes log2(order) bits, MSB first, with
+Bit convention: each symbol consumes m = log2(order) bits, MSB first, with
 the first half addressing the in-phase level and the second half the
-quadrature level. Levels on each axis are Gray-coded, so nearest
-constellation neighbors always differ in exactly one bit. The alphabet
-is scaled to unit average symbol energy.
+quadrature level. A symbol's label is those m bits read as one integer,
+(i_code << m/2) | q_code. Levels on each axis are Gray-coded, so nearest
+constellation neighbors always differ in exactly one bit, and the bit
+errors of a decision are the Hamming distance between the sent and the
+decided label: ``POPCOUNT[sent ^ decided]``. The alphabet is scaled to
+unit average symbol energy.
 """
 
 from __future__ import annotations
@@ -14,6 +17,8 @@ import numpy as np
 from .exceptions import ConfigError
 
 QAM_ORDERS = (4, 16, 64)
+# set bits of every label of the largest alphabet; labels are uint8
+POPCOUNT = np.array([bin(label).count("1") for label in range(max(QAM_ORDERS))], np.uint8)
 
 
 def _axis_bits(order: int) -> int:
@@ -36,41 +41,31 @@ def energy_scale(order: int) -> float:
     return 1.0 / np.sqrt(2.0 * (order - 1) / 3.0)
 
 
-def qam_map(bits, order: int) -> np.ndarray:
-    """Map 0/1 bits (..., B) to unit-energy Gray-coded QAM symbols, row by row."""
-    mh = _axis_bits(order)
-    m = 2 * mh
+def qam_label(bits, order: int) -> np.ndarray:
+    """Pack 0/1 bits (..., B) into symbol labels (..., B / log2(order))."""
+    m = 2 * _axis_bits(order)
     bits = np.asarray(bits)
     if bits.ndim == 0 or bits.shape[-1] == 0 or bits.shape[-1] % m != 0:
         raise ConfigError(
             f"bit count must be a positive multiple of {m} for {order}-QAM, "
             f"got shape {bits.shape}"
         )
-    grouped = bits.reshape(bits.shape[:-1] + (-1, m)).astype(np.int64)
-    weights = 1 << np.arange(mh - 1, -1, -1)
-    i_codes = grouped[..., :mh] @ weights
-    q_codes = grouped[..., mh:] @ weights
-    levels = 2.0 * np.arange(1 << mh) - ((1 << mh) - 1)
-    scale = energy_scale(order)
-    return scale * (
-        levels[_gray_decode(i_codes)] + 1j * levels[_gray_decode(q_codes)]
-    )
+    return bits.reshape(bits.shape[:-1] + (-1, m)) @ (1 << np.arange(m, dtype=np.uint8)[::-1])
 
 
-def qam_demap(symbols, order: int) -> np.ndarray:
-    """Per-symbol minimum-distance hard decision back to bits (..., B)."""
+def qam_map(labels, order: int) -> np.ndarray:
+    """Map symbol labels (...) to unit-energy Gray-coded QAM symbols."""
     mh = _axis_bits(order)
-    symbols = np.asarray(symbols, dtype=complex)
-    if symbols.ndim == 0:
-        raise ConfigError("symbols must have at least one axis")
+    levels = 2.0 * np.arange(1 << mh) - ((1 << mh) - 1)
+    axis = levels[_gray_decode(np.arange(1 << mh))]  # by Gray code
+    return (energy_scale(order) * (axis[:, None] + 1j * axis)).reshape(-1)[labels]
+
+
+def qam_decide(symbols, order: int) -> np.ndarray:
+    """Per-symbol minimum-distance hard decision, as labels (...)."""
+    mh = _axis_bits(order)
     top = (1 << mh) - 1
-    scale = energy_scale(order)
-
-    def axis_bits(values: np.ndarray) -> np.ndarray:
-        idx = np.clip(np.rint((values / scale + top) / 2.0), 0, top).astype(np.int64)
-        codes = idx ^ (idx >> 1)
-        return ((codes[..., None] >> np.arange(mh - 1, -1, -1)) & 1).astype(np.uint8)
-
-    i_bits = axis_bits(symbols.real)
-    q_bits = axis_bits(symbols.imag)
-    return np.concatenate([i_bits, q_bits], axis=-1).reshape(symbols.shape[:-1] + (-1,))
+    axes = np.ascontiguousarray(symbols, dtype=complex).view(float)  # I, Q, I, Q, ...
+    idx = np.clip(np.rint((axes / energy_scale(order) + top) / 2.0), 0, top).astype(np.uint8)
+    codes = idx ^ (idx >> 1)
+    return (codes[..., 0::2] << mh) | codes[..., 1::2]

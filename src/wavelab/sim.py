@@ -9,7 +9,11 @@ of a (frames, N) stack; :func:`wavelab.channel.equalize` takes a chunk
 from z to r_f. Each frame draws channel taps, data bits and noise, in
 that order, from its own stream ``frame_rng(seed, point, frame)``, and is
 drawn once: compared waveforms and the L or q values of a sweep see the
-same draws. A frame refused by zero-forcing is skipped for every target.
+same draws. The arithmetic on the channel and noise draws runs once per
+chunk, on the stacked raw draws. A frame's bits become QAM labels (see
+:mod:`wavelab.qam`), and its bit errors are the Hamming distances between
+sent and decided labels. A frame refused by zero-forcing is skipped for
+every target.
 ``threads`` spreads chunks over worker threads, one per CPU at most;
 counts are integer sums over frames, so results are bit-identical at any
 thread count and chunk size.
@@ -30,7 +34,7 @@ import numpy as np
 from .channel import EQUALIZERS, ChannelGenerator, ChannelSpec, check_delays, equalize
 from .exceptions import ConfigError, EqualizationError
 from .noise import NoiseProfile, sample_noise
-from .qam import QAM_ORDERS, qam_demap, qam_map
+from .qam import POPCOUNT, QAM_ORDERS, qam_decide, qam_label, qam_map
 from .waveform import WaveformConfig
 
 MIN_BITS_PER_POINT = 10_000
@@ -153,22 +157,20 @@ def frame_rng(seed: int, point_index: int, frame_index: int) -> np.random.Genera
 def _run_chunk(cfg: SimConfig, targets, rngs, sigma_w: float):
     """Draw one frame from each generator and run every target on it.
 
-    Returns the sent bits (frames, B), the decided bits (targets, frames,
-    B) and the (frames,) bool mask of the frames zero-forcing refused.
+    Returns the sent labels (frames, N), the decided labels (targets,
+    frames, N) and the (frames,) bool mask of the frames zero-forcing
+    refused.
     """
-    bits_per_frame = cfg.bits_per_frame
-    draws = [  # per frame: channel, bits, noise, in that order
-        (*cfg.channel.draw(rng), rng.integers(0, 2, size=bits_per_frame, dtype=np.uint8),
-         sample_noise(cfg.profile, sigma_w, rng))
-        for rng in rngs
-    ]
-    gains, dopplers, bits, w_f = (np.array(column) for column in zip(*draws))
-    symbols = qam_map(bits, cfg.qam_order)
+    gains, dopplers = cfg.channel.draw(rngs)  # each stream draws channel, bits, noise
+    bits = np.array([rng.integers(0, 2, size=cfg.bits_per_frame, dtype=np.uint8) for rng in rngs])
+    w_f = sample_noise(cfg.profile, sigma_w, rngs)
+    tx = qam_label(bits, cfg.qam_order)
+    symbols = qam_map(tx, cfg.qam_order)
     z = np.array([target.precode(symbols) for target in targets])
     r_f, refused = equalize(cfg.channel.delays, gains, dopplers, z, w_f, sigma_w**2,
                             cfg.equalizer)
-    rx = [qam_demap(target.receive(r), cfg.qam_order) for target, r in zip(targets, r_f)]
-    return bits, np.array(rx), refused
+    rx = [qam_decide(target.receive(r), cfg.qam_order) for target, r in zip(targets, r_f)]
+    return tx, np.array(rx), refused
 
 
 def _sigma_w(snr_db: float) -> float:
@@ -193,7 +195,7 @@ def run_ber(cfg: SimConfig, threads: int = 1) -> list[BerCurve]:
         rngs = [frame_rng(cfg.seed, pi, f) for f in chunk]
         tx, rx, refused = _run_chunk(cfg, targets, rngs, _sigma_w(cfg.snr_db[pi]))
         kept = ~refused
-        frame_errors = np.count_nonzero(rx[:, kept] != tx[kept], axis=2)  # (targets, kept)
+        frame_errors = POPCOUNT[rx ^ tx].sum(axis=2, dtype=np.int64)[:, kept]  # (targets, kept)
         return np.stack([frame_errors, frame_errors**2], axis=-1).sum(axis=1), int(kept.sum())
 
     if threads > 1:

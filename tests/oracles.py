@@ -2,8 +2,9 @@
 
 wavelab computes Q, Q^{-1}, |Q^{-1}|^2, H and G only in operator form:
 ``WaveformConfig.precode``/``receive``, ``row_magnitudes``/``demod_power``
-and ``channel.equalize``. The dense N x N forms below are what the tests
-check those operator forms against; nothing in ``src/`` calls them.
+and ``channel.equalize``, and decides QAM symbols as labels
+(``qam_decide``). The dense N x N forms and the bitwise demapper below are
+what the tests check those forms against; nothing in ``src/`` calls them.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 from wavelab.analysis import DEFAULT_SPARSITY_TOL, SparsityReport
 from wavelab.channel import CONDITION_LIMIT, ChannelSpec, ChannelTap
 from wavelab.exceptions import ConfigError, DimensionError, EqualizationError
-from wavelab.qam import _axis_bits, qam_map
+from wavelab.qam import _axis_bits, energy_scale, qam_label, qam_map
 from wavelab.sim import SimConfig, _run_chunk, _sigma_w
 from wavelab.waveform import OFDM, OTFS, WaveformConfig, chirp_diagonal
 
@@ -198,13 +199,37 @@ def chirp_spectrum(n: int, b: int, a: int, u: int) -> complex:
 # qam and sim
 
 
+def label_bits(labels, order: int) -> np.ndarray:
+    """Unpack symbol labels (..., N) into their 0/1 bits (..., N log2(order)), MSB first."""
+    m = 2 * _axis_bits(order)
+    labels = np.asarray(labels)
+    bits = (labels[..., None] >> np.arange(m - 1, -1, -1)) & 1
+    return bits.astype(np.uint8).reshape(labels.shape[:-1] + (-1,))
+
+
 def qam_alphabet(order: int) -> np.ndarray:
     """Constellation point for every bit pattern, indexed by the bit integer."""
+    return qam_map(qam_label(label_bits(np.arange(order), order), order), order)
+
+
+def qam_demap(symbols, order: int) -> np.ndarray:
+    """Per-symbol minimum-distance hard decision back to bits (..., B), one
+    axis at a time: the bitwise form of ``qam_decide``."""
     mh = _axis_bits(order)
-    bits = ((np.arange(order)[:, None] >> np.arange(2 * mh - 1, -1, -1)) & 1).astype(
-        np.uint8
-    )
-    return qam_map(bits.reshape(-1), order)
+    symbols = np.asarray(symbols, dtype=complex)
+    if symbols.ndim == 0:
+        raise ConfigError("symbols must have at least one axis")
+    top = (1 << mh) - 1
+    scale = energy_scale(order)
+
+    def axis_bits(values: np.ndarray) -> np.ndarray:
+        idx = np.clip(np.rint((values / scale + top) / 2.0), 0, top).astype(np.int64)
+        codes = idx ^ (idx >> 1)
+        return ((codes[..., None] >> np.arange(mh - 1, -1, -1)) & 1).astype(np.uint8)
+
+    i_bits = axis_bits(symbols.real)
+    q_bits = axis_bits(symbols.imag)
+    return np.concatenate([i_bits, q_bits], axis=-1).reshape(symbols.shape[:-1] + (-1,))
 
 
 def run_frame(cfg: SimConfig, rng: np.random.Generator, target=None, snr_db=None):
@@ -212,12 +237,12 @@ def run_frame(cfg: SimConfig, rng: np.random.Generator, target=None, snr_db=None
     one-frame chunk of the engine.
 
     Defaults to the first target and the first SNR point. Returns
-    (tx_bits, rx_bits); raises EqualizationError when the equalizer refuses
-    the frame's channel.
+    (tx_bits, rx_bits), unpacked from the engine's labels; raises
+    EqualizationError when the equalizer refuses the frame's channel.
     """
     target = cfg.targets[0] if target is None else target
     snr_db = cfg.snr_db[0] if snr_db is None else snr_db
     tx, rx, refused = _run_chunk(cfg, (target,), [rng], _sigma_w(snr_db))
     if refused[0]:
         raise EqualizationError("zero-forcing refused the frame's channel")
-    return tx[0], rx[0, 0]
+    return label_bits(tx[0], cfg.qam_order), label_bits(rx[0, 0], cfg.qam_order)

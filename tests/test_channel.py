@@ -15,7 +15,8 @@ from oracles import dft_matrix, mmse_equalizer, to_frequency, zf_equalizer
 def taps_of(channel, rng=None):
     """(delays, gains, dopplers) of one draw: the arrays the channel
     functions take. A fixed tap list draws nothing from ``rng``."""
-    return (channel.delays, *channel.draw(rng))
+    gains, dopplers = channel.draw([rng])
+    return channel.delays, gains[0], dopplers[0]
 
 
 def random_channel_matrix(rng, n):
@@ -88,35 +89,54 @@ class TestRandomChannel:
         # Monte-Carlo check of E sum|h_l|^2 = 1
         rng = np.random.default_rng(11)
         gen = wl.ChannelGenerator(num_taps=8)
-        total = 0.0
-        draws = 10_000
-        for _ in range(draws):
-            gains, _ = gen.draw(rng)
-            total += sum(abs(gain) ** 2 for gain in gains)
-        assert 0.97 <= total / draws <= 1.03
+        gains, _ = gen.draw([rng] * 10_000)
+        assert 0.97 <= np.mean(np.sum(np.abs(gains) ** 2, axis=1)) <= 1.03
 
     def test_fixed_seed_reproducible(self):
         gen = wl.ChannelGenerator(num_taps=4, max_doppler=0.3)
-        a = gen.draw(np.random.default_rng(42))
-        b = gen.draw(np.random.default_rng(42))
+        a = gen.draw([np.random.default_rng(42)])
+        b = gen.draw([np.random.default_rng(42)])
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_draw_keeps_the_two_call_stream(self):
         # one standard_normal(2P) call gives the values of two P-draws: the stream the
         # frozen counts rest on
         gains, dopplers = wl.ChannelGenerator(num_taps=5, max_doppler=0.3).draw(
-            np.random.default_rng(42))
+            [np.random.default_rng(42)])
         rng = np.random.default_rng(42)
         expected = (rng.standard_normal(5) + 1j * rng.standard_normal(5)) / np.sqrt(10)
-        assert np.array_equal(gains, expected)
-        assert np.array_equal(dopplers, rng.uniform(-0.3, 0.3, 5))
+        assert np.array_equal(gains, [expected])
+        assert np.array_equal(dopplers, [rng.uniform(-0.3, 0.3, 5)])
+
+    @pytest.mark.parametrize("max_doppler", [0.3, 0.0])
+    def test_chunk_rows_are_the_per_frame_formula(self, max_doppler):
+        # one row per generator, each the one-frame formula on that generator's
+        # stream (max_doppler 0 still takes its uniform draw); a generator listed
+        # k times gives k consecutive draws
+        def streams():
+            return [np.random.default_rng(s) for s in (3, 1, 4)] + [np.random.default_rng(42)] * 3
+
+        gen = wl.ChannelGenerator(num_taps=6, max_doppler=max_doppler)
+        gains, dopplers = gen.draw(streams())
+        assert gains.shape == dopplers.shape == (6, 6)
+        for f, rng in enumerate(streams()):
+            real, imag = rng.standard_normal(12).reshape(2, 6)
+            assert np.array_equal(gains[f], (real + 1j * imag) / np.sqrt(12))
+            assert np.array_equal(dopplers[f], rng.uniform(-max_doppler, max_doppler, 6))
+
+    def test_fixed_taps_repeat_per_generator(self):
+        spec = wl.ChannelSpec(taps=(wl.ChannelTap(0, 0.8 + 0.1j), wl.ChannelTap(2, -0.2j, 0.3)))
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        gains, dopplers = spec.draw([rng] * 4)
+        assert np.array_equal(gains, [[0.8 + 0.1j, -0.2j]] * 4)
+        assert np.array_equal(dopplers, [[0.0, 0.3]] * 4)
+        assert rng.bit_generator.state == state  # draws nothing
 
     def test_doppler_bounded(self):
-        rng = np.random.default_rng(3)
         gen = wl.ChannelGenerator(num_taps=8, max_doppler=0.3)
-        for _ in range(50):
-            _, dopplers = gen.draw(rng)
-            assert all(abs(doppler) <= 0.3 for doppler in dopplers)
+        _, dopplers = gen.draw([np.random.default_rng(3)] * 50)
+        assert np.abs(dopplers).max() <= 0.3
 
 
 class TestZfEqualizer:

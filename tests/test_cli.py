@@ -55,6 +55,18 @@ class TestAnalyzeNoise:
         assert platform.python_version().startswith(manifest["python"])
         assert manifest["numpy"] == np.__version__
 
+    def test_manifest_records_the_blas_library(self, out_dir, tmp_path, monkeypatch):
+        blas = json.loads((out_dir / "manifest.json").read_text())["blas"]
+        if tuple(map(int, np.__version__.split(".")[:2])) >= (1, 26):
+            assert blas == np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+            assert isinstance(blas, str) and blas
+        else:
+            assert blas is None
+        # numpy before 1.26 has a show_config without a mode argument: null
+        monkeypatch.setattr(np, "show_config", lambda: None)
+        assert run_cli("verify-appendix", "--out", str(tmp_path)) == 0
+        assert json.loads((tmp_path / "manifest.json").read_text())["blas"] is None
+
     def test_summary_ordering_per_profile(self, out_dir):
         header, rows = read_csv(out_dir / "summary.csv")
         idx = {name: header.index(name) for name in ("waveform", "profile", "std")}

@@ -19,7 +19,7 @@ from wavelab import sim
 from wavelab.cli import main
 from wavelab.exceptions import EqualizationError
 
-from oracles import mmse_equalizer, run_frame, zf_equalizer
+from oracles import label_bits, mmse_equalizer, qam_demap, run_frame, zf_equalizer
 
 TARGETS = (
     wl.WaveformConfig.ofdm(36),
@@ -51,9 +51,12 @@ class TestStackedLayers:
     def test_qam_map_and_demap(self, order):
         rng = np.random.default_rng(order)
         bits = rng.integers(0, 2, size=(7, 36 * int(np.log2(order))), dtype=np.uint8)
-        assert_rowwise(lambda b: wl.qam_map(b, order), bits)
-        symbols = wl.qam_map(bits, order) + 0.3 * stacked(rng, 7, 36)
-        assert_rowwise(lambda s: wl.qam_demap(s, order), symbols)
+        assert_rowwise(lambda b: wl.qam_label(b, order), bits)
+        labels = wl.qam_label(bits, order)
+        assert_rowwise(lambda c: wl.qam_map(c, order), labels)
+        symbols = wl.qam_map(labels, order) + 0.3 * stacked(rng, 7, 36)
+        assert_rowwise(lambda s: wl.qam_decide(s, order), symbols)
+        assert_rowwise(lambda s: qam_demap(s, order), symbols)
 
     @pytest.mark.parametrize("target", TARGETS, ids=lambda t: t.slug)
     def test_transmit_and_receive(self, target):
@@ -74,10 +77,11 @@ class TestStackedLayers:
     def test_apply_channel(self, doppler):
         rng = np.random.default_rng(3)
         channel = wl.ChannelGenerator(8, doppler)
-        taps = (channel.delays, *channel.draw(rng))
+        gains, dopplers = channel.draw([rng])
+        taps = (channel.delays, gains[0], dopplers[0])
         assert_rowwise(lambda x: wl.apply_channel(*taps, x), stacked(rng, 5, 36))
         # per-frame taps on a (targets, frames, N) stack, against each dense H
-        gains, dopplers = (np.array(c) for c in zip(*(channel.draw(rng) for _ in range(5))))
+        gains, dopplers = channel.draw([rng] * 5)
         x = stacked(rng, 3 * 5, 36).reshape(3, 5, 36)
         y = wl.apply_channel(channel.delays, gains, dopplers, x)
         for f in range(5):
@@ -102,7 +106,7 @@ def test_quasi_static_receive_matches_dense(channel):
     # F G (H F^H z + F^H w_f), with the dense H and G
     rng = np.random.default_rng(5)
     n, rho = 36, 0.05
-    gains, dopplers = (np.array(c) for c in zip(*(channel.draw(rng) for _ in range(4))))
+    gains, dopplers = channel.draw([rng] * 4)
     x, w_f = stacked(rng, 4, n), stacked(rng, 4, n)
     h_f = wl.frequency_response(channel.delays, gains, dopplers, n)
     fast = h_f * np.fft.fft(x, norm="ortho") + w_f
@@ -142,7 +146,7 @@ def test_dispersive_receive_matches_dense(channel, n):
     # mod N onto shared diagonals
     rng = np.random.default_rng(5)
     rho = 0.05
-    gains, dopplers = (np.array(c) for c in zip(*(channel.draw(rng) for _ in range(4))))
+    gains, dopplers = channel.draw([rng] * 4)
     z, w_f = stacked(rng, 3 * 4, n).reshape(3, 4, n), stacked(rng, 4, n)
     for equalizer in wl.channel.EQUALIZERS:
         fast, refused = wl.equalize(channel.delays, gains, dopplers, z.copy(), w_f, rho,
@@ -162,7 +166,7 @@ def test_dispersive_chunk_solves_frame_by_frame(equalizer):
     # a chunk of 32 frames never holds a (frames, N, N) stack at once
     rng = np.random.default_rng(7)
     frames, n, channel = 32, 120, wl.ChannelGenerator(num_taps=8, max_doppler=0.3)
-    gains, dopplers = (np.array(c) for c in zip(*(channel.draw(rng) for _ in range(frames))))
+    gains, dopplers = channel.draw([rng] * frames)
     z, w_f = stacked(rng, 4 * frames, n).reshape(4, frames, n), stacked(rng, frames, n)
     tracemalloc.start()
     try:
@@ -246,10 +250,40 @@ def test_run_frame_is_a_one_frame_chunk():
             FRAME_CFG, target)
 
 
+@pytest.mark.parametrize("channel", [FRAME_CFG.channel, wl.ChannelGenerator(num_taps=4)],
+                         ids=["doppler", "max_doppler_0"])
+def test_chunk_draws_follow_the_per_frame_formulas(monkeypatch, channel):
+    # each stream draws its channel (standard_normal(2P), then uniform(P), even at
+    # max_doppler 0), its bits, then its noise (standard_normal(2N)); the chunk's
+    # arrays hold exactly the per-frame formulas' values
+    cfg = dataclasses.replace(FRAME_CFG, channel=channel)
+    seen = {}
+
+    def capture(delays, gains, dopplers, z, w_f, rho, equalizer):
+        seen.update(gains=gains, dopplers=dopplers, w_f=w_f)
+        return wl.equalize(delays, gains, dopplers, z, w_f, rho, equalizer)
+
+    monkeypatch.setattr(sim, "equalize", capture)
+    sigma_w, frames = 0.3, range(5)
+    tx, _, _ = sim._run_chunk(cfg, cfg.targets, [wl.frame_rng(4, 0, f) for f in frames], sigma_w)
+    p, n, top = channel.num_taps, cfg.n, channel.max_doppler
+    for f in frames:
+        rng = wl.frame_rng(4, 0, f)
+        gains = (rng.standard_normal(p) + 1j * rng.standard_normal(p)) / np.sqrt(2 * p)
+        assert np.array_equal(seen["gains"][f], gains)
+        assert np.array_equal(seen["dopplers"][f], rng.uniform(-top, top, p))
+        bits = rng.integers(0, 2, size=cfg.bits_per_frame, dtype=np.uint8)
+        assert np.array_equal(label_bits(tx[f], cfg.qam_order), bits)
+        white = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * (sigma_w / np.sqrt(2.0))
+        assert np.array_equal(seen["w_f"][f], np.sqrt(cfg.profile.gains) * white)
+
+
 def test_errors_sq_sums_kept_frames_only(monkeypatch):
     skip_some_frames(monkeypatch)
     cfg = dataclasses.replace(FRAME_CFG, equalizer="zf")
     curves = wl.run_ber(cfg)
+    # recorded from the bitwise engine: labels must not change which frames are refused
+    assert [curve.points[0].skipped_frames for curve in curves] == [38] * len(curves)
     for target, curve in zip(cfg.targets, curves):
         point = curve.points[0]
         assert 0 < point.skipped_frames < point.frames
@@ -301,18 +335,19 @@ def run_variants(tmp_path, monkeypatch, subcommand, doc):
 
 
 def skip_some_frames(monkeypatch):
-    """Replace the channel of roughly half the frames by one with a spectral
-    null (gains 1, -1, 0, ...), after the usual draw, so the streams do not
-    change and zero-forcing refuses just those frames."""
+    """Replace the channel of roughly half the frames (those whose first
+    gain has a positive real part) by one with a spectral null (gains 1,
+    -1, 0, ...), after the usual draw, so the streams do not change and
+    zero-forcing refuses just those frames."""
     draw = wl.ChannelGenerator.draw
 
-    def draw_or_null(gen, rng):
-        gains, dopplers = draw(gen, rng)
-        if gains[0].real <= 0:
-            return gains, dopplers
-        null = np.zeros_like(gains)
-        null[:2] = 1.0, -1.0
-        return null, np.zeros_like(dopplers)
+    def draw_or_null(gen, rngs):
+        gains, dopplers = draw(gen, rngs)
+        nulled = gains[:, 0].real > 0
+        gains[nulled] = 0.0
+        gains[nulled, :2] = 1.0, -1.0
+        dopplers[nulled] = 0.0
+        return gains, dopplers
 
     monkeypatch.setattr(wl.ChannelGenerator, "draw", draw_or_null)
 
@@ -333,6 +368,8 @@ def test_outputs_identical_across_threads_and_chunks(tmp_path, monkeypatch, name
     skipped = [p["skipped_frames"] for p in points]
     if name.endswith("zf"):
         assert all(0 < s < p["frames"] for s, p in zip(skipped, points))
+        # per curve and point, as recorded from the bitwise engine
+        assert skipped == {"ber": [30, 22] * 3, "sweep-l": [30] * 3}[subcommand]
     else:
         assert not any(skipped)
 

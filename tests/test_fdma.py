@@ -126,7 +126,8 @@ class TestDecompose:
         n = layout.N
         rng = np.random.default_rng(7)
         channel = wl.ChannelGenerator(num_taps=4)
-        taps = (channel.delays, *channel.draw(rng))
+        gains, dopplers = channel.draw([rng])
+        taps = (channel.delays, gains[0], dopplers[0])
         data = random_blocks(layout, 8)
         x = np.fft.ifft(layout.precode(np.concatenate(data)), norm="ortho")
         y = wl.apply_channel(*taps, x)

@@ -32,9 +32,9 @@ class NullingChannel:
     def describe(self):
         return {"nulling": {"max_doppler": self.max_doppler}}
 
-    def draw(self, rng):
-        second = -1.0 if rng.integers(2) else 0.5
-        return np.array([1.0, second], dtype=complex), np.zeros(2)
+    def draw(self, rngs):
+        seconds = [-1.0 if rng.integers(2) else 0.5 for rng in rngs]
+        return np.array([[1.0, s] for s in seconds], dtype=complex), np.zeros((len(rngs), 2))
 
 
 def waveforms(n=N):

@@ -20,7 +20,7 @@ EXPORTS = {
     "exceptions": ["ConfigError", "DimensionError", "EqualizationError", "WavelabError"],
     "fdma": ["Block", "BlockLayout"],
     "noise": ["NoiseProfile", "make_profile", "sample_noise", "whitening_std"],
-    "qam": ["QAM_ORDERS", "qam_demap", "qam_map"],
+    "qam": ["QAM_ORDERS", "qam_decide", "qam_label", "qam_map"],
     "sim": ["BerCurve", "BerPoint", "SimConfig", "config_fingerprint", "frame_rng",
             "run_ber", "sweep_l", "sweep_q"],
     "waveform": ["AFDM", "OFDM", "OTFS", "WaveformConfig", "afdm_inverse_column",

@@ -82,35 +82,46 @@ class TestMakeProfile:
 class TestSampleNoise:
     def test_zero_sigma_is_silent(self):
         prof = wl.make_profile("white", 8)
-        w_f = wl.sample_noise(prof, 0.0, np.random.default_rng(0))
-        assert_allclose(w_f, np.zeros(8))
+        w_f = wl.sample_noise(prof, 0.0, [np.random.default_rng(0)])
+        assert_allclose(w_f, np.zeros((1, 8)))
 
     def test_keeps_the_two_call_stream(self):
         # one standard_normal(2N) call gives the values of two N-draws: the stream the
         # frozen counts rest on
         prof = wl.make_profile("impulse", 32)
-        w_f = wl.sample_noise(prof, 0.7, np.random.default_rng(MC_SEED))
+        w_f = wl.sample_noise(prof, 0.7, [np.random.default_rng(MC_SEED)])
         rng = np.random.default_rng(MC_SEED)
         white = (rng.standard_normal(32) + 1j * rng.standard_normal(32)) * (0.7 / np.sqrt(2.0))
-        assert np.array_equal(w_f, np.sqrt(prof.gains) * white)
+        assert np.array_equal(w_f, [np.sqrt(prof.gains) * white])
+
+    def test_chunk_rows_are_the_per_frame_formula(self):
+        # one row per generator, each the one-frame formula on that generator's stream;
+        # a generator listed k times gives k consecutive draws
+        prof = wl.make_profile("interferer", 24)
+        rngs = [np.random.default_rng(seed) for seed in (3, 1, 4)]
+        shared = np.random.default_rng(MC_SEED)
+        w_f = wl.sample_noise(prof, 0.4, rngs + [shared] * 3)
+        refs = [np.random.default_rng(seed) for seed in (3, 1, 4)]
+        shared_ref = np.random.default_rng(MC_SEED)
+        assert w_f.shape == (6, 24)
+        for row, rng in zip(w_f, refs + [shared_ref] * 3):
+            real, imag = rng.standard_normal(48).reshape(2, 24)
+            white = (real + 1j * imag) * (0.4 / np.sqrt(2.0))
+            assert np.array_equal(row, np.sqrt(prof.gains) * white)
 
     def test_white_per_bin_variance(self):
         # 25000 draws x 4 bins = 1e5 scalar samples; se per bin ~ 0.63%
         prof = wl.make_profile("white", 4)
         rng = np.random.default_rng(MC_SEED)
         sigma = 0.7
-        samples = np.array(
-            [wl.sample_noise(prof, sigma, rng) for _ in range(25_000)]
-        )
+        samples = wl.sample_noise(prof, sigma, [rng] * 25_000)
         per_bin = np.mean(np.abs(samples) ** 2, axis=0)
         assert np.abs(per_bin / sigma**2 - 1.0).max() < 0.03
 
     def test_impulse_variance_ratio(self):
         prof = wl.make_profile("impulse", 32)
         rng = np.random.default_rng(MC_SEED)
-        samples = np.array(
-            [wl.sample_noise(prof, 1.0, rng) for _ in range(100_000 // 32)]
-        )
+        samples = wl.sample_noise(prof, 1.0, [rng] * (100_000 // 32))
         per_bin = np.mean(np.abs(samples) ** 2, axis=0)
         hot = np.flatnonzero(prof.gains > 1.0)
         cold = np.flatnonzero(prof.gains < 1.0)

@@ -258,7 +258,7 @@ class TestStructuralInvariants:
     def test_identity_channel_roundtrip(self, n):
         rng = np.random.default_rng(n)
         bits = rng.integers(0, 2, n * 4, dtype=np.uint8)
-        c = wl.qam_map(bits, 16)
+        c = wl.qam_map(wl.qam_label(bits, 16), 16)
         configs = [wl.WaveformConfig.ofdm(n), wl.WaveformConfig.afdm(n, -4.0, 0.1)]
         for l in (2, n // 2):
             if n % l == 0:
