@@ -2,17 +2,17 @@
 
 A channel is a sum of taps, each applying a cyclic delay and a per-sample
 Doppler modulation: H = sum_l h_l * Delta(theta_l) * Pi^l, where Pi is the
-forward cyclic shift and Delta(theta) = diag(exp(2j*pi*theta*n/N)). With
-all Doppler shifts zero the matrix is circulant and diagonalizes in the
-DFT basis, which :func:`equalize` exploits for per-bin equalization.
+forward cyclic shift and Delta(theta) = diag(exp(2j*pi*theta*n/N)).
 
 A random ``ChannelGenerator`` and a fixed ``ChannelSpec`` share one
 surface: ``delays``, ``max_doppler``, ``describe()`` and ``draw(rngs) ->
 (gains, dopplers)``, one realization per generator, each (frames, P). The
 channel functions take those arrays, of shape (..., P) for P delays,
-leading axes over frames. ``equalize`` carries a whole chunk of frames,
-per bin or through the cyclic band H^H H + rho I built from the taps. The dense ZF/MMSE equalizers it is checked against
-(G as a plain N x N array) live in ``tests/oracles.py``.
+leading axes over frames. ``equalize`` dispatches a whole chunk of frames:
+with every Doppler zero, H is circulant and ``_equalize_per_bin`` works
+in the DFT basis; otherwise ``_equalize_banded`` solves the cyclic band
+H^H H + rho I per frame. Each path owns its zero-forcing guard. The dense
+ZF/MMSE equalizers they are checked against live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -166,29 +166,33 @@ def equalize(delays, gains, dopplers, z, w_f, rho: float, equalizer: str):
         raise ConfigError(f"equalizer must be one of {EQUALIZERS}")
     if not rho >= 0:  # NaN as well
         raise ConfigError(f"noise-to-signal ratio must be >= 0, got {rho}")
-    n, per_bin = z.shape[-1], not np.any(dopplers)
-    condition = np.zeros(len(gains))  # MMSE refuses no frame
-    if per_bin:
-        h_f = frequency_response(delays, gains, dopplers, n)
-        mags = np.abs(h_f)
-        if equalizer == "zf":
-            top, bottom = mags.max(axis=-1), np.maximum(mags.min(axis=-1), np.finfo(float).tiny)
-            condition = np.where(top > 0, top / bottom, np.inf)  # no power: no inverse
-    elif equalizer == "zf":
-        hs = (build_channel(delays, g, d, n) for g, d in zip(gains, dopplers))
-        condition = np.array([np.linalg.cond(h) for h in hs])
-    refused = ~(condition <= CONDITION_LIMIT)  # NaN and inf as well
-    rho = 0.0 if equalizer == "zf" else rho
-    if per_bin:
-        # H is circulant: r_f = (h_f . z + w_f) . G_f per bin, in place to hold one copy
-        mags[refused] = np.inf  # a refused frame gets zero gains
-        z *= h_f
-        z += w_f
-        z *= h_f.conj() / (mags**2 + rho)
-        return z, refused
+    zf = equalizer == "zf"
+    path = _equalize_banded if np.any(dopplers) else _equalize_per_bin
+    return path(delays, gains, dopplers, z, w_f, 0.0 if zf else rho, zf)
+
+
+def _refuses(condition):  # zero-forcing's guard on condition numbers
+    return ~(condition <= CONDITION_LIMIT)  # NaN and inf as well
+
+
+def _equalize_per_bin(delays, gains, dopplers, z, w_f, rho: float, zf: bool):
+    # H is circulant: r_f = (h_f . z + w_f) . G_f per bin, in place to hold one copy
+    h_f = frequency_response(delays, gains, dopplers, z.shape[-1])
+    mags, refused = np.abs(h_f), np.zeros(len(gains), dtype=bool)  # MMSE refuses no frame
+    if zf:
+        top, bottom = mags.max(axis=-1), np.maximum(mags.min(axis=-1), np.finfo(float).tiny)
+        refused = _refuses(np.where(top > 0, top / bottom, np.inf))  # no power: no inverse
+    mags[refused] = np.inf  # a refused frame gets zero gains
+    z *= h_f
+    z += w_f
+    z *= h_f.conj() / (mags**2 + rho)
+    return z, refused
+
+
+def _equalize_banded(delays, gains, dopplers, z, w_f, rho: float, zf: bool):
     # H = sum_p diag(u_p) Pi^{d_p} with u_p[m] = h_p exp(2j pi theta_p m / N),
     # so H^H y = sum_p Pi^{-d_p} (u_p^* . y) and neither it nor H^H H needs H
-    rows = np.arange(n)
+    n, rows = z.shape[-1], np.arange(z.shape[-1])
     u = gains[..., None] * np.exp(1j * (2 * np.pi / n) * dopplers[..., None] * rows)
     y = apply_channel(delays, gains, dopplers, np.fft.ifft(z, norm="ortho"))
     y += np.fft.ifft(w_f, norm="ortho")
@@ -202,9 +206,10 @@ def equalize(delays, gains, dopplers, z, w_f, rho: float, equalizer: str):
         band[:, k] += np.roll(u[:, a].conj() * u[:, b], -delays[a], axis=-1)
     band[:, 0] += rho  # deltas[0] == 0
     cols, gram = (rows + deltas[:, None]) % n, np.zeros((n, n), dtype=complex)
-    for f in range(len(gains)):
-        if refused[f]:  # its bins keep H^H y
-            continue
-        gram[rows, cols] = band[f]
-        rhs[:, f] = np.linalg.solve(gram, rhs[:, f].T).T
+    refused = np.zeros(len(gains), dtype=bool)  # MMSE refuses no frame
+    for f, (g, d) in enumerate(zip(gains, dopplers)):
+        refused[f] = zf and _refuses(np.linalg.cond(build_channel(delays, g, d, n)))
+        if not refused[f]:  # a refused frame's bins keep H^H y
+            gram[rows, cols] = band[f]
+            rhs[:, f] = np.linalg.solve(gram, rhs[:, f].T).T
     return np.fft.fft(rhs, norm="ortho"), refused

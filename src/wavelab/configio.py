@@ -178,9 +178,9 @@ def parse_profile(section: dict, n: int) -> NoiseProfile:
     return make_profile(kind, n, **kwargs)
 
 
-def parse_layout(entries, default_block_n: int = 12) -> BlockLayout:
+def parse_layout(entries) -> BlockLayout:
     from .fdma import BlockLayout
-    return BlockLayout([parse_waveform(entry, default_n=default_block_n) for entry in entries])
+    return BlockLayout([parse_waveform(entry, default_n=12) for entry in entries])
 
 
 _SIM_KEYS = {

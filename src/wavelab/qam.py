@@ -68,4 +68,4 @@ def qam_decide(symbols, order: int) -> np.ndarray:
     axes = np.ascontiguousarray(symbols, dtype=complex).view(float)  # I, Q, I, Q, ...
     idx = np.clip(np.rint((axes / energy_scale(order) + top) / 2.0), 0, top).astype(np.uint8)
     codes = idx ^ (idx >> 1)
-    return (codes[..., 0::2] << mh) | codes[..., 1::2]
+    return ((codes[..., 0::2] << mh) | codes[..., 1::2]).reshape(np.shape(symbols))

@@ -202,6 +202,24 @@ def test_refused_frames_match_dense_zf(doppler):
         assert re.fullmatch(r"channel condition number \S+ exceeds 1e\+12", str(exc))
 
 
+@pytest.mark.parametrize("rho, zf", [(0.05, False), (0.0, True)], ids=["mmse", "zf"])
+def test_banded_path_matches_per_bin_path(rho, zf):
+    # the banded solve needs no Doppler, so on a quasi-static chunk with a
+    # spectral null (frame 1) and no power (frame 3) the two paths, each
+    # with its own guard, must refuse the same frames and agree on the rest
+    rng = np.random.default_rng(6)
+    n, delays = 16, np.arange(3)
+    gains = np.array([[0.9, 0.3j, 0.1], [1.0, -1.0, 0.0], [0.5, 0.2 + 0.1j, -0.3], [0.0] * 3])
+    dopplers = np.zeros((4, 3))
+    z, w_f = stacked(rng, 2 * 4, n).reshape(2, 4, n), stacked(rng, 4, n)
+    banded, refused = wl.channel._equalize_banded(delays, gains, dopplers, z.copy(), w_f, rho, zf)
+    per_bin, mask = wl.channel._equalize_per_bin(delays, gains, dopplers, z, w_f, rho, zf)
+    assert np.array_equal(refused, mask)
+    assert refused.tolist() == [False, zf, False, zf]
+    kept = ~refused
+    assert np.abs(banded[:, kept] - per_bin[:, kept]).max() < 1e-10
+
+
 @pytest.mark.parametrize("doppler", [0.0, 0.2], ids=["per_bin", "dense"])
 def test_unknown_equalizer_refused(doppler):
     z, w_f = np.ones((1, 1, 8), dtype=complex), np.zeros((1, 8), dtype=complex)

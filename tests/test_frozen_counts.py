@@ -4,7 +4,9 @@ Each case pins the literal per-point ``errors`` and ``skipped_frames`` of a
 small ``run_ber``/``sweep_l`` config, so a refactor of the engine, the
 targets or the channel layer that moves a single decision shows here. The
 literals were recorded before the precode/equalize split and must not be
-re-recorded to make a change pass.
+re-recorded to make a change pass. ``dispersive_zf_refused``, which
+reaches the banded path's zero-forcing guard, was recorded before
+``channel.equalize`` split into its per-bin and banded path functions.
 """
 
 from dataclasses import dataclass
@@ -21,7 +23,9 @@ N = 16
 class NullingChannel:
     """Two taps at delays 0 and 1; about half of the frames draw gains
     [1, -1], whose response has an exact null at bin 0, and the rest draw
-    [1, 0.5]. Offers the channel surface the engine reads."""
+    [1, 0.5] with ``max_doppler`` on the second tap. A nonzero
+    ``max_doppler`` thus sends each chunk through the banded path, whose
+    null frames stay singular. Offers the channel surface the engine reads."""
 
     max_doppler: float = 0.0
 
@@ -33,8 +37,9 @@ class NullingChannel:
         return {"nulling": {"max_doppler": self.max_doppler}}
 
     def draw(self, rngs):
-        seconds = [-1.0 if rng.integers(2) else 0.5 for rng in rngs]
-        return np.array([[1.0, s] for s in seconds], dtype=complex), np.zeros((len(rngs), 2))
+        nulls = [bool(rng.integers(2)) for rng in rngs]
+        gains = np.array([[1.0, -1.0 if null else 0.5] for null in nulls], dtype=complex)
+        return gains, np.array([[0.0, 0.0 if null else self.max_doppler] for null in nulls])
 
 
 def waveforms(n=N):
@@ -71,6 +76,7 @@ CASES = {
     "quasi_static_zf_refused": lambda: sim(NullingChannel(), equalizer="zf"),
     "dispersive_mmse": lambda: sim(wl.ChannelGenerator(4, 0.3), noise="impulse"),
     "dispersive_zf": lambda: sim(wl.ChannelGenerator(4, 0.3), equalizer="zf"),
+    "dispersive_zf_refused": lambda: sim(NullingChannel(0.2), equalizer="zf"),
     "fdma_layout": lambda: sim(
         wl.ChannelGenerator(4),
         targets=(wl.BlockLayout(
@@ -86,6 +92,9 @@ CASES = {
 FROZEN = {
     "dispersive_mmse": [[(1704, 0), (428, 0)], [(2270, 0), (614, 0)], [(2197, 0), (592, 0)]],
     "dispersive_zf": [[(2499, 0), (753, 0)], [(3035, 0), (1146, 0)], [(3027, 0), (1116, 0)]],
+    "dispersive_zf_refused": [
+        [(775, 84), (81, 78)], [(867, 84), (50, 78)], [(895, 84), (48, 78)]
+    ],
     "fdma_layout": [[(2392, 0), (519, 0)]],
     "fixed_taps_doppler": [[(1095, 0), (150, 0)], [(1300, 0), (124, 0)], [(1266, 0), (97, 0)]],
     "quasi_static_mmse": [[(2244, 0), (566, 0)], [(2437, 0), (583, 0)], [(2432, 0), (560, 0)]],

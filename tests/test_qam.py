@@ -107,6 +107,13 @@ class TestLabelDecision:
         assert np.array_equal(decided, ((gray[:, None] << half) | gray).reshape(-1))
 
     @pytest.mark.parametrize("order", [4, 16, 64])
+    def test_scalar_symbol_gives_a_scalar_label(self, order):
+        # qam_map of a 0-d label is 0-d, and so is the decision on it
+        for label in range(order):
+            decided = wl.qam_decide(wl.qam_map(np.uint8(label), order), order)
+            assert decided.shape == () and decided == label
+
+    @pytest.mark.parametrize("order", [4, 16, 64])
     def test_stacked_and_strided_symbols(self, order):
         rng = np.random.default_rng(order + 1)
         symbols = rng.standard_normal((3, 5, 24)) + 1j * rng.standard_normal((3, 5, 24))
