@@ -23,8 +23,7 @@ _SOURCES = {
         "fdma": "Block BlockLayout",
         "noise": "NoiseProfile make_profile sample_noise whitening_std",
         "qam": "QAM_ORDERS qam_decide qam_label qam_map",
-        "sim": "BerCurve BerPoint SimConfig config_fingerprint frame_rng run_ber "
-               "sweep_l sweep_q",
+        "sim": "BerCurve BerPoint SimConfig config_fingerprint frame_rng run_ber",
         "waveform": "AFDM OFDM OTFS WaveformConfig afdm_inverse_column chirp_diagonal",
     }.items()
     for name in names.split()

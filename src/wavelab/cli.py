@@ -2,7 +2,8 @@
 
 Subcommands: analyze-noise, sparsity, ber, sweep-l, sweep-q, fdma-demo,
 verify-appendix. Each reads an optional YAML config whose top-level keys
-replace those of its ``DEFAULT_*`` dict, the one place its defaults live.
+replace those of its ``DEFAULT_*`` dict, the one place its defaults live;
+``main`` refuses a key that is neither there nor in its ``_SUBCOMMANDS`` row.
 Its handler parses the whole config and claims every output name, refusing
 two of one name, then returns its work, which writes CSV/JSON artifacts
 and a manifest.json into the output directory; ``--dry-run`` lists the
@@ -25,7 +26,7 @@ import json
 import sys
 import time
 from collections.abc import Callable
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -219,13 +220,14 @@ def _tolerance(config: dict, key: str) -> float:
 
 def cmd_analyze_noise(config: dict, run: Run) -> Callable[[], int]:
     from .noise import whitening_std
-    check_keys(config, set(DEFAULT_ANALYZE), "analyze-noise")
     n = read(config, "n", int, minimum=1)
     waveforms = [parse_waveform(w, default_n=n) for w in read(config, "waveforms", [dict])]
     if any(wf.N != n for wf in waveforms):
         raise ConfigError(f"config: every waveform must have the grid size 'n' = {n}")
     profiles = [parse_profile(p, n) for p in read(config, "profiles", [dict])]
     sigma_w = read(config, "sigma_w", float, minimum=0)
+    if sigma_w > np.sqrt(np.finfo(float).max):  # its square, the noise power, overflows
+        raise ConfigError(f"config: 'sigma_w' = {sigma_w!r} squared overflows")
     curves = [(profile, wf, run.path(f"variance_{wf.slug}_{profile.kind}.csv"))
               for profile in profiles for wf in waveforms]
     summary_path = run.path("summary.csv")
@@ -244,7 +246,6 @@ def cmd_analyze_noise(config: dict, run: Run) -> Callable[[], int]:
 
 def cmd_sparsity(config: dict, run: Run) -> Callable[[], int]:
     from .analysis import row_sparsity
-    check_keys(config, set(DEFAULT_SPARSITY), "sparsity")
     tol = _tolerance(config, "tol")
     waveforms = [parse_waveform(entry) for entry in read(config, "entries", [dict])]
     path = run.path("sparsity.json")
@@ -270,7 +271,7 @@ def cmd_sparsity(config: dict, run: Run) -> Callable[[], int]:
 
 def cmd_ber(config: dict, run: Run) -> Callable[[], int]:
     from .sim import config_fingerprint
-    cfg = parse_sim(config, extra_keys={"layout"})
+    cfg = parse_sim(config)
     paths = [run.path(f"ber_{target.slug}.csv") for target in cfg.targets]
     summary = run.path("curves.json")
 
@@ -286,35 +287,37 @@ def cmd_ber(config: dict, run: Run) -> Callable[[], int]:
     return work
 
 
-def _sweep_table(run: Run, column: str, cfg, values) -> Callable[[], int]:
-    """Work of a sweep: ``cfg`` runs one waveform per swept value at one SNR point."""
+def _sweep_table(run: Run, column: str, config: dict, sections) -> Callable[[], int]:
+    """Work of a sweep: ``config`` at its one SNR point, on one waveform per section."""
+    cfg = parse_sim(config)
+    if len(cfg.snr_db) != 1:
+        raise ConfigError("parameter sweeps need a template with exactly one SNR point")
+    cfg = replace(cfg, targets=tuple(parse_waveform(s, default_n=cfg.n) for s in sections))
     path = run.path(f"sweep_{column}.csv")
 
     def work() -> int:
         points = [curve.points[0] for curve in _curves(run, cfg)]
         write_csv(path, [column, "snr_db", "bits", "errors", "ber", "stderr"],
-                  [[value, *row] for value, row in zip(values, _ber_rows(points))])
+                  [[float(s[column]), *row] for s, row in zip(sections, _ber_rows(points))])
         return EXIT_OK
 
     return work
 
 
 def cmd_sweep_l(config: dict, run: Run) -> Callable[[], int]:
-    from .sim import sweep_l
-    cfg = sweep_l(parse_sim(config, extra_keys={"l_values"}), read(config, "l_values", [int]))
-    return _sweep_table(run, "l", cfg, [float(wf.L) for wf in cfg.targets])
+    sections = [dict(kind="otfs", l=l) for l in read(config, "l_values", [int])]
+    return _sweep_table(run, "l", config, sections)
 
 
 def cmd_sweep_q(config: dict, run: Run) -> Callable[[], int]:
-    from .sim import sweep_q
-    cfg = sweep_q(parse_sim(config, extra_keys={"q_values", "alpha"}),
-                  read(config, "q_values", [float]), alpha=read(config, "alpha", float))
-    return _sweep_table(run, "q", cfg, [wf.q for wf in cfg.targets])
+    q_values, alpha = read(config, "q_values", [float]), read(config, "alpha", float)
+    if 0.0 in q_values:
+        raise ConfigError("q=0 degenerates to OFDM; sweep values must be nonzero")
+    return _sweep_table(run, "q", config, [dict(kind="afdm", q=q, alpha=alpha) for q in q_values])
 
 
 def cmd_fdma_demo(config: dict, run: Run) -> Callable[[], int]:
     from .noise import whitening_std
-    check_keys(config, set(DEFAULT_FDMA), "fdma-demo")
     layout = parse_layout(read(config, "layout", [dict]))
     n = layout.N
     seed = read(config, "seed", int, minimum=0)
@@ -387,7 +390,6 @@ def cmd_verify_appendix(config: dict, run: Run) -> Callable[[], int]:
     from .analysis import (rational_chirp_decompose, rect_window_spectrum, row_sparsity,
                            verify_decimation_identity)
     from .waveform import afdm_inverse_column
-    check_keys(config, set(DEFAULT_VERIFY), "verify-appendix")
     decimation_tol = _tolerance(config, "decimation_tol")
     n_values = read(config, "n_values", [int], minimum=1)
     a_values = read(config, "a_values", [int])
@@ -462,14 +464,15 @@ def cmd_verify_appendix(config: dict, run: Run) -> Callable[[], int]:
 # ---------------------------------------------------------------------------
 # argument parsing and dispatch
 
+# name -> (handler, defaults, the top-level keys it also takes without a default)
 _SUBCOMMANDS = {
-    "analyze-noise": (cmd_analyze_noise, DEFAULT_ANALYZE),
-    "sparsity": (cmd_sparsity, DEFAULT_SPARSITY),
-    "ber": (cmd_ber, DEFAULT_BER),
-    "sweep-l": (cmd_sweep_l, DEFAULT_SWEEP_L),
-    "sweep-q": (cmd_sweep_q, DEFAULT_SWEEP_Q),
-    "fdma-demo": (cmd_fdma_demo, DEFAULT_FDMA),
-    "verify-appendix": (cmd_verify_appendix, DEFAULT_VERIFY),
+    "analyze-noise": (cmd_analyze_noise, DEFAULT_ANALYZE, set()),
+    "sparsity": (cmd_sparsity, DEFAULT_SPARSITY, set()),
+    "ber": (cmd_ber, DEFAULT_BER, {"layout", "subcarrier_spacing_hz"}),
+    "sweep-l": (cmd_sweep_l, DEFAULT_SWEEP_L, {"subcarrier_spacing_hz"}),
+    "sweep-q": (cmd_sweep_q, DEFAULT_SWEEP_Q, {"subcarrier_spacing_hz"}),
+    "fdma-demo": (cmd_fdma_demo, DEFAULT_FDMA, set()),
+    "verify-appendix": (cmd_verify_appendix, DEFAULT_VERIFY, set()),
 }
 
 
@@ -506,10 +509,11 @@ def _resolve_config(args, defaults: dict) -> dict:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    handler, defaults = _SUBCOMMANDS[args.subcommand]
+    handler, defaults, optional = _SUBCOMMANDS[args.subcommand]
     out_dir = args.out or f"wavelab_out/{args.subcommand}"
     try:
         config = _resolve_config(args, defaults)
+        check_keys(config, set(defaults) | optional, "config")
         run = Run(args.subcommand, out_dir, config, args)
         work = handler(config, run)
         if not gc.get_freeze_count():  # once per process: tests call main many times

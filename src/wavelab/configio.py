@@ -1,8 +1,10 @@
 """YAML config parsing for the command-line experiments.
 
-Configs are plain nested key/value documents. Every parser validates keys
-eagerly (a noise section takes only its kind's keys) and reads every value
-through :func:`read`, which checks its type strictly; each refusal is a
+Configs are plain nested key/value documents; the parsers turn them into
+the objects a run takes, a sweep's waveforms included. Each validates its
+section's keys eagerly (a noise section takes only its kind's keys;
+``cli.main`` checks the top-level ones) and reads every value through
+:func:`read`, which checks its type strictly; each refusal is a
 ConfigError naming the key, which the CLI maps to exit code 2. Sizes pass
 :func:`check_size`, so a huge one is refused before any array is
 allocated. Each parser imports its section's module when it runs. The
@@ -180,20 +182,15 @@ def parse_profile(section: dict, n: int) -> NoiseProfile:
 
 def parse_layout(entries) -> BlockLayout:
     from .fdma import BlockLayout
-    return BlockLayout([parse_waveform(entry, default_n=12) for entry in entries])
+    layout = BlockLayout([parse_waveform(entry, default_n=12) for entry in entries])
+    check_size(layout.N, "layout", "config")  # each block passed alone; their sum too
+    return layout
 
 
-_SIM_KEYS = {
-    "n", "waveforms", "channel", "noise", "qam_order",
-    "snr_db", "bits_per_point", "seed", "equalizer", "subcarrier_spacing_hz",
-}
-
-
-def parse_sim(doc: dict, extra_keys: set = frozenset()) -> SimConfig:
-    """The BER experiment of ``doc``; a ``layout`` key, where ``extra_keys``
-    allows it, runs one FDMA target over a quasi-static channel only."""
+def parse_sim(doc: dict) -> SimConfig:
+    """The BER experiment of ``doc``; a ``layout`` key runs one FDMA target
+    over a quasi-static channel only. Its caller checks the top-level keys."""
     from .sim import SimConfig
-    check_keys(doc, _SIM_KEYS | set(extra_keys), "config")
     # a layout's blocks take their own sizes, so it reads n but never uses it
     n = read(doc, "n", int, minimum=None if "layout" in doc else 1)
     if "layout" in doc:

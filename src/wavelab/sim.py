@@ -8,12 +8,12 @@ target (a waveform or an FDMA grid) offers ``N``, ``label``, ``slug``,
 of a (frames, N) stack; :func:`wavelab.channel.equalize` takes a chunk
 from z to r_f. Each frame draws channel taps, data bits and noise, in
 that order, from its own stream ``frame_rng(seed, point, frame)``, and is
-drawn once: compared waveforms and the L or q values of a sweep see the
-same draws. The arithmetic on the channel and noise draws runs once per
-chunk, on the stacked raw draws. A frame's bits become QAM labels (see
-:mod:`wavelab.qam`), and its bit errors are the Hamming distances between
-sent and decided labels. A frame refused by zero-forcing is skipped for
-every target.
+drawn once: compared waveforms, and the L or q values of a sweep (whose
+targets are the swept waveforms), see the same draws. The arithmetic on
+the channel and noise draws runs once per chunk, on the stacked raw
+draws. A frame's bits become QAM labels (see :mod:`wavelab.qam`), and its
+bit errors are the Hamming distances between sent and decided labels. A
+frame refused by zero-forcing is skipped for every target.
 ``threads`` spreads chunks over worker threads, one per CPU at most;
 counts are integer sums over frames, so results are bit-identical at any
 thread count and chunk size.
@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +35,6 @@ from .channel import EQUALIZERS, ChannelGenerator, ChannelSpec, check_delays, eq
 from .exceptions import ConfigError, EqualizationError
 from .noise import NoiseProfile, sample_noise
 from .qam import POPCOUNT, QAM_ORDERS, qam_decide, qam_label, qam_map
-from .waveform import WaveformConfig
 
 MIN_BITS_PER_POINT = 10_000
 
@@ -74,6 +73,10 @@ class SimConfig:
             raise ConfigError("need at least one SNR point")
         if not all(math.isfinite(s) for s in self.snr_db):
             raise ConfigError(f"SNR points must be finite, got {list(self.snr_db)}")
+        try:  # the noise power sigma_w**2 overflows below about -3082.5 dB
+            _sigma_w(min(self.snr_db)) ** 2
+        except OverflowError:
+            raise ConfigError(f"'snr_db' {min(self.snr_db)!r} overflows sigma_w**2") from None
         if self.bits_per_point < MIN_BITS_PER_POINT:
             raise ConfigError(
                 f"bit budget per point must be >= {MIN_BITS_PER_POINT}, "
@@ -222,39 +225,3 @@ def run_ber(cfg: SimConfig, threads: int = 1) -> list[BerCurve]:
         ))
         for target, target_errors in zip(targets, errors)
     ]
-
-
-def _swept(cfg: SimConfig, key: str, waveforms) -> SimConfig:
-    """``cfg`` running ``waveforms``, one per value of the swept list ``key``."""
-    if len(cfg.snr_db) != 1:
-        raise ConfigError("parameter sweeps need a template with exactly one SNR point")
-    if not waveforms:
-        raise ConfigError(f"config: {key!r} must be a nonempty list")
-    return replace(cfg, targets=tuple(waveforms))
-
-
-def sweep_l(cfg: SimConfig, l_values) -> SimConfig:
-    """``cfg`` (one SNR point) running OTFS at each grid size L, for :func:`run_ber`.
-
-    Every L shares the same per-frame channel, bits, and noise draws, so
-    differences reflect the precoder alone. Each L must divide N.
-    """
-    n = cfg.n
-    configs = []
-    for l in l_values:
-        l = int(l)
-        if l < 1 or n % l != 0:
-            raise ConfigError(f"L={l} does not divide N={n}")
-        configs.append(WaveformConfig.otfs(n // l, l))
-    return _swept(cfg, "l_values", configs)
-
-
-def sweep_q(cfg: SimConfig, q_values, alpha: float = 0.1) -> SimConfig:
-    """``cfg`` (one SNR point) running AFDM at each chirp rate q, alpha held fixed."""
-    configs = []
-    for q in q_values:
-        q = float(q)
-        if q == 0.0:
-            raise ConfigError("q=0 degenerates to OFDM; sweep values must be nonzero")
-        configs.append(WaveformConfig.afdm(cfg.n, q, alpha))
-    return _swept(cfg, "q_values", configs)

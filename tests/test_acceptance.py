@@ -6,6 +6,7 @@ pinned; statistical claims carry binomial 3-sigma bands unless the
 criterion states otherwise.
 """
 
+import dataclasses
 import math
 import time
 
@@ -183,7 +184,8 @@ def test_criterion_06_parameter_trends():
             bits_per_point=200_000,
             seed=1,
         )
-        curves = wl.run_ber(wl.sweep_l(cfg, [1, 2, 3, 4, 6, 12]), threads=2)
+        swept = tuple(wl.WaveformConfig.otfs(n // l, l) for l in [1, 2, 3, 4, 6, 12])
+        curves = wl.run_ber(dataclasses.replace(cfg, targets=swept), threads=2)
         sweep = [c.points[0] for c in curves]
         ofdm = wl.run_ber(cfg, threads=2)[0].points[0]
         bers = [p.ber for p in sweep]
@@ -205,7 +207,8 @@ def test_criterion_06_parameter_trends():
                 bits_per_point=budget,
                 seed=1,
             )
-            curves = wl.run_ber(wl.sweep_q(cfg_q, Q_GRID, alpha=0.1), threads=2)
+            swept = tuple(wl.WaveformConfig.afdm(grid_n, q, 0.1) for q in Q_GRID)
+            curves = wl.run_ber(dataclasses.replace(cfg_q, targets=swept), threads=2)
             points = [c.points[0] for c in curves]
             bers = [p.ber for p in points]
             assert max(bers) / min(bers) <= bound, (grid_n, max(bers) / min(bers))

@@ -260,6 +260,14 @@ class TestBer:
         assert run_cli("ber", "--config", str(config), "--out", str(out)) == 2
         assert not out.exists()
 
+    def test_lowest_snr_whose_noise_power_fits_runs(self, tmp_path):
+        # sigma_w**2 overflows below about -3082.5 dB, which the parse refuses
+        config = write_yaml(tmp_path / "low.yaml", {
+            "n": 12, "waveforms": [{"kind": "ofdm"}], "channel": {"num_taps": 2},
+            "snr_db": [-3000.0], "bits_per_point": 10_000,
+        })
+        assert run_cli("ber", "--config", config, "--out", str(tmp_path / "o")) == 0
+
     def test_otfs_grid_must_divide_n(self, tmp_path, capsys):
         # k=7 at n=120 used to become a 7x17 grid of 119 subcarriers
         config = write_yaml(
@@ -374,6 +382,29 @@ class TestSweeps:
         assert run_cli(*argv, *(["--dry-run"] if dry_run else [])) == 2
         assert "unknown keys ['layout']" in capsys.readouterr().err
         assert not out.exists()
+
+    @staticmethod
+    def refused(tmp_path, capsys, subcommand, doc, message):
+        """``doc`` over the defaults exits 2 with ``message``, on real and dry runs."""
+        config = write_yaml(tmp_path / "cfg.yaml", doc)
+        out = tmp_path / "o"
+        for flags in ([], ["--dry-run"]):
+            assert run_cli(subcommand, "--config", config, "--out", str(out), *flags) == 2
+            assert message in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_sweep_l_requires_divisor(self, tmp_path, capsys):
+        self.refused(tmp_path, capsys, "sweep-l", {"l_values": [1, 7]},
+                     "OTFS l=7 does not divide n=120")
+
+    def test_sweep_q_rejects_zero(self, tmp_path, capsys):
+        self.refused(tmp_path, capsys, "sweep-q", {"q_values": [1.0, 0.0]},
+                     "q=0 degenerates to OFDM")
+
+    def test_sweeps_need_single_point_template(self, tmp_path, capsys):
+        for subcommand in ("sweep-l", "sweep-q"):
+            self.refused(tmp_path, capsys, subcommand, {"snr_db": [10.0, 20.0]},
+                         "parameter sweeps need a template with exactly one SNR point")
 
 
 class TestFdmaDemo:
@@ -630,6 +661,10 @@ class TestStrictConfigReader:
         ("ber", "n: 0\nwaveforms: [{kind: ofdm}]", "n"),
         ("ber", "n: -12\nwaveforms: [{kind: otfs, l: 3}]", "n"),
         ("sweep-l", "n: 0", "n"),
+        # each of these squared into a float overflow: a traceback (exit 1)
+        ("ber", "snr_db: [20.0, -4000.0]", "snr_db"),
+        ("sweep-q", "snr_db: -4000.0", "snr_db"),
+        ("analyze-noise", "sigma_w: 1.0e+200", "sigma_w"),
     ]
 
     @staticmethod
@@ -650,6 +685,26 @@ class TestStrictConfigReader:
     def test_dry_run_refused_with_exit_2(self, tmp_path, capsys, subcommand, text, key):
         # a dry run used to check only the seed and print "config OK"
         self.refused(tmp_path, capsys, subcommand, text, key, "--dry-run")
+
+    @pytest.mark.parametrize("dry_run", [False, True])
+    @pytest.mark.parametrize("subcommand", ["analyze-noise", "sparsity", "ber", "sweep-l",
+                                            "sweep-q", "fdma-demo", "verify-appendix"])
+    def test_unknown_top_level_key_refused(self, tmp_path, capsys, subcommand, dry_run):
+        config = tmp_path / "bad.yaml"
+        config.write_text("bogus: 1\n")
+        out = tmp_path / "o"
+        flags = ["--dry-run"] if dry_run else []
+        assert run_cli(subcommand, "--config", str(config), "--out", str(out), *flags) == 2
+        assert "unknown keys ['bogus']" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("subcommand,key", [("fdma-demo", "layout"), ("ber", "layout")])
+    def test_layout_over_the_size_guard_refused(self, tmp_path, capsys, subcommand, key):
+        # each block passes the guard alone; their sum used to pass unchecked
+        # (dry runs only: a real run of the parent would allocate the grid)
+        self.refused(tmp_path, capsys, subcommand,
+                     "layout: [{kind: ofdm, n: 1048576}, {kind: ofdm, n: 1048576}]", key,
+                     "--dry-run")
 
     def test_integral_floats_and_ints_accepted(self):
         from wavelab.configio import read

@@ -1,7 +1,7 @@
 """Frozen error counts of tiny engine runs.
 
 Each case pins the literal per-point ``errors`` and ``skipped_frames`` of a
-small ``run_ber``/``sweep_l`` config, so a refactor of the engine, the
+small ``run_ber`` config, an L sweep among them, so a refactor of the engine, the
 targets or the channel layer that moves a single decision shows here. The
 literals were recorded before the precode/equalize split and must not be
 re-recorded to make a change pass. ``dispersive_zf_refused``, which
@@ -9,7 +9,7 @@ reaches the banded path's zero-forcing guard, was recorded before
 ``channel.equalize`` split into its per-bin and banded path functions.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -115,6 +115,8 @@ def test_run_ber_counts_are_frozen(name):
 
 def test_sweep_l_counts_are_frozen():
     cfg = sim(wl.ChannelGenerator(4), snr_db=(15.0,))
-    sweep = [c.points[0] for c in wl.run_ber(wl.sweep_l(cfg, [1, 2, 4, 8, 16]))]
+    swept = replace(cfg, targets=tuple(wl.WaveformConfig.otfs(N // l, l)
+                                       for l in [1, 2, 4, 8, 16]))
+    sweep = [c.points[0] for c in wl.run_ber(swept)]
     assert [(p.errors, p.skipped_frames) for p in sweep] == FROZEN_SWEEP_L
 

@@ -4,6 +4,7 @@ import concurrent.futures
 import json
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -74,7 +75,7 @@ class TestConfigValidation:
         }
         message = "FDMA layouts support quasi-static channels only"
         with pytest.raises(ConfigError, match=message):
-            parse_sim(doc, extra_keys={"layout"})
+            parse_sim(doc)
         config = tmp_path / "layout.yaml"
         config.write_text(json.dumps(doc))
         for dry_run in ([], ["--dry-run"]):
@@ -82,6 +83,12 @@ class TestConfigValidation:
             assert main(["ber", "--config", str(config), "--out", str(out), *dry_run]) == 2
             assert message in capsys.readouterr().err
             assert not out.exists()
+
+    def test_rejects_snr_whose_noise_power_overflows(self):
+        # sigma_w**2 = 10**(-snr/10) overflows between -3082.54 and -3082.55 dB
+        with pytest.raises(ConfigError, match="'snr_db'"):
+            white_cfg(snr_db=(20.0, -3082.55))
+        white_cfg(snr_db=(20.0, -3082.54))
 
     def test_rejects_taps_beyond_the_block(self):
         # the generator's last delay is N; a tap list's delay N likewise
@@ -222,28 +229,17 @@ class TestDeterminism:
         assert ofdm.points == otfs.points
 
 
+def otfs_sweep(cfg, l_values):
+    """``cfg`` running OTFS at each grid size L, as ``sweep-l`` parses it."""
+    return replace(cfg, targets=tuple(wl.WaveformConfig.otfs(cfg.n // l, l) for l in l_values))
+
+
 class TestSweeps:
-    def test_sweep_l_requires_divisor(self):
-        with pytest.raises(ConfigError):
-            wl.sweep_l(white_cfg(), [7])
-
-    def test_sweep_q_rejects_zero(self):
-        with pytest.raises(ConfigError):
-            wl.sweep_q(white_cfg(), [0.0])
-
-    def test_sweeps_refuse_empty_values(self):
-        with pytest.raises(ConfigError, match="l_values"):
-            wl.sweep_l(white_cfg(), [])
-        with pytest.raises(ConfigError, match="q_values"):
-            wl.sweep_q(white_cfg(), [])
-
-    def test_sweeps_need_single_point_template(self):
-        with pytest.raises(ConfigError):
-            wl.sweep_l(white_cfg(snr_db=(10.0, 20.0)), [2])
+    # the parse refuses a bad sweep: test_cli.py's TestSweeps and TestStrictConfigReader
 
     def test_sweep_l_shares_draws_with_run_ber(self):
         cfg = white_cfg(bits_per_point=20_000)
-        swept = wl.sweep_l(cfg, [1, 120])
+        swept = otfs_sweep(cfg, [1, 120])
         points = [c.points[0] for c in wl.run_ber(swept)]
         ofdm_point = wl.run_ber(cfg)[0].points[0]
         # L = N reproduces the OFDM point exactly under shared streams
@@ -253,7 +249,7 @@ class TestSweeps:
     def test_sweep_l_ber_nondecreasing(self):
         # wideband grid at desk scale; at most one inversion within 2 sigma
         cfg = white_cfg(bits_per_point=200_000, seed=1)
-        curves = wl.run_ber(wl.sweep_l(cfg, [1, 2, 4, 6, 10, 20, 40, 120]))
+        curves = wl.run_ber(otfs_sweep(cfg, [1, 2, 4, 6, 10, 20, 40, 120]))
         points = [c.points[0] for c in curves]
         inversions = 0
         for prev, nxt in zip(points, points[1:]):
