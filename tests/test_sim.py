@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import wavelab as wl
+from wavelab.cli import main
 from wavelab.exceptions import ConfigError, EqualizationError
 
 from oracles import IDENTITY_CHANNEL, build_precoder, demod_noise_variance, run_frame
@@ -57,7 +58,6 @@ class TestConfigValidation:
     def test_rejects_layout_with_doppler(self, tmp_path, capsys):
         # a library layout over Doppler runs (joint MMSE over all N bins);
         # the parse refuses it, on real runs and dry runs alike
-        from wavelab.cli import main
         from wavelab.configio import parse_sim
 
         layout = wl.BlockLayout([wl.WaveformConfig.ofdm(60), wl.WaveformConfig.ofdm(60)])
@@ -236,6 +236,15 @@ def otfs_sweep(cfg, l_values):
 
 class TestSweeps:
     # the parse refuses a bad sweep: test_cli.py's TestSweeps and TestStrictConfigReader
+
+    def test_sweeps_refuse_empty_values(self, tmp_path, capsys):
+        for subcommand, key in (("sweep-l", "l_values"), ("sweep-q", "q_values")):
+            config = tmp_path / f"{key}.yaml"
+            config.write_text(json.dumps({key: []}))
+            out = tmp_path / key
+            assert main([subcommand, "--config", str(config), "--out", str(out)]) == 2
+            assert f"'{key}' must be a nonempty list" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_sweep_l_shares_draws_with_run_ber(self):
         cfg = white_cfg(bits_per_point=20_000)
