@@ -47,7 +47,7 @@ def row_sparsity(row, tol: float = DEFAULT_SPARSITY_TOL, label: str = "") -> Spa
 
 @dataclass(frozen=True)
 class RationalChirp:
-    """Reduced rational approximation a/b of a chirp rate."""
+    """A chirp rate a/b in lowest terms, ``error`` away from the rate it stands for."""
 
     a: int
     b: int
@@ -58,32 +58,6 @@ class RationalChirp:
             raise ConfigError(f"denominator must be >= 1, got {self.b}")
         if math.gcd(abs(self.a), self.b) != 1:
             raise ConfigError(f"{self.a}/{self.b} is not gcd-reduced")
-
-
-def rational_chirp_decompose(q: float, tol: float = 1e-9) -> RationalChirp:
-    """Smallest-denominator fraction a/b with |q - a/b| <= tol.
-
-    Uses exact rational arithmetic on the binary value of ``q`` and a
-    binary search over the maximum denominator (best-approximation error
-    is non-increasing in the denominator bound), so the result is both
-    within tolerance and minimal in b. The denominator is bounded by
-    ceil(1/tol), which always suffices.
-    """
-    from fractions import Fraction  # with decimal: only verify-appendix calls this
-
-    if tol <= 0:
-        raise ConfigError(f"tolerance must be > 0, got {tol}")
-    exact = Fraction(q)
-    bound = Fraction(tol)
-    lo, hi = 1, max(1, math.ceil(1.0 / tol))
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if abs(exact - exact.limit_denominator(mid)) <= bound:
-            hi = mid
-        else:
-            lo = mid + 1
-    frac = exact.limit_denominator(lo)
-    return RationalChirp(frac.numerator, frac.denominator, float(abs(q - frac)))
 
 
 def verify_decimation_identity(n: int, chirp: RationalChirp) -> float:

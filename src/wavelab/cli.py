@@ -23,6 +23,7 @@ import csv
 import gc
 import itertools
 import json
+import math
 import sys
 import time
 from collections.abc import Callable
@@ -48,6 +49,10 @@ from .exceptions import ConfigError, EqualizationError, WavelabError
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+
+# Half the largest float: a noise power over N bins is refused above it, so
+# the rounding of the sums and FFTs that spread it cannot overflow.
+_HEADROOM = sys.float_info.max / 2
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +231,10 @@ def cmd_analyze_noise(config: dict, run: Run) -> Callable[[], int]:
         raise ConfigError(f"config: every waveform must have the grid size 'n' = {n}")
     profiles = [parse_profile(p, n) for p in read(config, "profiles", [dict])]
     sigma_w = read(config, "sigma_w", float, minimum=0)
-    if sigma_w > np.sqrt(np.finfo(float).max):  # its square, the noise power, overflows
-        raise ConfigError(f"config: 'sigma_w' = {sigma_w!r} squared overflows")
+    limit = math.sqrt(_HEADROOM / n)  # no variance, nor their sum, exceeds sigma_w**2 * n
+    if sigma_w > limit:
+        raise ConfigError(f"config: 'sigma_w' = {sigma_w!r} is over {limit!r}, where the "
+                          f"noise power sigma_w**2 * {n} passes half the largest float")
     curves = [(profile, wf, run.path(f"variance_{wf.slug}_{profile.kind}.csv"))
               for profile in profiles for wf in waveforms]
     summary_path = run.path("summary.csv")
@@ -325,6 +332,10 @@ def cmd_fdma_demo(config: dict, run: Run) -> Callable[[], int]:
     if not 0 <= jammed < len(layout.blocks):
         raise ConfigError(f"jammed_block {jammed} out of range")
     jam_power = read(config, "jam_power", float, minimum=0)
+    limit = _HEADROOM / n  # no block's demod_power sums more than n * (1 + jam_power)
+    if jam_power > limit:
+        raise ConfigError(f"config: 'jam_power' = {jam_power!r} is over {limit!r}, half the "
+                          f"largest float over the layout's n = {n} bins")
     roundtrip_path = run.path("roundtrip.csv")
     leakage_path = run.path("leakage.csv")
     variance_path = run.path("jammer_variance.csv")
@@ -387,19 +398,21 @@ def cmd_fdma_demo(config: dict, run: Run) -> Callable[[], int]:
 
 
 def cmd_verify_appendix(config: dict, run: Run) -> Callable[[], int]:
-    from .analysis import (rational_chirp_decompose, rect_window_spectrum, row_sparsity,
+    from .analysis import (RationalChirp, rect_window_spectrum, row_sparsity,
                            verify_decimation_identity)
     from .waveform import afdm_inverse_column
     decimation_tol = _tolerance(config, "decimation_tol")
     n_values = read(config, "n_values", [int], minimum=1)
     a_values = read(config, "a_values", [int])
     b_values = read(config, "b_values", [int], minimum=1)
-    chirps = [(n, a, b, rational_chirp_decompose(a / b, tol=1e-12))
-              for n, a, b in itertools.product(n_values, a_values, b_values)]
-    for n, a, b, chirp in chirps:
+    chirps = []
+    for n, a, b in itertools.product(n_values, a_values, b_values):
+        g = math.gcd(a, b)  # the rate a/b in lowest terms, exactly
+        chirp = RationalChirp(a // g, b // g, 0.0)
         if chirp.b * n > MAX_EXPANDED_SIZE:
             raise ConfigError(f"config: 'n_values' item {n} with a/b = {a}/{b} needs a "
                               f"size-{chirp.b * n} transform, over the {MAX_EXPANDED_SIZE} guard")
+        chirps.append((n, a, b, chirp))
     dirichlet_tol = _tolerance(config, "dirichlet_tol")
     dirichlet_cases = read(config, "dirichlet_cases", [[int]], minimum=1)
     for case in dirichlet_cases:
@@ -483,16 +496,14 @@ def build_parser() -> argparse.ArgumentParser:
         "sparsity reports, and Monte-Carlo BER sweeps.",
     )
     parser.add_argument("--version", action="version", version=f"wavelab {__version__}")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in _SUBCOMMANDS:
-        cmd = sub.add_parser(name, help=f"run the {name} experiment")
-        cmd.add_argument("--config", metavar="PATH", help="YAML config file")
-        cmd.add_argument("--seed", type=int, metavar="U64", help="override the master seed")
-        cmd.add_argument("--out", metavar="DIR", default=None, help="output directory")
-        cmd.add_argument("--threads", type=int, default=1, metavar="N",
-                         help="worker threads for frame simulation")
-        cmd.add_argument("--dry-run", action="store_true",
-                         help="validate the config and print the plan without running")
+    parser.add_argument("subcommand", choices=list(_SUBCOMMANDS), help="the experiment to run")
+    parser.add_argument("--config", metavar="PATH", help="YAML config file")
+    parser.add_argument("--seed", type=int, metavar="U64", help="override the master seed")
+    parser.add_argument("--out", metavar="DIR", help="output directory")
+    parser.add_argument("--threads", type=int, default=1, metavar="N",
+                        help="worker threads for frame simulation")
+    parser.add_argument("--dry-run", action="store_true",
+                        help="validate the config and print the plan without running")
     return parser
 
 

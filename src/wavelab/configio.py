@@ -39,7 +39,7 @@ def load_config_file(path: str) -> dict:
             doc = yaml.safe_load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, UnicodeDecodeError) as exc:  # not UTF-8, or not YAML
         raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
     if doc is None:
         doc = {}

@@ -158,8 +158,13 @@ def sample_noise(profile: NoiseProfile, sigma_w: float, rngs) -> np.ndarray:
 
 
 def whitening_std(v) -> float:
-    """Population standard deviation of the demodulated variance vector."""
+    """Population standard deviation of the demodulated variance vector.
+
+    Computed on v divided by the power of two of max|v|, which is exact, so
+    no square overflows."""
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.size < 1:
         raise DimensionError(f"expected a nonempty 1-D vector, got shape {v.shape}")
-    return float(np.sqrt(np.mean((v - v.mean()) ** 2)))
+    _, exp = np.frexp(np.abs(v).max())
+    u = np.ldexp(v, -exp)
+    return float(np.ldexp(np.sqrt(np.mean((u - u.mean()) ** 2)), exp))

@@ -165,7 +165,8 @@ def _run_chunk(cfg: SimConfig, targets, rngs, sigma_w: float):
     refused.
     """
     gains, dopplers = cfg.channel.draw(rngs)  # each stream draws channel, bits, noise
-    bits = np.array([rng.integers(0, 2, size=cfg.bits_per_frame, dtype=np.uint8) for rng in rngs])
+    per_frame = cfg.bits_per_frame  # a property that calls np.log2: read once
+    bits = np.array([rng.integers(0, 2, size=per_frame, dtype=np.uint8) for rng in rngs])
     w_f = sample_noise(cfg.profile, sigma_w, rngs)
     tx = qam_label(bits, cfg.qam_order)
     symbols = qam_map(tx, cfg.qam_order)

@@ -5,15 +5,19 @@ wavelab computes Q, Q^{-1}, |Q^{-1}|^2, H and G only in operator form:
 and ``channel.equalize``, and decides QAM symbols as labels
 (``qam_decide``). The dense N x N forms and the bitwise demapper below are
 what the tests check those forms against; nothing in ``src/`` calls them.
+Nor does it call ``rational_chirp_decompose``: ``verify-appendix`` reduces
+each integer rate a/b exactly, and never approximates a float rate.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from wavelab.analysis import DEFAULT_SPARSITY_TOL, SparsityReport
+from wavelab.analysis import DEFAULT_SPARSITY_TOL, RationalChirp, SparsityReport
 from wavelab.channel import CONDITION_LIMIT, ChannelSpec, ChannelTap
 from wavelab.exceptions import ConfigError, DimensionError, EqualizationError
 from wavelab.qam import _axis_bits, energy_scale, qam_label, qam_map
@@ -178,6 +182,30 @@ def sparsity_profile(m, tol: float = DEFAULT_SPARSITY_TOL, label: str = "") -> S
         counts = (mags > tol * peak).sum(axis=1)
     density = float(counts.sum()) / m.size
     return SparsityReport(counts, density, tol, label)
+
+
+def rational_chirp_decompose(q: float, tol: float = 1e-9) -> RationalChirp:
+    """Smallest-denominator fraction a/b with |q - a/b| <= tol.
+
+    Uses exact rational arithmetic on the binary value of ``q`` and a
+    binary search over the maximum denominator (best-approximation error
+    is non-increasing in the denominator bound), so the result is both
+    within tolerance and minimal in b. The denominator is bounded by
+    ceil(1/tol), which always suffices.
+    """
+    if tol <= 0:
+        raise ConfigError(f"tolerance must be > 0, got {tol}")
+    exact = Fraction(q)
+    bound = Fraction(tol)
+    lo, hi = 1, max(1, math.ceil(1.0 / tol))
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if abs(exact - exact.limit_denominator(mid)) <= bound:
+            hi = mid
+        else:
+            lo = mid + 1
+    frac = exact.limit_denominator(lo)
+    return RationalChirp(frac.numerator, frac.denominator, float(abs(q - frac)))
 
 
 def chirp_spectrum(n: int, b: int, a: int, u: int) -> complex:

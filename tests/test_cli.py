@@ -3,6 +3,7 @@
 import csv
 import gc
 import json
+import math
 import os
 import platform
 import subprocess
@@ -33,6 +34,23 @@ def read_csv(path: Path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     return rows[0], rows[1:]
+
+
+def numbers_in_csvs(out: Path) -> list:
+    """Every cell of every CSV in ``out`` that reads as a float."""
+    numbers = []
+    for path in sorted(out.glob("*.csv")):
+        for row in read_csv(path)[1]:
+            for cell in row:
+                try:
+                    numbers.append(float(cell))
+                except ValueError:
+                    pass
+    return numbers
+
+
+# Half the largest float: the noise power a run may spread over its bins
+HEADROOM = sys.float_info.max / 2
 
 
 @pytest.fixture(scope="module")
@@ -134,6 +152,24 @@ class TestAnalyzeNoise:
             # Q^{-1} is unitary, so the mean variance is sigma_w^2 mean(gamma)
             gains = wl.make_profile(row[1], n, **profiles[row[1]]).gains
             assert float(row[2]) == pytest.approx(sigma_w**2 * gains.mean(), rel=1e-12)
+
+    # sigma_w**2 * n bounds every variance and their sum: refused past the headroom
+    SIGMA_BOUND = math.sqrt(HEADROOM / 64)
+
+    @pytest.mark.parametrize("sigma_w,code", [
+        (1.0e150, 0), (SIGMA_BOUND, 0), (float(np.nextafter(SIGMA_BOUND, np.inf)), 2),
+    ], ids=["1e150", "bound", "above-bound"])
+    def test_sigma_w_bound(self, tmp_path, capsys, sigma_w, code):
+        # 1.0e150 used to write std = inf with exit 0
+        config = write_yaml(tmp_path / "cfg.yaml", {"sigma_w": sigma_w})
+        out = tmp_path / "o"
+        assert run_cli("analyze-noise", "--config", config, "--out", str(out)) == code
+        if code:
+            assert "'sigma_w'" in capsys.readouterr().err
+            assert not out.exists()
+        else:
+            numbers = numbers_in_csvs(out)
+            assert len(numbers) > 9 * 64 and all(map(math.isfinite, numbers))
 
 
 class TestSparsity:
@@ -432,6 +468,33 @@ class TestFdmaDemo:
         afdm = next(v for k, v in stds.items() if k.startswith("AFDM"))
         assert afdm < stds["OFDM"]
 
+    # an AFDM block as wide as its layout: without the headroom's factor 2, the
+    # FFT of its jammed gains overflowed at the bound's value
+    WIDE_AFDM = [{"kind": "afdm", "n": 37, "q": 6.453259314418068}]
+
+    @pytest.mark.parametrize("layout,jammed,jam_power,code", [
+        (None, 1, 1.0e200, 0),
+        (None, 1, HEADROOM / 36, 0),
+        (None, 1, float(np.nextafter(HEADROOM / 36, np.inf)), 2),
+        (WIDE_AFDM, 0, HEADROOM / 37, 0),
+        (WIDE_AFDM, 0, float(np.nextafter(HEADROOM / 37, np.inf)), 2),
+    ], ids=["1e200", "bound", "above-bound", "wide-afdm-bound", "wide-afdm-above-bound"])
+    def test_jam_power_bound(self, tmp_path, capsys, layout, jammed, jam_power, code):
+        # no block's demod_power sums more than N * (1 + jam_power), N the layout's
+        # size; 1.0e200 used to write whitening_std = inf with exit 0
+        doc = {"jam_power": jam_power, "jammed_block": jammed}
+        if layout:
+            doc["layout"] = layout
+        config = write_yaml(tmp_path / "cfg.yaml", doc)
+        out = tmp_path / "o"
+        assert run_cli("fdma-demo", "--config", config, "--out", str(out)) == code
+        if code:
+            assert "'jam_power'" in capsys.readouterr().err
+            assert not out.exists()
+        else:
+            numbers = numbers_in_csvs(out)
+            assert numbers and all(map(math.isfinite, numbers))
+
 
 class TestConfigSerialization:
     # each parser against a literal YAML-shaped document
@@ -665,6 +728,9 @@ class TestStrictConfigReader:
         ("ber", "snr_db: [20.0, -4000.0]", "snr_db"),
         ("sweep-q", "snr_db: -4000.0", "snr_db"),
         ("analyze-noise", "sigma_w: 1.0e+200", "sigma_w"),
+        # each of these passed the overflow guard and wrote inf or nan with exit 0
+        ("analyze-noise", "sigma_w: 1.3e+154", "sigma_w"),
+        ("fdma-demo", "jam_power: 1.0e+308", "jam_power"),
     ]
 
     @staticmethod
@@ -698,6 +764,17 @@ class TestStrictConfigReader:
         assert "unknown keys ['bogus']" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("dry_run", [False, True])
+    def test_config_that_is_not_utf8_refused(self, tmp_path, capsys, dry_run):
+        # used to end in a UnicodeDecodeError traceback (exit 1)
+        config = tmp_path / "bad.yaml"
+        config.write_bytes(b"\xff\xfe")
+        out = tmp_path / "o"
+        flags = ["--dry-run"] if dry_run else []
+        assert run_cli("ber", "--config", str(config), "--out", str(out), *flags) == 2
+        assert f"cannot parse config file {config}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("subcommand,key", [("fdma-demo", "layout"), ("ber", "layout")])
     def test_layout_over_the_size_guard_refused(self, tmp_path, capsys, subcommand, key):
         # each block passes the guard alone; their sum used to pass unchecked
@@ -716,13 +793,60 @@ class TestStrictConfigReader:
         assert read(doc, "absent", int, 7) == 7
 
 
+class TestParser:
+    SUBCOMMANDS = ["analyze-noise", "sparsity", "ber", "sweep-l", "sweep-q", "fdma-demo",
+                   "verify-appendix"]
+    SHARED = ["--config", "c.yaml", "--seed", "7", "--out", "d", "--threads", "3", "--dry-run"]
+
+    @pytest.mark.parametrize("subcommand", SUBCOMMANDS)
+    def test_each_subcommand_parses_the_shared_options(self, subcommand):
+        expected = dict(subcommand=subcommand, config="c.yaml", seed=7, out="d", threads=3,
+                        dry_run=True)
+        parser = cli.build_parser()
+        assert vars(parser.parse_args([subcommand, *self.SHARED])) == expected
+        assert vars(parser.parse_args([*self.SHARED, subcommand])) == expected  # either order
+        defaults = dict(subcommand=subcommand, config=None, seed=None, out=None, threads=1,
+                        dry_run=False)
+        assert vars(parser.parse_args([subcommand])) == defaults
+
+    def test_one_parser_is_built(self, monkeypatch):
+        import argparse
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli.build_parser()
+        assert len(built) == 1
+
+    def test_help_lists_every_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("--help")
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        assert all(name in text for name in self.SUBCOMMANDS)
+
+    @pytest.mark.parametrize("argv", [["bogus"], [], ["--dry-run"]],
+                             ids=["unknown", "missing", "options-only"])
+    def test_unknown_or_missing_subcommand_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'bogus'" in err if argv == ["bogus"] else "required" in err
+
+
 class TestStartup:
     """A process loads only what its run uses: rare-path modules are imported
     in the functions that need them, and each subcommand's handler imports
     the modules its run uses (see README, Conventions). ``main`` freezes the
     heap once the handler has parsed, once per process."""
 
-    # the thread pool (with logging) and the rational arithmetic of verify-appendix
+    # the thread pool (with logging), and rational arithmetic: verify-appendix reduces
+    # its rates a/b with math.gcd
     RARE = {"concurrent.futures", "logging", "fractions", "decimal"}
     SCRIPT = (
         "import gc, json, sys\n"
@@ -739,6 +863,8 @@ class TestStartup:
         ("ber", "n: 12\nwaveforms: [{kind: ofdm}]", ["--dry-run"], False),
         ("analyze-noise", "n: 16\nprofiles: [{kind: impulse}]", ["--dry-run"], False),
         ("sparsity", "entries: [{kind: afdm, n: 16, q: 0.5}]", [], False),
+        ("verify-appendix", None, [], False),
+        ("verify-appendix", "n_values: [8]\nb_values: [1, 3]", [], False),
     ]
     BER_ENGINE = {"wavelab.sim", "wavelab.channel", "wavelab.fdma", "wavelab.qam"}
     LAYOUT = "layout: [{kind: ofdm, n: 12}, {kind: otfs, k: 4, l: 3}]"
@@ -778,7 +904,8 @@ class TestStartup:
         return loaded, frozen_before, frozen_after
 
     @pytest.mark.parametrize("subcommand,text,flags,may_load_hashlib", CASES,
-                             ids=["ber", "ber-dry-run", "analyze-noise-dry-run", "sparsity"])
+                             ids=["ber", "ber-dry-run", "analyze-noise-dry-run", "sparsity",
+                                  "verify-appendix", "verify-appendix-config"])
     def test_rare_modules_stay_unloaded(self, tmp_path, subcommand, text, flags,
                                         may_load_hashlib):
         loaded, _, _ = self.run_fresh(tmp_path, subcommand, text, flags)

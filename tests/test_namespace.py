@@ -13,8 +13,8 @@ import wavelab as wl
 
 # submodule -> the public names the package serves from it
 EXPORTS = {
-    "analysis": ["RationalChirp", "SparsityReport", "rational_chirp_decompose",
-                 "rect_window_spectrum", "row_sparsity", "verify_decimation_identity"],
+    "analysis": ["RationalChirp", "SparsityReport", "rect_window_spectrum", "row_sparsity",
+                 "verify_decimation_identity"],
     "channel": ["ChannelGenerator", "ChannelSpec", "ChannelTap", "apply_channel",
                 "build_channel", "equalize", "frequency_response"],
     "exceptions": ["ConfigError", "DimensionError", "EqualizationError", "WavelabError"],

@@ -199,6 +199,17 @@ class TestWhiteningStd:
         direct = np.sqrt(sum((x - mean) ** 2 for x in v) / len(v))
         assert abs(wl.whitening_std(v) - direct) < 1e-12
 
+    def test_finite_near_the_largest_float(self):
+        # the squared deviations of these used to overflow to an inf std
+        assert wl.whitening_std([0.0, 1.5e308]) == 0.75e308
+        assert wl.whitening_std([1e300, 3e300]) == pytest.approx(1e300, rel=1e-15)
+
+    def test_power_of_two_scaling_is_exact(self):
+        rng = np.random.default_rng(2)
+        for _ in range(500):
+            v = rng.exponential(size=rng.integers(1, 200)) * 10.0 ** rng.uniform(-30, 30)
+            assert wl.whitening_std(v) == float(np.sqrt(np.mean((v - v.mean()) ** 2)))
+
 
 @pytest.fixture(scope="module")
 def q_invs():
