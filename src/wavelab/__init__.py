@@ -15,8 +15,7 @@ __version__ = "0.1.0"
 _SOURCES = {
     name: module
     for module, names in {
-        "analysis": "RationalChirp SparsityReport rect_window_spectrum row_sparsity "
-                    "verify_decimation_identity",
+        "analysis": "rect_window_spectrum row_sparsity verify_decimation_identity",
         "channel": "ChannelGenerator ChannelSpec ChannelTap apply_channel build_channel "
                    "equalize frequency_response",
         "exceptions": "ConfigError DimensionError EqualizationError WavelabError",

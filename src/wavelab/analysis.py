@@ -6,14 +6,14 @@ mechanically checks the factorization that explains why the AFDM
 demodulator is generally dense: a rational chirp rate a/b turns the
 size-N quadratic Gauss sum into a size-bN chirp spectrum convolved with a
 rectangular-window (Dirichlet kernel) spectrum, then decimated by b.
-The CLI uses :func:`row_sparsity`, which never forms the matrix; its dense
-oracle ``sparsity_profile`` lives in ``tests/oracles.py``.
+Both checks take and return plain values: :func:`row_sparsity` counts the
+nonzeros each row holds without forming the matrix (its dense oracle
+``sparsity_profile`` lives in ``tests/oracles.py``), and
+:func:`verify_decimation_identity` takes the integers a and b, in lowest
+terms or not.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,43 +24,18 @@ from .waveform import afdm_inverse_column
 DEFAULT_SPARSITY_TOL = 1e-9
 
 
-@dataclass(frozen=True, eq=False)
-class SparsityReport:
-    """Nonzero structure of a matrix at a relative magnitude threshold."""
-
-    row_counts: np.ndarray
-    density: float
-    tol: float
-    label: str
-
-
-def row_sparsity(row, tol: float = DEFAULT_SPARSITY_TOL, label: str = "") -> SparsityReport:
-    """:func:`sparsity_profile` of a square matrix whose rows all permute the
-    magnitudes of ``row``, as :meth:`WaveformConfig.row_magnitudes` gives, in O(N)."""
+def row_sparsity(row, tol: float = DEFAULT_SPARSITY_TOL) -> int:
+    """Nonzeros per row, above ``tol`` times the largest magnitude, of a square
+    matrix whose rows all permute the magnitudes of ``row``, as
+    :meth:`WaveformConfig.row_magnitudes` gives, in O(N). Its density is this
+    count over N."""
     if tol <= 0:
         raise ConfigError(f"sparsity tolerance must be > 0, got {tol}")
     mags = np.abs(np.asarray(row))
-    n = mags.size
-    counts = np.full(n, int((mags > tol * mags.max()).sum()))
-    return SparsityReport(counts, float(counts.sum()) / (n * n), tol, label)
+    return int((mags > tol * mags.max()).sum())
 
 
-@dataclass(frozen=True)
-class RationalChirp:
-    """A chirp rate a/b in lowest terms, ``error`` away from the rate it stands for."""
-
-    a: int
-    b: int
-    error: float
-
-    def __post_init__(self):
-        if self.b < 1:
-            raise ConfigError(f"denominator must be >= 1, got {self.b}")
-        if math.gcd(abs(self.a), self.b) != 1:
-            raise ConfigError(f"{self.a}/{self.b} is not gcd-reduced")
-
-
-def verify_decimation_identity(n: int, chirp: RationalChirp) -> float:
+def verify_decimation_identity(n: int, a: int, b: int) -> float:
     """Check the rational-chirp factorization of the Gauss-sum column.
 
     Builds the length-bN sequence exp(-1j*pi*a*k^2/(bN)) windowed to
@@ -70,18 +45,18 @@ def verify_decimation_identity(n: int, chirp: RationalChirp) -> float:
     normalization to the 1/sqrt(N) column convention, must reproduce
     afdm_inverse_column(N, a/b). Returns the max absolute difference.
     """
-    if n < 1:
-        raise DimensionError(f"block size must be >= 1, got {n}")
-    bn = chirp.b * n
+    if n < 1 or b < 1:
+        raise DimensionError(f"block size and denominator must be >= 1, got {n} and {b}")
+    bn = b * n
     if bn > MAX_EXPANDED_SIZE:
         raise DimensionError(
             f"expanded transform size {bn} exceeds the {MAX_EXPANDED_SIZE} guard"
         )
     k = np.arange(n)
     seq = np.zeros(bn, dtype=complex)
-    seq[:n] = np.exp((-1j * np.pi * chirp.a / bn) * k * k)
-    decimated = np.fft.fft(seq, norm="ortho")[:: chirp.b] * np.sqrt(chirp.b)
-    column = afdm_inverse_column(n, chirp.a / chirp.b)
+    seq[:n] = np.exp((-1j * np.pi * a / bn) * k * k)
+    decimated = np.fft.fft(seq, norm="ortho")[::b] * np.sqrt(b)
+    column = afdm_inverse_column(n, a / b)
     return float(np.max(np.abs(decimated - column)))
 
 

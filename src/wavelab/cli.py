@@ -6,10 +6,11 @@ replace those of its ``DEFAULT_*`` dict, the one place its defaults live;
 ``main`` refuses a key that is neither there nor in its ``_SUBCOMMANDS`` row.
 Its handler parses the whole config and claims every output name, refusing
 two of one name, then returns its work, which writes CSV/JSON artifacts
-and a manifest.json into the output directory; ``--dry-run`` lists the
-names instead. Exits 0 on success, 2 on configuration errors (dry runs
-too), 3 on numerical failure. Re-running with the same config and seed
-produces byte-identical CSV bodies at any thread count. Each handler
+and a manifest.json into the output directory that ``main`` makes before
+it; ``--dry-run`` lists the names instead. Exits 0 on success, 2 on
+configuration errors (dry runs too) and on an output directory that cannot
+be made or written, 3 on numerical failure. Re-running with the same config
+and seed produces byte-identical CSV bodies at any thread count. Each handler
 imports the modules its run uses: the analyses never load the BER engine,
 nor a BER run ``analysis``. Once it has parsed, ``main`` freezes the heap
 once per process (``gc.freeze``), so no later collection, those at
@@ -24,6 +25,7 @@ import gc
 import itertools
 import json
 import math
+import os
 import sys
 import time
 from collections.abc import Callable
@@ -145,7 +147,6 @@ DEFAULT_VERIFY = {
 
 def write_csv(path: Path, header: list[str], rows) -> None:
     """Write rows of Python scalars; floats are written as their repr."""
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -153,7 +154,6 @@ def write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def write_json(path: Path, doc) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -260,15 +260,15 @@ def cmd_sparsity(config: dict, run: Run) -> Callable[[], int]:
     def work() -> int:
         records = []
         for wf in waveforms:
-            report = row_sparsity(wf.row_magnitudes(), tol=tol, label=wf.label)
+            k = row_sparsity(wf.row_magnitudes(), tol=tol)  # every row has k nonzeros
             records.append({
-                "label": report.label,
+                "label": wf.label,
                 "n": wf.N,
-                "tol": report.tol,
-                "density": report.density,
-                "nonzeros_per_row_min": int(report.row_counts.min()),
-                "nonzeros_per_row_max": int(report.row_counts.max()),
-                "row_counts": report.row_counts.tolist(),
+                "tol": tol,
+                "density": k / wf.N,
+                "nonzeros_per_row_min": k,
+                "nonzeros_per_row_max": k,
+                "row_counts": [k] * wf.N,
             })
         write_json(path, {"reports": records})
         return EXIT_OK
@@ -398,21 +398,19 @@ def cmd_fdma_demo(config: dict, run: Run) -> Callable[[], int]:
 
 
 def cmd_verify_appendix(config: dict, run: Run) -> Callable[[], int]:
-    from .analysis import (RationalChirp, rect_window_spectrum, row_sparsity,
-                           verify_decimation_identity)
+    from .analysis import rect_window_spectrum, row_sparsity, verify_decimation_identity
     from .waveform import afdm_inverse_column
     decimation_tol = _tolerance(config, "decimation_tol")
     n_values = read(config, "n_values", [int], minimum=1)
     a_values = read(config, "a_values", [int])
     b_values = read(config, "b_values", [int], minimum=1)
-    chirps = []
+    rates = []
     for n, a, b in itertools.product(n_values, a_values, b_values):
         g = math.gcd(a, b)  # the rate a/b in lowest terms, exactly
-        chirp = RationalChirp(a // g, b // g, 0.0)
-        if chirp.b * n > MAX_EXPANDED_SIZE:
+        if b // g * n > MAX_EXPANDED_SIZE:
             raise ConfigError(f"config: 'n_values' item {n} with a/b = {a}/{b} needs a "
-                              f"size-{chirp.b * n} transform, over the {MAX_EXPANDED_SIZE} guard")
-        chirps.append((n, a, b, chirp))
+                              f"size-{b // g * n} transform, over the {MAX_EXPANDED_SIZE} guard")
+        rates.append((n, a, b, g))
     dirichlet_tol = _tolerance(config, "dirichlet_tol")
     dirichlet_cases = read(config, "dirichlet_cases", [[int]], minimum=1)
     for case in dirichlet_cases:
@@ -434,8 +432,8 @@ def cmd_verify_appendix(config: dict, run: Run) -> Callable[[], int]:
 
     def work() -> int:
         decimation = []
-        for n, a, b, chirp in chirps:
-            err = verify_decimation_identity(n, chirp)
+        for n, a, b, g in rates:
+            err = verify_decimation_identity(n, a // g, b // g)
             decimation.append({"n": n, "a": a, "b": b, "max_error": err,
                                "ok": err < decimation_tol})
 
@@ -449,7 +447,7 @@ def cmd_verify_appendix(config: dict, run: Run) -> Callable[[], int]:
 
         densities = []
         for n, q, wf in density_waveforms:
-            density = row_sparsity(wf.row_magnitudes(), tol=sparsity_tol).density
+            density = row_sparsity(wf.row_magnitudes(), tol=sparsity_tol) / n
             densities.append({"n": n, "q": q, "density": density, "ok": density > threshold})
 
         # integer-rate special case: the Gauss-sum column collapses to an even comb
@@ -530,14 +528,22 @@ def main(argv=None) -> int:
         if not gc.get_freeze_count():  # once per process: tests call main many times
             gc.freeze()  # after the parse, so the handler's imports are frozen too
         if args.dry_run:
-            print(f"wavelab {args.subcommand}: config OK; would write to {out_dir}")
-            print(json.dumps(config, indent=2, sort_keys=True, default=str))
-            for name in sorted(run.outputs):
-                print(f"output: {name}")
+            try:
+                print(f"wavelab {args.subcommand}: config OK; would write to {out_dir}")
+                print(json.dumps(config, indent=2, sort_keys=True, default=str))
+                for name in sorted(run.outputs):
+                    print(f"output: {name}")
+                sys.stdout.flush()
+            except BrokenPipeError:  # the reader left: the exit-time flush must not raise again
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
             return EXIT_OK
+        run.out.mkdir(parents=True, exist_ok=True)
         code = work()
         run.finish()
         return code
+    except OSError as exc:  # the output directory, or a file in it
+        print(f"wavelab {args.subcommand}: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except ConfigError as exc:
         print(f"wavelab {args.subcommand}: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from wavelab.analysis import DEFAULT_SPARSITY_TOL, RationalChirp, SparsityReport
+from wavelab.analysis import DEFAULT_SPARSITY_TOL
 from wavelab.channel import CONDITION_LIMIT, ChannelSpec, ChannelTap
 from wavelab.exceptions import ConfigError, DimensionError, EqualizationError
 from wavelab.qam import _axis_bits, energy_scale, qam_label, qam_map
@@ -167,6 +167,16 @@ def demod_noise_variance(q_inv, gains, sigma_w: float = 1.0) -> np.ndarray:
     return sigma_w**2 * ((np.abs(q_inv) ** 2) @ gains)
 
 
+@dataclass(frozen=True, eq=False)
+class SparsityReport:
+    """Nonzero structure of a matrix at a relative magnitude threshold."""
+
+    row_counts: np.ndarray
+    density: float
+    tol: float
+    label: str
+
+
 def sparsity_profile(m, tol: float = DEFAULT_SPARSITY_TOL, label: str = "") -> SparsityReport:
     """Count entries with magnitude above tol * max|M|, per row and overall."""
     if tol <= 0:
@@ -182,6 +192,21 @@ def sparsity_profile(m, tol: float = DEFAULT_SPARSITY_TOL, label: str = "") -> S
         counts = (mags > tol * peak).sum(axis=1)
     density = float(counts.sum()) / m.size
     return SparsityReport(counts, density, tol, label)
+
+
+@dataclass(frozen=True)
+class RationalChirp:
+    """A chirp rate a/b in lowest terms, ``error`` away from the rate it stands for."""
+
+    a: int
+    b: int
+    error: float
+
+    def __post_init__(self):
+        if self.b < 1:
+            raise ConfigError(f"denominator must be >= 1, got {self.b}")
+        if math.gcd(abs(self.a), self.b) != 1:
+            raise ConfigError(f"{self.a}/{self.b} is not gcd-reduced")
 
 
 def rational_chirp_decompose(q: float, tol: float = 1e-9) -> RationalChirp:

@@ -246,7 +246,7 @@ def test_criterion_08_appendix_identities():
             for a in (1, 3):
                 for b in (1, 2, 4):
                     chirp = rational_chirp_decompose(a / b, tol=1e-12)
-                    assert wl.verify_decimation_identity(n, chirp) < 1e-9, (n, a, b)
+                    assert wl.verify_decimation_identity(n, chirp.a, chirp.b) < 1e-9, (n, a, b)
 
         for n, b in ((8, 1), (4, 2), (8, 2), (12, 3), (16, 4)):
             window = (np.arange(b * n) < n).astype(float)

@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 import wavelab as wl
 from wavelab.exceptions import ConfigError, DimensionError
 
-from oracles import (build_precoder, chirp_spectrum, rational_chirp_decompose,
+from oracles import (RationalChirp, build_precoder, chirp_spectrum, rational_chirp_decompose,
                      sparsity_profile)
 
 
@@ -74,7 +74,7 @@ class TestRationalChirp:
         chirp = rational_chirp_decompose(0.25, 1e-6)
         assert (chirp.a, chirp.b) == (1, 4)
         with pytest.raises(ConfigError):
-            wl.RationalChirp(2, 4, 0.0)
+            RationalChirp(2, 4, 0.0)
 
     def test_search_finds_each_small_integer_rate_in_lowest_terms(self):
         # verify-appendix reduces its integer rates a/b with math.gcd; the search agrees
@@ -93,17 +93,24 @@ class TestDecimationIdentity:
     def test_unit_denominator_exact(self):
         for a in (-4, 1, 3):
             chirp = rational_chirp_decompose(float(a))
-            assert wl.verify_decimation_identity(8, chirp) < 1e-12
+            assert wl.verify_decimation_identity(8, chirp.a, chirp.b) < 1e-12
 
     @pytest.mark.parametrize("n,q", [(8, 0.5), (12, 0.75)])
     def test_rational_rates(self, n, q):
         chirp = rational_chirp_decompose(q)
-        assert wl.verify_decimation_identity(n, chirp) < 1e-10
+        assert wl.verify_decimation_identity(n, chirp.a, chirp.b) < 1e-10
+
+    def test_unreduced_rate(self):
+        # the identity holds for any a/b: lowest terms only keep bN small
+        assert wl.verify_decimation_identity(8, 2, 4) < 1e-10
 
     def test_expansion_guard(self):
-        chirp = wl.RationalChirp(1, 4096, 0.0)
         with pytest.raises(DimensionError):
-            wl.verify_decimation_identity(4096, chirp)
+            wl.verify_decimation_identity(4096, 1, 4096)
+
+    def test_zero_denominator_refused(self):
+        with pytest.raises(DimensionError):
+            wl.verify_decimation_identity(8, 1, 0)
 
     @pytest.mark.parametrize("n", [8, 12, 16])
     @pytest.mark.parametrize("a", [1, 3])

@@ -623,6 +623,57 @@ class TestOutputNames:
         assert not out.exists()  # no CSV, no manifest, not even the directory
 
 
+class TestOutputDirectory:
+    # each used to end in a FileExistsError or NotADirectoryError traceback, ber's
+    # only after its whole simulation
+    @pytest.mark.parametrize("subcommand,under", [("sparsity", ""), ("analyze-noise", "x")])
+    def test_out_at_a_file_refused(self, tmp_path, capsys, subcommand, under):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / under if under else blocker
+        assert run_cli(subcommand, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert f"wavelab {subcommand}: cannot write output" in err and str(out) in err
+
+    def test_ber_refused_before_the_run(self, tmp_path, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("run_ber ran with an output directory it cannot make")
+
+        monkeypatch.setattr(wl.sim, "run_ber", never)
+        out = tmp_path / "file"
+        out.write_text("")
+        assert run_cli("ber", "--out", str(out)) == 2
+        assert str(out) in capsys.readouterr().err
+
+
+class TestClosedStdout:
+    """A reader that leaves before the plan is printed, as ``| head -c 0`` does:
+    the plan is dropped, and the run still exits 0 without a traceback."""
+
+    SCRIPT = "import sys\nfrom wavelab.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    WIDEBAND = str(Path(wl.__file__).resolve().parents[2] / "configs" / "wideband_noise.yaml")
+
+    @pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("argv", [["ber"], ["sparsity"], ["analyze-noise", "--config",
+                                                                 WIDEBAND]],
+                             ids=["ber", "sparsity", "analyze-noise-wideband"])
+    def test_dry_run_exits_0(self, tmp_path, argv, buffered):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # closed before the child writes
+        env = {**os.environ, "PYTHONPATH": str(Path(wl.__file__).resolve().parent.parent)}
+        env.pop("PYTHONUNBUFFERED", None)
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        argv = [*argv, "--dry-run", "--out", str(tmp_path / "o")]
+        try:
+            proc = subprocess.run([sys.executable, "-c", self.SCRIPT, *argv], stdout=write_end,
+                                  stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+
 class TestVerifyAppendix:
     def test_default_grid_passes(self, tmp_path):
         out = tmp_path / "out"

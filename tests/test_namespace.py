@@ -13,8 +13,7 @@ import wavelab as wl
 
 # submodule -> the public names the package serves from it
 EXPORTS = {
-    "analysis": ["RationalChirp", "SparsityReport", "rect_window_spectrum", "row_sparsity",
-                 "verify_decimation_identity"],
+    "analysis": ["rect_window_spectrum", "row_sparsity", "verify_decimation_identity"],
     "channel": ["ChannelGenerator", "ChannelSpec", "ChannelTap", "apply_channel",
                 "build_channel", "equalize", "frequency_response"],
     "exceptions": ["ConfigError", "DimensionError", "EqualizationError", "WavelabError"],

@@ -60,11 +60,11 @@ def test_row_magnitudes_match_every_dense_row(case):
 @pytest.mark.parametrize("tol", [1e-9, 1e-6, 1e-3])
 def test_row_sparsity_matches_dense(case, tol):
     cfg, q_inv = case
-    fast = wl.row_sparsity(cfg.row_magnitudes(), tol=tol, label=cfg.label)
-    dense = sparsity_profile(q_inv, tol=tol, label=cfg.label)
-    np.testing.assert_array_equal(fast.row_counts, dense.row_counts)
-    assert fast.density == dense.density
-    assert (fast.tol, fast.label) == (dense.tol, dense.label)
+    k = wl.row_sparsity(cfg.row_magnitudes(), tol=tol)
+    dense = sparsity_profile(q_inv, tol=tol)
+    assert type(k) is int
+    assert (dense.row_counts == k).all()
+    assert k / cfg.N == dense.density
 
 
 def test_zero_gain_profile_stays_nonnegative(case):
