@@ -6,13 +6,13 @@ forward cyclic shift and Delta(theta) = diag(exp(2j*pi*theta*n/N)).
 
 A random ``ChannelGenerator`` and a fixed ``ChannelSpec`` share one
 surface: ``delays``, ``max_doppler``, ``describe()`` and ``draw(rngs) ->
-(gains, dopplers)``, one realization per generator, each (frames, P). The
-channel functions take those arrays, of shape (..., P) for P delays,
-leading axes over frames. ``equalize`` dispatches a whole chunk of frames:
-with every Doppler zero, H is circulant and ``_equalize_per_bin`` works
-in the DFT basis; otherwise ``_equalize_banded`` solves the cyclic band
-H^H H + rho I per frame. Each path owns its zero-forcing guard. The dense
-ZF/MMSE equalizers they are checked against live in ``tests/oracles.py``.
+(gains, dopplers)``, one realization per generator, each (frames, P) for P
+delays. ``equalize`` takes a whole chunk's arrays: with every Doppler zero,
+H is circulant and ``_equalize_per_bin`` works in the DFT basis; otherwise
+``_equalize_banded`` sends the chunk through the taps and solves the cyclic
+band H^H H + rho I per frame. Each path owns its zero-forcing guard.
+``build_channel`` realizes one frame's dense H, for the banded guard and
+for the dense ZF/MMSE equalizers of ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -25,6 +25,9 @@ from .exceptions import ConfigError
 
 # Zero-forcing refuses channels whose condition number exceeds this.
 CONDITION_LIMIT = 1e12
+# Largest |Doppler| of a tap: above it, 2*pi*theta of its phase 2*pi*theta*m/N
+# overflows (and with it the uniform range of a generator's draw).
+MAX_DOPPLER = float(np.finfo(float).max) / (2 * np.pi)
 EQUALIZERS = ("mmse", "zf")
 
 
@@ -42,6 +45,9 @@ class ChannelTap:
     def __post_init__(self):
         if self.delay < 0:
             raise ConfigError(f"tap delay must be >= 0, got {self.delay}")
+        if not abs(self.doppler) <= MAX_DOPPLER:  # NaN as well
+            raise ConfigError(f"channel tap: 'doppler' = {self.doppler!r} is over "
+                              f"{MAX_DOPPLER!r} in magnitude, where 2*pi*doppler overflows")
 
 
 @dataclass(frozen=True)
@@ -60,8 +66,10 @@ class ChannelGenerator:
     def __post_init__(self):
         if self.num_taps < 1:
             raise ConfigError(f"channel needs at least one tap, got {self.num_taps}")
-        if self.max_doppler < 0:
-            raise ConfigError("max_doppler must be >= 0")
+        if not 0 <= self.max_doppler <= MAX_DOPPLER:  # NaN as well
+            raise ConfigError(f"channel: 'max_doppler' = {self.max_doppler!r} is not in "
+                              f"[0, {MAX_DOPPLER!r}], where 2*pi*max_doppler stays finite")
+        object.__setattr__(self, "max_doppler", abs(self.max_doppler))  # -0.0 draws as 0
 
     @property
     def delays(self) -> np.ndarray:
@@ -124,31 +132,6 @@ def build_channel(delays, gains, dopplers, n: int) -> np.ndarray:
     return h
 
 
-def apply_channel(delays, gains, dopplers, x: np.ndarray) -> np.ndarray:
-    """Apply the channel to blocks x (..., N) without materializing H; the
-    leading axes of gains/dopplers (..., P) broadcast against those of x."""
-    n = x.shape[-1]
-    check_delays(delays, n)
-    rows = np.arange(n)
-    out = np.zeros(x.shape, dtype=complex)
-    for p, delay in enumerate(delays):
-        ramp = np.exp(1j * (2 * np.pi * dopplers[..., p, None] / n) * rows)
-        out += gains[..., p, None] * (np.roll(x, delay, axis=-1) * ramp)
-    return out
-
-
-def frequency_response(delays, gains, dopplers, n: int) -> np.ndarray:
-    """Per-bin transfer functions (..., N), the diagonals of F H F^H. Only
-    valid when every tap has zero Doppler, so that H is circulant."""
-    if np.any(dopplers != 0.0):
-        raise ConfigError("frequency_response requires a quasi-static channel")
-    check_delays(delays, n)
-    first_col = np.zeros(gains.shape[:-1] + (n,), dtype=complex)
-    for p, delay in enumerate(delays):  # a scatter-add: delays may repeat
-        first_col[..., delay] += gains[..., p]
-    return np.fft.fft(first_col)
-
-
 def equalize(delays, gains, dopplers, z, w_f, rho: float, equalizer: str):
     """Send a chunk's precoded bins z (targets, frames, N) through its
     channels (gains/dopplers (frames, P)), add its noise w_f (frames, N),
@@ -166,6 +149,7 @@ def equalize(delays, gains, dopplers, z, w_f, rho: float, equalizer: str):
         raise ConfigError(f"equalizer must be one of {EQUALIZERS}")
     if not rho >= 0:  # NaN as well
         raise ConfigError(f"noise-to-signal ratio must be >= 0, got {rho}")
+    check_delays(delays, z.shape[-1])
     zf = equalizer == "zf"
     path = _equalize_banded if np.any(dopplers) else _equalize_per_bin
     return path(delays, gains, dopplers, z, w_f, 0.0 if zf else rho, zf)
@@ -177,11 +161,15 @@ def _refuses(condition):  # zero-forcing's guard on condition numbers
 
 def _equalize_per_bin(delays, gains, dopplers, z, w_f, rho: float, zf: bool):
     # H is circulant: r_f = (h_f . z + w_f) . G_f per bin, in place to hold one copy
-    h_f = frequency_response(delays, gains, dopplers, z.shape[-1])
+    h_f = np.zeros(z.shape[1:], dtype=complex)  # H's first column, then its DFT
+    for p, delay in enumerate(delays):  # a scatter-add: delays may repeat
+        h_f[:, delay] += gains[:, p]
+    h_f = np.fft.fft(h_f)
     mags, refused = np.abs(h_f), np.zeros(len(gains), dtype=bool)  # MMSE refuses no frame
     if zf:
         top, bottom = mags.max(axis=-1), np.maximum(mags.min(axis=-1), np.finfo(float).tiny)
-        refused = _refuses(np.where(top > 0, top / bottom, np.inf))  # no power: no inverse
+        with np.errstate(over="ignore"):  # a ratio past the largest float reads inf
+            refused = _refuses(np.where(top > 0, top / bottom, np.inf))  # no power: no inverse
     mags[refused] = np.inf  # a refused frame gets zero gains
     z *= h_f
     z += w_f
@@ -190,11 +178,12 @@ def _equalize_per_bin(delays, gains, dopplers, z, w_f, rho: float, zf: bool):
 
 
 def _equalize_banded(delays, gains, dopplers, z, w_f, rho: float, zf: bool):
-    # H = sum_p diag(u_p) Pi^{d_p} with u_p[m] = h_p exp(2j pi theta_p m / N),
-    # so H^H y = sum_p Pi^{-d_p} (u_p^* . y) and neither it nor H^H H needs H
+    # H = sum_p diag(u_p) Pi^{d_p} with u_p[m] = h_p exp(2j pi theta_p m / N), so
+    # y = sum_p u_p . Pi^{d_p} x and H^H y = sum_p Pi^{-d_p} (u_p^* . y) need no H
     n, rows = z.shape[-1], np.arange(z.shape[-1])
     u = gains[..., None] * np.exp(1j * (2 * np.pi / n) * dopplers[..., None] * rows)
-    y = apply_channel(delays, gains, dopplers, np.fft.ifft(z, norm="ortho"))
+    y = np.fft.ifft(z, norm="ortho")  # x, rebound at once so that no name keeps it
+    y = sum(u[:, p] * np.roll(y, d, axis=-1) for p, d in enumerate(delays))
     y += np.fft.ifft(w_f, norm="ortho")
     rhs = sum(np.roll(u[:, p].conj() * y, -d, axis=-1) for p, d in enumerate(delays))
     # H^H H is a cyclic band: A[i, i + d_a - d_b] += u_a^*[i + d_a] u_b[i + d_a]

@@ -36,6 +36,7 @@ import numpy as np
 
 from . import __version__
 from .configio import (
+    HEADROOM,
     MAX_EXPANDED_SIZE,
     check_keys,
     check_size,
@@ -51,11 +52,6 @@ from .exceptions import ConfigError, EqualizationError, WavelabError
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
-
-# Half the largest float: a noise power over N bins is refused above it, so
-# the rounding of the sums and FFTs that spread it cannot overflow.
-_HEADROOM = sys.float_info.max / 2
-
 
 # ---------------------------------------------------------------------------
 # built-in default configs (desk-scale analogues of the headline experiments)
@@ -231,7 +227,7 @@ def cmd_analyze_noise(config: dict, run: Run) -> Callable[[], int]:
         raise ConfigError(f"config: every waveform must have the grid size 'n' = {n}")
     profiles = [parse_profile(p, n) for p in read(config, "profiles", [dict])]
     sigma_w = read(config, "sigma_w", float, minimum=0)
-    limit = math.sqrt(_HEADROOM / n)  # no variance, nor their sum, exceeds sigma_w**2 * n
+    limit = math.sqrt(HEADROOM / n)  # no variance, nor their sum, exceeds sigma_w**2 * n
     if sigma_w > limit:
         raise ConfigError(f"config: 'sigma_w' = {sigma_w!r} is over {limit!r}, where the "
                           f"noise power sigma_w**2 * {n} passes half the largest float")
@@ -332,7 +328,7 @@ def cmd_fdma_demo(config: dict, run: Run) -> Callable[[], int]:
     if not 0 <= jammed < len(layout.blocks):
         raise ConfigError(f"jammed_block {jammed} out of range")
     jam_power = read(config, "jam_power", float, minimum=0)
-    limit = _HEADROOM / n  # no block's demod_power sums more than n * (1 + jam_power)
+    limit = HEADROOM / n  # no block's demod_power sums more than n * (1 + jam_power)
     if jam_power > limit:
         raise ConfigError(f"config: 'jam_power' = {jam_power!r} is over {limit!r}, half the "
                           f"largest float over the layout's n = {n} bins")

@@ -15,6 +15,7 @@ requires every top-level key it reads.
 from __future__ import annotations
 
 import math
+import sys
 from typing import TYPE_CHECKING
 
 from .exceptions import ConfigError
@@ -30,6 +31,10 @@ if TYPE_CHECKING:  # each parser imports its section's module when it runs
 # a size-bN transform of the decimation identity. The parse refuses more,
 # naming the key, before any array is allocated.
 MAX_EXPANDED_SIZE = 1 << 20
+
+# Half the largest float: a power over N bins (noise, jamming, a fixed channel)
+# is refused above it, so the rounding of the sums and FFTs cannot overflow.
+HEADROOM = sys.float_info.max / 2
 
 
 def load_config_file(path: str) -> dict:
@@ -130,7 +135,7 @@ def parse_waveform(section: dict, default_n: int | None = None) -> WaveformConfi
     return wf
 
 
-def parse_channel(section: dict) -> ChannelGenerator | ChannelSpec:
+def parse_channel(section: dict, n: int) -> ChannelGenerator | ChannelSpec:
     from .channel import ChannelGenerator, ChannelSpec, ChannelTap
     if "taps" in section:
         check_keys(section, {"taps"}, "channel")
@@ -147,6 +152,13 @@ def parse_channel(section: dict) -> ChannelGenerator | ChannelSpec:
                     doppler=read(entry, "doppler", float, 0.0, "channel tap"),
                 )
             )
+        # every |h_f| <= sum_p |h_p| = total: the power over the bins is <= n * total**2
+        total = sum(math.hypot(t.gain.real, t.gain.imag) for t in taps)  # abs() may raise
+        limit = math.sqrt(HEADROOM / n)
+        if not total <= limit:  # inf as well
+            raise ConfigError(f"channel tap: 'gain_re'/'gain_im' give a total |gain| {total!r}"
+                              f" over {limit!r}: the power over n = {n} bins passes "
+                              f"half the largest float")
         return ChannelSpec(taps=tuple(taps))
     check_keys(section, {"num_taps", "max_doppler"}, "channel")
     num_taps = read(section, "num_taps", int, context="channel")
@@ -202,7 +214,7 @@ def parse_sim(doc: dict) -> SimConfig:
     snr_db = read({"snr_db": snr if isinstance(snr, list) else [snr]}, "snr_db", [float])
     # checked but unused: the discrete-time model is dimensionless
     read(doc, "subcarrier_spacing_hz", float, None)
-    channel = parse_channel(read(doc, "channel", dict))
+    channel = parse_channel(read(doc, "channel", dict), targets[0].N)
     if "layout" in doc and channel.max_doppler != 0.0:
         raise ConfigError("FDMA layouts support quasi-static channels only; "
                           "Doppler breaks block independence")

@@ -13,8 +13,8 @@ from oracles import dft_matrix, mmse_equalizer, to_frequency, zf_equalizer
 
 
 def taps_of(channel, rng=None):
-    """(delays, gains, dopplers) of one draw: the arrays the channel
-    functions take. A fixed tap list draws nothing from ``rng``."""
+    """(delays, gains, dopplers) of one draw: the arrays ``build_channel``
+    takes. A fixed tap list draws nothing from ``rng``."""
     gains, dopplers = channel.draw([rng])
     return channel.delays, gains[0], dopplers[0]
 
@@ -57,26 +57,6 @@ class TestBuildChannel:
         spec = wl.ChannelSpec(taps=(wl.ChannelTap(4, 1.0 + 0j),))
         with pytest.raises(ConfigError):
             wl.build_channel(*taps_of(spec), 4)
-
-    def test_apply_channel_matches_dense(self):
-        rng = np.random.default_rng(0)
-        gen = wl.ChannelGenerator(num_taps=5, max_doppler=0.3)
-        taps = taps_of(gen, rng)
-        n = 16
-        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        assert np.abs(wl.apply_channel(*taps, x) - wl.build_channel(*taps, n) @ x).max() < 1e-12
-
-    def test_frequency_response_matches_diagonal(self):
-        rng = np.random.default_rng(1)
-        taps = taps_of(wl.ChannelGenerator(num_taps=4), rng)
-        n = 12
-        full = to_frequency(wl.build_channel(*taps, n))
-        assert np.abs(np.diag(full) - wl.frequency_response(*taps, n)).max() < 1e-12
-
-    def test_frequency_response_requires_quasi_static(self):
-        spec = wl.ChannelSpec(taps=(wl.ChannelTap(0, 1.0 + 0j, 0.2),))
-        with pytest.raises(ConfigError):
-            wl.frequency_response(*taps_of(spec), 8)
 
 
 class TestRandomChannel:
@@ -185,7 +165,7 @@ class TestMmseEqualizer:
         n, rho = 16, 0.05
         h = wl.build_channel(*taps, n)
         g_f = to_frequency(mmse_equalizer(h, rho))
-        h_f = wl.frequency_response(*taps, n)
+        h_f = np.diag(to_frequency(h))
         per_bin = h_f.conj() / (np.abs(h_f) ** 2 + rho)
         off_diag = g_f - np.diag(np.diag(g_f))
         assert np.abs(off_diag).max() < 1e-10

@@ -353,6 +353,72 @@ class TestBer:
         assert "numerical failure: all 157 frames at 0.0 dB were skipped" in err
         assert "Traceback" not in err
 
+    def test_zf_refuses_a_spectral_null_quietly(self, tmp_path, capsys):
+        # gains 3 and -3 null bin 0; max|h_f| / tiny used to overflow with a
+        # RuntimeWarning on stderr before the guard refused the frame
+        config = write_yaml(tmp_path / "null.yaml", {
+            "n": 12, "waveforms": [{"kind": "ofdm"}], "equalizer": "zf", "bits_per_point": 10_000,
+            "channel": {"taps": [{"delay": 0, "gain_re": 3.0}, {"delay": 1, "gain_re": -3.0}]},
+        })
+        assert run_cli("ber", "--config", config, "--out", str(tmp_path / "o")) == 3
+        assert "RuntimeWarning" not in capsys.readouterr().err
+
+    def test_negative_zero_max_doppler_runs_as_zero(self, tmp_path):
+        # -0.0 passed the max_doppler >= 0 check and then ended in numpy's
+        # "high - low < 0" traceback (exit 1) while its dry run exited 0
+        bodies = []
+        for doppler in (-0.0, 0.0):
+            config = write_yaml(tmp_path / "ber.yaml", {
+                "n": 12, "waveforms": [{"kind": "ofdm"}], "bits_per_point": 10_000,
+                "channel": {"num_taps": 4, "max_doppler": doppler},
+            })
+            out = tmp_path / repr(doppler)
+            assert run_cli("ber", "--config", config, "--out", str(out)) == 0
+            bodies.append((out / "ber_ofdm.csv").read_text())
+        assert bodies[0] == bodies[1]
+
+    # 2*pi*doppler, the start of every Doppler phase, stays finite up to this
+    DOPPLER_BOUND = sys.float_info.max / (2 * math.pi)
+    # over n = 12 bins, n * (sum |gain|)**2 bounds a fixed channel's power
+    GAIN_BOUND = math.sqrt(HEADROOM / 12)
+    TAP = {"delay": 0, "gain_re": 1.0}
+    SWEPT = {"sweep-l": {"l_values": [1, 3]}, "sweep-q": {"q_values": [-4.0, 2.0]}}
+
+    @pytest.mark.parametrize("subcommand,channel,key,code", [
+        ("ber", {"num_taps": 4, "max_doppler": DOPPLER_BOUND}, None, 0),
+        ("ber", {"num_taps": 4, "max_doppler": float(np.nextafter(DOPPLER_BOUND, np.inf))},
+         "max_doppler", 2),
+        ("sweep-l", {"taps": [TAP, {"delay": 2, "gain_re": 0.3, "doppler": -DOPPLER_BOUND}]},
+         None, 0),
+        ("sweep-l", {"taps": [TAP, {"delay": 2, "gain_re": 0.3,
+                                    "doppler": float(np.nextafter(-DOPPLER_BOUND, -np.inf))}]},
+         "doppler", 2),
+        ("sweep-q", {"taps": [{"delay": 0, "gain_re": GAIN_BOUND}]}, None, 0),
+        ("ber", {"taps": [{"delay": 1, "gain_im": -GAIN_BOUND, "doppler": 0.3}]}, None, 0),
+        ("sweep-q", {"taps": [{"delay": 0, "gain_re": float(np.nextafter(GAIN_BOUND, np.inf))}]},
+         "gain_re", 2),
+        ("sweep-q", {"taps": [{"delay": 0, "gain_re": GAIN_BOUND / 2},
+                              {"delay": 1, "gain_im": GAIN_BOUND / 2 * 1.000001}]}, "gain_im", 2),
+    ], ids=["max-doppler-bound", "max-doppler-above", "doppler-bound", "doppler-below",
+            "gain-bound", "gain-bound-banded", "gain-above", "gain-sum-above"])
+    @pytest.mark.parametrize("equalizer", ["mmse", "zf"])
+    def test_channel_bounds(self, tmp_path, capsys, subcommand, channel, key, code, equalizer):
+        # at 1.0e+308 the Doppler keys ended in a traceback (exit 1) and a gain in
+        # NaN casts with exit 0; at each bound every number stays finite
+        config = write_yaml(tmp_path / "cfg.yaml", {
+            "n": 12, "waveforms": [{"kind": "ofdm"}, {"kind": "afdm", "q": -4.0, "alpha": 0.1}],
+            "snr_db": [20.0], "bits_per_point": 10_000, "equalizer": equalizer,
+            "channel": channel, **self.SWEPT.get(subcommand, {}),
+        })
+        out = tmp_path / "o"
+        assert run_cli(subcommand, "--config", config, "--out", str(out)) == code
+        if code:
+            assert repr(key) in capsys.readouterr().err
+            assert not out.exists()
+        else:
+            numbers = numbers_in_csvs(out)
+            assert numbers and all(map(math.isfinite, numbers))
+
     def test_dry_run_writes_nothing(self, tmp_path, capsys):
         config = self.small_config(tmp_path)
         out = tmp_path / "dry"
@@ -513,9 +579,9 @@ class TestConfigSerialization:
                 {"delay": 3, "gain_re": 0.1, "gain_im": 0.4, "doppler": 0.25},
             ]
         }
-        assert parse_channel(doc) == spec
+        assert parse_channel(doc, 12) == spec
         gen = wl.ChannelGenerator(num_taps=8, max_doppler=0.3)
-        assert parse_channel({"num_taps": 8, "max_doppler": 0.3}) == gen
+        assert parse_channel({"num_taps": 8, "max_doppler": 0.3}, 12) == gen
 
     def test_waveform_round_trip(self):
         from wavelab.configio import parse_waveform
@@ -779,6 +845,11 @@ class TestStrictConfigReader:
         ("ber", "snr_db: [20.0, -4000.0]", "snr_db"),
         ("sweep-q", "snr_db: -4000.0", "snr_db"),
         ("analyze-noise", "sigma_w: 1.0e+200", "sigma_w"),
+        # each of these ended in a traceback (exit 1) or wrote BER from NaN with exit 0
+        ("ber", "channel: {num_taps: 4, max_doppler: 1.0e+308}", "max_doppler"),
+        ("sweep-l", "equalizer: zf\nchannel: {taps: [{delay: 0, doppler: 1.0e+308}]}",
+         "doppler"),
+        ("sweep-q", "channel: {taps: [{delay: 0, gain_re: 1.0e+308}]}", "gain_re"),
         # each of these passed the overflow guard and wrote inf or nan with exit 0
         ("analyze-noise", "sigma_w: 1.3e+154", "sigma_w"),
         ("fdma-demo", "jam_power: 1.0e+308", "jam_power"),

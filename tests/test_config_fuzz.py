@@ -6,12 +6,15 @@ and types, writes it as YAML and runs ``main`` in-process. An exception
 escaping ``main`` fails the test, as would a traceback at the command line.
 A case refused with exit 2 must be refused by its ``--dry-run`` as well.
 Values too large to run are tried by ``--dry-run`` alone, which must exit 0
-or 2 without allocating them.
+or 2 without allocating them. Float extremes are tried for real on the
+channel section's float keys, where no output may hold a NaN or an infinity.
 """
 
 import copy
 import json
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +29,11 @@ POOL = [-3, 0, math.nan, True, "abc", [], [[1, 2]], {"x": 1}]
 
 # sizes and budgets no real run could finish: tried at every key by --dry-run alone
 DRY_RUN_POOL = [10**18]
+
+# float extremes: tried for real at every float key of a channel section
+EXTREME_POOL = [1e308, -1e308, 1e300, 5e-324, -0.0]
+# nan and inf as repr writes them to a CSV, NaN and Infinity as json does
+NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
 
 _BER = {
     "n": 12,
@@ -156,6 +164,35 @@ def test_huge_values_dry_run_exits_0_or_2(tmp_path, subcommand):
             except Exception as exc:  # e.g. numpy's _ArrayMemoryError
                 pytest.fail(f"{subcommand} {path}={value!r} raised {exc!r}")
             assert code in (0, 2), f"{subcommand} {path}={value!r} exited {code}"
+
+
+def _non_finite(out):
+    """The CSV and JSON files under ``out`` that hold a NaN or an infinity."""
+    paths = sorted(out.glob("*.csv")) + sorted(out.glob("*.json"))
+    return [path.name for path in paths if NON_FINITE.search(path.read_text())]
+
+
+@pytest.mark.parametrize("subcommand", ["ber", "sweep-l", "sweep-q"])
+def test_channel_extremes_run_within_the_contract(tmp_path, subcommand):
+    # the generator's max_doppler, then the first fixed tap's float keys
+    generator = {**CONFIGS[subcommand], "channel": {"num_taps": 4, "max_doppler": 0.1}}
+    tap_list = {**CONFIGS[subcommand], "channel": _SWEEP["channel"]}
+    cases = [(generator, ("channel", "max_doppler"))]
+    cases += [(tap_list, ("channel", "taps", 0, key)) for key in ("doppler", "gain_re", "gain_im")]
+    for i, ((config, path), value) in enumerate(
+            (case, value) for case in cases for value in EXTREME_POOL):
+        doc = tmp_path / f"case{i}.yaml"
+        doc.write_text(yaml.safe_dump(_with_value(config, path, value)))
+        out = tmp_path / f"out{i}"
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                code = main([subcommand, "--threads", "1", "--config", str(doc),
+                             "--out", str(out)])
+        except Exception as exc:  # a RuntimeWarning as well
+            pytest.fail(f"{subcommand} {path}={value!r} raised {exc!r}")
+        assert code in (0, 2, 3), f"{subcommand} {path}={value!r} exited {code}"
+        assert not _non_finite(out), f"{subcommand} {path}={value!r}: {_non_finite(out)}"
 
 
 @pytest.mark.parametrize("subcommand", list(CONFIGS))

@@ -14,8 +14,7 @@ import wavelab as wl
 # submodule -> the public names the package serves from it
 EXPORTS = {
     "analysis": ["rect_window_spectrum", "row_sparsity", "verify_decimation_identity"],
-    "channel": ["ChannelGenerator", "ChannelSpec", "ChannelTap", "apply_channel",
-                "build_channel", "equalize", "frequency_response"],
+    "channel": ["ChannelGenerator", "ChannelSpec", "ChannelTap", "build_channel", "equalize"],
     "exceptions": ["ConfigError", "DimensionError", "EqualizationError", "WavelabError"],
     "fdma": ["Block", "BlockLayout"],
     "noise": ["NoiseProfile", "make_profile", "sample_noise", "whitening_std"],
