@@ -417,6 +417,12 @@ def cmd_verify_appendix(config: dict, run: Run) -> Callable[[], int]:
     if not 0 < threshold < 1:  # a density is at most 1
         raise ConfigError(f"config: 'density_threshold' must be in (0, 1), got {threshold!r}")
     sparsity_tol = _tolerance(config, "sparsity_tol")
+    # integer-rate special case: the Gauss-sum column collapses to an even comb
+    column = afdm_inverse_column(8, 4.0)
+    peak = float(np.abs(column).max())
+    if not sparsity_tol * peak < math.inf:
+        raise ConfigError(f"config: 'sparsity_tol' = {sparsity_tol!r} times the comb's "
+                          f"largest magnitude {peak!r} is not finite")
     density_q = read(config, "density_q", [float])
     density_n = [check_size(n, "density_n", "config")
                  for n in read(config, "density_n", [int], minimum=1)]
@@ -446,9 +452,7 @@ def cmd_verify_appendix(config: dict, run: Run) -> Callable[[], int]:
             density = row_sparsity(wf.row_magnitudes(), tol=sparsity_tol) / n
             densities.append({"n": n, "q": q, "density": density, "ok": density > threshold})
 
-        # integer-rate special case: the Gauss-sum column collapses to an even comb
-        column = afdm_inverse_column(8, 4.0)
-        support = np.flatnonzero(np.abs(column) > sparsity_tol * np.abs(column).max())
+        support = np.flatnonzero(np.abs(column) > sparsity_tol * peak)
         sparse_ok = support.tolist() == [0, 4]
         failures = sum(not r["ok"] for r in decimation + dirichlet + densities) + (not sparse_ok)
 

@@ -16,6 +16,7 @@ input.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +29,16 @@ INTERFERER = "interferer"
 EQUALIZED = "equalized"
 PROFILE_KINDS = (WHITE, IMPULSE, INTERFERER, EQUALIZED)
 
-# Fixed channel draw behind the default "equalized" profile.
+# Seed and tap count of the fixed channel behind the default "equalized" profile.
 DEFAULT_EQUALIZED_SEED = 7
+DEFAULT_EQUALIZED_TAPS = 4
+# The 2 * DEFAULT_EQUALIZED_TAPS standard normals default_rng(DEFAULT_EQUALIZED_SEED)
+# draws first, written out: the default profile needs no random generator, and
+# stays the same if a numpy release changes the Generator stream (NEP 19).
+DEFAULT_EQUALIZED_NORMALS = (
+    0.0012301533574825742, 0.2987455375084699, -0.2741378553622176, -0.8905918387572742,
+    -0.45467078517172255, -0.9916465549964624, 0.060143602597438485, 1.3402152455545335,
+)
 # Clip on 1/|H_f|^2 so near-null bins do not dominate the trace.
 DEFAULT_GAIN_CAP = 1e4
 DEFAULT_POWER_FRACTION = 0.9
@@ -79,7 +88,7 @@ def make_profile(
     width: int | None = None,
     start: int = 0,
     power_fraction: float = DEFAULT_POWER_FRACTION,
-    num_taps: int = 4,
+    num_taps: int = DEFAULT_EQUALIZED_TAPS,
     gain_cap: float = DEFAULT_GAIN_CAP,
     seed: int = DEFAULT_EQUALIZED_SEED,
 ) -> NoiseProfile:
@@ -103,6 +112,12 @@ def make_profile(
     equalized:   gains proportional to min(1/|H_f|^2, gain_cap) for a
                  seeded random ``num_taps``-tap uniform-profile channel,
                  mimicking white noise shaped by zero-forcing equalization.
+                 Its taps come from 2 * ``num_taps`` standard normals of
+                 ``default_rng(seed)``, real parts first; the default seed
+                 and tap count read them from DEFAULT_EQUALIZED_NORMALS, so
+                 only other values load ``numpy.random``. ``gain_cap`` must
+                 be at least the smallest normal float, so the trace
+                 normalization, which can scale by 1/gain_cap, stays finite.
 
     All profiles are trace-normalized to N.
     """
@@ -138,9 +153,14 @@ def make_profile(
         raise ConfigError(f"equalized profile needs >= 1 tap, got {num_taps}")
     if seed < 0:
         raise ConfigError(f"equalized profile 'seed' must be >= 0, got {seed}")
-    rng = np.random.default_rng(seed)
-    taps = (rng.standard_normal(num_taps) + 1j * rng.standard_normal(num_taps))
-    taps /= np.sqrt(2 * num_taps)
+    if not gain_cap >= sys.float_info.min:  # NaN as well
+        raise ConfigError(f"equalized profile 'gain_cap' must be >= {sys.float_info.min!r}, "
+                          f"where 1/gain_cap stays finite, got {gain_cap!r}")
+    if (seed, num_taps) == (DEFAULT_EQUALIZED_SEED, DEFAULT_EQUALIZED_TAPS):
+        raw = np.array(DEFAULT_EQUALIZED_NORMALS)
+    else:
+        raw = np.random.default_rng(seed).standard_normal(2 * num_taps)
+    taps = (raw[:num_taps] + 1j * raw[num_taps:]) / np.sqrt(2 * num_taps)
     h_f = np.fft.fft(taps, n)
     gains = np.minimum(1.0 / np.abs(h_f) ** 2, gain_cap)
     return _normalized(gains, EQUALIZED)

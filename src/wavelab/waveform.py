@@ -18,6 +18,7 @@ closed forms of Q^{-1} they are checked against live in ``tests/oracles.py``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -38,7 +39,8 @@ class WaveformConfig:
         kind: one of "ofdm", "otfs", "afdm".
         N: number of subcarriers (block length).
         K, L: OTFS delay-Doppler grid dimensions; K * L must equal N.
-        q, alpha: AFDM chirp rates, arbitrary reals.
+        q, alpha: AFDM chirp rates, reals whose chirp phase pi*rate*k^2/N
+            stays finite for every k < N.
     """
 
     kind: str
@@ -60,6 +62,12 @@ class WaveformConfig:
                 raise ConfigError(
                     f"OTFS grid {self.K}x{self.L} does not match N={self.N}"
                 )
+        if self.kind == AFDM:
+            for name, rate in (("q", self.q), ("alpha", self.alpha)):
+                # chirp_diagonal's largest phase, in its order of operations: k = N - 1
+                if not math.isfinite(math.pi * rate / self.N * (self.N - 1) * (self.N - 1)):
+                    raise ConfigError(f"AFDM waveform: {name!r} = {rate!r} makes the chirp "
+                                      f"phase pi*{name}*k**2/N overflow for k < N = {self.N}")
 
     @classmethod
     def ofdm(cls, n: int) -> "WaveformConfig":

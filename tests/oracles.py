@@ -167,6 +167,17 @@ def demod_noise_variance(q_inv, gains, sigma_w: float = 1.0) -> np.ndarray:
     return sigma_w**2 * ((np.abs(q_inv) ** 2) @ gains)
 
 
+def equalized_gains(n: int, num_taps: int, gain_cap: float, seed: int) -> np.ndarray:
+    """The "equalized" profile's gains as make_profile drew its taps before the
+    default channel became a constant: two ``standard_normal`` calls on one
+    generator, an in-place scale, then the cap and the trace normalization."""
+    rng = np.random.default_rng(seed)
+    taps = (rng.standard_normal(num_taps) + 1j * rng.standard_normal(num_taps))
+    taps /= np.sqrt(2 * num_taps)
+    gains = np.minimum(1.0 / np.abs(np.fft.fft(taps, n)) ** 2, gain_cap)
+    return gains * (gains.size / gains.sum())
+
+
 @dataclass(frozen=True, eq=False)
 class SparsityReport:
     """Nonzero structure of a matrix at a relative magnitude threshold."""

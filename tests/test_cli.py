@@ -853,6 +853,15 @@ class TestStrictConfigReader:
         # each of these passed the overflow guard and wrote inf or nan with exit 0
         ("analyze-noise", "sigma_w: 1.3e+154", "sigma_w"),
         ("fdma-demo", "jam_power: 1.0e+308", "jam_power"),
+        # each of these overflowed a chirp phase, the trace normalization or a threshold:
+        # NaN written with exit 0, a failed identity (exit 3), or a RuntimeWarning first
+        ("analyze-noise", "waveforms: [{kind: afdm, q: 1.0e+308, alpha: 0.1}]", "q"),
+        ("ber", "waveforms: [{kind: afdm, q: -4.0, alpha: -1.0e+308}]", "alpha"),
+        ("sweep-q", "q_values: [1.0e+308]", "q"),
+        ("verify-appendix", "density_q: [1.0e+308]", "q"),
+        ("verify-appendix", "sparsity_tol: 1.0e+308", "sparsity_tol"),
+        ("analyze-noise", "profiles: [{kind: equalized, gain_cap: 5.0e-324}]", "gain_cap"),
+        ("analyze-noise", "profiles: [{kind: equalized, gain_cap: -1.0e+308}]", "gain_cap"),
     ]
 
     @staticmethod
@@ -1045,6 +1054,22 @@ class TestStartup:
         assert loads <= set(loaded)
         assert not never_loads & set(loaded)
         assert frozen_after > 0
+
+    @pytest.mark.parametrize("flags", [[], ["--dry-run"]], ids=["real", "dry-run"])
+    def test_default_equalized_profile_loads_no_random_generator(self, tmp_path, flags):
+        # numpy 1.x imports numpy.random, and with it hashlib, with numpy itself
+        script = ("import json, sys\nbefore = set(sys.modules)\nimport numpy\n"
+                  "print(json.dumps(sorted(set(sys.modules) - before)))")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=60, check=True)
+        with_numpy = set(json.loads(proc.stdout))
+        loaded, _, _ = self.run_fresh(tmp_path, "analyze-noise",
+                                      "profiles: [{kind: equalized}]", flags)
+        assert not {"numpy.random", "hashlib"} & (set(loaded) - with_numpy)
+        # another seed draws its channel, and the same run loads the generator
+        loaded, _, _ = self.run_fresh(tmp_path, "analyze-noise",
+                                      "profiles: [{kind: equalized, seed: 3}]", flags)
+        assert "numpy.random" in loaded
 
     def test_main_freezes_the_import_heap(self, tmp_path):
         _, frozen_before, frozen_after = self.run_fresh(tmp_path, *self.CASES[1][:3])

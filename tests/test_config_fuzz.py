@@ -7,7 +7,9 @@ escaping ``main`` fails the test, as would a traceback at the command line.
 A case refused with exit 2 must be refused by its ``--dry-run`` as well.
 Values too large to run are tried by ``--dry-run`` alone, which must exit 0
 or 2 without allocating them. Float extremes are tried for real on the
-channel section's float keys, where no output may hold a NaN or an infinity.
+channel section's float keys and on the AFDM rates, an equalized profile's
+``gain_cap`` and ``verify-appendix``'s ``density_q`` and ``sparsity_tol``,
+where no output may hold a NaN or an infinity.
 """
 
 import copy
@@ -30,7 +32,8 @@ POOL = [-3, 0, math.nan, True, "abc", [], [[1, 2]], {"x": 1}]
 # sizes and budgets no real run could finish: tried at every key by --dry-run alone
 DRY_RUN_POOL = [10**18]
 
-# float extremes: tried for real at every float key of a channel section
+# float extremes: tried for real at every float key of a channel section and at
+# the paths of EXTREME_KEYS
 EXTREME_POOL = [1e308, -1e308, 1e300, 5e-324, -0.0]
 # nan and inf as repr writes them to a CSV, NaN and Infinity as json does
 NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
@@ -172,6 +175,28 @@ def _non_finite(out):
     return [path.name for path in paths if NON_FINITE.search(path.read_text())]
 
 
+def _run_extremes(tmp_path, subcommand, cases):
+    """Run each (config, path) case with each EXTREME_POOL value at ``path``, for real
+    and as a dry run: exit 0, 2 or 3 with no exception or RuntimeWarning, a refusal
+    refused by the dry run as well, and no NaN or infinity in any output."""
+    for i, ((config, path), value) in enumerate(
+            (case, value) for case in cases for value in EXTREME_POOL):
+        doc = tmp_path / f"case{i}.yaml"
+        doc.write_text(yaml.safe_dump(_with_value(config, path, value)))
+        argv = [subcommand, "--threads", "1", "--config", str(doc)]
+        out = tmp_path / f"out{i}"
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                code = main(argv + ["--out", str(out)])
+                dry = main(argv + ["--out", str(tmp_path / f"dry{i}"), "--dry-run"])
+        except Exception as exc:  # a RuntimeWarning as well
+            pytest.fail(f"{subcommand} {path}={value!r} raised {exc!r}")
+        assert code in (0, 2, 3), f"{subcommand} {path}={value!r} exited {code}"
+        assert dry == (2 if code == 2 else 0), f"{subcommand} {path}={value!r}: dry run {dry}"
+        assert not _non_finite(out), f"{subcommand} {path}={value!r}: {_non_finite(out)}"
+
+
 @pytest.mark.parametrize("subcommand", ["ber", "sweep-l", "sweep-q"])
 def test_channel_extremes_run_within_the_contract(tmp_path, subcommand):
     # the generator's max_doppler, then the first fixed tap's float keys
@@ -179,20 +204,23 @@ def test_channel_extremes_run_within_the_contract(tmp_path, subcommand):
     tap_list = {**CONFIGS[subcommand], "channel": _SWEEP["channel"]}
     cases = [(generator, ("channel", "max_doppler"))]
     cases += [(tap_list, ("channel", "taps", 0, key)) for key in ("doppler", "gain_re", "gain_im")]
-    for i, ((config, path), value) in enumerate(
-            (case, value) for case in cases for value in EXTREME_POOL):
-        doc = tmp_path / f"case{i}.yaml"
-        doc.write_text(yaml.safe_dump(_with_value(config, path, value)))
-        out = tmp_path / f"out{i}"
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", RuntimeWarning)
-                code = main([subcommand, "--threads", "1", "--config", str(doc),
-                             "--out", str(out)])
-        except Exception as exc:  # a RuntimeWarning as well
-            pytest.fail(f"{subcommand} {path}={value!r} raised {exc!r}")
-        assert code in (0, 2, 3), f"{subcommand} {path}={value!r} exited {code}"
-        assert not _non_finite(out), f"{subcommand} {path}={value!r}: {_non_finite(out)}"
+    _run_extremes(tmp_path, subcommand, cases)
+
+
+# per subcommand, the AFDM rate, noise cap and tolerance paths EXTREME_POOL is tried at
+EXTREME_KEYS = {
+    "analyze-noise": [("waveforms", 2, "q"), ("waveforms", 2, "alpha")],
+    "sparsity": [("entries", 2, "q"), ("entries", 2, "alpha")],
+    "ber": [("waveforms", 2, "q"), ("waveforms", 2, "alpha")],
+    "sweep-q": [("q_values", 0), ("alpha",), ("noise", "gain_cap")],
+    "verify-appendix": [("density_q", 0), ("sparsity_tol",)],
+}
+
+
+@pytest.mark.parametrize("subcommand", list(EXTREME_KEYS))
+def test_rate_and_tolerance_extremes_run_within_the_contract(tmp_path, subcommand):
+    _run_extremes(tmp_path, subcommand,
+                  [(CONFIGS[subcommand], path) for path in EXTREME_KEYS[subcommand]])
 
 
 @pytest.mark.parametrize("subcommand", list(CONFIGS))

@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 import wavelab as wl
 from wavelab.exceptions import ConfigError, DimensionError
 
-from oracles import build_precoder, demod_noise_variance
+from oracles import build_precoder, demod_noise_variance, equalized_gains
 
 MC_SEED = 2  # frozen after checking the max per-bin z-score stays below 3
 
@@ -59,6 +59,25 @@ class TestMakeProfile:
     def test_equalized_single_tap_is_flat(self):
         prof = wl.make_profile("equalized", 16, num_taps=1)
         assert_allclose(prof.gains, np.ones(16), atol=1e-12)
+
+    def test_default_equalized_normals_are_the_seeds_draws(self):
+        # names a numpy release that moves the Generator stream of the default seed
+        draws = np.random.default_rng(wl.noise.DEFAULT_EQUALIZED_SEED).standard_normal(
+            2 * wl.noise.DEFAULT_EQUALIZED_TAPS)
+        assert wl.noise.DEFAULT_EQUALIZED_NORMALS == tuple(draws.tolist())
+
+    @pytest.mark.parametrize("n,kwargs", [(64, {}), (64, {"seed": 3}), (64, {"num_taps": 6}),
+                                          (10, {"seed": 0, "num_taps": 1, "gain_cap": 2.0}),
+                                          (1024, {"gain_cap": 10.0})])
+    def test_equalized_matches_two_draw_oracle(self, n, kwargs):
+        args = {"num_taps": 4, "gain_cap": wl.noise.DEFAULT_GAIN_CAP, "seed": 7, **kwargs}
+        gains = wl.make_profile("equalized", n, **kwargs).gains
+        np.testing.assert_array_equal(gains, equalized_gains(n, **args))
+
+    @pytest.mark.parametrize("gain_cap", [5e-324, 1e-308, 0.0, -0.0, -1e308])
+    def test_gain_cap_below_smallest_normal_refused(self, gain_cap):
+        with pytest.raises(ConfigError, match="'gain_cap'"):
+            wl.make_profile("equalized", 16, gain_cap=gain_cap)
 
     def test_parameter_errors(self):
         with pytest.raises(ConfigError):

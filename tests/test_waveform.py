@@ -1,6 +1,8 @@
 """Tests for the precoder algebra and the precode/receive operators."""
 
 import cmath
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from numpy.testing import assert_allclose
 
 import wavelab as wl
 from wavelab.exceptions import ConfigError, DimensionError
+from wavelab.waveform import afdm_inverse_column, chirp_diagonal
 
 from oracles import build_precoder, dft_matrix, otfs_inverse_entry, otfs_inverse_matrix
 
@@ -44,6 +47,32 @@ class TestConfig:
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
             wl.WaveformConfig("dft-s-ofdm", 16)
+
+    @pytest.mark.parametrize("n", [1, 2, 16, 1024])
+    def test_chirp_rate_refused_where_the_phase_overflows(self, n):
+        def accepted(rate):
+            try:
+                wl.WaveformConfig.afdm(n, rate, -rate)
+            except ConfigError:
+                return False
+            return True
+
+        # bisect the bit patterns of positive floats, which sort as the floats do
+        lo, hi = np.array([1.0, np.finfo(float).max]).view(np.int64).tolist()
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if accepted(np.array([mid]).view(np.float64)[0]) else (lo, mid)
+        largest, smallest_refused = np.array([lo, hi]).view(np.float64).tolist()
+        assert smallest_refused == math.nextafter(largest, math.inf)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for rate in (largest, -largest):
+                assert np.isfinite(chirp_diagonal(n, rate)).all()
+                assert np.isfinite(afdm_inverse_column(n, rate)).all()
+        with np.errstate(all="ignore"):
+            assert not np.isfinite(chirp_diagonal(n, smallest_refused)).all()
+        with pytest.raises(ConfigError, match="'alpha'"):
+            wl.WaveformConfig.afdm(n, 1.0, smallest_refused)
 
     def test_labels(self):
         assert wl.WaveformConfig.ofdm(8).label == "OFDM"
