@@ -339,55 +339,36 @@ def cmd_fdma_demo(config: dict, run: Run) -> Callable[[], int]:
 
     def work() -> int:
         rng = np.random.default_rng(seed)
+        data = [(rng.standard_normal(wf.N) + 1j * rng.standard_normal(wf.N)) / np.sqrt(2)
+                for wf in layout.configs]
+        z = layout.precode(np.concatenate(data))
         # noiseless roundtrip over an identity channel
-        data = [
-            (rng.standard_normal(b.width) + 1j * rng.standard_normal(b.width)) / np.sqrt(2)
-            for b in layout.blocks
-        ]
-        x = np.fft.ifft(layout.precode(np.concatenate(data)), norm="ortho")
-        recovered = layout.receive(np.fft.fft(x, norm="ortho"))
-        roundtrip = [
-            [i, b.config.label, float(np.max(np.abs(recovered[b.start : b.stop] - data[i])))]
-            for i, b in enumerate(layout.blocks)
-        ]
-        write_csv(roundtrip_path, ["block", "waveform", "max_error"], roundtrip)
-
-        # spectral containment of each block alone
-        leakage_rows = []
-        for i, block in enumerate(layout.blocks):
-            alone = [np.zeros(b.width, complex) for b in layout.blocks]
-            alone[i] = data[i]
-            x = np.fft.ifft(layout.precode(np.concatenate(alone)), norm="ortho")
-            spectrum = np.abs(np.fft.fft(x, norm="ortho")) ** 2
-            inside = spectrum[block.start : block.stop].sum()
+        recovered = layout.receive(np.fft.fft(np.fft.ifft(z, norm="ortho"), norm="ortho"))
+        roundtrip, leakage, variance, whitening = [], [], [], []
+        for i, (wf, sl) in enumerate(zip(layout.configs, layout.blocks)):
+            roundtrip.append([i, wf.label, float(np.max(np.abs(recovered[sl] - data[i])))])
+            # spectral containment of this block alone: a block of zeros precodes to
+            # zeros, so that is z on this block's bins and zeros elsewhere
+            alone = np.zeros_like(z)
+            alone[sl] = z[sl]
+            spectrum = np.abs(np.fft.fft(np.fft.ifft(alone, norm="ortho"), norm="ortho")) ** 2
             total = spectrum.sum()
-            leakage_rows.append([i, block.config.label, float((total - inside) / total)])
-        write_csv(leakage_path, ["block", "waveform", "out_of_block_energy_fraction"],
-                  leakage_rows)
-
-        # analytic demodulated noise variance with a jammer confined to one block
-        flat = np.ones(n)
-        jammed_gains = flat.copy()
-        block_j = layout.blocks[jammed]
-        jammed_gains[block_j.start : block_j.stop] += jam_power
-        variance_rows = []
-        whitening_rows = []
-        for i, block in enumerate(layout.blocks):
-            sl = slice(block.start, block.stop)
-            v_clean = block.config.demod_power(flat[sl])
-            v_jam = block.config.demod_power(jammed_gains[sl])
-            for m, pair in enumerate(zip(v_clean.tolist(), v_jam.tolist())):
-                variance_rows.append([i, block.config.label, m, *pair])
+            leakage.append([i, wf.label, float((total - spectrum[sl].sum()) / total)])
+            # analytic demodulated noise variance with a jammer confined to one block
+            v_clean = wf.demod_power(np.ones(wf.N))
+            v_jam = wf.demod_power(np.ones(wf.N) + jam_power) if i == jammed else v_clean
+            variance += [[i, wf.label, m, *pair]
+                         for m, pair in enumerate(zip(v_clean.tolist(), v_jam.tolist()))]
             # the same impulse shape dropped into this block, whitened by its Q_inv
-            local = flat[sl].copy()
-            local[block.width // 2] += jam_power
-            whitening_rows.append(
-                [i, block.config.label, whitening_std(block.config.demod_power(local))]
-            )
+            local = np.ones(wf.N)
+            local[wf.N // 2] += jam_power
+            whitening.append([i, wf.label, whitening_std(wf.demod_power(local))])
+        write_csv(roundtrip_path, ["block", "waveform", "max_error"], roundtrip)
+        write_csv(leakage_path, ["block", "waveform", "out_of_block_energy_fraction"], leakage)
         write_csv(variance_path,
                   ["block", "waveform", "subcarrier", "variance_clean", "variance_jammed"],
-                  variance_rows)
-        write_csv(whitening_path, ["block", "waveform", "whitening_std"], whitening_rows)
+                  variance)
+        write_csv(whitening_path, ["block", "waveform", "whitening_std"], whitening)
         return EXIT_OK
 
     return work
@@ -406,6 +387,15 @@ def cmd_verify_appendix(config: dict, run: Run) -> Callable[[], int]:
         if b // g * n > MAX_EXPANDED_SIZE:
             raise ConfigError(f"config: 'n_values' item {n} with a/b = {a}/{b} needs a "
                               f"size-{b // g * n} transform, over the {MAX_EXPANDED_SIZE} guard")
+        try:  # the largest phase of the identity's sequence and of its column, k = n - 1,
+            # each in its own order of operations; an a too large for a float raises
+            finite = (math.isfinite(math.pi * (a // g) / (b // g * n) * (n - 1) * (n - 1))
+                      and math.isfinite(math.pi * ((a // g) / (b // g)) / n * (n - 1) * (n - 1)))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ConfigError(f"config: 'a_values' item {a} with b = {b} and n = {n} makes the "
+                              f"chirp phase pi*(a/b)*k**2/n overflow for k < n")
         rates.append((n, a, b, g))
     dirichlet_tol = _tolerance(config, "dirichlet_tol")
     dirichlet_cases = read(config, "dirichlet_cases", [[int]], minimum=1)

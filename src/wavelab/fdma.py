@@ -1,12 +1,13 @@
 """Multi-waveform FDMA: different waveforms on disjoint blocks of one DFT grid.
 
 ``BlockLayout(configs)`` lays the waveforms out back to back from bin 0,
-one :class:`Block` each, and is a target like a waveform. ``precode`` writes
-each block's precoded data z_i = Q_i c_i into its bins (one size-N inverse
-DFT of the result is the time-domain block); ``receive`` applies each
-Q_i^{-1} to its block's bins. The blocks stay orthogonal over any channel
-that is diagonal in frequency. Layout data is the blocks' data back to
-back, and both methods act along the last axis of frames (..., N).
+and is a target like a waveform; ``blocks`` holds each waveform's bins as a
+``slice(start, stop)``. ``precode`` writes each block's precoded data
+z_i = Q_i c_i into its bins (one size-N inverse DFT of the result is the
+time-domain block); ``receive`` applies each Q_i^{-1} to its block's bins.
+The blocks stay orthogonal over any channel that is diagonal in frequency.
+Layout data is the blocks' data back to back, and both methods act along the
+last axis of frames (..., N).
 """
 
 from __future__ import annotations
@@ -21,36 +22,20 @@ from .waveform import WaveformConfig, _as_vector
 
 
 @dataclass(frozen=True)
-class Block:
-    """One contiguous sub-band carrying a single waveform."""
-
-    config: WaveformConfig
-    start: int
-
-    @property
-    def width(self) -> int:
-        return self.config.N
-
-    @property
-    def stop(self) -> int:
-        return self.start + self.width
-
-
-@dataclass(frozen=True)
 class BlockLayout:
     """Waveform blocks laid out back to back from bin 0, covering [0, N)."""
 
     configs: tuple[WaveformConfig, ...]
-    blocks: tuple[Block, ...] = field(init=False)  # one per config, derived
+    blocks: tuple[slice, ...] = field(init=False)  # each config's bins, derived
     slug = "fdma"  # not a field: names the output files of any layout
 
     def __post_init__(self):
         configs = tuple(self.configs)
         if not configs:
             raise ConfigError("layout needs at least one block")
-        starts = itertools.accumulate((c.N for c in configs), initial=0)
+        bounds = list(itertools.accumulate((c.N for c in configs), initial=0))
         object.__setattr__(self, "configs", configs)
-        object.__setattr__(self, "blocks", tuple(map(Block, configs, starts)))
+        object.__setattr__(self, "blocks", tuple(map(slice, bounds, bounds[1:])))
 
     @property
     def N(self) -> int:
@@ -67,13 +52,13 @@ class BlockLayout:
         """Data symbols (..., N), block after block, to frequency-domain blocks."""
         c = _as_vector(data, self.N)
         z = np.empty_like(c)
-        for b in self.blocks:
-            z[..., b.start : b.stop] = b.config.precode(c[..., b.start : b.stop])
+        for wf, sl in zip(self.configs, self.blocks):
+            z[..., sl] = wf.precode(c[..., sl])
         return z
 
     def receive(self, r_f) -> np.ndarray:
         """Equalized frequency-domain blocks (..., N) to every block's data."""
         v = _as_vector(r_f, self.N)
         return np.concatenate(
-            [b.config.receive(v[..., b.start : b.stop]) for b in self.blocks], axis=-1
+            [wf.receive(v[..., sl]) for wf, sl in zip(self.configs, self.blocks)], axis=-1
         )

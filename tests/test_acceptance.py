@@ -277,17 +277,15 @@ def test_criterion_09_fdma_properties():
             ]
         )
         rng = np.random.default_rng(0)
-        data = [
-            (rng.standard_normal(b.width) + 1j * rng.standard_normal(b.width))
-            for b in layout.blocks
-        ]
+        widths = [b.stop - b.start for b in layout.blocks]
+        data = [rng.standard_normal(w) + 1j * rng.standard_normal(w) for w in widths]
         x = np.fft.ifft(layout.precode(np.concatenate(data)), norm="ortho")
         recovered = layout.receive(np.fft.fft(x, norm="ortho"))
         for sent, b in zip(data, layout.blocks):
             assert np.abs(recovered[b.start : b.stop] - sent).max() <= 1e-10
 
         for active in range(len(layout.blocks)):
-            alone = [np.zeros(b.width, complex) for b in layout.blocks]
+            alone = [np.zeros(b.stop - b.start, complex) for b in layout.blocks]
             alone[active] = data[active]
             x = np.fft.ifft(layout.precode(np.concatenate(alone)), norm="ortho")
             pieces = layout.receive(np.fft.fft(x, norm="ortho"))
@@ -299,9 +297,8 @@ def test_criterion_09_fdma_properties():
         jammed = flat.copy()
         target = layout.blocks[1]
         jammed[target.start : target.stop] += 30.0
-        for i, block in enumerate(layout.blocks):
-            q_inv = build_precoder(block.config).Q_inv
-            sl = slice(block.start, block.stop)
+        for i, sl in enumerate(layout.blocks):
+            q_inv = build_precoder(layout.configs[i]).Q_inv
             clean = demod_noise_variance(q_inv, flat[sl])
             noisy = demod_noise_variance(q_inv, jammed[sl])
             if i == 1:

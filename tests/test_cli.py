@@ -8,7 +8,9 @@ import os
 import platform
 import subprocess
 import sys
+import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -509,6 +511,37 @@ class TestSweeps:
                          "parameter sweeps need a template with exactly one SNR point")
 
 
+def fdma_rows_block_by_block(layout, seed, jammed, jam_power):
+    """The four fdma-demo tables, each block precoded alone and the jammer's gains
+    laid over the whole layout, then sliced per block."""
+    rng = np.random.default_rng(seed)
+    widths = [b.stop - b.start for b in layout.blocks]
+    data = [(rng.standard_normal(w) + 1j * rng.standard_normal(w)) / np.sqrt(2) for w in widths]
+    x = np.fft.ifft(layout.precode(np.concatenate(data)), norm="ortho")
+    recovered = layout.receive(np.fft.fft(x, norm="ortho"))
+    flat = np.ones(layout.N)
+    jammed_gains = flat.copy()
+    jammed_gains[layout.blocks[jammed]] += jam_power
+    tables = {"roundtrip.csv": [], "leakage.csv": [], "jammer_variance.csv": [],
+              "block_whitening.csv": []}
+    for i, (wf, sl) in enumerate(zip(layout.configs, layout.blocks)):
+        error = float(np.max(np.abs(recovered[sl] - data[i])))
+        tables["roundtrip.csv"].append([i, wf.label, error])
+        alone = [np.zeros(w, complex) for w in widths]
+        alone[i] = data[i]
+        x = np.fft.ifft(layout.precode(np.concatenate(alone)), norm="ortho")
+        spectrum = np.abs(np.fft.fft(x, norm="ortho")) ** 2
+        inside, total = spectrum[sl].sum(), spectrum.sum()
+        tables["leakage.csv"].append([i, wf.label, float((total - inside) / total)])
+        pairs = zip(wf.demod_power(flat[sl]).tolist(), wf.demod_power(jammed_gains[sl]).tolist())
+        tables["jammer_variance.csv"] += [[i, wf.label, m, *pair] for m, pair in enumerate(pairs)]
+        local = flat[sl].copy()
+        local[wf.N // 2] += jam_power
+        whitening = wl.whitening_std(wf.demod_power(local))
+        tables["block_whitening.csv"].append([i, wf.label, whitening])
+    return tables
+
+
 class TestFdmaDemo:
     def test_outputs_and_containment(self, tmp_path):
         out = tmp_path / "out"
@@ -560,6 +593,30 @@ class TestFdmaDemo:
         else:
             numbers = numbers_in_csvs(out)
             assert numbers and all(map(math.isfinite, numbers))
+
+    # OTFS first, a block of another width, the jammer on the last block
+    OTFS_FIRST = {
+        "layout": [{"kind": "otfs", "k": 4, "l": 3}, {"kind": "ofdm", "n": 12},
+                   {"kind": "afdm", "n": 16, "q": -4.0, "alpha": 0.1},
+                   {"kind": "afdm", "n": 12, "q": 0.5}],
+        "jammed_block": 3,
+        "jam_power": 1.0e3,
+        "seed": 5,
+    }
+
+    @pytest.mark.parametrize("doc", [{}, OTFS_FIRST], ids=["default", "otfs-first"])
+    def test_tables_equal_blocks_precoded_alone(self, tmp_path, doc):
+        from wavelab.configio import parse_layout
+
+        config = {**cli.DEFAULT_FDMA, **doc}
+        out = tmp_path / "o"
+        argv = ["--config", write_yaml(tmp_path / "cfg.yaml", doc)] if doc else []
+        assert run_cli("fdma-demo", *argv, "--out", str(out)) == 0
+        expected = fdma_rows_block_by_block(parse_layout(config["layout"]), config["seed"],
+                                            config["jammed_block"], config["jam_power"])
+        for name, rows in expected.items():
+            # write_csv writes each float as its repr, so the strings match exactly
+            assert read_csv(out / name)[1] == [[str(v) for v in row] for row in rows], name
 
 
 class TestConfigSerialization:
@@ -758,6 +815,37 @@ class TestVerifyAppendix:
         doc = json.loads((out / "verify_appendix.json").read_text())
         assert doc["failures"] > 0
 
+    @pytest.mark.parametrize("n,b", [(1, 1), (8, 1), (16, 3)])
+    def test_rate_refused_where_a_phase_overflows(self, tmp_path, n, b):
+        # a = b*m + 1 is prime to b, so the identity takes a and b as they are
+        def accepted(m):
+            config = {**cli.DEFAULT_VERIFY, "n_values": [n], "a_values": [b * m + 1],
+                      "b_values": [b]}
+            run = cli.Run("verify-appendix", str(tmp_path), config, SimpleNamespace(threads=1))
+            try:
+                cli.cmd_verify_appendix(config, run)
+            except wl.ConfigError as exc:
+                assert "'a_values'" in str(exc)
+                return False
+            return True
+
+        lo, hi = 0, 1 << 1030  # accepted, refused
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if accepted(mid) else (lo, mid)
+        largest, smallest_refused = b * lo + 1, b * hi + 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert math.isfinite(wl.verify_decimation_identity(n, largest, b))
+            assert np.isfinite(wl.afdm_inverse_column(n, largest / b)).all()
+        try:  # the next a up overflows a phase: exact, not merely safe
+            with np.errstate(all="ignore"):
+                finite = (math.isfinite(wl.verify_decimation_identity(n, smallest_refused, b))
+                          and np.isfinite(wl.afdm_inverse_column(n, smallest_refused / b)).all())
+        except OverflowError:
+            finite = False
+        assert not finite
+
 
 class TestStrictConfigReader:
     # YAML text over the subcommand's defaults; each value is refused with
@@ -862,6 +950,11 @@ class TestStrictConfigReader:
         ("verify-appendix", "sparsity_tol: 1.0e+308", "sparsity_tol"),
         ("analyze-noise", "profiles: [{kind: equalized, gain_cap: 5.0e-324}]", "gain_cap"),
         ("analyze-noise", "profiles: [{kind: equalized, gain_cap: -1.0e+308}]", "gain_cap"),
+        # an a too large for a float: a traceback (exit 1); a phase that overflows:
+        # RuntimeWarnings, then failed identities (exit 3)
+        ("verify-appendix", f"a_values: [{10**310}]", "a_values"),
+        ("verify-appendix", "a_values: [1.0e+308]", "a_values"),
+        ("verify-appendix", "a_values: [3, -1.0e+308]", "a_values"),
     ]
 
     @staticmethod

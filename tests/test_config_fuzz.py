@@ -6,10 +6,12 @@ and types, writes it as YAML and runs ``main`` in-process. An exception
 escaping ``main`` fails the test, as would a traceback at the command line.
 A case refused with exit 2 must be refused by its ``--dry-run`` as well.
 Values too large to run are tried by ``--dry-run`` alone, which must exit 0
-or 2 without allocating them. Float extremes are tried for real on the
-channel section's float keys and on the AFDM rates, an equalized profile's
-``gain_cap`` and ``verify-appendix``'s ``density_q`` and ``sparsity_tol``,
-where no output may hold a NaN or an infinity.
+or 2 without allocating them. Float extremes are tried for real on a
+channel section's float keys and at the paths of ``EXTREME_KEYS`` (the AFDM
+rates, the noise and jammer powers, ``gain_cap`` and ``power_fraction``, an
+SNR, the subcarrier spacing, the tolerances and thresholds, and
+``verify-appendix``'s ``a_values``), where no output may hold a NaN or an
+infinity.
 """
 
 import copy
@@ -207,13 +209,18 @@ def test_channel_extremes_run_within_the_contract(tmp_path, subcommand):
     _run_extremes(tmp_path, subcommand, cases)
 
 
-# per subcommand, the AFDM rate, noise cap and tolerance paths EXTREME_POOL is tried at
+# per subcommand, the paths of the float keys outside a channel section (and of
+# verify-appendix's integer a_values) EXTREME_POOL is tried at
 EXTREME_KEYS = {
-    "analyze-noise": [("waveforms", 2, "q"), ("waveforms", 2, "alpha")],
-    "sparsity": [("entries", 2, "q"), ("entries", 2, "alpha")],
-    "ber": [("waveforms", 2, "q"), ("waveforms", 2, "alpha")],
+    "analyze-noise": [("waveforms", 2, "q"), ("waveforms", 2, "alpha"), ("sigma_w",),
+                      ("profiles", 1, "power_fraction")],
+    "sparsity": [("entries", 2, "q"), ("entries", 2, "alpha"), ("tol",)],
+    "ber": [("waveforms", 2, "q"), ("waveforms", 2, "alpha"), ("snr_db", 0),
+            ("subcarrier_spacing_hz",)],
     "sweep-q": [("q_values", 0), ("alpha",), ("noise", "gain_cap")],
-    "verify-appendix": [("density_q", 0), ("sparsity_tol",)],
+    "fdma-demo": [("jam_power",)],
+    "verify-appendix": [("density_q", 0), ("sparsity_tol",), ("decimation_tol",),
+                        ("dirichlet_tol",), ("density_threshold",), ("a_values", 0)],
 }
 
 

@@ -30,10 +30,8 @@ def roundtrip(layout, blocks):
 
 def random_blocks(layout, seed=0):
     rng = np.random.default_rng(seed)
-    return [
-        (rng.standard_normal(b.width) + 1j * rng.standard_normal(b.width)) / np.sqrt(2)
-        for b in layout.blocks
-    ]
+    widths = [b.stop - b.start for b in layout.blocks]
+    return [(rng.standard_normal(w) + 1j * rng.standard_normal(w)) / np.sqrt(2) for w in widths]
 
 
 class TestLayout:
@@ -114,7 +112,7 @@ class TestDecompose:
         layout = mixed_layout()
         data = random_blocks(layout, 6)
         for active in range(len(layout.blocks)):
-            alone = [np.zeros(b.width, complex) for b in layout.blocks]
+            alone = [np.zeros(b.stop - b.start, complex) for b in layout.blocks]
             alone[active] = data[active]
             recovered = roundtrip(layout, alone)
             for i, got in enumerate(recovered):
@@ -146,9 +144,8 @@ class TestBlockNoise:
         jammed = flat.copy()
         target = layout.blocks[1]
         jammed[target.start : target.stop] += 50.0
-        for i, block in enumerate(layout.blocks):
-            q_inv = build_precoder(block.config).Q_inv
-            sl = slice(block.start, block.stop)
+        for i, sl in enumerate(layout.blocks):
+            q_inv = build_precoder(layout.configs[i]).Q_inv
             v_clean = demod_noise_variance(q_inv, flat[sl])
             v_jam = demod_noise_variance(q_inv, jammed[sl])
             if i == 1:

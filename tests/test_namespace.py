@@ -16,7 +16,7 @@ EXPORTS = {
     "analysis": ["rect_window_spectrum", "row_sparsity", "verify_decimation_identity"],
     "channel": ["ChannelGenerator", "ChannelSpec", "ChannelTap", "build_channel", "equalize"],
     "exceptions": ["ConfigError", "DimensionError", "EqualizationError", "WavelabError"],
-    "fdma": ["Block", "BlockLayout"],
+    "fdma": ["BlockLayout"],
     "noise": ["NoiseProfile", "make_profile", "sample_noise", "whitening_std"],
     "qam": ["QAM_ORDERS", "qam_decide", "qam_label", "qam_map"],
     "sim": ["BerCurve", "BerPoint", "SimConfig", "config_fingerprint", "frame_rng",
