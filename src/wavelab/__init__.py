@@ -16,13 +16,13 @@ _SOURCES = {
     name: module
     for module, names in {
         "analysis": "rect_window_spectrum row_sparsity verify_decimation_identity",
-        "channel": "ChannelGenerator ChannelSpec ChannelTap build_channel equalize",
+        "channel": "ChannelGenerator ChannelSpec ChannelTap equalize",
         "exceptions": "ConfigError DimensionError EqualizationError WavelabError",
         "fdma": "BlockLayout",
         "noise": "NoiseProfile make_profile sample_noise whitening_std",
         "qam": "QAM_ORDERS qam_decide qam_label qam_map",
         "sim": "BerCurve BerPoint SimConfig config_fingerprint frame_rng run_ber",
-        "waveform": "AFDM OFDM OTFS WaveformConfig afdm_inverse_column chirp_diagonal",
+        "waveform": "AFDM OFDM OTFS WaveformConfig afdm_inverse_column chirp_diagonal chirp_phase",
     }.items()
     for name in names.split()
 }

@@ -19,7 +19,7 @@ import numpy as np
 
 from .configio import MAX_EXPANDED_SIZE
 from .exceptions import ConfigError, DimensionError
-from .waveform import afdm_inverse_column
+from .waveform import afdm_inverse_column, chirp_phase
 
 DEFAULT_SPARSITY_TOL = 1e-9
 
@@ -52,16 +52,15 @@ def verify_decimation_identity(n: int, a: int, b: int) -> float:
         raise DimensionError(
             f"expanded transform size {bn} exceeds the {MAX_EXPANDED_SIZE} guard"
         )
-    k = np.arange(n)
     seq = np.zeros(bn, dtype=complex)
-    seq[:n] = np.exp((-1j * np.pi * a / bn) * k * k)
+    seq[:n] = np.exp(-1j * chirp_phase(bn, a, np.arange(n)))
     decimated = np.fft.fft(seq, norm="ortho")[::b] * np.sqrt(b)
     column = afdm_inverse_column(n, a / b)
     return float(np.max(np.abs(decimated - column)))
 
 
-def rect_window_spectrum(n: int, b: int, u: int) -> complex:
-    """Size-bN unitary DFT of the length-N rectangular window, at index u.
+def rect_window_spectrum(n: int, b: int) -> np.ndarray:
+    """Size-bN unitary DFT of the length-N rectangular window, at every index u.
 
     Closed form: exp(-1j*pi*u*(1/b - 1/(bN))) / sqrt(bN)
                  * sin(pi*u/b) / sin(pi*u/(bN)),
@@ -70,9 +69,9 @@ def rect_window_spectrum(n: int, b: int, u: int) -> complex:
     factor in the decimation identity.
     """
     bn = b * n
-    if not 0 <= u < bn:
-        raise IndexError(f"index {u} out of range for size {bn}")
-    if u == 0:
-        return complex(n / np.sqrt(bn))
-    phase = np.exp(-1j * np.pi * u * (1.0 / b - 1.0 / bn))
-    return complex(phase / np.sqrt(bn) * np.sin(np.pi * u / b) / np.sin(np.pi * u / bn))
+    u = np.arange(bn)
+    with np.errstate(invalid="ignore"):  # 0/0 at u = 0, filled below
+        spectrum = (np.exp(-1j * np.pi * u * (1.0 / b - 1.0 / bn)) / np.sqrt(bn)
+                    * np.sin(np.pi * u / b) / np.sin(np.pi * u / bn))
+    spectrum[0] = n / np.sqrt(bn)
+    return spectrum

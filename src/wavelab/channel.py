@@ -10,9 +10,9 @@ surface: ``delays``, ``max_doppler``, ``describe()`` and ``draw(rngs) ->
 delays. ``equalize`` takes a whole chunk's arrays: with every Doppler zero,
 H is circulant and ``_equalize_per_bin`` works in the DFT basis; otherwise
 ``_equalize_banded`` sends the chunk through the taps and solves the cyclic
-band H^H H + rho I per frame. Each path owns its zero-forcing guard.
-``build_channel`` realizes one frame's dense H, for the banded guard and
-for the dense ZF/MMSE equalizers of ``tests/oracles.py``.
+band H^H H + rho I per frame. Each path owns its zero-forcing guard; the
+banded one fills each frame's dense H from its Doppler ramps. The dense
+oracles (``build_channel``, the ZF/MMSE G) live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from .exceptions import ConfigError
 
 # Zero-forcing refuses channels whose condition number exceeds this.
 CONDITION_LIMIT = 1e12
-# Largest |Doppler| of a tap: above it, 2*pi*theta of its phase 2*pi*theta*m/N
-# overflows (and with it the uniform range of a generator's draw).
+# Largest |Doppler| of a tap: above it, 2*pi*theta overflows (a generator's draw range,
+# the dense oracle's phase 2*pi*theta*m/N); the ramp's (2*pi/N)*theta*m stays below it.
 MAX_DOPPLER = float(np.finfo(float).max) / (2 * np.pi)
 EQUALIZERS = ("mmse", "zf")
 
@@ -122,16 +122,6 @@ def check_delays(delays, n: int) -> None:
         raise ConfigError(f"tap delay {max(delays)} does not fit in a block of {n} samples")
 
 
-def build_channel(delays, gains, dopplers, n: int) -> np.ndarray:
-    """Realize one frame's dense N x N matrix H = sum_l h_l Delta(theta_l) Pi^l."""
-    check_delays(delays, n)
-    h = np.zeros((n, n), dtype=complex)
-    rows = np.arange(n)
-    for delay, gain, doppler in zip(delays, gains, dopplers):
-        h[rows, (rows - delay) % n] += gain * np.exp(1j * (2 * np.pi * doppler / n) * rows)
-    return h
-
-
 def equalize(delays, gains, dopplers, z, w_f, rho: float, equalizer: str):
     """Send a chunk's precoded bins z (targets, frames, N) through its
     channels (gains/dopplers (frames, P)), add its noise w_f (frames, N),
@@ -196,8 +186,12 @@ def _equalize_banded(delays, gains, dopplers, z, w_f, rho: float, zf: bool):
     band[:, 0] += rho  # deltas[0] == 0
     cols, gram = (rows + deltas[:, None]) % n, np.zeros((n, n), dtype=complex)
     refused = np.zeros(len(gains), dtype=bool)  # MMSE refuses no frame
-    for f, (g, d) in enumerate(zip(gains, dopplers)):
-        refused[f] = zf and _refuses(np.linalg.cond(build_channel(delays, g, d, n)))
+    for f in range(len(gains)):
+        if zf:  # the guard's dense H, from the same ramps
+            h = np.zeros((n, n), dtype=complex)
+            for p, d in enumerate(delays):
+                h[rows, (rows - d) % n] += u[f, p]
+            refused[f] = _refuses(np.linalg.cond(h))
         if not refused[f]:  # a refused frame's bins keep H^H y
             gram[rows, cols] = band[f]
             rhs[:, f] = np.linalg.solve(gram, rhs[:, f].T).T

@@ -376,7 +376,7 @@ def cmd_fdma_demo(config: dict, run: Run) -> Callable[[], int]:
 
 def cmd_verify_appendix(config: dict, run: Run) -> Callable[[], int]:
     from .analysis import rect_window_spectrum, row_sparsity, verify_decimation_identity
-    from .waveform import afdm_inverse_column
+    from .waveform import afdm_inverse_column, chirp_phase
     decimation_tol = _tolerance(config, "decimation_tol")
     n_values = read(config, "n_values", [int], minimum=1)
     a_values = read(config, "a_values", [int])
@@ -387,10 +387,10 @@ def cmd_verify_appendix(config: dict, run: Run) -> Callable[[], int]:
         if b // g * n > MAX_EXPANDED_SIZE:
             raise ConfigError(f"config: 'n_values' item {n} with a/b = {a}/{b} needs a "
                               f"size-{b // g * n} transform, over the {MAX_EXPANDED_SIZE} guard")
-        try:  # the largest phase of the identity's sequence and of its column, k = n - 1,
-            # each in its own order of operations; an a too large for a float raises
-            finite = (math.isfinite(math.pi * (a // g) / (b // g * n) * (n - 1) * (n - 1))
-                      and math.isfinite(math.pi * ((a // g) / (b // g)) / n * (n - 1) * (n - 1)))
+        try:  # the largest phase of the identity's sequence and of its column, k = n - 1;
+            # an a too large for a float raises
+            finite = (math.isfinite(chirp_phase(b // g * n, a // g, n - 1))
+                      and math.isfinite(chirp_phase(n, (a // g) / (b // g), n - 1)))
         except OverflowError:
             finite = False
         if not finite:
@@ -431,10 +431,8 @@ def cmd_verify_appendix(config: dict, run: Run) -> Callable[[], int]:
 
         dirichlet = []
         for n, b in dirichlet_cases:
-            k = np.arange(b * n)
-            direct = np.fft.fft((k < n).astype(float), norm="ortho")
-            closed = np.array([rect_window_spectrum(n, b, u) for u in range(b * n)])
-            err = float(np.max(np.abs(direct - closed)))
+            direct = np.fft.fft((np.arange(b * n) < n).astype(float), norm="ortho")
+            err = float(np.max(np.abs(direct - rect_window_spectrum(n, b))))
             dirichlet.append({"n": n, "b": b, "max_error": err, "ok": err < dirichlet_tol})
 
         densities = []

@@ -2,8 +2,8 @@
 
 Configs are plain nested key/value documents; the parsers turn them into
 the objects a run takes, a sweep's waveforms included. Each validates its
-section's keys eagerly (a noise section takes only its kind's keys;
-``cli.main`` checks the top-level ones) and reads every value through
+section's keys eagerly (a waveform or noise section takes only its kind's
+keys; ``cli.main`` checks the top-level ones) and reads every value through
 :func:`read`, which checks its type strictly; each refusal is a
 ConfigError naming the key, which the CLI maps to exit code 2. Sizes pass
 :func:`check_size`, so a huge one is refused before any array is
@@ -19,7 +19,7 @@ import sys
 from typing import TYPE_CHECKING
 
 from .exceptions import ConfigError
-from .waveform import KINDS, OFDM, OTFS, WaveformConfig
+from .waveform import AFDM, OFDM, OTFS, WaveformConfig
 
 if TYPE_CHECKING:  # each parser imports its section's module when it runs
     from .channel import ChannelGenerator, ChannelSpec
@@ -104,12 +104,16 @@ def check_size(size: int, key: str, context: str) -> int:
     return size
 
 
+# per waveform kind, the keys its section may set besides kind and n
+_WAVEFORM_KEYS = {OFDM: set(), OTFS: {"k", "l"}, AFDM: {"q", "alpha"}}
+
+
 def parse_waveform(section: dict, default_n: int | None = None) -> WaveformConfig:
     """One waveform, ``n`` defaulting to ``default_n``; an OTFS k*l grid needs no ``n``."""
-    check_keys(section, {"kind", "n", "k", "l", "q", "alpha"}, "waveform")
     kind = read(section, "kind", str, context="waveform").lower()
-    if kind not in KINDS:
+    if kind not in _WAVEFORM_KEYS:
         raise ConfigError(f"unknown waveform kind {kind!r}")
+    check_keys(section, _WAVEFORM_KEYS[kind] | {"kind", "n"}, f"{kind} waveform")
     n = read(section, "n", int, default_n, "waveform", minimum=1)
     if n is None and not (kind == OTFS and "k" in section and "l" in section):
         raise ConfigError("waveform: missing required key 'n'")
@@ -188,8 +192,7 @@ def parse_profile(section: dict, n: int) -> NoiseProfile:
         raise ConfigError(f"noise profile length {section['n']} does not match the grid size {n}")
     kwargs = {key: read(section, key, typ, context="noise")
               for key, typ in keys.items() if key in section}
-    check_size(kwargs.get("num_taps", 1), "num_taps", "noise")
-    return make_profile(kind, n, **kwargs)
+    return make_profile(kind, n, **kwargs)  # which refuses more taps than n
 
 
 def parse_layout(entries) -> BlockLayout:

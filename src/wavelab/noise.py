@@ -111,7 +111,8 @@ def make_profile(
                  perfectly and collapse whitening comparisons to a tie.
     equalized:   gains proportional to min(1/|H_f|^2, gain_cap) for a
                  seeded random ``num_taps``-tap uniform-profile channel,
-                 mimicking white noise shaped by zero-forcing equalization.
+                 mimicking white noise shaped by zero-forcing equalization;
+                 ``num_taps`` is at most N, so every tap enters H_f.
                  Its taps come from 2 * ``num_taps`` standard normals of
                  ``default_rng(seed)``, real parts first; the default seed
                  and tap count read them from DEFAULT_EQUALIZED_NORMALS, so
@@ -149,8 +150,8 @@ def make_profile(
         return _normalized(gains, INTERFERER)
 
     # equalized
-    if num_taps < 1:
-        raise ConfigError(f"equalized profile needs >= 1 tap, got {num_taps}")
+    if not 1 <= num_taps <= n:  # np.fft.fft(taps, n) would crop the taps past n
+        raise ConfigError(f"equalized profile 'num_taps' must be in [1, {n}], got {num_taps}")
     if seed < 0:
         raise ConfigError(f"equalized profile 'seed' must be >= 0, got {seed}")
     if not gain_cap >= sys.float_info.min:  # NaN as well

@@ -64,8 +64,7 @@ class WaveformConfig:
                 )
         if self.kind == AFDM:
             for name, rate in (("q", self.q), ("alpha", self.alpha)):
-                # chirp_diagonal's largest phase, in its order of operations: k = N - 1
-                if not math.isfinite(math.pi * rate / self.N * (self.N - 1) * (self.N - 1)):
+                if not math.isfinite(chirp_phase(self.N, rate, self.N - 1)):  # the largest k
                     raise ConfigError(f"AFDM waveform: {name!r} = {rate!r} makes the chirp "
                                       f"phase pi*{name}*k**2/N overflow for k < N = {self.N}")
 
@@ -161,10 +160,14 @@ def _as_vector(x, n: int) -> np.ndarray:
     return v
 
 
+def chirp_phase(n: int, rate, k):
+    """pi*rate*k^2/n, k a scalar or an array: every chirp phase and its bounds use this."""
+    return np.pi * rate / n * k * k
+
+
 def chirp_diagonal(n: int, rate: float) -> np.ndarray:
     """Diagonal of the chirp matrix: entries exp(1j*pi*rate*k^2/n)."""
-    k = np.arange(n)
-    return np.exp((1j * np.pi * rate / n) * k * k)
+    return np.exp(1j * chirp_phase(n, rate, np.arange(n)))
 
 
 def afdm_inverse_column(n: int, q: float) -> np.ndarray:
@@ -177,6 +180,4 @@ def afdm_inverse_column(n: int, q: float) -> np.ndarray:
     """
     if n < 1:
         raise DimensionError(f"column length must be >= 1, got {n}")
-    k = np.arange(n)
-    phases = np.exp((-1j * np.pi * q / n) * k * k)
-    return np.fft.fft(phases) / np.sqrt(n)
+    return np.fft.fft(chirp_diagonal(n, q).conj()) / np.sqrt(n)

@@ -2,11 +2,14 @@
 
 wavelab computes Q, Q^{-1}, |Q^{-1}|^2, H and G only in operator form:
 ``WaveformConfig.precode``/``receive``, ``row_magnitudes``/``demod_power``
-and ``channel.equalize``, and decides QAM symbols as labels
-(``qam_decide``). The dense N x N forms and the bitwise demapper below are
-what the tests check those forms against; nothing in ``src/`` calls them.
-Nor does it call ``rational_chirp_decompose``: ``verify-appendix`` reduces
-each integer rate a/b exactly, and never approximates a float rate.
+and ``channel.equalize`` (whose zero-forcing guard alone fills a dense H, from
+its Doppler ramps), and decides QAM symbols as labels (``qam_decide``). The
+dense N x N forms and the bitwise demapper below are what the tests check
+those forms against; nothing in ``src/`` calls them. Nor does it call
+``rational_chirp_decompose``: ``verify-appendix`` reduces each integer rate
+a/b exactly, and never approximates a float rate; nor ``rect_window_entry``,
+the per-index form of the Dirichlet kernel that ``rect_window_spectrum``
+computes as one array.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from wavelab.analysis import DEFAULT_SPARSITY_TOL
-from wavelab.channel import CONDITION_LIMIT, ChannelSpec, ChannelTap
+from wavelab.channel import CONDITION_LIMIT, ChannelSpec, ChannelTap, check_delays
 from wavelab.exceptions import ConfigError, DimensionError, EqualizationError
 from wavelab.qam import _axis_bits, energy_scale, qam_label, qam_map
 from wavelab.sim import SimConfig, _run_chunk, _sigma_w
@@ -105,9 +108,19 @@ def build_precoder(cfg: WaveformConfig) -> PrecoderMatrix:
 
 
 # ---------------------------------------------------------------------------
-# channel: the identity channel, the DFT similarity and dense G
+# channel: the identity channel, the DFT similarity, dense H and dense G
 
 IDENTITY_CHANNEL = ChannelSpec(taps=(ChannelTap(0, 1.0 + 0.0j, 0.0),))
+
+
+def build_channel(delays, gains, dopplers, n: int) -> np.ndarray:
+    """Realize one frame's dense N x N matrix H = sum_l h_l Delta(theta_l) Pi^l."""
+    check_delays(delays, n)
+    h = np.zeros((n, n), dtype=complex)
+    rows = np.arange(n)
+    for delay, gain, doppler in zip(delays, gains, dopplers):
+        h[rows, (rows - delay) % n] += gain * np.exp(1j * (2 * np.pi * doppler / n) * rows)
+    return h
 
 
 def to_frequency(m) -> np.ndarray:
@@ -242,6 +255,16 @@ def rational_chirp_decompose(q: float, tol: float = 1e-9) -> RationalChirp:
             lo = mid + 1
     frac = exact.limit_denominator(lo)
     return RationalChirp(frac.numerator, frac.denominator, float(abs(q - frac)))
+
+
+def rect_window_entry(n: int, b: int, u: int) -> complex:
+    """Entry u of :func:`wavelab.analysis.rect_window_spectrum`, one index at a time
+    in the same order of operations, with u = 0 filled by continuity."""
+    bn = b * n
+    if u == 0:
+        return complex(n / np.sqrt(bn))
+    phase = np.exp(-1j * np.pi * u * (1.0 / b - 1.0 / bn))
+    return complex(phase / np.sqrt(bn) * np.sin(np.pi * u / b) / np.sin(np.pi * u / bn))
 
 
 def chirp_spectrum(n: int, b: int, a: int, u: int) -> complex:

@@ -251,8 +251,7 @@ def test_criterion_08_appendix_identities():
         for n, b in ((8, 1), (4, 2), (8, 2), (12, 3), (16, 4)):
             window = (np.arange(b * n) < n).astype(float)
             direct = np.fft.fft(window, norm="ortho")
-            closed = np.array([wl.rect_window_spectrum(n, b, u) for u in range(b * n)])
-            assert np.abs(direct - closed).max() < 1e-10, (n, b)
+            assert np.abs(direct - wl.rect_window_spectrum(n, b)).max() < 1e-10, (n, b)
 
         for n in (12, 64):
             for q in (0.5, 1 / 3):

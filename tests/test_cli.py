@@ -955,6 +955,14 @@ class TestStrictConfigReader:
         ("verify-appendix", f"a_values: [{10**310}]", "a_values"),
         ("verify-appendix", "a_values: [1.0e+308]", "a_values"),
         ("verify-appendix", "a_values: [3, -1.0e+308]", "a_values"),
+        # each of these cropped the channel to its first n taps and ran with exit 0
+        ("analyze-noise", "n: 2\nwaveforms: [{kind: ofdm}]", "num_taps"),
+        ("ber", "noise: {kind: equalized, num_taps: 121}", "num_taps"),
+        # each of these ran with exit 0 and ignored a key of another waveform kind
+        ("ber", "waveforms: [{kind: ofdm, q: 3.0, l: 4}]", "q"),
+        ("ber", "waveforms: [{kind: otfs, l: 4, alpha: 0.1}]", "alpha"),
+        ("sparsity", "entries: [{kind: afdm, n: 8, q: 0.5, k: 2}]", "k"),
+        ("fdma-demo", "layout: [{kind: ofdm, n: 4, l: 2}, {kind: otfs, k: 2, l: 2}]", "l"),
     ]
 
     @staticmethod

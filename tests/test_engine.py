@@ -19,7 +19,7 @@ from wavelab import sim
 from wavelab.cli import main
 from wavelab.exceptions import EqualizationError
 
-from oracles import label_bits, mmse_equalizer, qam_demap, run_frame, zf_equalizer
+from oracles import build_channel, label_bits, mmse_equalizer, qam_demap, run_frame, zf_equalizer
 
 TARGETS = (
     wl.WaveformConfig.ofdm(36),
@@ -115,7 +115,7 @@ def test_quasi_static_receive_matches_dense(channel):
         assert refused.dtype == bool and refused.shape == (4,)
         assert not refused.any()
         for f in range(4):
-            h = wl.build_channel(channel.delays, gains[f], dopplers[f], n)
+            h = build_channel(channel.delays, gains[f], dopplers[f], n)
             g = zf_equalizer(h) if equalizer == "zf" else mmse_equalizer(h, rho)
             for t in range(3):
                 y = h @ np.fft.ifft(z[t, f], norm="ortho") + np.fft.ifft(w_f[f], norm="ortho")
@@ -148,7 +148,7 @@ def test_dispersive_receive_matches_dense(channel, n):
         assert refused.dtype == bool and refused.shape == (4,)
         assert not refused.any()
         for f in range(4):
-            h = wl.build_channel(channel.delays, gains[f], dopplers[f], n)
+            h = build_channel(channel.delays, gains[f], dopplers[f], n)
             g = zf_equalizer(h) if equalizer == "zf" else mmse_equalizer(h, rho)
             y = np.fft.ifft(z[:, f], norm="ortho") @ h.T + np.fft.ifft(w_f[f], norm="ortho")
             dense = np.fft.fft(y @ g.T, norm="ortho")
@@ -192,12 +192,45 @@ def test_refused_frames_match_dense_zf(doppler):
     dense = {}
     for f in range(4):
         try:
-            zf_equalizer(wl.build_channel(delays, gains[f], dopplers[f], n))
+            zf_equalizer(build_channel(delays, gains[f], dopplers[f], n))
         except EqualizationError as exc:
             dense[f] = exc
     assert set(np.flatnonzero(refused)) == set(dense) == {1, 3}
     for exc in dense.values():
         assert re.fullmatch(r"channel condition number \S+ exceeds 1e\+12", str(exc))
+
+
+def test_banded_guard_at_the_condition_limit():
+    # H = I + g diag(exp(2j pi theta m / N)) Pi has det 1 - g^N exp(1j pi theta (N - 1))
+    # at even N; with g = s exp(-1j pi theta (N - 1) / N) it goes to 0 as s -> 1, and
+    # only through the ramp's phase: bisect s to a dense cond(H) 1 % above the limit
+    # and to one 1 % below it. (At theta = 0.3 the frame below the limit, which the
+    # guard admits, meets an exact zero pivot in the ZF normal-equation solve.)
+    n, delays, theta = 8, np.arange(2), 0.1
+    limit, turn = wl.channel.CONDITION_LIMIT, np.exp(-1j * np.pi * theta * (n - 1) / n)
+
+    def dense(s):
+        return build_channel(delays, [1.0, s * turn], [0.0, theta], n)
+
+    def gain_at(condition):  # the bracket (lo, hi) about that cond(H)
+        lo, hi = 0.5, 1.0
+        for _ in range(60):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if np.linalg.cond(dense(mid)) < condition else (lo, mid)
+        return lo, hi
+
+    below, above = gain_at(0.99 * limit)[0], gain_at(1.01 * limit)[1]
+    assert 0.985 < np.linalg.cond(dense(below)) / limit < 0.99
+    assert 1.01 <= np.linalg.cond(dense(above)) / limit < 1.015
+    gains = np.array([[1.0, below], [1.0, above]]) * [1.0, turn]
+    dopplers = np.array([[0.0, theta]] * 2)
+    rng = np.random.default_rng(4)
+    z, w_f = stacked(rng, 2, n).reshape(1, 2, n), stacked(rng, 2, n)
+    _, refused = wl.equalize(delays, gains, dopplers, z, w_f, 0.0, "zf")
+    assert refused.tolist() == [False, True]
+    zf_equalizer(dense(below))
+    with pytest.raises(EqualizationError):
+        zf_equalizer(dense(above))
 
 
 @pytest.mark.parametrize("rho, zf", [(0.05, False), (0.0, True)], ids=["mmse", "zf"])

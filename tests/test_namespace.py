@@ -14,7 +14,7 @@ import wavelab as wl
 # submodule -> the public names the package serves from it
 EXPORTS = {
     "analysis": ["rect_window_spectrum", "row_sparsity", "verify_decimation_identity"],
-    "channel": ["ChannelGenerator", "ChannelSpec", "ChannelTap", "build_channel", "equalize"],
+    "channel": ["ChannelGenerator", "ChannelSpec", "ChannelTap", "equalize"],
     "exceptions": ["ConfigError", "DimensionError", "EqualizationError", "WavelabError"],
     "fdma": ["BlockLayout"],
     "noise": ["NoiseProfile", "make_profile", "sample_noise", "whitening_std"],
@@ -22,7 +22,7 @@ EXPORTS = {
     "sim": ["BerCurve", "BerPoint", "SimConfig", "config_fingerprint", "frame_rng",
             "run_ber"],
     "waveform": ["AFDM", "OFDM", "OTFS", "WaveformConfig", "afdm_inverse_column",
-                 "chirp_diagonal"],
+                 "chirp_diagonal", "chirp_phase"],
 }
 SUBMODULES = [*EXPORTS, "cli", "configio"]
 
