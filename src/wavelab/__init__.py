@@ -16,7 +16,7 @@ _SOURCES = {
     name: module
     for module, names in {
         "analysis": "rect_window_spectrum row_sparsity verify_decimation_identity",
-        "channel": "ChannelGenerator ChannelSpec ChannelTap equalize",
+        "channel": "ChannelGenerator ChannelSpec equalize",
         "exceptions": "ConfigError DimensionError EqualizationError WavelabError",
         "fdma": "BlockLayout",
         "noise": "NoiseProfile make_profile sample_noise whitening_std",

@@ -4,15 +4,17 @@ A channel is a sum of taps, each applying a cyclic delay and a per-sample
 Doppler modulation: H = sum_l h_l * Delta(theta_l) * Pi^l, where Pi is the
 forward cyclic shift and Delta(theta) = diag(exp(2j*pi*theta*n/N)).
 
-A random ``ChannelGenerator`` and a fixed ``ChannelSpec`` share one
-surface: ``delays``, ``max_doppler``, ``describe()`` and ``draw(rngs) ->
-(gains, dopplers)``, one realization per generator, each (frames, P) for P
-delays. ``equalize`` takes a whole chunk's arrays: with every Doppler zero,
-H is circulant and ``_equalize_per_bin`` works in the DFT basis; otherwise
+A random ``ChannelGenerator`` and a fixed ``ChannelSpec`` (its taps'
+delays, gains and Dopplers, as three arrays) share one surface:
+``delays``, ``max_doppler``, ``describe()`` and ``draw(rngs) -> (gains,
+dopplers)``, one realization per generator, each (frames, P) for P delays.
+``equalize`` takes a whole chunk's arrays: with every Doppler zero, H is
+circulant and ``_equalize_per_bin`` works in the DFT basis; otherwise
 ``_equalize_banded`` sends the chunk through the taps and solves the cyclic
-band H^H H + rho I per frame. Each path owns its zero-forcing guard; the
-banded one fills each frame's dense H from its Doppler ramps. The dense
-oracles (``build_channel``, the ZF/MMSE G) live in ``tests/oracles.py``.
+band H^H H + rho I per frame, refusing a frame whose band is singular.
+Each path owns its zero-forcing guard; the banded one fills each frame's
+dense H from its Doppler ramps. The dense oracles (``build_channel``, the
+ZF/MMSE G) live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -29,25 +31,6 @@ CONDITION_LIMIT = 1e12
 # the dense oracle's phase 2*pi*theta*m/N); the ramp's (2*pi/N)*theta*m stays below it.
 MAX_DOPPLER = float(np.finfo(float).max) / (2 * np.pi)
 EQUALIZERS = ("mmse", "zf")
-
-
-@dataclass(frozen=True)
-class ChannelTap:
-    """One propagation path: integer sample delay, complex gain, Doppler.
-
-    ``doppler`` is normalized to cycles per block (dimensionless).
-    """
-
-    delay: int
-    gain: complex
-    doppler: float = 0.0
-
-    def __post_init__(self):
-        if self.delay < 0:
-            raise ConfigError(f"tap delay must be >= 0, got {self.delay}")
-        if not abs(self.doppler) <= MAX_DOPPLER:  # NaN as well
-            raise ConfigError(f"channel tap: 'doppler' = {self.doppler!r} is over "
-                              f"{MAX_DOPPLER!r} in magnitude, where 2*pi*doppler overflows")
 
 
 @dataclass(frozen=True)
@@ -88,32 +71,46 @@ class ChannelGenerator:
         return (raw[:, :nt] + 1j * raw[:, nt:]) / np.sqrt(2 * nt), np.array(dopplers)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelSpec:
-    """A concrete tap list; delays may repeat or skip. Draws nothing."""
+    """A concrete tap list as read-only 1-D arrays, one entry per tap: integer delays
+    (which may repeat or skip), complex gains, Dopplers in cycles per block. Draws nothing."""
 
-    taps: tuple[ChannelTap, ...]
+    delays: np.ndarray
+    gains: np.ndarray
+    dopplers: np.ndarray
 
     def __post_init__(self):
-        if len(self.taps) == 0:
+        # a delay past int64 stays a Python int, for check_delays to refuse by n
+        delays, gains, dopplers = taps = (np.array(self.delays), np.array(self.gains, complex),
+                                          np.array(self.dopplers, float))
+        if delays.size == 0:
             raise ConfigError("channel spec needs at least one tap")
-
-    @property
-    def delays(self) -> np.ndarray:
-        return np.array([tap.delay for tap in self.taps])
+        if not delays.shape == gains.shape == dopplers.shape == (delays.size,):
+            raise ConfigError(f"channel spec: delays, gains and dopplers must be 1-D and of one "
+                              f"length, got shapes {[tap.shape for tap in taps]}")
+        for delay, doppler in zip(delays.tolist(), dopplers.tolist()):  # tap by tap
+            if delay < 0:
+                raise ConfigError(f"tap delay must be >= 0, got {delay}")
+            if not abs(doppler) <= MAX_DOPPLER:  # NaN as well
+                raise ConfigError(f"channel tap: 'doppler' = {doppler!r} is over "
+                                  f"{MAX_DOPPLER!r} in magnitude, where 2*pi*doppler overflows")
+        for name, array in zip(("delays", "gains", "dopplers"), taps):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
     @property
     def max_doppler(self) -> float:
-        return max(abs(tap.doppler) for tap in self.taps)
+        return float(np.abs(self.dopplers).max())
 
     def describe(self) -> dict:
-        return {"taps": [[t.delay, t.gain.real, t.gain.imag, t.doppler] for t in self.taps]}
+        return {"taps": [[d, g.real, g.imag, theta] for d, g, theta in
+                         zip(self.delays.tolist(), self.gains.tolist(), self.dopplers.tolist())]}
 
     def draw(self, rngs):
         """The taps' gains and Doppler shifts, one row per generator."""
         rows = (len(rngs), 1)
-        return (np.tile(np.array([tap.gain for tap in self.taps], dtype=complex), rows),
-                np.tile(np.array([tap.doppler for tap in self.taps], dtype=float), rows))
+        return np.tile(self.gains, rows), np.tile(self.dopplers, rows)
 
 
 def check_delays(delays, n: int) -> None:
@@ -133,7 +130,8 @@ def equalize(delays, gains, dopplers, z, w_f, rho: float, equalizer: str):
 
     Returns the equalized bins (targets, frames, N) and ``refused``, a
     (frames,) bool mask of the frames whose condition number zero-forcing
-    refuses (all False under MMSE); a refused frame's bins carry no estimate.
+    refuses, or whose banded solve meets a singular H^H H + rho I (which
+    MMSE can too); a refused frame's bins carry no estimate.
     """
     if equalizer not in EQUALIZERS:
         raise ConfigError(f"equalizer must be one of {EQUALIZERS}")
@@ -185,7 +183,7 @@ def _equalize_banded(delays, gains, dopplers, z, w_f, rho: float, zf: bool):
         band[:, k] += np.roll(u[:, a].conj() * u[:, b], -delays[a], axis=-1)
     band[:, 0] += rho  # deltas[0] == 0
     cols, gram = (rows + deltas[:, None]) % n, np.zeros((n, n), dtype=complex)
-    refused = np.zeros(len(gains), dtype=bool)  # MMSE refuses no frame
+    refused = np.zeros(len(gains), dtype=bool)
     for f in range(len(gains)):
         if zf:  # the guard's dense H, from the same ramps
             h = np.zeros((n, n), dtype=complex)
@@ -194,5 +192,8 @@ def _equalize_banded(delays, gains, dopplers, z, w_f, rho: float, zf: bool):
             refused[f] = _refuses(np.linalg.cond(h))
         if not refused[f]:  # a refused frame's bins keep H^H y
             gram[rows, cols] = band[f]
-            rhs[:, f] = np.linalg.solve(gram, rhs[:, f].T).T
+            try:
+                rhs[:, f] = np.linalg.solve(gram, rhs[:, f].T).T
+            except np.linalg.LinAlgError:  # an exact zero pivot: the Gram is singular
+                refused[f] = True
     return np.fft.fft(rhs, norm="ortho"), refused

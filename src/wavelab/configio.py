@@ -140,30 +140,27 @@ def parse_waveform(section: dict, default_n: int | None = None) -> WaveformConfi
 
 
 def parse_channel(section: dict, n: int) -> ChannelGenerator | ChannelSpec:
-    from .channel import ChannelGenerator, ChannelSpec, ChannelTap
+    from .channel import ChannelGenerator, ChannelSpec
     if "taps" in section:
         check_keys(section, {"taps"}, "channel")
-        taps = []
+        taps = []  # per tap: delay, gain, doppler
         for entry in read(section, "taps", [dict], context="channel"):
             check_keys(entry, {"delay", "gain_re", "gain_im", "doppler"}, "channel tap")
-            taps.append(
-                ChannelTap(
-                    delay=read(entry, "delay", int, context="channel tap"),
-                    gain=complex(
-                        read(entry, "gain_re", float, 0.0, "channel tap"),
-                        read(entry, "gain_im", float, 0.0, "channel tap"),
-                    ),
-                    doppler=read(entry, "doppler", float, 0.0, "channel tap"),
-                )
-            )
+            taps.append((
+                read(entry, "delay", int, context="channel tap"),
+                complex(read(entry, "gain_re", float, 0.0, "channel tap"),
+                        read(entry, "gain_im", float, 0.0, "channel tap")),
+                read(entry, "doppler", float, 0.0, "channel tap"),
+            ))
+        spec = ChannelSpec(*zip(*taps))
         # every |h_f| <= sum_p |h_p| = total: the power over the bins is <= n * total**2
-        total = sum(math.hypot(t.gain.real, t.gain.imag) for t in taps)  # abs() may raise
+        total = sum(math.hypot(gain.real, gain.imag) for _, gain, _ in taps)  # abs() may raise
         limit = math.sqrt(HEADROOM / n)
         if not total <= limit:  # inf as well
             raise ConfigError(f"channel tap: 'gain_re'/'gain_im' give a total |gain| {total!r}"
                               f" over {limit!r}: the power over n = {n} bins passes "
                               f"half the largest float")
-        return ChannelSpec(taps=tuple(taps))
+        return spec
     check_keys(section, {"num_taps", "max_doppler"}, "channel")
     num_taps = read(section, "num_taps", int, context="channel")
     return ChannelGenerator(

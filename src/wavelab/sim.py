@@ -13,7 +13,7 @@ targets are the swept waveforms), see the same draws. The arithmetic on
 the channel and noise draws runs once per chunk, on the stacked raw
 draws. A frame's bits become QAM labels (see :mod:`wavelab.qam`), and its
 bit errors are the Hamming distances between sent and decided labels. A
-frame refused by zero-forcing is skipped for every target.
+frame the equalizer refuses is skipped for every target.
 ``threads`` spreads chunks over worker threads, one per CPU at most;
 counts are integer sums over frames, so results are bit-identical at any
 thread count and chunk size.
@@ -161,7 +161,7 @@ def _run_chunk(cfg: SimConfig, targets, rngs, sigma_w: float):
     """Draw one frame from each generator and run every target on it.
 
     Returns the sent labels (frames, N), the decided labels (targets,
-    frames, N) and the (frames,) bool mask of the frames zero-forcing
+    frames, N) and the (frames,) bool mask of the frames the equalizer
     refused.
     """
     gains, dopplers = cfg.channel.draw(rngs)  # each stream draws channel, bits, noise
@@ -185,7 +185,7 @@ def run_ber(cfg: SimConfig, threads: int = 1) -> list[BerCurve]:
     """Accumulate frames over the bit budget at every SNR point.
 
     Returns one curve per target. Chunks run on up to ``threads`` worker
-    threads, at most one per CPU. A frame zero-forcing refuses is skipped
+    threads, at most one per CPU. A frame the equalizer refuses is skipped
     for every target; raises EqualizationError when every frame of a point
     is. Deterministic for fixed (config, seed) at any thread count.
     """

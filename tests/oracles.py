@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from wavelab.analysis import DEFAULT_SPARSITY_TOL
-from wavelab.channel import CONDITION_LIMIT, ChannelSpec, ChannelTap, check_delays
+from wavelab.channel import CONDITION_LIMIT, ChannelSpec, check_delays
 from wavelab.exceptions import ConfigError, DimensionError, EqualizationError
 from wavelab.qam import _axis_bits, energy_scale, qam_label, qam_map
 from wavelab.sim import SimConfig, _run_chunk, _sigma_w
@@ -110,7 +110,7 @@ def build_precoder(cfg: WaveformConfig) -> PrecoderMatrix:
 # ---------------------------------------------------------------------------
 # channel: the identity channel, the DFT similarity, dense H and dense G
 
-IDENTITY_CHANNEL = ChannelSpec(taps=(ChannelTap(0, 1.0 + 0.0j, 0.0),))
+IDENTITY_CHANNEL = ChannelSpec([0], [1.0 + 0.0j], [0.0])
 
 
 def build_channel(delays, gains, dopplers, n: int) -> np.ndarray:

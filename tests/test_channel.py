@@ -26,11 +26,11 @@ def random_channel_matrix(rng, n):
 
 class TestBuildChannel:
     def test_single_flat_tap_is_identity(self):
-        spec = wl.ChannelSpec(taps=(wl.ChannelTap(0, 1.0 + 0j, 0.0),))
+        spec = wl.ChannelSpec([0], [1.0 + 0j], [0.0])
         assert_allclose(build_channel(*taps_of(spec), 6), np.eye(6))
 
     def test_unit_delay_is_cyclic_shift(self):
-        spec = wl.ChannelSpec(taps=(wl.ChannelTap(1, 1.0 + 0j, 0.0),))
+        spec = wl.ChannelSpec([1], [1.0 + 0j], [0.0])
         h = build_channel(*taps_of(spec), 4)
         shift = np.roll(np.eye(4), 1, axis=0)
         assert_allclose(h, shift)
@@ -41,22 +41,56 @@ class TestBuildChannel:
 
     def test_two_taps_with_doppler_elementwise(self):
         n = 6
-        taps = (wl.ChannelTap(0, 0.8 - 0.1j, 0.0), wl.ChannelTap(2, 0.3 + 0.4j, 0.3))
-        spec = wl.ChannelSpec(taps=taps)
+        taps = ([0, 2], [0.8 - 0.1j, 0.3 + 0.4j], [0.0, 0.3])
+        spec = wl.ChannelSpec(*taps)
         h = build_channel(*taps_of(spec), n)
         # independent elementwise construction
         expected = np.zeros((n, n), complex)
-        for tap in taps:
+        for delay, gain, doppler in zip(*taps):
             for row in range(n):
-                expected[row, (row - tap.delay) % n] += tap.gain * np.exp(
-                    2j * np.pi * tap.doppler * row / n
+                expected[row, (row - delay) % n] += gain * np.exp(
+                    2j * np.pi * doppler * row / n
                 )
         assert_allclose(h, expected, atol=1e-14)
 
     def test_delay_beyond_block_rejected(self):
-        spec = wl.ChannelSpec(taps=(wl.ChannelTap(4, 1.0 + 0j),))
+        spec = wl.ChannelSpec([4], [1.0 + 0j], [0.0])
         with pytest.raises(ConfigError):
             build_channel(*taps_of(spec), 4)
+
+
+class TestChannelSpec:
+    TOP = wl.channel.MAX_DOPPLER
+    ABOVE = float(np.nextafter(TOP, np.inf))
+
+    @pytest.mark.parametrize("delays, dopplers, message", [
+        ([], [], "channel spec needs at least one tap"),
+        ([0, 1], [0.0], "channel spec: delays, gains and dopplers must be 1-D and of one "
+                        "length, got shapes [(2,), (2,), (1,)]"),
+        ([0, -1], [0.0, 0.0], "tap delay must be >= 0, got -1"),
+        ([-10**30, 0], [0.0, 0.0], f"tap delay must be >= 0, got {-10**30}"),
+        ([0, 1], [0.0, -ABOVE], f"channel tap: 'doppler' = {-ABOVE!r} is over {TOP!r} in "
+                                f"magnitude, where 2*pi*doppler overflows"),
+        ([0, 1], [np.nan, 0.0], f"channel tap: 'doppler' = nan is over {TOP!r} in "
+                                f"magnitude, where 2*pi*doppler overflows"),
+    ], ids=["no-taps", "unequal-lengths", "negative-delay", "huge-negative-delay",
+            "doppler-above", "doppler-nan"])
+    def test_refusals(self, delays, dopplers, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            wl.ChannelSpec(delays, [1.0] * len(delays), dopplers)
+
+    def test_holds_read_only_arrays(self):
+        spec = wl.ChannelSpec([0, 3], [0.5, 0.2j], [-self.TOP, 0.1])
+        assert spec.delays.dtype.kind == "i" and spec.gains.dtype == complex
+        assert spec.max_doppler == self.TOP
+        for array in (spec.delays, spec.gains, spec.dopplers):
+            assert not array.flags.writeable
+        assert spec.describe() == {"taps": [[0, 0.5, 0.0, -self.TOP], [3, 0.0, 0.2, 0.1]]}
+
+    def test_delay_past_int64_is_refused_by_the_block(self):
+        # it stays a Python int in the array, for SimConfig's block check to name
+        with pytest.raises(ConfigError, match=f"tap delay {10**30} does not fit"):
+            wl.channel.check_delays(wl.ChannelSpec([10**30], [1.0], [0.0]).delays, 8)
 
 
 class TestRandomChannel:
@@ -105,7 +139,7 @@ class TestRandomChannel:
             assert np.array_equal(dopplers[f], rng.uniform(-max_doppler, max_doppler, 6))
 
     def test_fixed_taps_repeat_per_generator(self):
-        spec = wl.ChannelSpec(taps=(wl.ChannelTap(0, 0.8 + 0.1j), wl.ChannelTap(2, -0.2j, 0.3)))
+        spec = wl.ChannelSpec([0, 2], [0.8 + 0.1j, -0.2j], [0.0, 0.3])
         rng = np.random.default_rng(5)
         state = rng.bit_generator.state
         gains, dopplers = spec.draw([rng] * 4)
@@ -202,8 +236,8 @@ class TestDispersionInvariants:
         assert np.abs(off).max() < 1e-10
 
     def test_fractional_doppler_breaks_circulance(self):
-        taps = (wl.ChannelTap(0, 1.0 + 0j, 0.0), wl.ChannelTap(1, 0.5 + 0j, 0.3))
-        h_f = to_frequency(build_channel(*taps_of(wl.ChannelSpec(taps=taps)), 16))
+        spec = wl.ChannelSpec([0, 1], [1.0 + 0j, 0.5 + 0j], [0.0, 0.3])
+        h_f = to_frequency(build_channel(*taps_of(spec), 16))
         off = h_f - np.diag(np.diag(h_f))
         assert np.abs(off).max() > 1e-6
 

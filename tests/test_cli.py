@@ -355,6 +355,22 @@ class TestBer:
         assert "numerical failure: all 157 frames at 0.0 dB were skipped" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("equalizer, snr_db", [("zf", 20.0), ("mmse", 200.0)])
+    def test_singular_banded_solve_exits_3(self, tmp_path, capsys, equalizer, snr_db):
+        # cond(H) = 0.99e12 passes the ZF guard, but the banded solve of H^H H + rho I
+        # meets an exact zero pivot: numpy's LinAlgError used to end the run (exit 1)
+        config = write_yaml(tmp_path / "singular.yaml", {
+            "n": 8, "waveforms": [{"kind": "ofdm"}], "equalizer": equalizer,
+            "snr_db": [snr_db], "bits_per_point": 10_000,
+            "channel": {"taps": [{"delay": 0, "gain_re": 1.0},
+                                 {"delay": 1, "gain_re": 0.6788007455315704,
+                                  "gain_im": -0.7343225094342021, "doppler": 0.3}]},
+        })
+        assert run_cli("ber", "--config", config, "--out", str(tmp_path / "o")) == 3
+        err = capsys.readouterr().err
+        assert f"numerical failure: all 313 frames at {snr_db} dB were skipped" in err
+        assert "Traceback" not in err
+
     def test_zf_refuses_a_spectral_null_quietly(self, tmp_path, capsys):
         # gains 3 and -3 null bin 0; max|h_f| / tiny used to overflow with a
         # RuntimeWarning on stderr before the guard refused the frame
@@ -624,19 +640,14 @@ class TestConfigSerialization:
     def test_channel_round_trip(self):
         from wavelab.configio import parse_channel
 
-        spec = wl.ChannelSpec(
-            taps=(
-                wl.ChannelTap(0, 0.6 - 0.2j, 0.0),
-                wl.ChannelTap(3, 0.1 + 0.4j, 0.25),
-            )
-        )
+        spec = wl.ChannelSpec([0, 3], [0.6 - 0.2j, 0.1 + 0.4j], [0.0, 0.25])
         doc = {
             "taps": [
                 {"delay": 0, "gain_re": 0.6, "gain_im": -0.2, "doppler": 0.0},
                 {"delay": 3, "gain_re": 0.1, "gain_im": 0.4, "doppler": 0.25},
             ]
         }
-        assert parse_channel(doc, 12) == spec
+        assert parse_channel(doc, 12).describe() == spec.describe()
         gen = wl.ChannelGenerator(num_taps=8, max_doppler=0.3)
         assert parse_channel({"num_taps": 8, "max_doppler": 0.3}, 12) == gen
 

@@ -94,10 +94,7 @@ class TestStackedLayers:
     "channel",
     [
         wl.ChannelGenerator(num_taps=8),
-        wl.ChannelSpec(
-            taps=(wl.ChannelTap(0, 0.7 + 0.1j), wl.ChannelTap(0, 0.2 - 0.3j),
-                  wl.ChannelTap(3, -0.4 + 0.5j))
-        ),
+        wl.ChannelSpec([0, 0, 3], [0.7 + 0.1j, 0.2 - 0.3j, -0.4 + 0.5j], [0.0, 0.0, 0.0]),
     ],
     ids=["generator", "delays_0_0_3"],
 )
@@ -127,9 +124,8 @@ def test_quasi_static_receive_matches_dense(channel):
     "channel, n",
     [
         (wl.ChannelGenerator(num_taps=8, max_doppler=0.3), 36),
-        (wl.ChannelSpec(taps=(wl.ChannelTap(0, 0.7 + 0.1j, 0.1),
-                              wl.ChannelTap(0, 0.2 - 0.3j, -0.25),
-                              wl.ChannelTap(3, -0.4 + 0.5j, 0.3))), 36),
+        (wl.ChannelSpec([0, 0, 3], [0.7 + 0.1j, 0.2 - 0.3j, -0.4 + 0.5j], [0.1, -0.25, 0.3]),
+         36),
         (wl.ChannelGenerator(num_taps=8, max_doppler=0.3), 8),
     ],
     ids=["generator", "delays_0_0_3", "wrapped_band"],
@@ -231,6 +227,23 @@ def test_banded_guard_at_the_condition_limit():
     zf_equalizer(dense(below))
     with pytest.raises(EqualizationError):
         zf_equalizer(dense(above))
+
+
+@pytest.mark.parametrize("rho, equalizer", [(0.0, "zf"), (1e-20, "mmse")], ids=["zf", "mmse"])
+def test_singular_banded_solve_refuses_its_frame(rho, equalizer):
+    # frame 0's H has cond 0.99e12, which the ZF guard admits, yet the solve of its
+    # H^H H + rho I meets an exact zero pivot (numpy's LinAlgError until it was
+    # caught): that frame alone is refused, and frame 1 is equalized as on its own
+    n, delays = 8, np.arange(2)
+    gains = np.array([[1.0, 0.6788007455315704 - 0.7343225094342021j], [1.0, 0.3]])
+    dopplers = np.array([[0.0, 0.3]] * 2)
+    rng = np.random.default_rng(7)
+    z, w_f = stacked(rng, 2 * 2, n).reshape(2, 2, n), stacked(rng, 2, n)
+    alone, kept = wl.equalize(delays, gains[1:], dopplers[1:], z[:, 1:].copy(), w_f[1:], rho,
+                              equalizer)
+    r_f, refused = wl.equalize(delays, gains, dopplers, z, w_f, rho, equalizer)
+    assert refused.tolist() == [True, False] and not kept.any()
+    assert np.array_equal(r_f[:, 1:], alone)
 
 
 @pytest.mark.parametrize("rho, zf", [(0.05, False), (0.0, True)], ids=["mmse", "zf"])

@@ -64,11 +64,9 @@ def sim(channel, noise="white", n=N, **overrides):
 
 
 FIXED_TAPS = wl.ChannelSpec(
-    taps=(
-        wl.ChannelTap(0, 0.8 + 0.1j),
-        wl.ChannelTap(1, 0.4 - 0.2j, 0.2),
-        wl.ChannelTap(3, -0.2 + 0.3j),
-    )
+    delays=[0, 1, 3],
+    gains=[0.8 + 0.1j, 0.4 - 0.2j, -0.2 + 0.3j],
+    dopplers=[0.0, 0.2, 0.0],
 )
 
 CASES = {
@@ -111,6 +109,11 @@ def test_run_ber_counts_are_frozen(name):
     curves = wl.run_ber(CASES[name]())
     got = [[(p.errors, p.skipped_frames) for p in c.points] for c in curves]
     assert got == FROZEN[name]
+
+
+def test_fixed_taps_fingerprint_is_frozen():
+    # describe() writes a fixed channel's taps as Python ints and floats
+    assert wl.config_fingerprint(CASES["fixed_taps_doppler"]()) == "2b30e9e8945c41e7"
 
 
 def test_sweep_l_counts_are_frozen():

@@ -14,7 +14,7 @@ import wavelab as wl
 # submodule -> the public names the package serves from it
 EXPORTS = {
     "analysis": ["rect_window_spectrum", "row_sparsity", "verify_decimation_identity"],
-    "channel": ["ChannelGenerator", "ChannelSpec", "ChannelTap", "equalize"],
+    "channel": ["ChannelGenerator", "ChannelSpec", "equalize"],
     "exceptions": ["ConfigError", "DimensionError", "EqualizationError", "WavelabError"],
     "fdma": ["BlockLayout"],
     "noise": ["NoiseProfile", "make_profile", "sample_noise", "whitening_std"],

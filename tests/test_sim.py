@@ -96,7 +96,7 @@ class TestConfigValidation:
             white_cfg(channel=wl.ChannelGenerator(num_taps=121))
         white_cfg(channel=wl.ChannelGenerator(num_taps=120))
         with pytest.raises(ConfigError, match="does not fit"):
-            white_cfg(channel=wl.ChannelSpec(taps=(wl.ChannelTap(120, 1.0 + 0j),)))
+            white_cfg(channel=wl.ChannelSpec([120], [1.0 + 0j], [0.0]))
 
     def test_rejects_mixed_block_sizes(self):
         with pytest.raises(ConfigError):
@@ -124,9 +124,7 @@ class TestRunFrame:
 
     def test_singular_channel_raises_equalization_error(self):
         # two equal-magnitude taps null the DC bin exactly
-        null_spec = wl.ChannelSpec(
-            taps=(wl.ChannelTap(0, 1.0 + 0j), wl.ChannelTap(1, -1.0 + 0j))
-        )
+        null_spec = wl.ChannelSpec([0, 1], [1.0 + 0j, -1.0 + 0j], [0.0, 0.0])
         cfg = wl.SimConfig(
             channel=null_spec,
             profile=wl.make_profile("white", 16),
@@ -142,9 +140,7 @@ class TestRunFrame:
             wl.run_ber(cfg)
 
     def test_mmse_handles_singular_channel(self):
-        null_spec = wl.ChannelSpec(
-            taps=(wl.ChannelTap(0, 1.0 + 0j), wl.ChannelTap(1, -1.0 + 0j))
-        )
+        null_spec = wl.ChannelSpec([0, 1], [1.0 + 0j, -1.0 + 0j], [0.0, 0.0])
         cfg = wl.SimConfig(
             channel=null_spec,
             profile=wl.make_profile("white", 16),
@@ -347,9 +343,7 @@ class TestFingerprint:
             seed=1,
         )
         fixed = wl.SimConfig(
-            channel=wl.ChannelSpec(
-                taps=(wl.ChannelTap(0, 0.6 - 0.2j), wl.ChannelTap(3, 0.1 + 0.4j, 0.25))
-            ),
+            channel=wl.ChannelSpec([0, 3], [0.6 - 0.2j, 0.1 + 0.4j], [0.0, 0.25]),
             profile=wl.make_profile("white", 16),
             targets=(wl.WaveformConfig.ofdm(16),),
             snr_db=(20.0,),
