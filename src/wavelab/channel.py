@@ -12,9 +12,13 @@ dopplers)``, one realization per generator, each (frames, P) for P delays.
 circulant and ``_equalize_per_bin`` works in the DFT basis; otherwise
 ``_equalize_banded`` sends the chunk through the taps and solves the cyclic
 band H^H H + rho I per frame, refusing a frame whose band is singular.
-Each path owns its zero-forcing guard; the banded one fills each frame's
-dense H from its Doppler ramps. The dense oracles (``build_channel``, the
-ZF/MMSE G) live in ``tests/oracles.py``.
+Through the solves it holds the chunk's band, H^H y (in z's memory) and,
+under zero-forcing only, the taps' Doppler ramps; every other chunk-sized
+array is freed at its last use. Each path owns its zero-forcing guard. The
+banded one clears a frame when a Cholesky factorization of its Gram, less
+1e-8 of its norm, proves cond(H) <= about 1e4; the others take an SVD of
+their dense H, filled from the ramps. The dense oracles (``build_channel``,
+the ZF/MMSE G) live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -167,33 +171,70 @@ def _equalize_per_bin(delays, gains, dopplers, z, w_f, rho: float, zf: bool):
 
 def _equalize_banded(delays, gains, dopplers, z, w_f, rho: float, zf: bool):
     # H = sum_p diag(u_p) Pi^{d_p} with u_p[m] = h_p exp(2j pi theta_p m / N), so
-    # y = sum_p u_p . Pi^{d_p} x and H^H y = sum_p Pi^{-d_p} (u_p^* . y) need no H
+    # y = sum_p u_p . Pi^{d_p} x and H^H y = sum_p Pi^{-d_p} (u_p^* . y) need no H;
+    # each chunk-sized array is dropped at its last use, and H^H y takes z's memory
     n, rows = z.shape[-1], np.arange(z.shape[-1])
-    u = gains[..., None] * np.exp(1j * (2 * np.pi / n) * dopplers[..., None] * rows)
-    y = np.fft.ifft(z, norm="ortho")  # x, rebound at once so that no name keeps it
-    y = sum(u[:, p] * np.roll(y, d, axis=-1) for p, d in enumerate(delays))
+    u = 1j * (2 * np.pi / n) * dopplers[..., None] * rows
+    np.exp(u, out=u)
+    np.multiply(gains[..., None], u, out=u)
+    x = np.fft.ifft(z, norm="ortho")
+    y = np.zeros_like(x)  # summed in place from 0, in tap order
+    for p, d in enumerate(delays):
+        y += u[:, p] * np.roll(x, d, axis=-1)
+    del x
     y += np.fft.ifft(w_f, norm="ortho")
-    rhs = sum(np.roll(u[:, p].conj() * y, -d, axis=-1) for p, d in enumerate(delays))
+    rhs = z  # x was z's last reader: H^H y takes its memory
+    rhs[...] = 0
+    for p, d in enumerate(delays):
+        rhs += np.roll(u[:, p].conj() * y, -d, axis=-1)
+    del y
     # H^H H is a cyclic band: A[i, i + d_a - d_b] += u_a^*[i + d_a] u_b[i + d_a]
     diffs = (delays[:, None] - delays) % n
     deltas = np.array(sorted(set(diffs.flat)))  # np.unique would import numpy.ma
     band_of = deltas.searchsorted(diffs)
     band = np.zeros((len(gains), len(deltas), n), dtype=complex)
-    for (a, b), k in np.ndenumerate(band_of):
-        band[:, k] += np.roll(u[:, a].conj() * u[:, b], -delays[a], axis=-1)
+    for a, row in enumerate(band_of):
+        conj_a = u[:, a].conj()
+        for b, k in enumerate(row):
+            band[:, k] += np.roll(conj_a * u[:, b], -delays[a], axis=-1)
     band[:, 0] += rho  # deltas[0] == 0
+    if not zf:
+        del u  # only ZF's guard reads the ramps again
     cols, gram = (rows + deltas[:, None]) % n, np.zeros((n, n), dtype=complex)
     refused = np.zeros(len(gains), dtype=bool)
     for f in range(len(gains)):
-        if zf:  # the guard's dense H, from the same ramps
-            h = np.zeros((n, n), dtype=complex)
-            for p, d in enumerate(delays):
-                h[rows, (rows - d) % n] += u[f, p]
-            refused[f] = _refuses(np.linalg.cond(h))
+        gram[rows, cols] = band[f]
+        if zf:
+            refused[f] = _guard_refuses(gram, band[f], u[f], delays)
         if not refused[f]:  # a refused frame's bins keep H^H y
-            gram[rows, cols] = band[f]
             try:
                 rhs[:, f] = np.linalg.solve(gram, rhs[:, f].T).T
             except np.linalg.LinAlgError:  # an exact zero pivot: the Gram is singular
                 refused[f] = True
+    del band
     return np.fft.fft(rhs, norm="ortho"), refused
+
+
+def _guard_refuses(gram, band, ramps, delays) -> bool:
+    """ZF's guard on one frame, whose Gram A = H^H H has the (D, N) diagonals ``band``."""
+    # A certificate first: ||A||_inf (the largest row sum of |A|) bounds sigma_max(H)^2,
+    # and if A - tau I factors, tau = 1e-8 ||A||_inf, then sigma_min(H)^2 >= tau less the
+    # Cholesky backward error, at most about n^2 eps ||A|| (Higham, Accuracy and Stability
+    # of Numerical Algorithms, 2nd ed., section 10.1): 1.6e-12 ||A|| at n = 120, the
+    # largest N of any shipped BER config. So cond(H) <= about 1e4, far inside the limit.
+    tau = 1e-8 * np.abs(band).sum(axis=0).max()
+    if tau < np.inf:  # NaN as well takes the SVD
+        diagonal = np.diag_indices_from(gram)
+        gram[diagonal] -= tau
+        try:
+            np.linalg.cholesky(gram)
+            return False
+        except np.linalg.LinAlgError:
+            pass
+        finally:
+            gram[diagonal] = band[0]  # deltas[0] == 0: A's diagonal, exactly
+    n, rows = len(gram), np.arange(len(gram))  # else cond(H) of its dense H, from the ramps
+    h = np.zeros_like(gram)
+    for ramp, d in zip(ramps, delays):
+        h[rows, (rows - d) % n] += ramp
+    return _refuses(np.linalg.cond(h))

@@ -46,6 +46,7 @@ from .configio import (
     parse_sim,
     parse_waveform,
     read,
+    shown,
 )
 from .exceptions import ConfigError, EqualizationError, WavelabError
 
@@ -211,7 +212,7 @@ def _tolerance(config: dict, key: str) -> float:
     """A check's tolerance: refused unless > 0, since no error passes a bound of 0."""
     tol = read(config, key, float)
     if tol <= 0:
-        raise ConfigError(f"config: {key!r} must be > 0, got {tol!r}")
+        raise ConfigError(f"config: {key!r} must be > 0, got {shown(tol)}")
     return tol
 
 
@@ -401,11 +402,13 @@ def cmd_verify_appendix(config: dict, run: Run) -> Callable[[], int]:
     dirichlet_cases = read(config, "dirichlet_cases", [[int]], minimum=1)
     for case in dirichlet_cases:
         if len(case) != 2:
-            raise ConfigError(f"config: 'dirichlet_cases' items must be [n, b], got {case!r}")
+            raise ConfigError(f"config: 'dirichlet_cases' items must be [n, b], "
+                              f"got {shown(case)}")
         check_size(case[0] * case[1], "dirichlet_cases", "config")
     threshold = read(config, "density_threshold", float)
     if not 0 < threshold < 1:  # a density is at most 1
-        raise ConfigError(f"config: 'density_threshold' must be in (0, 1), got {threshold!r}")
+        raise ConfigError(f"config: 'density_threshold' must be in (0, 1), "
+                          f"got {shown(threshold)}")
     sparsity_tol = _tolerance(config, "sparsity_tol")
     # integer-rate special case: the Gauss-sum column collapses to an even comb
     column = afdm_inverse_column(8, 4.0)

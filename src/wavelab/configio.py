@@ -15,6 +15,7 @@ requires every top-level key it reads.
 from __future__ import annotations
 
 import math
+import reprlib
 import sys
 from typing import TYPE_CHECKING
 
@@ -53,6 +54,29 @@ def load_config_file(path: str) -> dict:
     return doc
 
 
+# A refused value is shown whole up to about 1000 characters, and past them
+# within reprlib's limits (3 levels, 6 items a list): a YAML alias lets a file
+# of a few hundred bytes hold a value whose repr runs to gigabytes.
+_SHORT = reprlib.Repr()
+_SHORT.maxlevel = 3
+
+
+def shown(value) -> str:
+    """``repr(value)``, or a shortened repr when that would pass 1000 characters."""
+    return repr(value) if _room(value, 1000) >= 0 else _SHORT.repr(value)
+
+
+def _room(value, room: int) -> int:
+    """``room`` less about the length of ``repr(value)``; it stops walking below 0."""
+    if not isinstance(value, (list, tuple, dict)):
+        return room - len(repr(value))
+    for item in value.items() if isinstance(value, dict) else value:
+        if room < 0:
+            break
+        room = _room(item, room - 2)  # and its separator
+    return room
+
+
 _REQUIRED = object()
 
 
@@ -72,21 +96,21 @@ def read(section: dict, key: str, kind, default=_REQUIRED, context: str = "confi
     value, name = section[key], f"{context}: {key!r}"
     if isinstance(kind, list):
         if not isinstance(value, list) or not value:
-            raise ConfigError(f"{name} must be a nonempty list, got {value!r}")
+            raise ConfigError(f"{name} must be a nonempty list, got {shown(value)}")
         return [read({key: item}, key, kind[0], context=context, minimum=minimum)
                 for item in value]
     if kind not in (int, float):
         if not isinstance(value, kind):
-            raise ConfigError(f"{name} must be a {kind.__name__}, got {value!r}")
+            raise ConfigError(f"{name} must be a {kind.__name__}, got {shown(value)}")
         return value
     # the chained comparison refuses NaN and infinities without converting ints
     if (isinstance(value, bool) or not isinstance(value, (int, float))
             or not -math.inf < value < math.inf):
-        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+        raise ConfigError(f"{name} must be a finite number, got {shown(value)}")
     if kind is int and value != int(value):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
+        raise ConfigError(f"{name} must be an integer, got {shown(value)}")
     if minimum is not None and value < minimum:
-        raise ConfigError(f"{name} must be >= {minimum}, got {value!r}")
+        raise ConfigError(f"{name} must be >= {minimum}, got {shown(value)}")
     return kind(value)
 
 

@@ -14,9 +14,10 @@ the channel and noise draws runs once per chunk, on the stacked raw
 draws. A frame's bits become QAM labels (see :mod:`wavelab.qam`), and its
 bit errors are the Hamming distances between sent and decided labels. A
 frame the equalizer refuses is skipped for every target.
-``threads`` spreads chunks over worker threads, one per CPU at most;
-counts are integer sums over frames, so results are bit-identical at any
-thread count and chunk size.
+``threads`` spreads chunks over worker threads, one per CPU at most, with
+at most two chunks per worker in flight; chunks are generated as they run,
+so no memory grows with the bit budget. Counts are integer sums over
+frames, so results are bit-identical at any thread count and chunk size.
 
 SNR is defined as E_s / sigma_w^2 with unit average symbol energy, unit
 expected channel power, and noise profiles trace-normalized to N.
@@ -181,6 +182,37 @@ def _sigma_w(snr_db: float) -> float:
     return 10.0 ** (-float(snr_db) / 20.0)
 
 
+def _chunk_job(cfg: SimConfig, point: int, start: int, stop: int):
+    """Run frames ``start`` to ``stop`` of SNR point ``point``.
+
+    Returns the point, the (targets, 2) sums over the kept frames of each
+    frame's bit errors and of their squares, and the count of kept frames.
+    """
+    rngs = [frame_rng(cfg.seed, point, f) for f in range(start, stop)]
+    tx, rx, refused = _run_chunk(cfg, cfg.targets, rngs, _sigma_w(cfg.snr_db[point]))
+    kept = ~refused
+    frame_errors = POPCOUNT[rx ^ tx].sum(axis=2, dtype=np.int64)[:, kept]  # (targets, kept)
+    return point, np.stack([frame_errors, frame_errors**2], axis=-1).sum(axis=1), int(kept.sum())
+
+
+def _pooled(jobs, threads: int):
+    """The results of ``_chunk_job`` on each of ``jobs``, from up to ``threads``
+    worker threads (one per CPU at most), with at most two jobs per worker in
+    flight: a job is submitted as the oldest one's result is taken."""
+    from collections import deque
+    from concurrent.futures import ThreadPoolExecutor  # loads logging: pools only
+
+    workers = min(threads, os.cpu_count() or 1)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending = deque()
+        for job in jobs:
+            if len(pending) == 2 * workers:
+                yield pending.popleft().result()
+            pending.append(pool.submit(_chunk_job, *job))
+        while pending:
+            yield pending.popleft().result()
+
+
 def run_ber(cfg: SimConfig, threads: int = 1) -> list[BerCurve]:
     """Accumulate frames over the bit budget at every SNR point.
 
@@ -191,27 +223,12 @@ def run_ber(cfg: SimConfig, threads: int = 1) -> list[BerCurve]:
     """
     targets = cfg.targets
     frames = cfg.frames_per_point
-    chunks = [range(s, min(s + CHUNK_FRAMES, frames)) for s in range(0, frames, CHUNK_FRAMES)]
-    jobs = [(pi, chunk) for pi in range(len(cfg.snr_db)) for chunk in chunks]
-
-    def run(job):
-        pi, chunk = job
-        rngs = [frame_rng(cfg.seed, pi, f) for f in chunk]
-        tx, rx, refused = _run_chunk(cfg, targets, rngs, _sigma_w(cfg.snr_db[pi]))
-        kept = ~refused
-        frame_errors = POPCOUNT[rx ^ tx].sum(axis=2, dtype=np.int64)[:, kept]  # (targets, kept)
-        return np.stack([frame_errors, frame_errors**2], axis=-1).sum(axis=1), int(kept.sum())
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor  # loads logging: pools only
-
-        with ThreadPoolExecutor(max_workers=min(threads, os.cpu_count() or 1)) as pool:
-            results = list(pool.map(run, jobs))
-    else:
-        results = map(run, jobs)  # streamed: one chunk's counts at a time
+    jobs = ((cfg, pi, start, min(start + CHUNK_FRAMES, frames))
+            for pi in range(len(cfg.snr_db)) for start in range(0, frames, CHUNK_FRAMES))
+    results = _pooled(jobs, threads) if threads > 1 else (_chunk_job(*job) for job in jobs)
     errors = np.zeros((len(targets), len(cfg.snr_db), 2), dtype=np.int64)  # sum, sum of squares
     kept = [0] * len(cfg.snr_db)
-    for (pi, _), (chunk_errors, chunk_kept) in zip(jobs, results):
+    for pi, chunk_errors, chunk_kept in results:  # integer sums: any order gives the same
         errors[:, pi] += chunk_errors
         kept[pi] += chunk_kept
     for snr_db, point_kept in zip(cfg.snr_db, kept):

@@ -240,3 +240,29 @@ def test_dry_run_lists_the_outputs(tmp_path, capsys, subcommand):
                if line.startswith("output: ")]
     assert main(argv) == 0
     assert planned == json.loads((tmp_path / "o" / "manifest.json").read_text())["outputs"]
+
+
+def _aliased(depth, width=10):
+    """``depth`` nested lists of ``width`` references each to the level below, which
+    YAML writes with one anchor a level: a few hundred bytes whose whole repr
+    holds width**depth leaves."""
+    node = [0]
+    for _ in range(depth):
+        node = [node] * width
+    return node
+
+
+@pytest.mark.parametrize("subcommand", list(CONFIGS))
+def test_aliased_values_are_refused_briefly(tmp_path, capsys, subcommand):
+    # at each key path in turn, 6 levels of 10 aliases (a repr of 5.8 MB): exit 2,
+    # and a message that shows the value cut short
+    value = _aliased(6)
+    for i, path in enumerate(_paths(CONFIGS[subcommand])):
+        config = tmp_path / f"case{i}.yaml"
+        config.write_text(yaml.safe_dump(_with_value(CONFIGS[subcommand], path, value)))
+        assert config.stat().st_size < 2000
+        argv = [subcommand, "--dry-run", "--config", str(config), "--out", str(tmp_path)]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2, f"{subcommand} {path}: exited {code}"
+        assert len(err) < 4096, f"{subcommand} {path}: {len(err)} characters on stderr"

@@ -154,8 +154,8 @@ def test_dispersive_receive_matches_dense(channel, n):
 @pytest.mark.parametrize("equalizer", wl.channel.EQUALIZERS)
 def test_dispersive_chunk_solves_frame_by_frame(equalizer):
     # a chunk of 32 frames never holds a (frames, N, N) stack at once; under MMSE
-    # its peak reads 10.3 z.nbytes, and 11.3 when x = F^H z stays bound to a name
-    # through the solves
+    # its peak reads 7.3 z.nbytes, 10.3 when the chunk's temporaries outlived their
+    # last use, and 11.3 when x = F^H z also stayed bound to a name through the solves
     rng = np.random.default_rng(7)
     frames, n, channel = 32, 120, wl.ChannelGenerator(num_taps=8, max_doppler=0.3)
     gains, dopplers = channel.draw([rng] * frames)
@@ -169,6 +169,7 @@ def test_dispersive_chunk_solves_frame_by_frame(equalizer):
     assert peak < frames * n * n * np.dtype(complex).itemsize
     if equalizer == "mmse":
         assert peak < 11 * z.nbytes
+        assert peak < 8 * z.nbytes
 
 
 @pytest.mark.parametrize("doppler", [0.0, 0.2], ids=["per_bin", "dense"])
@@ -227,6 +228,36 @@ def test_banded_guard_at_the_condition_limit():
     zf_equalizer(dense(below))
     with pytest.raises(EqualizationError):
         zf_equalizer(dense(above))
+
+
+def test_cholesky_certificate_refuses_as_the_svd(monkeypatch):
+    # H = diag(ramp) (I - g Pi), one Doppler on both taps, has cond(H) = (1 + g) / (1 - g):
+    # frames near 1e2, 1e5, 1e11 and 1e13. The certificate clears the first alone, the
+    # SVD refuses the last; with every Cholesky failing, the SVD alone decides each
+    # frame the same way, and the bins are the same. A kept frame's solve is that of
+    # MMSE at rho = 0, which runs no guard: the certificate leaves its Gram as it was
+    n, delays, targets = 16, np.arange(2), np.array([1e2, 1e5, 1e11, 1e13])
+    gains = np.stack([np.ones(4), (1 - targets) / (1 + targets)], axis=1)
+    dopplers = np.full((4, 2), 0.1)
+    for f, target in enumerate(targets):
+        assert 0.9 < np.linalg.cond(build_channel(delays, gains[f], dopplers[f], n)) / target < 1.1
+    rng = np.random.default_rng(3)
+    z, w_f = stacked(rng, 2 * 4, n).reshape(2, 4, n), stacked(rng, 4, n)
+    svds, cond = [], np.linalg.cond
+    monkeypatch.setattr(np.linalg, "cond", lambda h: svds.append(h) or cond(h))
+    unguarded = wl.equalize(delays, gains, dopplers, z.copy(), w_f, 0.0, "mmse")[0]
+    certified = wl.equalize(delays, gains, dopplers, z.copy(), w_f, 0.0, "zf")
+    assert len(svds) == 3
+    assert np.array_equal(certified[0][:, :3], unguarded[:, :3])
+
+    def fails(a):
+        raise np.linalg.LinAlgError("not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", fails)
+    svd_only = wl.equalize(delays, gains, dopplers, z, w_f, 0.0, "zf")
+    assert len(svds) == 3 + 4
+    assert certified[1].tolist() == svd_only[1].tolist() == [False, False, False, True]
+    assert np.array_equal(certified[0], svd_only[0])
 
 
 @pytest.mark.parametrize("rho, equalizer", [(0.0, "zf"), (1e-20, "mmse")], ids=["zf", "mmse"])

@@ -4,6 +4,7 @@ import concurrent.futures
 import json
 import math
 import os
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -200,14 +201,74 @@ class TestDeterminism:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, jobs):
-                return map(fn, jobs)
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
         cfg = white_cfg(seed=42, bits_per_point=20_000)
         capped = wl.run_ber(cfg, threads=10**6)
         assert sizes and max(sizes) <= (os.cpu_count() or 1)
         assert capped == wl.run_ber(cfg, threads=1)
+
+    def test_pool_keeps_two_jobs_per_worker_in_flight(self, monkeypatch):
+        # a pool whose futures run their job when their result is taken: no thread
+        # starts, and a job is in flight from its submit until its result is taken
+        workers, live, peak = [], [0], [0]
+
+        class LazyFuture:
+            def __init__(self, job):
+                self.job = job
+                live[0] += 1
+                peak[0] = max(peak[0], live[0])
+
+            def result(self):
+                live[0] -= 1
+                return self.job()
+
+        class LazyPool:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                return LazyFuture(lambda: fn(*args))
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", LazyPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        cfg = white_cfg(n=12, seed=42, bits_per_point=20_000)  # 14 chunks of 32 frames
+        assert wl.run_ber(cfg, threads=8) == wl.run_ber(cfg, threads=1)
+        assert workers == [3] and peak == [6] and live == [0]
+
+    def test_huge_budget_streams_its_jobs(self, monkeypatch):
+        # 10**15 bits per point are about 2e12 frames, yet no memory grows with the
+        # budget before the first job runs; the job stops the run at its 4th call
+        # and runs no frame
+        calls = []
+
+        def job(cfg, point, start, stop):
+            calls.append((point, start, stop))
+            if len(calls) > 3:
+                raise RuntimeError("stopped")
+            return point, np.zeros((len(cfg.targets), 2), dtype=np.int64), stop - start
+
+        monkeypatch.setattr(wl.sim, "_chunk_job", job)
+        cfg = white_cfg(bits_per_point=10**15)
+        tracemalloc.start()
+        try:
+            with pytest.raises(RuntimeError, match="stopped"):
+                wl.run_ber(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert calls == [(0, 0, 32), (0, 32, 64), (0, 64, 96), (0, 96, 128)]
+        assert peak < 2 * 2**20
 
     def test_different_seed_changes_counts(self):
         grid = (15.0, 20.0, 25.0)
