@@ -68,11 +68,11 @@ class ChannelGenerator:
     def draw(self, rngs):
         """One realization per generator: gains, then Doppler shifts, each (frames, P)."""
         nt, top = self.num_taps, self.max_doppler
-        raw, dopplers = zip(*[  # per stream: the values of two nt-draws, then nt uniforms
-            (rng.standard_normal(2 * nt), rng.uniform(-top, top, nt)) for rng in rngs
-        ])
-        raw = np.array(raw)
-        return (raw[:, :nt] + 1j * raw[:, nt:]) / np.sqrt(2 * nt), np.array(dopplers)
+        # per stream: two nt-draws of normals, then uniform(-top, top, nt), which numpy
+        # computes as low + range * random(): so here, bit for bit (+0.0 at top 0), per chunk
+        raw, unit = zip(*[(rng.standard_normal(2 * nt), rng.random(nt)) for rng in rngs])
+        raw, dopplers = np.array(raw), -top + (top - -top) * np.array(unit)
+        return (raw[:, :nt] + 1j * raw[:, nt:]) / np.sqrt(2 * nt), dopplers
 
 
 @dataclass(frozen=True, eq=False)

@@ -45,7 +45,8 @@ def load_config_file(path: str) -> dict:
             doc = yaml.safe_load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except (yaml.YAMLError, UnicodeDecodeError) as exc:  # not UTF-8, or not YAML
+    # not YAML, not UTF-8 (a ValueError), or past what YAML builds: a date, digits, depth
+    except (yaml.YAMLError, ValueError, RecursionError) as exc:
         raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
     if doc is None:
         doc = {}

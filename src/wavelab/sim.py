@@ -9,7 +9,11 @@ of a (frames, N) stack; :func:`wavelab.channel.equalize` takes a chunk
 from z to r_f. Each frame draws channel taps, data bits and noise, in
 that order, from its own stream ``frame_rng(seed, point, frame)``, and is
 drawn once: compared waveforms, and the L or q values of a sweep (whose
-targets are the swept waveforms), see the same draws. The arithmetic on
+targets are the swept waveforms), see the same draws. A frame's B bits
+are ``integers(0, 2, B, uint8)``, read from its stream's raw words: with
+PCG64 (``frame_rng``'s) a 32-bit draw is the low half of a 64-bit word,
+then the high half, so the two agree bit for bit unless a half-word is
+buffered, when ``integers`` draws them. The arithmetic on
 the channel and noise draws runs once per chunk, on the stacked raw
 draws. A frame's bits become QAM labels (see :mod:`wavelab.qam`), and its
 bit errors are the Hamming distances between sent and decided labels. A
@@ -158,16 +162,30 @@ def frame_rng(seed: int, point_index: int, frame_index: int) -> np.random.Genera
     return np.random.default_rng([seed, point_index, frame_index])
 
 
+def _draw_bits(rngs, count: int) -> np.ndarray:
+    """Each stream's ``integers(0, 2, count, uint8)``: numpy keeps the top bit of each byte
+    of its 32-bit words, low byte first. Where numpy's draw ends on a half-word, this one
+    buffers none, which no later 64-bit draw reads."""
+    words = -(-count // 8)
+    held = [rng.bit_generator.state["has_uint32"] for rng in rngs]
+    raw = np.array([np.zeros(words, np.uint64) if h else rng.bit_generator.random_raw(words)
+                    for h, rng in zip(held, rngs)])
+    bits = raw.astype("<u8", copy=False).view(np.uint8)[:, :count] >> 7
+    for f in np.flatnonzero(held):
+        bits[f] = rngs[f].integers(0, 2, size=count, dtype=np.uint8)
+    return bits
+
+
 def _run_chunk(cfg: SimConfig, targets, rngs, sigma_w: float):
     """Draw one frame from each generator and run every target on it.
 
-    Returns the sent labels (frames, N), the decided labels (targets,
-    frames, N) and the (frames,) bool mask of the frames the equalizer
-    refused.
+    A frame's bits are its stream's ``integers(0, 2, B, uint8)``, from raw words
+    unless the stream holds a buffered half-word (:func:`_draw_bits`). Returns
+    the sent labels (frames, N), the decided labels (targets, frames, N) and
+    the (frames,) bool mask of the frames the equalizer refused.
     """
     gains, dopplers = cfg.channel.draw(rngs)  # each stream draws channel, bits, noise
-    per_frame = cfg.bits_per_frame  # a property that calls np.log2: read once
-    bits = np.array([rng.integers(0, 2, size=per_frame, dtype=np.uint8) for rng in rngs])
+    bits = _draw_bits(rngs, cfg.bits_per_frame)
     w_f = sample_noise(cfg.profile, sigma_w, rngs)
     tx = qam_label(bits, cfg.qam_order)
     symbols = qam_map(tx, cfg.qam_order)

@@ -1018,6 +1018,27 @@ class TestStrictConfigReader:
         assert f"cannot parse config file {config}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("dry_run", [False, True])
+    @pytest.mark.parametrize("subcommand", ["ber", "analyze-noise"])
+    @pytest.mark.parametrize("text", [
+        "seed: 2020-13-45",  # a timestamp past the calendar: ValueError
+        pytest.param("n: " + "9" * 5000, marks=pytest.mark.skipif(
+            not hasattr(sys, "get_int_max_str_digits"), reason="no integer digit limit")),
+        "n: " + "[" * 500,  # nesting past the recursion limit: RecursionError
+    ], ids=["date", "digits", "nesting"])
+    def test_yaml_that_cannot_be_built_refused(self, tmp_path, capsys, text, subcommand,
+                                               dry_run):
+        # each used to end in a ValueError or RecursionError traceback (exit 1)
+        config = tmp_path / "bad.yaml"
+        config.write_text(text + "\n")
+        out = tmp_path / "o"
+        flags = ["--dry-run"] if dry_run else []
+        assert run_cli(subcommand, "--config", str(config), "--out", str(out), *flags) == 2
+        err = capsys.readouterr().err
+        assert f"cannot parse config file {config}" in err
+        assert "Traceback" not in err and len(err.encode()) < 4096
+        assert not out.exists()
+
     @pytest.mark.parametrize("subcommand,key", [("fdma-demo", "layout"), ("ber", "layout")])
     def test_layout_over_the_size_guard_refused(self, tmp_path, capsys, subcommand, key):
         # each block passes the guard alone; their sum used to pass unchecked

@@ -381,6 +381,48 @@ def test_chunk_draws_follow_the_per_frame_formulas(monkeypatch, channel):
         assert np.array_equal(seen["w_f"][f], np.sqrt(cfg.profile.gains) * white)
 
 
+@pytest.mark.parametrize("held", range(4))
+@pytest.mark.parametrize("count", [2, 4, 6, 8, 10, 48, 144, 480, 720])  # every count % 8
+def test_raw_word_bits_are_numpys_uint8_draw(count, held):
+    # the streams first take `held` and `held + 1` one-bit draws: after an odd number
+    # a 32-bit half-word is buffered, which the raw words would skip
+    def streams():
+        rngs = [np.random.default_rng([count, held, f]) for f in range(2)]
+        for f, rng in enumerate(rngs):
+            for _ in range(held + f):
+                rng.integers(2)
+        return rngs
+
+    rngs, oracle = streams(), streams()
+    bits = sim._draw_bits(rngs, count)
+    assert bits.dtype == np.uint8
+    assert np.array_equal(bits, [rng.integers(0, 2, size=count, dtype=np.uint8)
+                                 for rng in oracle])
+    for rng, twin in zip(rngs, oracle):  # each pair stands at the same 64-bit word
+        assert np.array_equal(rng.standard_normal(3), twin.standard_normal(3))
+
+
+class RecordingRng:
+    """A generator that records the names of the attributes read from it."""
+
+    def __init__(self, rng, names):
+        self._rng, self._names = rng, names
+
+    def __getattr__(self, name):
+        self._names.add(name)
+        return getattr(self._rng, name)
+
+
+@pytest.mark.parametrize("max_doppler", [0.0, 0.3])
+def test_engine_reads_normals_uniforms_and_raw_words_only(monkeypatch, max_doppler):
+    cfg = dataclasses.replace(FRAME_CFG, channel=wl.ChannelGenerator(4, max_doppler))
+    expected = wl.run_ber(cfg)
+    names, frame_rng = set(), sim.frame_rng
+    monkeypatch.setattr(sim, "frame_rng", lambda *key: RecordingRng(frame_rng(*key), names))
+    assert wl.run_ber(cfg) == expected
+    assert names == {"standard_normal", "random", "bit_generator"}
+
+
 def test_errors_sq_sums_kept_frames_only(monkeypatch):
     skip_some_frames(monkeypatch)
     cfg = dataclasses.replace(FRAME_CFG, equalizer="zf")
