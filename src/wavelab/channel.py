@@ -8,12 +8,16 @@ A random ``ChannelGenerator`` and a fixed ``ChannelSpec`` (its taps'
 delays, gains and Dopplers, as three arrays) share one surface:
 ``delays``, ``max_doppler``, ``describe()`` and ``draw(rngs) -> (gains,
 dopplers)``, one realization per generator, each (frames, P) for P delays.
-``equalize`` takes a whole chunk's arrays: with every Doppler zero, H is
-circulant and ``_equalize_per_bin`` works in the DFT basis; otherwise
-``_equalize_banded`` sends the chunk through the taps and solves the cyclic
-band H^H H + rho I per frame, refusing a frame whose band is singular.
-Through the solves it holds the chunk's band, H^H y (in z's memory) and,
-under zero-forcing only, the taps' Doppler ramps; every other chunk-sized
+``equalize`` takes a chunk's taps and noise, and its precoded bins one
+target at a time, and returns the refusal mask with an iterator over
+each target's equalized bins. With every Doppler zero, H is circulant
+and ``_equalize_per_bin`` works in the DFT basis, equalizing each target
+in place as the iterator reaches it; otherwise ``_equalize_banded`` takes
+each target through the taps in its own memory and solves the cyclic
+band H^H H + rho I per frame with every target as a right-hand side,
+refusing a frame whose band is singular. Through the solves it holds the
+chunk's band, each target's H^H y (in its z's memory) and, under
+zero-forcing only, the taps' Doppler ramps; every other chunk-sized
 array is freed at its last use. Each path owns its zero-forcing guard. The
 banded one clears a frame when a Cholesky factorization of its Gram, less
 1e-8 of its norm, proves cond(H) <= about 1e4; the others take an SVD of
@@ -124,24 +128,29 @@ def check_delays(delays, n: int) -> None:
 
 
 def equalize(delays, gains, dopplers, z, w_f, rho: float, equalizer: str):
-    """Send a chunk's precoded bins z (targets, frames, N) through its
-    channels (gains/dopplers (frames, P)), add its noise w_f (frames, N),
-    and equalize each frame with G = (H^H H + rho I)^{-1} H^H: per bin when
-    every Doppler is zero, else by one solve of (H^H H + rho I) x = H^H y per
-    frame with the targets as right-hand sides. ``equalizer`` is one of
-    EQUALIZERS: "mmse", or "zf", which is rho = 0 behind the condition
-    guard. ``z`` may be overwritten.
+    """Send a chunk's precoded bins through its channels (gains/dopplers
+    (frames, P)), add its noise w_f (frames, N), and equalize each frame
+    with G = (H^H H + rho I)^{-1} H^H: per bin when every Doppler is zero,
+    else by one solve of (H^H H + rho I) x = H^H y per frame with the
+    targets as right-hand sides. ``z`` gives the bins one target at a time:
+    any iterable of (frames, N) arrays, such as a generator of precoded
+    targets or a (targets, frames, N) stack, whose arrays may be
+    overwritten. ``equalizer`` is one of EQUALIZERS: "mmse", or "zf", which
+    is rho = 0 behind the condition guard.
 
-    Returns the equalized bins (targets, frames, N) and ``refused``, a
-    (frames,) bool mask of the frames whose condition number zero-forcing
-    refuses, or whose banded solve meets a singular H^H H + rho I (which
-    MMSE can too); a refused frame's bins carry no estimate.
+    Returns ``refused``, a (frames,) bool mask of the frames whose condition
+    number zero-forcing refuses, or whose banded solve meets a singular
+    H^H H + rho I (which MMSE can too), and an iterator over each target's
+    equalized (frames, N) bins, in z's order; a refused frame's bins carry
+    no estimate. Per bin, each target is read from z and equalized as the
+    iterator reaches it; the banded path reads every target before it
+    returns.
     """
     if equalizer not in EQUALIZERS:
         raise ConfigError(f"equalizer must be one of {EQUALIZERS}")
     if not rho >= 0:  # NaN as well
         raise ConfigError(f"noise-to-signal ratio must be >= 0, got {rho}")
-    check_delays(delays, z.shape[-1])
+    check_delays(delays, w_f.shape[-1])
     zf = equalizer == "zf"
     path = _equalize_banded if np.any(dopplers) else _equalize_per_bin
     return path(delays, gains, dopplers, z, w_f, 0.0 if zf else rho, zf)
@@ -152,8 +161,9 @@ def _refuses(condition):  # zero-forcing's guard on condition numbers
 
 
 def _equalize_per_bin(delays, gains, dopplers, z, w_f, rho: float, zf: bool):
-    # H is circulant: r_f = (h_f . z + w_f) . G_f per bin, in place to hold one copy
-    h_f = np.zeros(z.shape[1:], dtype=complex)  # H's first column, then its DFT
+    # H is circulant: r_f = (h_f . z + w_f) . G_f per bin, G_f and the guard once per
+    # chunk, then each target in place as it is read
+    h_f = np.zeros(w_f.shape, dtype=complex)  # H's first column, then its DFT
     for p, delay in enumerate(delays):  # a scatter-add: delays may repeat
         h_f[:, delay] += gains[:, p]
     h_f = np.fft.fft(h_f)
@@ -163,31 +173,42 @@ def _equalize_per_bin(delays, gains, dopplers, z, w_f, rho: float, zf: bool):
         with np.errstate(over="ignore"):  # a ratio past the largest float reads inf
             refused = _refuses(np.where(top > 0, top / bottom, np.inf))  # no power: no inverse
     mags[refused] = np.inf  # a refused frame gets zero gains
-    z *= h_f
-    z += w_f
-    z *= h_f.conj() / (mags**2 + rho)
-    return z, refused
+    g_f = h_f.conj() / (mags**2 + rho)
+
+    def equalized():
+        for bins in z:
+            bins *= h_f
+            bins += w_f
+            bins *= g_f
+            yield bins
+
+    return refused, equalized()
 
 
 def _equalize_banded(delays, gains, dopplers, z, w_f, rho: float, zf: bool):
     # H = sum_p diag(u_p) Pi^{d_p} with u_p[m] = h_p exp(2j pi theta_p m / N), so
     # y = sum_p u_p . Pi^{d_p} x and H^H y = sum_p Pi^{-d_p} (u_p^* . y) need no H;
-    # each chunk-sized array is dropped at its last use, and H^H y takes z's memory
-    n, rows = z.shape[-1], np.arange(z.shape[-1])
+    # each target's x = F^H z and then H^H y take its z's memory, and each other
+    # chunk-sized array is dropped at its last use
+    n, rows = w_f.shape[-1], np.arange(w_f.shape[-1])
     u = 1j * (2 * np.pi / n) * dopplers[..., None] * rows
     np.exp(u, out=u)
     np.multiply(gains[..., None], u, out=u)
-    x = np.fft.ifft(z, norm="ortho")
-    y = np.zeros_like(x)  # summed in place from 0, in tap order
-    for p, d in enumerate(delays):
-        y += u[:, p] * np.roll(x, d, axis=-1)
-    del x
-    y += np.fft.ifft(w_f, norm="ortho")
-    rhs = z  # x was z's last reader: H^H y takes its memory
-    rhs[...] = 0
-    for p, d in enumerate(delays):
-        rhs += np.roll(u[:, p].conj() * y, -d, axis=-1)
-    del y
+    noise = np.fft.ifft(w_f, norm="ortho")
+
+    def adjoint(bins):  # H^H y for one target's z, in its memory
+        bins[...] = np.fft.ifft(bins, norm="ortho")
+        y = np.zeros_like(bins)  # summed in place from 0, in tap order
+        for p, d in enumerate(delays):
+            y += u[:, p] * _roll(bins, d)
+        y += noise
+        bins[...] = 0
+        for p, d in enumerate(delays):
+            bins += _roll(u[:, p].conj() * y, -d)
+        return bins
+
+    rhs = [adjoint(bins) for bins in z]
+    del noise
     # H^H H is a cyclic band: A[i, i + d_a - d_b] += u_a^*[i + d_a] u_b[i + d_a]
     diffs = (delays[:, None] - delays) % n
     deltas = np.array(sorted(set(diffs.flat)))  # np.unique would import numpy.ma
@@ -196,7 +217,7 @@ def _equalize_banded(delays, gains, dopplers, z, w_f, rho: float, zf: bool):
     for a, row in enumerate(band_of):
         conj_a = u[:, a].conj()
         for b, k in enumerate(row):
-            band[:, k] += np.roll(conj_a * u[:, b], -delays[a], axis=-1)
+            band[:, k] += _roll(conj_a * u[:, b], -delays[a])
     band[:, 0] += rho  # deltas[0] == 0
     if not zf:
         del u  # only ZF's guard reads the ramps again
@@ -208,11 +229,20 @@ def _equalize_banded(delays, gains, dopplers, z, w_f, rho: float, zf: bool):
             refused[f] = _guard_refuses(gram, band[f], u[f], delays)
         if not refused[f]:  # a refused frame's bins keep H^H y
             try:
-                rhs[:, f] = np.linalg.solve(gram, rhs[:, f].T).T
+                solved = np.linalg.solve(gram, np.array([bins[f] for bins in rhs]).T)
             except np.linalg.LinAlgError:  # an exact zero pivot: the Gram is singular
                 refused[f] = True
+            else:
+                for bins, column in zip(rhs, solved.T):
+                    bins[f] = column
     del band
-    return np.fft.fft(rhs, norm="ortho"), refused
+    return refused, (np.fft.fft(bins, norm="ortho") for bins in rhs)
+
+
+def _roll(x, shift):
+    """``np.roll(x, shift, axis=-1)`` in one call, a third of np.roll's time at N = 120."""
+    cut = x.shape[-1] - shift % x.shape[-1]
+    return np.concatenate((x[..., cut:], x[..., :cut]), axis=-1)
 
 
 def _guard_refuses(gram, band, ramps, delays) -> bool:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import gc
 import itertools
 import json
@@ -507,6 +508,11 @@ def _resolve_config(args, defaults: dict) -> dict:
     return config
 
 
+@functools.cache  # once per process: tests call main many times
+def _freeze_heap() -> None:
+    gc.freeze()
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handler, defaults, optional = _SUBCOMMANDS[args.subcommand]
@@ -516,8 +522,7 @@ def main(argv=None) -> int:
         check_keys(config, set(defaults) | optional, "config")
         run = Run(args.subcommand, out_dir, config, args)
         work = handler(config, run)
-        if not gc.get_freeze_count():  # once per process: tests call main many times
-            gc.freeze()  # after the parse, so the handler's imports are frozen too
+        _freeze_heap()  # after the parse, so the handler's imports are frozen too
         if args.dry_run:
             try:
                 print(f"wavelab {args.subcommand}: config OK; would write to {out_dir}")

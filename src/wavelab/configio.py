@@ -63,7 +63,11 @@ _SHORT.maxlevel = 3
 
 
 def shown(value) -> str:
-    """``repr(value)``, or a shortened repr when that would pass 1000 characters."""
+    """``repr(value)``, or a shortened repr when that would pass 1000 characters; an
+    integer past about 3,000 digits (a computed size, which Python may refuse to
+    convert past 4,300) by its bit length."""
+    if isinstance(value, int) and value.bit_length() > 10_000:
+        return f"an integer of {value.bit_length()} bits"
     return repr(value) if _room(value, 1000) >= 0 else _SHORT.repr(value)
 
 
@@ -124,7 +128,7 @@ def check_keys(section: dict, allowed: set, context: str):
 def check_size(size: int, key: str, context: str) -> int:
     """``size``, refused above MAX_EXPANDED_SIZE before any array of that size exists."""
     if size > MAX_EXPANDED_SIZE:
-        raise ConfigError(f"{context}: {key!r} gives size {size}, "
+        raise ConfigError(f"{context}: {key!r} gives size {shown(size)}, "
                           f"over the {MAX_EXPANDED_SIZE} guard")
     return size
 

@@ -6,18 +6,23 @@ target (a waveform or an FDMA grid) offers ``N``, ``label``, ``slug``,
 ``precode`` (data to frequency-domain blocks z = Q c) and ``receive``
 (equalized blocks to data, Q^{-1} r_f), both acting along the last axis
 of a (frames, N) stack; :func:`wavelab.channel.equalize` takes a chunk
-from z to r_f. Each frame draws channel taps, data bits and noise, in
-that order, from its own stream ``frame_rng(seed, point, frame)``, and is
-drawn once: compared waveforms, and the L or q values of a sweep (whose
-targets are the swept waveforms), see the same draws. A frame's B bits
-are ``integers(0, 2, B, uint8)``, read from its stream's raw words: with
-PCG64 (``frame_rng``'s) a 32-bit draw is the low half of a 64-bit word,
-then the high half, so the two agree bit for bit unless a half-word is
-buffered, when ``integers`` draws them. The arithmetic on
-the channel and noise draws runs once per chunk, on the stacked raw
-draws. A frame's bits become QAM labels (see :mod:`wavelab.qam`), and its
-bit errors are the Hamming distances between sent and decided labels. A
-frame the equalizer refuses is skipped for every target.
+from z to r_f, one target at a time. Each target is precoded, equalized,
+decided and counted as its bins arrive, so on a quasi-static channel a
+chunk holds one target's (frames, N) arrays at a time, whatever the
+target count; the banded solve reads every target's bins before it
+returns, for they are its right-hand sides. Each frame draws channel
+taps, data bits and noise, in that order, from its own stream
+``frame_rng(seed, point, frame)``, and is drawn once: compared
+waveforms, and the L or q values of a sweep (whose targets are the swept
+waveforms), see the same draws. A frame's B bits are
+``integers(0, 2, B, uint8)``, read from its stream's raw words: with PCG64 (``frame_rng``'s)
+a 32-bit draw is the low half of a 64-bit word, then the high half, so
+the two agree bit for bit unless a half-word is buffered, when
+``integers`` draws them. The arithmetic on the channel and noise draws
+runs once per chunk, on the stacked raw draws. A frame's bits become QAM
+labels (see :mod:`wavelab.qam`), and its bit errors are the Hamming
+distances between sent and decided labels. A frame the equalizer refuses
+is skipped for every target.
 ``threads`` spreads chunks over worker threads, one per CPU at most, with
 at most two chunks per worker in flight; chunks are generated as they run,
 so no memory grows with the bit budget. Counts are integer sums over
@@ -44,7 +49,7 @@ from .qam import POPCOUNT, QAM_ORDERS, qam_decide, qam_label, qam_map
 MIN_BITS_PER_POINT = 10_000
 
 # Frames drawn and run together; at N=120 one (frames, N) complex array
-# of a chunk takes 61 kB.
+# of a chunk takes 61 kB, and a quasi-static chunk holds a few of them.
 CHUNK_FRAMES = 32
 
 
@@ -181,19 +186,21 @@ def _run_chunk(cfg: SimConfig, targets, rngs, sigma_w: float):
 
     A frame's bits are its stream's ``integers(0, 2, B, uint8)``, from raw words
     unless the stream holds a buffered half-word (:func:`_draw_bits`). Returns
-    the sent labels (frames, N), the decided labels (targets, frames, N) and
-    the (frames,) bool mask of the frames the equalizer refused.
+    the sent labels (frames, N), the (frames,) bool mask of the frames the
+    equalizer refused, and an iterator over each target's decided labels
+    (frames, N): each target is precoded, equalized and decided as the
+    iterator reaches it, unless the banded solve needs them all at once.
     """
     gains, dopplers = cfg.channel.draw(rngs)  # each stream draws channel, bits, noise
     bits = _draw_bits(rngs, cfg.bits_per_frame)
     w_f = sample_noise(cfg.profile, sigma_w, rngs)
     tx = qam_label(bits, cfg.qam_order)
     symbols = qam_map(tx, cfg.qam_order)
-    z = np.array([target.precode(symbols) for target in targets])
-    r_f, refused = equalize(cfg.channel.delays, gains, dopplers, z, w_f, sigma_w**2,
+    refused, r_f = equalize(cfg.channel.delays, gains, dopplers,
+                            (target.precode(symbols) for target in targets), w_f, sigma_w**2,
                             cfg.equalizer)
-    rx = [qam_decide(target.receive(r), cfg.qam_order) for target, r in zip(targets, r_f)]
-    return tx, np.array(rx), refused
+    rx = (qam_decide(target.receive(r), cfg.qam_order) for target, r in zip(targets, r_f))
+    return tx, refused, rx
 
 
 def _sigma_w(snr_db: float) -> float:
@@ -207,10 +214,13 @@ def _chunk_job(cfg: SimConfig, point: int, start: int, stop: int):
     frame's bit errors and of their squares, and the count of kept frames.
     """
     rngs = [frame_rng(cfg.seed, point, f) for f in range(start, stop)]
-    tx, rx, refused = _run_chunk(cfg, cfg.targets, rngs, _sigma_w(cfg.snr_db[point]))
+    tx, refused, rx = _run_chunk(cfg, cfg.targets, rngs, _sigma_w(cfg.snr_db[point]))
     kept = ~refused
-    frame_errors = POPCOUNT[rx ^ tx].sum(axis=2, dtype=np.int64)[:, kept]  # (targets, kept)
-    return point, np.stack([frame_errors, frame_errors**2], axis=-1).sum(axis=1), int(kept.sum())
+    sums = np.zeros((len(cfg.targets), 2), dtype=np.int64)
+    for target_sums, labels in zip(sums, rx):  # each target counted as it is decided
+        frame_errors = POPCOUNT[labels ^ tx].sum(axis=1, dtype=np.int64)[kept]
+        target_sums[:] = frame_errors.sum(), (frame_errors**2).sum()
+    return point, sums, int(kept.sum())
 
 
 def _pooled(jobs, threads: int):

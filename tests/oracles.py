@@ -329,7 +329,7 @@ def run_frame(cfg: SimConfig, rng: np.random.Generator, target=None, snr_db=None
     """
     target = cfg.targets[0] if target is None else target
     snr_db = cfg.snr_db[0] if snr_db is None else snr_db
-    tx, rx, refused = _run_chunk(cfg, (target,), [rng], _sigma_w(snr_db))
+    tx, refused, (rx,) = _run_chunk(cfg, (target,), [rng], _sigma_w(snr_db))
     if refused[0]:
         raise EqualizationError("zero-forcing refused the frame's channel")
-    return label_bits(tx[0], cfg.qam_order), label_bits(rx[0, 0], cfg.qam_order)
+    return label_bits(tx[0], cfg.qam_order), label_bits(rx[0], cfg.qam_order)

@@ -1039,6 +1039,39 @@ class TestStrictConfigReader:
         assert "Traceback" not in err and len(err.encode()) < 4096
         assert not out.exists()
 
+    @pytest.mark.parametrize("dry_run", [False, True])
+    @pytest.mark.parametrize("subcommand", ["ber", "analyze-noise"])
+    def test_long_size_refused_briefly(self, tmp_path, capsys, subcommand, dry_run):
+        # the size guard used to print the refused size whole: 4,077 bytes of stderr
+        config = tmp_path / "long.yaml"
+        config.write_text("n: " + "9" * 4000 + "\n")
+        out = tmp_path / "o"
+        flags = ["--dry-run"] if dry_run else []
+        assert run_cli(subcommand, "--config", str(config), "--out", str(out), *flags) == 2
+        err = capsys.readouterr().err
+        assert "'n' gives size" in err
+        assert "Traceback" not in err and len(err.encode()) < 2048
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dry_run", [False, True])
+    @pytest.mark.parametrize("subcommand,text,key", [
+        ("ber", "waveforms: [{kind: otfs, k: K, l: K}]", "n"),
+        ("verify-appendix", "dirichlet_cases: [[K, K]]", "dirichlet_cases"),
+    ], ids=["otfs", "dirichlet"])
+    def test_size_past_the_digit_limit_refused(self, tmp_path, capsys, subcommand, text, key,
+                                               dry_run):
+        # a product of two 3,000-digit values has 6,000 digits, which Python may refuse
+        # to convert to a string: its refusal used to end in a ValueError traceback
+        config = tmp_path / "product.yaml"
+        config.write_text(text.replace("K", "9" * 3000) + "\n")
+        out = tmp_path / "o"
+        flags = ["--dry-run"] if dry_run else []
+        assert run_cli(subcommand, "--config", str(config), "--out", str(out), *flags) == 2
+        err = capsys.readouterr().err
+        assert f"{key!r} gives size an integer of 19932 bits" in err
+        assert "Traceback" not in err and len(err.encode()) < 2048
+        assert not out.exists()
+
     @pytest.mark.parametrize("subcommand,key", [("fdma-demo", "layout"), ("ber", "layout")])
     def test_layout_over_the_size_guard_refused(self, tmp_path, capsys, subcommand, key):
         # each block passes the guard alone; their sum used to pass unchecked

@@ -41,6 +41,12 @@ def stacked(rng, frames, n):
     return rng.standard_normal((frames, n)) + 1j * rng.standard_normal((frames, n))
 
 
+def equalize_all(*args):
+    """``wl.equalize`` with every target's bins drawn: (targets, frames, N), and ``refused``."""
+    refused, bins = wl.equalize(*args)
+    return np.array(list(bins)), refused
+
+
 def assert_rowwise(func, batch):
     expected = np.array([func(row) for row in batch])
     assert np.array_equal(func(batch), expected)
@@ -73,6 +79,12 @@ class TestStackedLayers:
         assert_rowwise(target.precode, batch)
         assert_rowwise(target.receive, batch)
 
+    def test_roll_is_numpys(self):
+        # the banded path's cyclic shift, for every shift the taps can ask: -N < d < N
+        batch = stacked(np.random.default_rng(4), 3, 8)
+        for shift in range(-8, 9):
+            assert np.array_equal(wl.channel._roll(batch, shift), np.roll(batch, shift, axis=-1))
+
     @pytest.mark.parametrize("equalizer", wl.channel.EQUALIZERS)
     @pytest.mark.parametrize("doppler", [0.0, 0.3], ids=["per_bin", "banded"])
     def test_equalize(self, doppler, equalizer):
@@ -82,10 +94,10 @@ class TestStackedLayers:
         channel = wl.ChannelGenerator(8, doppler)
         gains, dopplers = channel.draw([rng] * 5)
         z, w_f = stacked(rng, 3 * 5, 36).reshape(3, 5, 36), stacked(rng, 5, 36)
-        rows = [wl.equalize(channel.delays, gains[f : f + 1], dopplers[f : f + 1],
-                            z[:, f : f + 1].copy(), w_f[f : f + 1], 0.05, equalizer)
+        rows = [equalize_all(channel.delays, gains[f : f + 1], dopplers[f : f + 1],
+                             z[:, f : f + 1].copy(), w_f[f : f + 1], 0.05, equalizer)
                 for f in range(5)]
-        r_f, refused = wl.equalize(channel.delays, gains, dopplers, z, w_f, 0.05, equalizer)
+        r_f, refused = equalize_all(channel.delays, gains, dopplers, z, w_f, 0.05, equalizer)
         assert np.array_equal(r_f, np.concatenate([row[0] for row in rows], axis=1))
         assert np.array_equal(refused, np.concatenate([row[1] for row in rows]))
 
@@ -107,8 +119,8 @@ def test_quasi_static_receive_matches_dense(channel):
     w_f = stacked(rng, 4, n)
     z = stacked(rng, 3 * 4, n).reshape(3, 4, n)
     for equalizer in wl.channel.EQUALIZERS:
-        fast, refused = wl.equalize(channel.delays, gains, dopplers, z.copy(), w_f, rho,
-                                    equalizer)
+        fast, refused = equalize_all(channel.delays, gains, dopplers, z.copy(), w_f, rho,
+                                     equalizer)
         assert refused.dtype == bool and refused.shape == (4,)
         assert not refused.any()
         for f in range(4):
@@ -139,8 +151,8 @@ def test_dispersive_receive_matches_dense(channel, n):
     gains, dopplers = channel.draw([rng] * 4)
     z, w_f = stacked(rng, 3 * 4, n).reshape(3, 4, n), stacked(rng, 4, n)
     for equalizer in wl.channel.EQUALIZERS:
-        fast, refused = wl.equalize(channel.delays, gains, dopplers, z.copy(), w_f, rho,
-                                    equalizer)
+        fast, refused = equalize_all(channel.delays, gains, dopplers, z.copy(), w_f, rho,
+                                     equalizer)
         assert refused.dtype == bool and refused.shape == (4,)
         assert not refused.any()
         for f in range(4):
@@ -162,7 +174,8 @@ def test_dispersive_chunk_solves_frame_by_frame(equalizer):
     z, w_f = stacked(rng, 4 * frames, n).reshape(4, frames, n), stacked(rng, frames, n)
     tracemalloc.start()
     try:
-        wl.equalize(channel.delays, gains, dopplers, z, w_f, 0.05, equalizer)
+        for _ in wl.equalize(channel.delays, gains, dopplers, z, w_f, 0.05, equalizer)[1]:
+            pass  # each target's bins, dropped as the next is equalized
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -170,6 +183,27 @@ def test_dispersive_chunk_solves_frame_by_frame(equalizer):
     if equalizer == "mmse":
         assert peak < 11 * z.nbytes
         assert peak < 8 * z.nbytes
+
+
+@pytest.mark.parametrize("equalizer", wl.channel.EQUALIZERS)
+def test_quasi_static_chunk_streams_its_targets(equalizer):
+    # per bin, each target is precoded, equalized, decided and counted before the
+    # next is read, so a chunk's peak does not grow with the target count; it grew
+    # about linearly when the chunk held every target's (frames, N) bins at once
+    def chunk_peak(targets):
+        cfg = wl.SimConfig(channel=wl.ChannelGenerator(num_taps=8),
+                           profile=wl.make_profile("white", 120), targets=targets,
+                           snr_db=(25.0,), seed=1, equalizer=equalizer)
+        sim._chunk_job(cfg, 0, 0, sim.CHUNK_FRAMES)  # warm-up: imports and caches
+        tracemalloc.start()
+        try:
+            sim._chunk_job(cfg, 0, 0, sim.CHUNK_FRAMES)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    sweep = [wl.WaveformConfig.afdm(120, q, 0.1) for q in (-8, -6, -4, -2, -1, 1, 2, 4, 6, 8)]
+    assert chunk_peak(sweep) < 1.5 * chunk_peak(sweep[:1])
 
 
 @pytest.mark.parametrize("doppler", [0.0, 0.2], ids=["per_bin", "dense"])
@@ -183,7 +217,7 @@ def test_refused_frames_match_dense_zf(doppler):
     dopplers = np.zeros((4, 2))
     dopplers[[0, 2], 1] = doppler
     z, w_f = stacked(rng, 2 * 4, n).reshape(2, 4, n), stacked(rng, 4, n)
-    r_f, refused = wl.equalize(delays, gains, dopplers, z, w_f, 0.0, "zf")
+    r_f, refused = equalize_all(delays, gains, dopplers, z, w_f, 0.0, "zf")
     assert refused.dtype == bool and refused.shape == (4,)
     assert np.isfinite(r_f).all()  # a refused frame's bins still demap quietly
     dense = {}
@@ -223,7 +257,7 @@ def test_banded_guard_at_the_condition_limit():
     dopplers = np.array([[0.0, theta]] * 2)
     rng = np.random.default_rng(4)
     z, w_f = stacked(rng, 2, n).reshape(1, 2, n), stacked(rng, 2, n)
-    _, refused = wl.equalize(delays, gains, dopplers, z, w_f, 0.0, "zf")
+    refused, _ = wl.equalize(delays, gains, dopplers, z, w_f, 0.0, "zf")
     assert refused.tolist() == [False, True]
     zf_equalizer(dense(below))
     with pytest.raises(EqualizationError):
@@ -245,8 +279,8 @@ def test_cholesky_certificate_refuses_as_the_svd(monkeypatch):
     z, w_f = stacked(rng, 2 * 4, n).reshape(2, 4, n), stacked(rng, 4, n)
     svds, cond = [], np.linalg.cond
     monkeypatch.setattr(np.linalg, "cond", lambda h: svds.append(h) or cond(h))
-    unguarded = wl.equalize(delays, gains, dopplers, z.copy(), w_f, 0.0, "mmse")[0]
-    certified = wl.equalize(delays, gains, dopplers, z.copy(), w_f, 0.0, "zf")
+    unguarded = equalize_all(delays, gains, dopplers, z.copy(), w_f, 0.0, "mmse")[0]
+    certified = equalize_all(delays, gains, dopplers, z.copy(), w_f, 0.0, "zf")
     assert len(svds) == 3
     assert np.array_equal(certified[0][:, :3], unguarded[:, :3])
 
@@ -254,7 +288,7 @@ def test_cholesky_certificate_refuses_as_the_svd(monkeypatch):
         raise np.linalg.LinAlgError("not positive definite")
 
     monkeypatch.setattr(np.linalg, "cholesky", fails)
-    svd_only = wl.equalize(delays, gains, dopplers, z, w_f, 0.0, "zf")
+    svd_only = equalize_all(delays, gains, dopplers, z, w_f, 0.0, "zf")
     assert len(svds) == 3 + 4
     assert certified[1].tolist() == svd_only[1].tolist() == [False, False, False, True]
     assert np.array_equal(certified[0], svd_only[0])
@@ -270,9 +304,9 @@ def test_singular_banded_solve_refuses_its_frame(rho, equalizer):
     dopplers = np.array([[0.0, 0.3]] * 2)
     rng = np.random.default_rng(7)
     z, w_f = stacked(rng, 2 * 2, n).reshape(2, 2, n), stacked(rng, 2, n)
-    alone, kept = wl.equalize(delays, gains[1:], dopplers[1:], z[:, 1:].copy(), w_f[1:], rho,
-                              equalizer)
-    r_f, refused = wl.equalize(delays, gains, dopplers, z, w_f, rho, equalizer)
+    alone, kept = equalize_all(delays, gains[1:], dopplers[1:], z[:, 1:].copy(), w_f[1:], rho,
+                               equalizer)
+    r_f, refused = equalize_all(delays, gains, dopplers, z, w_f, rho, equalizer)
     assert refused.tolist() == [True, False] and not kept.any()
     assert np.array_equal(r_f[:, 1:], alone)
 
@@ -287,8 +321,9 @@ def test_banded_path_matches_per_bin_path(rho, zf):
     gains = np.array([[0.9, 0.3j, 0.1], [1.0, -1.0, 0.0], [0.5, 0.2 + 0.1j, -0.3], [0.0] * 3])
     dopplers = np.zeros((4, 3))
     z, w_f = stacked(rng, 2 * 4, n).reshape(2, 4, n), stacked(rng, 4, n)
-    banded, refused = wl.channel._equalize_banded(delays, gains, dopplers, z.copy(), w_f, rho, zf)
-    per_bin, mask = wl.channel._equalize_per_bin(delays, gains, dopplers, z, w_f, rho, zf)
+    refused, banded = wl.channel._equalize_banded(delays, gains, dopplers, z.copy(), w_f, rho, zf)
+    mask, per_bin = wl.channel._equalize_per_bin(delays, gains, dopplers, z, w_f, rho, zf)
+    banded, per_bin = np.array(list(banded)), np.array(list(per_bin))
     assert np.array_equal(refused, mask)
     assert refused.tolist() == [False, zf, False, zf]
     kept = ~refused
@@ -457,6 +492,11 @@ CONFIGS = {
     "doppler": {**BASE, "channel": {"num_taps": 4, "max_doppler": 0.3}},
     "zf": {**BASE, "equalizer": "zf"},
     "doppler_zf": {**BASE, "channel": {"num_taps": 4, "max_doppler": 0.3}, "equalizer": "zf"},
+    # ten targets streamed through one chunk's per-bin equalizer
+    "many_targets": {**BASE, "waveforms": [
+        {"kind": "ofdm"}, *({"kind": "otfs", "l": l} for l in (3, 6, 10)),
+        *({"kind": "afdm", "q": q, "alpha": 0.1} for q in (-8.0, -4.0, -1.0, 1.0, 4.0, 8.0)),
+    ]},
 }
 VARIANTS = [(1, None), (2, None), (1, 1), (1, 7), (2, 7)]
 
@@ -502,7 +542,8 @@ def skip_some_frames(monkeypatch):
 def test_outputs_identical_across_threads_and_chunks(tmp_path, monkeypatch, name, subcommand):
     doc = dict(CONFIGS[name])
     if subcommand == "sweep-l":
-        doc.update(snr_db=[25.0], l_values=[1, 6, 60])
+        many = [1, 2, 3, 4, 5, 6, 10, 12, 30, 60]  # as many swept targets
+        doc.update(snr_db=[25.0], l_values=many if name == "many_targets" else [1, 6, 60])
     if name.endswith("zf"):
         skip_some_frames(monkeypatch)
     results = run_variants(tmp_path, monkeypatch, subcommand, doc)

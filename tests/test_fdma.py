@@ -128,10 +128,10 @@ class TestDecompose:
         gains, dopplers = channel.draw([rng])
         data = random_blocks(layout, 8)
         z = layout.precode(np.concatenate(data))[None, None]
-        r_f, refused = wl.equalize(channel.delays, gains, dopplers, z,
-                                   np.zeros((1, n), dtype=complex), 0.0, "zf")
+        refused, (r_f,) = wl.equalize(channel.delays, gains, dopplers, z,
+                                      np.zeros((1, n), dtype=complex), 0.0, "zf")
         assert not refused.any()
-        recovered = layout.receive(r_f[0, 0])
+        recovered = layout.receive(r_f[0])
         for sent, b in zip(data, layout.blocks):
             assert np.abs(recovered[b.start : b.stop] - sent).max() < 1e-8
 
