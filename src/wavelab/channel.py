@@ -173,6 +173,7 @@ def _equalize_per_bin(delays, gains, dopplers, z, w_f, rho: float, zf: bool):
         with np.errstate(over="ignore"):  # a ratio past the largest float reads inf
             refused = _refuses(np.where(top > 0, top / bottom, np.inf))  # no power: no inverse
     mags[refused] = np.inf  # a refused frame gets zero gains
+    mags[mags == 0] = np.inf  # and so does a null bin: its limit for any rho > 0, not 0/0
     g_f = h_f.conj() / (mags**2 + rho)
 
     def equalized():

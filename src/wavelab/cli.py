@@ -160,11 +160,10 @@ def write_json(path: Path, doc) -> None:
 class Run:
     """Collects output files for the manifest of one CLI invocation."""
 
-    def __init__(self, subcommand: str, out_dir: str, config: dict, args):
+    def __init__(self, subcommand: str, out_dir: str, config: dict):
         self.subcommand = subcommand
         self.out = Path(out_dir)
         self.config = config
-        self.threads = args.threads
         self.started = time.perf_counter()
         self.outputs: list[str] = []
         self.points: list[dict] = []
@@ -188,7 +187,6 @@ class Run:
             "python": ".".join(map(str, sys.version_info[:3])),
             "numpy": np.__version__,
             "blas": blas,
-            "threads": self.threads,
             "duration_s": time.perf_counter() - self.started,
             "outputs": sorted(self.outputs),
         }
@@ -203,7 +201,7 @@ def _ber_rows(points):
 
 def _curves(run: Run, cfg) -> list:
     from .sim import run_ber
-    curves = run_ber(cfg, threads=run.threads)
+    curves = run_ber(cfg)
     # per-point frames and skips go to the manifest: the CSV layout is fixed
     run.points = [{"label": c.label, **asdict(p)} for c in curves for p in c.points]
     return curves
@@ -491,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, metavar="U64", help="override the master seed")
     parser.add_argument("--out", metavar="DIR", help="output directory")
     parser.add_argument("--threads", type=int, default=1, metavar="N",
-                        help="worker threads for frame simulation")
+                        help="accepted for compatibility: chunks run serially, so N has no effect")
     parser.add_argument("--dry-run", action="store_true",
                         help="validate the config and print the plan without running")
     return parser
@@ -520,7 +518,7 @@ def main(argv=None) -> int:
     try:
         config = _resolve_config(args, defaults)
         check_keys(config, set(defaults) | optional, "config")
-        run = Run(args.subcommand, out_dir, config, args)
+        run = Run(args.subcommand, out_dir, config)
         work = handler(config, run)
         _freeze_heap()  # after the parse, so the handler's imports are frozen too
         if args.dry_run:

@@ -23,10 +23,9 @@ runs once per chunk, on the stacked raw draws. A frame's bits become QAM
 labels (see :mod:`wavelab.qam`), and its bit errors are the Hamming
 distances between sent and decided labels. A frame the equalizer refuses
 is skipped for every target.
-``threads`` spreads chunks over worker threads, one per CPU at most, with
-at most two chunks per worker in flight; chunks are generated as they run,
-so no memory grows with the bit budget. Counts are integer sums over
-frames, so results are bit-identical at any thread count and chunk size.
+Chunks run one after another, so no memory grows with the bit budget.
+Counts are integer sums over frames, so results are bit-identical at any
+chunk size.
 
 SNR is defined as E_s / sigma_w^2 with unit average symbol energy, unit
 expected channel power, and noise profiles trace-normalized to N.
@@ -36,7 +35,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,7 +161,7 @@ def config_fingerprint(cfg: SimConfig) -> str:
 
 
 def frame_rng(seed: int, point_index: int, frame_index: int) -> np.random.Generator:
-    """Counter-derived stream: independent of worker count and waveform."""
+    """Counter-derived stream: independent of chunk size and waveform."""
     return np.random.default_rng([seed, point_index, frame_index])
 
 
@@ -210,8 +208,8 @@ def _sigma_w(snr_db: float) -> float:
 def _chunk_job(cfg: SimConfig, point: int, start: int, stop: int):
     """Run frames ``start`` to ``stop`` of SNR point ``point``.
 
-    Returns the point, the (targets, 2) sums over the kept frames of each
-    frame's bit errors and of their squares, and the count of kept frames.
+    Returns the (targets, 2) sums over the kept frames of each frame's bit
+    errors and of their squares, and the count of kept frames.
     """
     rngs = [frame_rng(cfg.seed, point, f) for f in range(start, stop)]
     tx, refused, rx = _run_chunk(cfg, cfg.targets, rngs, _sigma_w(cfg.snr_db[point]))
@@ -220,47 +218,25 @@ def _chunk_job(cfg: SimConfig, point: int, start: int, stop: int):
     for target_sums, labels in zip(sums, rx):  # each target counted as it is decided
         frame_errors = POPCOUNT[labels ^ tx].sum(axis=1, dtype=np.int64)[kept]
         target_sums[:] = frame_errors.sum(), (frame_errors**2).sum()
-    return point, sums, int(kept.sum())
+    return sums, int(kept.sum())
 
 
-def _pooled(jobs, threads: int):
-    """The results of ``_chunk_job`` on each of ``jobs``, from up to ``threads``
-    worker threads (one per CPU at most), with at most two jobs per worker in
-    flight: a job is submitted as the oldest one's result is taken."""
-    from collections import deque
-    from concurrent.futures import ThreadPoolExecutor  # loads logging: pools only
-
-    workers = min(threads, os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending = deque()
-        for job in jobs:
-            if len(pending) == 2 * workers:
-                yield pending.popleft().result()
-            pending.append(pool.submit(_chunk_job, *job))
-        while pending:
-            yield pending.popleft().result()
-
-
-def run_ber(cfg: SimConfig, threads: int = 1) -> list[BerCurve]:
+def run_ber(cfg: SimConfig) -> list[BerCurve]:
     """Accumulate frames over the bit budget at every SNR point.
 
-    Returns one curve per target. Chunks run on up to ``threads`` worker
-    threads, at most one per CPU. A frame the equalizer refuses is skipped
-    for every target; raises EqualizationError when every frame of a point
-    is. Deterministic for fixed (config, seed) at any thread count.
+    Returns one curve per target. A frame the equalizer refuses is skipped
+    for every target; raises EqualizationError at the first point whose
+    frames all are. Deterministic for fixed (config, seed).
     """
-    targets = cfg.targets
-    frames = cfg.frames_per_point
-    jobs = ((cfg, pi, start, min(start + CHUNK_FRAMES, frames))
-            for pi in range(len(cfg.snr_db)) for start in range(0, frames, CHUNK_FRAMES))
-    results = _pooled(jobs, threads) if threads > 1 else (_chunk_job(*job) for job in jobs)
-    errors = np.zeros((len(targets), len(cfg.snr_db), 2), dtype=np.int64)  # sum, sum of squares
-    kept = [0] * len(cfg.snr_db)
-    for pi, chunk_errors, chunk_kept in results:  # integer sums: any order gives the same
-        errors[:, pi] += chunk_errors
-        kept[pi] += chunk_kept
-    for snr_db, point_kept in zip(cfg.snr_db, kept):
-        if point_kept == 0:
+    frames, points = cfg.frames_per_point, len(cfg.snr_db)
+    errors = np.zeros((len(cfg.targets), points, 2), dtype=np.int64)  # sum, sum of squares
+    kept = [0] * points
+    for pi, snr_db in enumerate(cfg.snr_db):
+        for start in range(0, frames, CHUNK_FRAMES):
+            sums, chunk_kept = _chunk_job(cfg, pi, start, min(start + CHUNK_FRAMES, frames))
+            errors[:, pi] += sums
+            kept[pi] += chunk_kept
+        if kept[pi] == 0:
             raise EqualizationError(
                 f"all {frames} frames at {snr_db} dB were skipped as unequalizable"
             )
@@ -269,5 +245,5 @@ def run_ber(cfg: SimConfig, threads: int = 1) -> list[BerCurve]:
             BerPoint(snr_db, k * cfg.bits_per_frame, int(e), frames - k, frames, int(e2))
             for snr_db, k, (e, e2) in zip(cfg.snr_db, kept, target_errors)
         ))
-        for target, target_errors in zip(targets, errors)
+        for target, target_errors in zip(cfg.targets, errors)
     ]

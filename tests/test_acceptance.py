@@ -163,7 +163,7 @@ def test_criterion_05_ber_ordering():
             bits_per_point=600_000,
             seed=1,
         )
-        ofdm, l10, l20, afdm = [c.points[0] for c in wl.run_ber(cfg, threads=2)]
+        ofdm, l10, l20, afdm = [c.points[0] for c in wl.run_ber(cfg)]
         # AFDM may tie OTFS L=10 within 2 sigma; the rest must separate by 3
         assert afdm.ber <= l10.ber + 2 * gap_sigma(afdm, l10)
         assert l10.ber < l20.ber - 3 * gap_sigma(l10, l20)
@@ -186,9 +186,9 @@ def test_criterion_06_parameter_trends():
             seed=1,
         )
         swept = tuple(wl.WaveformConfig.otfs(n // l, l) for l in [1, 2, 3, 4, 6, 12])
-        curves = wl.run_ber(dataclasses.replace(cfg, targets=swept), threads=2)
+        curves = wl.run_ber(dataclasses.replace(cfg, targets=swept))
         sweep = [c.points[0] for c in curves]
-        ofdm = wl.run_ber(cfg, threads=2)[0].points[0]
+        ofdm = wl.run_ber(cfg)[0].points[0]
         bers = [p.ber for p in sweep]
         assert int(np.argmin(bers)) == 0
         full_grid = sweep[-1]
@@ -209,7 +209,7 @@ def test_criterion_06_parameter_trends():
                 seed=1,
             )
             swept = tuple(wl.WaveformConfig.afdm(grid_n, q, 0.1) for q in Q_GRID)
-            curves = wl.run_ber(dataclasses.replace(cfg_q, targets=swept), threads=2)
+            curves = wl.run_ber(dataclasses.replace(cfg_q, targets=swept))
             points = [c.points[0] for c in curves]
             bers = [p.ber for p in points]
             assert max(bers) / min(bers) <= bound, (grid_n, max(bers) / min(bers))
@@ -230,7 +230,7 @@ def test_criterion_07_dispersive_impulse_noise():
             bits_per_point=200_000,
             seed=1,
         )
-        otfs, afdm = wl.run_ber(cfg, threads=2)
+        otfs, afdm = wl.run_ber(cfg)
         for p_otfs, p_afdm in zip(otfs.points, afdm.points):
             assert p_afdm.ber < p_otfs.ber
         top_otfs, top_afdm = otfs.points[-1], afdm.points[-1]

@@ -10,7 +10,6 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -832,7 +831,7 @@ class TestVerifyAppendix:
         def accepted(m):
             config = {**cli.DEFAULT_VERIFY, "n_values": [n], "a_values": [b * m + 1],
                       "b_values": [b]}
-            run = cli.Run("verify-appendix", str(tmp_path), config, SimpleNamespace(threads=1))
+            run = cli.Run("verify-appendix", str(tmp_path), config)
             try:
                 cli.cmd_verify_appendix(config, run)
             except wl.ConfigError as exc:
@@ -1142,8 +1141,8 @@ class TestStartup:
     the modules its run uses (see README, Conventions). ``main`` freezes the
     heap once the handler has parsed, once per process."""
 
-    # the thread pool (with logging), and rational arithmetic: verify-appendix reduces
-    # its rates a/b with math.gcd
+    # a thread pool (with logging), which no run starts, and rational arithmetic:
+    # verify-appendix reduces its rates a/b with math.gcd
     RARE = {"concurrent.futures", "logging", "fractions", "decimal"}
     SCRIPT = (
         "import gc, json, sys\n"

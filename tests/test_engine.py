@@ -9,6 +9,7 @@ import dataclasses
 import json
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -166,12 +167,14 @@ def test_dispersive_receive_matches_dense(channel, n):
 @pytest.mark.parametrize("equalizer", wl.channel.EQUALIZERS)
 def test_dispersive_chunk_solves_frame_by_frame(equalizer):
     # a chunk of 32 frames never holds a (frames, N, N) stack at once; under MMSE
-    # its peak reads 7.3 z.nbytes, 10.3 when the chunk's temporaries outlived their
-    # last use, and 11.3 when x = F^H z also stayed bound to a name through the solves
+    # its peak reads 6.8 z.nbytes. With numpy.fft's import counted as well it read
+    # 7.3, 10.3 when the chunk's temporaries outlived their last use, and 11.3 when
+    # x = F^H z also stayed bound to a name through the solves
     rng = np.random.default_rng(7)
     frames, n, channel = 32, 120, wl.ChannelGenerator(num_taps=8, max_doppler=0.3)
     gains, dopplers = channel.draw([rng] * frames)
     z, w_f = stacked(rng, 4 * frames, n).reshape(4, frames, n), stacked(rng, frames, n)
+    np.fft.ifft(w_f[0])  # numpy.fft loads on first use: its import is not the chunk's
     tracemalloc.start()
     try:
         for _ in wl.equalize(channel.delays, gains, dopplers, z, w_f, 0.05, equalizer)[1]:
@@ -229,6 +232,23 @@ def test_refused_frames_match_dense_zf(doppler):
     assert set(np.flatnonzero(refused)) == set(dense) == {1, 3}
     for exc in dense.values():
         assert re.fullmatch(r"channel condition number \S+ exceeds 1e\+12", str(exc))
+
+
+def test_mmse_null_bins_get_zero_gain_at_zero_rho():
+    # taps 1 and 1 at delays 0 and 2 give h_f = [2, 0, 2, 0]; rho = 0 is the MMSE of a
+    # noise power that underflows, where a null bin's gain once read 0/0 = NaN: it is 0,
+    # its limit for any rho > 0, and each other bin is equalized as before
+    rng = np.random.default_rng(3)
+    delays, gains, dopplers = np.array([0, 2]), np.ones((1, 2)), np.zeros((1, 2))
+    z, w_f = stacked(rng, 1, 4).reshape(1, 1, 4), stacked(rng, 1, 4)
+    expected = z[0, :, ::2] + w_f[:, ::2] / 2  # (2 z + w) 2 / 2**2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r_f, refused = equalize_all(delays, gains, dopplers, z, w_f, 0.0, "mmse")
+    assert refused.tolist() == [False]
+    assert np.isfinite(r_f).all()
+    assert (r_f[0, :, 1::2] == 0).all()
+    assert np.allclose(r_f[0, :, ::2], expected)
 
 
 def test_banded_guard_at_the_condition_limit():

@@ -1,9 +1,7 @@
 """Tests for the Monte-Carlo BER engine."""
 
-import concurrent.futures
 import json
 import math
-import os
 import tracemalloc
 from dataclasses import replace
 
@@ -181,71 +179,6 @@ class TestDeterminism:
         second = wl.run_ber(cfg)
         assert first == second
 
-    def test_thread_count_does_not_change_counts(self):
-        cfg = white_cfg(seed=42, bits_per_point=20_000)
-        serial = wl.run_ber(cfg, threads=1)[0]
-        threaded = wl.run_ber(cfg, threads=4)[0]
-        assert serial.points == threaded.points
-
-    def test_threads_capped_at_cpu_count(self, monkeypatch):
-        # a pool that records its size and runs the jobs serially: no thread starts
-        sizes = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                future = concurrent.futures.Future()
-                future.set_result(fn(*args))
-                return future
-
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
-        cfg = white_cfg(seed=42, bits_per_point=20_000)
-        capped = wl.run_ber(cfg, threads=10**6)
-        assert sizes and max(sizes) <= (os.cpu_count() or 1)
-        assert capped == wl.run_ber(cfg, threads=1)
-
-    def test_pool_keeps_two_jobs_per_worker_in_flight(self, monkeypatch):
-        # a pool whose futures run their job when their result is taken: no thread
-        # starts, and a job is in flight from its submit until its result is taken
-        workers, live, peak = [], [0], [0]
-
-        class LazyFuture:
-            def __init__(self, job):
-                self.job = job
-                live[0] += 1
-                peak[0] = max(peak[0], live[0])
-
-            def result(self):
-                live[0] -= 1
-                return self.job()
-
-        class LazyPool:
-            def __init__(self, max_workers):
-                workers.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                return LazyFuture(lambda: fn(*args))
-
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", LazyPool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        cfg = white_cfg(n=12, seed=42, bits_per_point=20_000)  # 14 chunks of 32 frames
-        assert wl.run_ber(cfg, threads=8) == wl.run_ber(cfg, threads=1)
-        assert workers == [3] and peak == [6] and live == [0]
-
     def test_huge_budget_streams_its_jobs(self, monkeypatch):
         # 10**15 bits per point are about 2e12 frames, yet no memory grows with the
         # budget before the first job runs; the job stops the run at its 4th call
@@ -256,7 +189,7 @@ class TestDeterminism:
             calls.append((point, start, stop))
             if len(calls) > 3:
                 raise RuntimeError("stopped")
-            return point, np.zeros((len(cfg.targets), 2), dtype=np.int64), stop - start
+            return np.zeros((len(cfg.targets), 2), dtype=np.int64), stop - start
 
         monkeypatch.setattr(wl.sim, "_chunk_job", job)
         cfg = white_cfg(bits_per_point=10**15)
@@ -374,7 +307,7 @@ class TestFdmaSimulation:
             seed=5,
         )
         first = wl.run_ber(cfg)
-        second = wl.run_ber(cfg, threads=3)
+        second = wl.run_ber(cfg)
         assert len(first) == 1
         assert first[0].points == second[0].points
         assert first[0].label.startswith("FDMA[")
