@@ -278,6 +278,34 @@ class TestBer:
         for name in ("ber_ofdm.csv", "ber_afdm_qm4_a0p1.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
+    def test_manifest_records_no_thread_count(self, tmp_path):
+        # chunks run serially whatever --threads says, so the manifest does not claim one
+        config = self.small_config(tmp_path)
+        out = tmp_path / "o"
+        assert run_cli("ber", "--config", config, "--out", str(out), "--threads", "4") == 0
+        assert "threads" not in json.loads((out / "manifest.json").read_text())
+
+    def test_mmse_null_bins_at_underflowed_noise_power(self, tmp_path):
+        # h_f = [2, 0, 2, 0]; at 4000 dB the noise power underflows to 0, and a null
+        # bin's MMSE gain once read 0/0 = NaN, decided as whatever NaN casts to. Its
+        # gain is now 0, so the run warns of nothing and counts what it does at 400 dB
+        errors = []
+        for snr_db in (400.0, 4000.0):
+            config = write_yaml(tmp_path / "null.yaml", {
+                "n": 4,
+                "waveforms": [{"kind": "ofdm"}],
+                "channel": {"taps": [{"delay": 0, "gain_re": 1}, {"delay": 2, "gain_re": 1}]},
+                "snr_db": [snr_db],
+                "bits_per_point": 10_000,
+            })
+            out = tmp_path / f"snr{snr_db:g}"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert run_cli("ber", "--config", config, "--out", str(out)) == 0
+            header, rows = read_csv(out / "ber_ofdm.csv")
+            errors.append(int(rows[0][header.index("errors")]))
+        assert errors[1] == errors[0]
+
     @pytest.mark.parametrize("threads", ["0", "-1"])
     def test_threads_below_one_refused(self, tmp_path, capsys, threads):
         # both used to exit 0 and run serially

@@ -138,6 +138,29 @@ class TestRunFrame:
         with pytest.raises(EqualizationError, match="skipped"):
             wl.run_ber(cfg)
 
+    def test_refusal_stops_at_the_first_skipped_point(self, monkeypatch):
+        # points run in order, so the run names its first point whose frames were all
+        # refused and starts no chunk of a later point
+        null_spec = wl.ChannelSpec([0, 1], [1.0 + 0j, -1.0 + 0j], [0.0, 0.0])
+        cfg = wl.SimConfig(
+            channel=null_spec,
+            profile=wl.make_profile("white", 16),
+            targets=(wl.WaveformConfig.ofdm(16),),
+            snr_db=(10.0, 20.0),
+            bits_per_point=10_000,
+            equalizer="zf",
+        )
+        points, job = [], wl.sim._chunk_job
+
+        def counted(cfg, point, start, stop):
+            points.append(point)
+            return job(cfg, point, start, stop)
+
+        monkeypatch.setattr(wl.sim, "_chunk_job", counted)
+        with pytest.raises(EqualizationError, match=r"frames at 10\.0 dB were skipped"):
+            wl.run_ber(cfg)
+        assert points and set(points) == {0}
+
     def test_mmse_handles_singular_channel(self):
         null_spec = wl.ChannelSpec([0, 1], [1.0 + 0j, -1.0 + 0j], [0.0, 0.0])
         cfg = wl.SimConfig(
