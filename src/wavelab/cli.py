@@ -14,7 +14,9 @@ and seed produces byte-identical CSV bodies at any thread count. Each handler
 imports the modules its run uses: the analyses never load the BER engine,
 nor a BER run ``analysis``. Once it has parsed, ``main`` freezes the heap
 once per process (``gc.freeze``), so no later collection, those at
-interpreter exit included, walks it again.
+interpreter exit included, walks it again. While it runs, ``main`` hides
+OpenSSL's ``_hashlib`` from imports when hashlib's builtin hashes stand in
+for it, so a run that loads ``numpy.random`` never maps libcrypto.
 """
 
 from __future__ import annotations
@@ -275,6 +277,8 @@ def cmd_sparsity(config: dict, run: Run) -> Callable[[], int]:
 def cmd_ber(config: dict, run: Run) -> Callable[[], int]:
     from .sim import config_fingerprint
     cfg = parse_sim(config)
+    if "layout" in config:  # the defaults' waveforms, or the file's, which it never reads:
+        del config["waveforms"]  # neither the echo nor the manifest shows them
     paths = [run.path(f"ber_{target.slug}.csv") for target in cfg.targets]
     summary = run.path("curves.json")
 
@@ -511,10 +515,31 @@ def _freeze_heap() -> None:
     gc.freeze()
 
 
+# the modules hashlib falls back to when it cannot import OpenSSL's _hashlib
+_BUILTIN_HASHES = ("_md5", "_sha1",
+                   *(("_sha2",) if sys.version_info >= (3, 12) else ("_sha256", "_sha512")),
+                   "_sha3", "_blake2")
+
+
+def _hide_openssl() -> bool:
+    """Make ``import _hashlib`` fail until ``main`` returns, so that numpy.random's
+    ``secrets`` -> ``hmac``/``hashlib`` chain, the first time it loads, takes the
+    builtin hashes and never maps libcrypto, which no run uses. Only when neither
+    is loaded yet and hashlib would find every builtin hash; True if hidden."""
+    if "_hashlib" in sys.modules or "numpy.random" in sys.modules:
+        return False
+    from importlib.util import find_spec
+    if not all(find_spec(name) for name in _BUILTIN_HASHES):
+        return False  # hashlib would log each missing hash and lack some
+    sys.modules["_hashlib"] = None
+    return True
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handler, defaults, optional = _SUBCOMMANDS[args.subcommand]
     out_dir = args.out or f"wavelab_out/{args.subcommand}"
+    hidden = _hide_openssl()
     try:
         config = _resolve_config(args, defaults)
         check_keys(config, set(defaults) | optional, "config")
@@ -547,6 +572,9 @@ def main(argv=None) -> int:
     except WavelabError as exc:
         print(f"wavelab {args.subcommand}: error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    finally:
+        if hidden and sys.modules.get("_hashlib", 0) is None:
+            del sys.modules["_hashlib"]
 
 
 if __name__ == "__main__":

@@ -2,6 +2,7 @@
 
 import csv
 import gc
+import importlib.util
 import json
 import math
 import os
@@ -463,6 +464,32 @@ class TestBer:
         else:
             numbers = numbers_in_csvs(out)
             assert numbers and all(map(math.isfinite, numbers))
+
+    # what a layout run's unread 'waveforms' key may hold: a list that holds itself,
+    # a set, which JSON cannot write, and four levels of ten aliases (10,000 leaves)
+    UNREAD_WAVEFORMS = {
+        "recursive": "waveforms: &a [*a]",
+        "set": "waveforms: !!set {a, b}",
+        "aliases": "waveforms:\n- &a [0, 0, 0, 0, 0, 0, 0, 0, 0, 0]\n" + "".join(
+            f"- &{name} [{', '.join([f'*{prev}'] * 10)}]\n" for prev, name in zip("abc", "bcd")),
+    }
+
+    @pytest.mark.parametrize("flags", [[], ["--dry-run"]], ids=["real", "dry-run"])
+    @pytest.mark.parametrize("waveforms", list(UNREAD_WAVEFORMS.values()),
+                             ids=list(UNREAD_WAVEFORMS))
+    def test_layout_run_drops_its_unread_waveforms(self, tmp_path, capsys, waveforms, flags):
+        config = tmp_path / "layout.yaml"
+        config.write_text("n: 12\nlayout: [{kind: ofdm, n: 12}]\nchannel: {num_taps: 2}\n"
+                          f"snr_db: [10.0]\nbits_per_point: 10000\n{waveforms}\n")
+        out = tmp_path / "o"
+        assert run_cli("ber", "--config", str(config), "--out", str(out), *flags) == 0
+        echo = capsys.readouterr().out
+        assert len(echo) < 4096
+        if flags:
+            assert '"waveforms"' not in echo and '"layout"' in echo
+        else:
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert "waveforms" not in manifest["config"] and "layout" in manifest["config"]
 
     def test_dry_run_writes_nothing(self, tmp_path, capsys):
         config = self.small_config(tmp_path)
@@ -1163,11 +1190,21 @@ class TestParser:
         assert "invalid choice: 'bogus'" in err if argv == ["bogus"] else "required" in err
 
 
+def fresh_modules(statement: str) -> set:
+    """The modules that ``statement`` loads in a new interpreter."""
+    script = (f"import json, sys\nbefore = set(sys.modules)\n{statement}\n"
+              "print(json.dumps(sorted(set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60, check=True)
+    return set(json.loads(proc.stdout))
+
+
 class TestStartup:
     """A process loads only what its run uses: rare-path modules are imported
     in the functions that need them, and each subcommand's handler imports
     the modules its run uses (see README, Conventions). ``main`` freezes the
-    heap once the handler has parsed, once per process."""
+    heap once the handler has parsed, once per process, and keeps OpenSSL's
+    ``_hashlib`` out of the imports it makes when builtin hashes stand in."""
 
     # a thread pool (with logging), which no run starts, and rational arithmetic:
     # verify-appendix reduces its rates a/b with math.gcd
@@ -1251,11 +1288,7 @@ class TestStartup:
     @pytest.mark.parametrize("flags", [[], ["--dry-run"]], ids=["real", "dry-run"])
     def test_default_equalized_profile_loads_no_random_generator(self, tmp_path, flags):
         # numpy 1.x imports numpy.random, and with it hashlib, with numpy itself
-        script = ("import json, sys\nbefore = set(sys.modules)\nimport numpy\n"
-                  "print(json.dumps(sorted(set(sys.modules) - before)))")
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                              timeout=60, check=True)
-        with_numpy = set(json.loads(proc.stdout))
+        with_numpy = fresh_modules("import numpy")
         loaded, _, _ = self.run_fresh(tmp_path, "analyze-noise",
                                       "profiles: [{kind: equalized}]", flags)
         assert not {"numpy.random", "hashlib"} & (set(loaded) - with_numpy)
@@ -1263,6 +1296,64 @@ class TestStartup:
         loaded, _, _ = self.run_fresh(tmp_path, "analyze-noise",
                                       "profiles: [{kind: equalized, seed: 3}]", flags)
         assert "numpy.random" in loaded
+
+    @pytest.mark.parametrize("subcommand,text,flags",
+                             [CASES[0][:3], ("fdma-demo", LAYOUT, [])], ids=["ber", "fdma-demo"])
+    def test_random_generator_loads_without_openssl(self, tmp_path, subcommand, text, flags):
+        if "numpy.random" in fresh_modules("import numpy"):
+            pytest.skip("numpy 1.x imports numpy.random, and with it _hashlib, with numpy")
+        if not all(map(importlib.util.find_spec, cli._BUILTIN_HASHES)):
+            pytest.skip("this Python lacks a builtin hash, so hashlib keeps OpenSSL")
+        loaded, _, _ = self.run_fresh(tmp_path, subcommand, text, flags)
+        # neither loaded nor left behind as main's None entry
+        assert "numpy.random" in loaded and "_hashlib" not in loaded
+
+    def test_digest_of_a_fresh_ber_run(self, tmp_path):
+        # the fresh process hashes with hashlib's builtin SHA-256 (on numpy 2), this
+        # one with the backend it loaded first
+        self.run_fresh(tmp_path, *self.CASES[0][:3])
+        summary = json.loads((tmp_path / "o" / "curves.json").read_text())
+        assert summary["config_digest"] == "c38ede28bf872eec"
+        cfg = cli.parse_sim({**cli.DEFAULT_BER, **yaml.safe_load(self.CASES[0][1])})
+        assert wl.config_fingerprint(cfg) == summary["config_digest"]
+
+    def hashlib_entry_during_main(self, monkeypatch, tmp_path):
+        """``sys.modules``' ``_hashlib`` entry (``"absent"`` if none) while ``main`` parses
+        a dry ``ber`` run, which loads neither numpy.random nor hashlib."""
+        seen, parse = [], cli.parse_sim
+
+        def parse_sim(config):
+            seen.append(sys.modules.get("_hashlib", "absent"))
+            return parse(config)
+
+        monkeypatch.setattr(cli, "parse_sim", parse_sim)
+        assert main(["ber", "--out", str(tmp_path / "o"), "--dry-run"]) == 0
+        return seen[0]
+
+    def test_main_hides_openssl_while_it_runs(self, tmp_path, monkeypatch):
+        monkeypatch.delitem(sys.modules, "_hashlib", raising=False)
+        monkeypatch.delitem(sys.modules, "numpy.random", raising=False)
+        monkeypatch.setattr(cli, "_BUILTIN_HASHES", ("json",))  # found wherever this runs
+        assert self.hashlib_entry_during_main(monkeypatch, tmp_path) is None
+        assert "_hashlib" not in sys.modules
+
+    def test_nothing_hidden_without_a_builtin_hash(self, tmp_path, monkeypatch):
+        monkeypatch.delitem(sys.modules, "_hashlib", raising=False)
+        monkeypatch.delitem(sys.modules, "numpy.random", raising=False)
+        monkeypatch.setattr(cli, "_BUILTIN_HASHES", (*cli._BUILTIN_HASHES, "_no_such_hash"))
+        assert self.hashlib_entry_during_main(monkeypatch, tmp_path) == "absent"
+        assert "_hashlib" not in sys.modules
+
+    @pytest.mark.parametrize("name", ["_hashlib", "numpy.random"])
+    def test_nothing_hidden_once_loaded(self, tmp_path, monkeypatch, name):
+        loaded = object()  # stands for the module
+        other = "numpy.random" if name == "_hashlib" else "_hashlib"
+        monkeypatch.delitem(sys.modules, other, raising=False)
+        monkeypatch.setitem(sys.modules, name, loaded)
+        monkeypatch.setattr(cli, "_BUILTIN_HASHES", ("json",))
+        entry = self.hashlib_entry_during_main(monkeypatch, tmp_path)
+        assert entry is (loaded if name == "_hashlib" else "absent")
+        assert sys.modules[name] is loaded
 
     def test_main_freezes_the_import_heap(self, tmp_path):
         _, frozen_before, frozen_after = self.run_fresh(tmp_path, *self.CASES[1][:3])
