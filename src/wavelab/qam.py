@@ -27,15 +27,6 @@ def _axis_bits(order: int) -> int:
     return int(np.log2(order)) // 2
 
 
-def _gray_decode(g: np.ndarray) -> np.ndarray:
-    # prefix-xor inverse of i -> i ^ (i >> 1), valid for values below 2^8
-    b = g.copy()
-    b ^= b >> 1
-    b ^= b >> 2
-    b ^= b >> 4
-    return b
-
-
 def energy_scale(order: int) -> float:
     """Per-axis level spacing that normalizes average symbol energy to 1."""
     return 1.0 / np.sqrt(2.0 * (order - 1) / 3.0)
@@ -56,8 +47,9 @@ def qam_label(bits, order: int) -> np.ndarray:
 def qam_map(labels, order: int) -> np.ndarray:
     """Map symbol labels (...) to unit-energy Gray-coded QAM symbols."""
     mh = _axis_bits(order)
-    levels = 2.0 * np.arange(1 << mh) - ((1 << mh) - 1)
-    axis = levels[_gray_decode(np.arange(1 << mh))]  # by Gray code
+    idx = np.arange(1 << mh)
+    axis = np.empty(1 << mh)
+    axis[idx ^ (idx >> 1)] = 2.0 * idx - ((1 << mh) - 1)  # level i at its Gray code
     return (energy_scale(order) * (axis[:, None] + 1j * axis)).reshape(-1)[labels]
 
 

@@ -1,28 +1,25 @@
 """Seeded Monte-Carlo bit-error-rate engine.
 
-The engine is frame-major: at each SNR point it draws a chunk of up to
-``CHUNK_FRAMES`` frames and runs every target on the shared draws. A
-target (a waveform or an FDMA grid) offers ``N``, ``label``, ``slug``,
+A target (a waveform or an FDMA grid) offers ``N``, ``label``, ``slug``,
 ``precode`` (data to frequency-domain blocks z = Q c) and ``receive``
 (equalized blocks to data, Q^{-1} r_f), both acting along the last axis
-of a (frames, N) stack; :func:`wavelab.channel.equalize` takes a chunk
-from z to r_f, one target at a time. Each target is precoded, equalized,
-decided and counted as its bins arrive, so on a quasi-static channel a
-chunk holds one target's (frames, N) arrays at a time, whatever the
-target count; the banded solve reads every target's bins before it
-returns, for they are its right-hand sides. Each frame draws channel
-taps, data bits and noise, in that order, from its own stream
-``frame_rng(seed, point, frame)``, and is drawn once: compared
-waveforms, and the L or q values of a sweep (whose targets are the swept
-waveforms), see the same draws. A frame's B bits are
-``integers(0, 2, B, uint8)``, read from its stream's raw words: with PCG64 (``frame_rng``'s)
-a 32-bit draw is the low half of a 64-bit word, then the high half, so
-the two agree bit for bit unless a half-word is buffered, when
-``integers`` draws them. The arithmetic on the channel and noise draws
-runs once per chunk, on the stacked raw draws. A frame's bits become QAM
-labels (see :mod:`wavelab.qam`), and its bit errors are the Hamming
-distances between sent and decided labels. A frame the equalizer refuses
-is skipped for every target.
+of a (frames, N) stack.
+
+The engine is frame-major: at each SNR point it runs chunks of up to
+``CHUNK_FRAMES`` frames, one :func:`_chunk_job` each. A chunk draws each
+frame's channel taps, data bits (``integers(0, 2, B, uint8)``, see
+:func:`_draw_bits`) and noise, in that order, from the frame's own stream
+``frame_rng(seed, point, frame)``, running the arithmetic on the stacked
+raw draws once. Every target sees the same draws: the compared waveforms,
+or the L or q values of a sweep. The bits become QAM labels (see
+:mod:`wavelab.qam`) and symbols; :func:`wavelab.channel.equalize` takes
+each target from z to r_f, and each is received, decided and counted as
+it arrives, so on a quasi-static channel a chunk holds one target's
+(frames, N) arrays at a time (the banded solve reads every target's bins
+before it returns, for they are its right-hand sides). A frame's bit
+errors are the Hamming distances between sent and decided labels; a
+frame the equalizer refuses is skipped for every target.
+
 Chunks run one after another, so no memory grows with the bit budget.
 Counts are integer sums over frames, so results are bit-identical at any
 chunk size.
@@ -166,9 +163,11 @@ def frame_rng(seed: int, point_index: int, frame_index: int) -> np.random.Genera
 
 
 def _draw_bits(rngs, count: int) -> np.ndarray:
-    """Each stream's ``integers(0, 2, count, uint8)``: numpy keeps the top bit of each byte
-    of its 32-bit words, low byte first. Where numpy's draw ends on a half-word, this one
-    buffers none, which no later 64-bit draw reads."""
+    """Each stream's ``integers(0, 2, count, uint8)``, from its raw 64-bit words: numpy
+    keeps the top bit of each byte of its 32-bit words, low byte first, and PCG64 gives
+    a word's low half, then its high half. A stream holding a buffered half-word draws
+    with ``integers`` itself. Where numpy's draw ends on a half-word, this one buffers
+    none, which no later 64-bit draw reads."""
     words = -(-count // 8)
     held = [rng.bit_generator.state["has_uint32"] for rng in rngs]
     raw = np.array([np.zeros(words, np.uint64) if h else rng.bit_generator.random_raw(words)
@@ -179,43 +178,29 @@ def _draw_bits(rngs, count: int) -> np.ndarray:
     return bits
 
 
-def _run_chunk(cfg: SimConfig, targets, rngs, sigma_w: float):
-    """Draw one frame from each generator and run every target on it.
-
-    A frame's bits are its stream's ``integers(0, 2, B, uint8)``, from raw words
-    unless the stream holds a buffered half-word (:func:`_draw_bits`). Returns
-    the sent labels (frames, N), the (frames,) bool mask of the frames the
-    equalizer refused, and an iterator over each target's decided labels
-    (frames, N): each target is precoded, equalized and decided as the
-    iterator reaches it, unless the banded solve needs them all at once.
-    """
-    gains, dopplers = cfg.channel.draw(rngs)  # each stream draws channel, bits, noise
-    bits = _draw_bits(rngs, cfg.bits_per_frame)
-    w_f = sample_noise(cfg.profile, sigma_w, rngs)
-    tx = qam_label(bits, cfg.qam_order)
-    symbols = qam_map(tx, cfg.qam_order)
-    refused, r_f = equalize(cfg.channel.delays, gains, dopplers,
-                            (target.precode(symbols) for target in targets), w_f, sigma_w**2,
-                            cfg.equalizer)
-    rx = (qam_decide(target.receive(r), cfg.qam_order) for target, r in zip(targets, r_f))
-    return tx, refused, rx
-
-
 def _sigma_w(snr_db: float) -> float:
     return 10.0 ** (-float(snr_db) / 20.0)
 
 
 def _chunk_job(cfg: SimConfig, point: int, start: int, stop: int):
-    """Run frames ``start`` to ``stop`` of SNR point ``point``.
+    """Run frames ``start`` to ``stop`` of SNR point ``point`` on every target.
 
     Returns the (targets, 2) sums over the kept frames of each frame's bit
     errors and of their squares, and the count of kept frames.
     """
     rngs = [frame_rng(cfg.seed, point, f) for f in range(start, stop)]
-    tx, refused, rx = _run_chunk(cfg, cfg.targets, rngs, _sigma_w(cfg.snr_db[point]))
+    sigma_w = _sigma_w(cfg.snr_db[point])
+    gains, dopplers = cfg.channel.draw(rngs)  # each stream draws channel, bits, noise
+    tx = qam_label(_draw_bits(rngs, cfg.bits_per_frame), cfg.qam_order)
+    w_f = sample_noise(cfg.profile, sigma_w, rngs)
+    symbols = qam_map(tx, cfg.qam_order)
+    refused, r_f = equalize(cfg.channel.delays, gains, dopplers,
+                            (target.precode(symbols) for target in cfg.targets), w_f, sigma_w**2,
+                            cfg.equalizer)
     kept = ~refused
     sums = np.zeros((len(cfg.targets), 2), dtype=np.int64)
-    for target_sums, labels in zip(sums, rx):  # each target counted as it is decided
+    for target, target_sums, r in zip(cfg.targets, sums, r_f):  # each counted as it arrives
+        labels = qam_decide(target.receive(r), cfg.qam_order)
         frame_errors = POPCOUNT[labels ^ tx].sum(axis=1, dtype=np.int64)[kept]
         target_sums[:] = frame_errors.sum(), (frame_errors**2).sum()
     return sums, int(kept.sum())

@@ -21,10 +21,11 @@ from fractions import Fraction
 import numpy as np
 
 from wavelab.analysis import DEFAULT_SPARSITY_TOL
-from wavelab.channel import CONDITION_LIMIT, ChannelSpec, check_delays
+from wavelab.channel import CONDITION_LIMIT, ChannelSpec, check_delays, equalize
 from wavelab.exceptions import ConfigError, DimensionError, EqualizationError
-from wavelab.qam import _axis_bits, energy_scale, qam_label, qam_map
-from wavelab.sim import SimConfig, _run_chunk, _sigma_w
+from wavelab.noise import sample_noise
+from wavelab.qam import _axis_bits, energy_scale, qam_decide, qam_label, qam_map
+from wavelab.sim import SimConfig, _sigma_w
 from wavelab.waveform import OFDM, OTFS, WaveformConfig, chirp_diagonal
 
 # ---------------------------------------------------------------------------
@@ -320,16 +321,23 @@ def qam_demap(symbols, order: int) -> np.ndarray:
 
 
 def run_frame(cfg: SimConfig, rng: np.random.Generator, target=None, snr_db=None):
-    """Run a single frame of ``cfg`` with an explicit generator, as a
-    one-frame chunk of the engine.
+    """Run a single frame of ``cfg`` on its own, with an explicit generator: the
+    one-frame reference for a chunk of the engine.
 
-    Defaults to the first target and the first SNR point. Returns
-    (tx_bits, rx_bits), unpacked from the engine's labels; raises
-    EqualizationError when the equalizer refuses the frame's channel.
+    Draws the channel's ``draw([rng])``, numpy's own ``rng.integers(0, 2, B, uint8)``
+    and ``sample_noise``, in that order, then takes one target through ``precode``,
+    ``equalize``, ``receive`` and ``qam_decide``. Defaults to the first target and
+    the first SNR point. Returns (tx_bits, rx_bits); raises EqualizationError
+    when the equalizer refuses the frame's channel.
     """
     target = cfg.targets[0] if target is None else target
-    snr_db = cfg.snr_db[0] if snr_db is None else snr_db
-    tx, refused, (rx,) = _run_chunk(cfg, (target,), [rng], _sigma_w(snr_db))
+    sigma_w = _sigma_w(cfg.snr_db[0] if snr_db is None else snr_db)
+    gains, dopplers = cfg.channel.draw([rng])
+    bits = rng.integers(0, 2, cfg.bits_per_frame, np.uint8)
+    w_f = sample_noise(cfg.profile, sigma_w, [rng])
+    z = target.precode(qam_map(qam_label(bits, cfg.qam_order), cfg.qam_order)[None])
+    refused, (r,) = equalize(cfg.channel.delays, gains, dopplers, [z], w_f, sigma_w**2,
+                             cfg.equalizer)
     if refused[0]:
         raise EqualizationError("zero-forcing refused the frame's channel")
-    return label_bits(tx[0], cfg.qam_order), label_bits(rx[0], cfg.qam_order)
+    return bits, label_bits(qam_decide(target.receive(r)[0], cfg.qam_order), cfg.qam_order)

@@ -400,12 +400,27 @@ FRAME_CFG = wl.SimConfig(
 )
 
 
-def test_run_frame_is_a_one_frame_chunk():
-    curves = wl.run_ber(FRAME_CFG)
-    for target, curve in zip(FRAME_CFG.targets, curves):
+class HalfWordChannel:
+    """Two taps whose second gain, -1 or 0.5, is one ``integers(2)`` draw per
+    stream, as ``test_frozen_counts.NullingChannel`` draws it: each stream is left
+    holding a 32-bit half-word, which the engine's bit draw must read as numpy's own
+    ``integers`` does. About half of the frames have a null at bin 0."""
+
+    delays = np.arange(2)
+
+    def draw(self, rngs):
+        gains = np.array([[1.0, -1.0 if rng.integers(2) else 0.5] for rng in rngs], complex)
+        return gains, np.zeros(gains.shape)
+
+
+@pytest.mark.parametrize("cfg", [FRAME_CFG, dataclasses.replace(
+    FRAME_CFG, channel=HalfWordChannel(), equalizer="zf")], ids=["doppler", "half_word"])
+def test_run_frame_is_a_one_frame_chunk(cfg):
+    curves = wl.run_ber(cfg)
+    for target, curve in zip(cfg.targets, curves):
         point = curve.points[0]
         assert (point.errors, point.errors_sq, point.skipped_frames) == frame_by_frame(
-            FRAME_CFG, target)
+            cfg, target)
 
 
 @pytest.mark.parametrize("channel", [FRAME_CFG.channel, wl.ChannelGenerator(num_taps=4)],
@@ -417,21 +432,26 @@ def test_chunk_draws_follow_the_per_frame_formulas(monkeypatch, channel):
     cfg = dataclasses.replace(FRAME_CFG, channel=channel)
     seen = {}
 
+    def capture_labels(labels, order):
+        seen.update(tx=labels)
+        return wl.qam.qam_map(labels, order)
+
     def capture(delays, gains, dopplers, z, w_f, rho, equalizer):
         seen.update(gains=gains, dopplers=dopplers, w_f=w_f)
         return wl.equalize(delays, gains, dopplers, z, w_f, rho, equalizer)
 
+    monkeypatch.setattr(sim, "qam_map", capture_labels)
     monkeypatch.setattr(sim, "equalize", capture)
-    sigma_w, frames = 0.3, range(5)
-    tx, _, _ = sim._run_chunk(cfg, cfg.targets, [wl.frame_rng(4, 0, f) for f in frames], sigma_w)
+    sim._chunk_job(cfg, 0, 0, 5)
     p, n, top = channel.num_taps, cfg.n, channel.max_doppler
-    for f in frames:
-        rng = wl.frame_rng(4, 0, f)
+    sigma_w = 10.0 ** (-cfg.snr_db[0] / 20.0)
+    for f in range(5):
+        rng = wl.frame_rng(cfg.seed, 0, f)
         gains = (rng.standard_normal(p) + 1j * rng.standard_normal(p)) / np.sqrt(2 * p)
         assert np.array_equal(seen["gains"][f], gains)
         assert np.array_equal(seen["dopplers"][f], rng.uniform(-top, top, p))
         bits = rng.integers(0, 2, size=cfg.bits_per_frame, dtype=np.uint8)
-        assert np.array_equal(label_bits(tx[f], cfg.qam_order), bits)
+        assert np.array_equal(label_bits(seen["tx"][f], cfg.qam_order), bits)
         white = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * (sigma_w / np.sqrt(2.0))
         assert np.array_equal(seen["w_f"][f], np.sqrt(cfg.profile.gains) * white)
 
