@@ -21,10 +21,8 @@ from .configio import MAX_EXPANDED_SIZE
 from .exceptions import ConfigError, DimensionError
 from .waveform import afdm_inverse_column, chirp_phase
 
-DEFAULT_SPARSITY_TOL = 1e-9
 
-
-def row_sparsity(row, tol: float = DEFAULT_SPARSITY_TOL) -> int:
+def row_sparsity(row, tol: float) -> int:
     """Nonzeros per row, above ``tol`` times the largest magnitude, of a square
     matrix whose rows all permute the magnitudes of ``row``, as
     :meth:`WaveformConfig.row_magnitudes` gives, in O(N). Its density is this

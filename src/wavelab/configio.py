@@ -149,13 +149,13 @@ def parse_waveform(section: dict, default_n: int | None = None) -> WaveformConfi
     if kind == OFDM:
         wf = WaveformConfig.ofdm(n)
     elif kind == OTFS:
-        k = read(section, "k", int, None, "waveform")
-        l = read(section, "l", int, None, "waveform")
+        k = read(section, "k", int, None, "waveform", minimum=1)
+        l = read(section, "l", int, None, "waveform", minimum=1)
         if l is None and k is None:
-            raise ConfigError("OTFS waveform needs k and/or l")
+            raise ConfigError("OTFS waveform: missing required key 'k' and/or 'l'")
         if l is None or k is None:
             name, given = ("k", k) if l is None else ("l", l)
-            if given < 1 or n % given:
+            if n % given:
                 raise ConfigError(f"OTFS {name}={given} does not divide n={n}")
             k, l = (given, n // given) if l is None else (n // given, given)
         elif "n" in section and k * l != n:
@@ -191,31 +191,22 @@ def parse_channel(section: dict, n: int) -> ChannelGenerator | ChannelSpec:
                               f"half the largest float")
         return spec
     check_keys(section, {"num_taps", "max_doppler"}, "channel")
-    num_taps = read(section, "num_taps", int, context="channel")
+    num_taps = read(section, "num_taps", int, context="channel", minimum=1)
     return ChannelGenerator(
         num_taps=check_size(num_taps, "num_taps", "channel"),
         max_doppler=read(section, "max_doppler", float, 0.0, "channel"),
     )
 
 
-# per noise kind, the keyword arguments of make_profile its section may set, by type
-_PROFILE_KEYS = {
-    "white": {},
-    "impulse": {"spikes": int, "spike_offset": int, "power_fraction": float},
-    "interferer": {"width": int, "start": int, "power_fraction": float},
-    "equalized": {"num_taps": int, "gain_cap": float, "seed": int},
-}
-
-
 def parse_profile(section: dict, n: int) -> NoiseProfile:
-    from .noise import make_profile
+    from .noise import PROFILES, make_profile
     kind = read(section, "kind", str, context="noise").lower()
-    if kind not in _PROFILE_KEYS:
+    if kind not in PROFILES:
         raise ConfigError(f"unknown noise profile kind {kind!r}")
-    keys = _PROFILE_KEYS[kind]
+    keys = PROFILES[kind][1]
     check_keys(section, set(keys) | {"kind", "n"}, f"{kind} noise")
     if read(section, "n", int, n, "noise") != n:
-        raise ConfigError(f"noise profile length {section['n']} does not match the grid size {n}")
+        raise ConfigError(f"noise: 'n' = {section['n']} does not match the grid size {n}")
     kwargs = {key: read(section, key, typ, context="noise")
               for key, typ in keys.items() if key in section}
     return make_profile(kind, n, **kwargs)  # which refuses more taps than n

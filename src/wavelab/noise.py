@@ -3,7 +3,9 @@
 Noise is modeled in the frequency domain with a diagonal covariance
 sigma_w^2 * Gamma_f; the per-bin gains gamma_n^2 on the diagonal are held
 in a :class:`NoiseProfile`, trace-normalized to N so that total noise
-power is the same for every profile and SNR comparisons stay fair.
+power is the same for every profile and SNR comparisons stay fair. Each
+stock kind has one builder, listed in :data:`PROFILES` with the keywords it
+takes; :func:`make_profile` dispatches to it.
 :func:`sample_noise` draws one w_f per generator, as a (frames, N) array.
 
 :func:`whitening_std` quantifies the whitening capability of a
@@ -22,12 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConfigError, DimensionError
-
-WHITE = "white"
-IMPULSE = "impulse"
-INTERFERER = "interferer"
-EQUALIZED = "equalized"
-PROFILE_KINDS = (WHITE, IMPULSE, INTERFERER, EQUALIZED)
 
 # Seed and tap count of the fixed channel behind the default "equalized" profile.
 DEFAULT_EQUALIZED_SEED = 7
@@ -73,83 +69,69 @@ class NoiseProfile:
 
 
 def _normalized(gains: np.ndarray, kind: str) -> NoiseProfile:
-    total = gains.sum()
-    if total <= 0:
-        raise ConfigError("noise profile has no power")
-    return NoiseProfile(gains * (gains.size / total), kind)
+    return NoiseProfile(gains * (gains.size / gains.sum()), kind)
 
 
-def make_profile(
-    kind: str,
-    n: int,
-    *,
-    spikes: int | None = None,
-    spike_offset: int = 0,
-    width: int | None = None,
-    start: int = 0,
-    power_fraction: float = DEFAULT_POWER_FRACTION,
-    num_taps: int = DEFAULT_EQUALIZED_TAPS,
-    gain_cap: float = DEFAULT_GAIN_CAP,
-    seed: int = DEFAULT_EQUALIZED_SEED,
-) -> NoiseProfile:
-    """Build one of the stock per-bin variance profiles.
+def _concentrated(n: int, bins: np.ndarray, power_fraction: float, kind: str) -> NoiseProfile:
+    """The distinct ``bins`` carry ``power_fraction`` of the power; the rest
+    is spread uniformly over the other bins."""
+    count = bins.size
+    # when every bin carries it, power_fraction is the total the normalization divides by
+    low = sys.float_info.min if count == n else 0.0
+    if not low <= power_fraction <= 1.0:
+        raise ConfigError(f"{kind} profile 'power_fraction' must be in [{low!r}, 1], "
+                          f"got {power_fraction!r}")
+    gains = np.full(n, (1.0 - power_fraction) * n / (n - count) if count < n else 0.0)
+    gains[bins] = power_fraction * n / count
+    return _normalized(gains, kind)
 
-    white:       flat gains, gamma_n^2 = 1.
-    impulse:     ``spikes`` isolated bins, evenly spaced starting at
-                 ``spike_offset``, carry ``power_fraction`` of the power;
-                 the rest is spread uniformly. Default spike count is
-                 max(1, N // 32), so when 32 divides N the spikes sit
-                 32 bins apart. If 32 also divides an OTFS grid's L
-                 (e.g. N = 1024, L = 32), each residue class mod L holds
-                 only spikes or none of them, OTFS averages nothing, and
-                 its whitening std ties OFDM's; set ``spikes`` to compare
-                 such grids.
-    interferer:  one contiguous block of ``width`` bins starting at
-                 ``start`` carries ``power_fraction`` of the power.
-                 Default width is N // 8 + 1; a width that is a multiple
-                 of a demodulator's row-support spacing would be averaged
-                 perfectly and collapse whitening comparisons to a tie.
-    equalized:   gains proportional to min(1/|H_f|^2, gain_cap) for a
-                 seeded random ``num_taps``-tap uniform-profile channel,
-                 mimicking white noise shaped by zero-forcing equalization;
-                 ``num_taps`` is at most N, so every tap enters H_f.
-                 Its taps come from 2 * ``num_taps`` standard normals of
-                 ``default_rng(seed)``, real parts first; the default seed
-                 and tap count read them from DEFAULT_EQUALIZED_NORMALS, so
-                 only other values load ``numpy.random``. ``gain_cap`` must
-                 be at least the smallest normal float, so the trace
-                 normalization, which can scale by 1/gain_cap, stays finite.
 
-    All profiles are trace-normalized to N.
-    """
-    if kind not in PROFILE_KINDS:
-        raise ConfigError(f"unknown noise profile kind {kind!r}")
-    if n < 1:
-        raise ConfigError(f"profile length must be >= 1, got {n}")
-    if not 0.0 <= power_fraction <= 1.0:
-        raise ConfigError(f"power fraction must be in [0, 1], got {power_fraction}")
+def _white(n: int) -> NoiseProfile:
+    """Flat gains, gamma_n^2 = 1."""
+    return NoiseProfile(np.ones(n), "white")
 
-    if kind == WHITE:
-        return NoiseProfile(np.ones(n), WHITE)
 
-    if kind == IMPULSE:
-        p = max(1, n // 32) if spikes is None else spikes
-        if not 1 <= p <= n:
-            raise ConfigError(f"spike count must be in [1, {n}], got {p}")
-        gains = np.full(n, (1.0 - power_fraction) * n / (n - p) if p < n else 0.0)
-        idx = (spike_offset + (np.arange(p) * n) // p) % n
-        gains[idx] = power_fraction * n / p
-        return _normalized(gains, IMPULSE)
+def _impulse(n: int, *, spikes: int | None = None, spike_offset: int = 0,
+             power_fraction: float = DEFAULT_POWER_FRACTION) -> NoiseProfile:
+    """``spikes`` isolated bins, evenly spaced starting at ``spike_offset``,
+    carry ``power_fraction`` of the power; the rest is spread uniformly. The
+    default spike count is max(1, N // 32), so when 32 divides N the spikes
+    sit 32 bins apart. If 32 also divides an OTFS grid's L (e.g. N = 1024,
+    L = 32), each residue class mod L holds only spikes or none of them, OTFS
+    averages nothing, and its whitening std ties OFDM's; set ``spikes`` to
+    compare such grids."""
+    p = max(1, n // 32) if spikes is None else spikes
+    if not 1 <= p <= n:
+        raise ConfigError(f"impulse profile 'spikes' must be in [1, {n}], got {p}")
+    return _concentrated(n, (spike_offset + (np.arange(p) * n) // p) % n, power_fraction,
+                         "impulse")
 
-    if kind == INTERFERER:
-        w = (n // 8 + 1) if width is None else width
-        if not 1 <= w <= n:
-            raise ConfigError(f"interferer width must be in [1, {n}], got {w}")
-        gains = np.full(n, (1.0 - power_fraction) * n / (n - w) if w < n else 0.0)
-        gains[(start + np.arange(w)) % n] = power_fraction * n / w
-        return _normalized(gains, INTERFERER)
 
-    # equalized
+def _interferer(n: int, *, width: int | None = None, start: int = 0,
+                power_fraction: float = DEFAULT_POWER_FRACTION) -> NoiseProfile:
+    """One contiguous block of ``width`` bins starting at ``start`` carries
+    ``power_fraction`` of the power; the rest is spread uniformly. The
+    default width is N // 8 + 1: a width that is a multiple of a
+    demodulator's row-support spacing would be averaged perfectly and
+    collapse whitening comparisons to a tie."""
+    w = (n // 8 + 1) if width is None else width
+    if not 1 <= w <= n:
+        raise ConfigError(f"interferer profile 'width' must be in [1, {n}], got {w}")
+    return _concentrated(n, (start + np.arange(w)) % n, power_fraction, "interferer")
+
+
+def _equalized(n: int, *, num_taps: int = DEFAULT_EQUALIZED_TAPS,
+               gain_cap: float = DEFAULT_GAIN_CAP,
+               seed: int = DEFAULT_EQUALIZED_SEED) -> NoiseProfile:
+    """Gains proportional to min(1/|H_f|^2, ``gain_cap``) for a seeded random
+    ``num_taps``-tap uniform-profile channel, mimicking white noise shaped by
+    zero-forcing equalization. ``num_taps`` is at most N, so every tap enters
+    H_f. The taps come from 2 * ``num_taps`` standard normals of
+    ``default_rng(seed)``, real parts first; the default seed and tap count
+    read them from DEFAULT_EQUALIZED_NORMALS, so only other values load
+    ``numpy.random``. ``gain_cap`` must be at least the smallest normal
+    float, so the trace normalization, which can scale by 1/gain_cap, stays
+    finite."""
     if not 1 <= num_taps <= n:  # np.fft.fft(taps, n) would crop the taps past n
         raise ConfigError(f"equalized profile 'num_taps' must be in [1, {n}], got {num_taps}")
     if seed < 0:
@@ -164,7 +146,27 @@ def make_profile(
     taps = (raw[:num_taps] + 1j * raw[num_taps:]) / np.sqrt(2 * num_taps)
     h_f = np.fft.fft(taps, n)
     gains = np.minimum(1.0 / np.abs(h_f) ** 2, gain_cap)
-    return _normalized(gains, EQUALIZED)
+    return _normalized(gains, "equalized")
+
+
+# The one table of noise kinds: each kind's builder, and the keywords it takes by type.
+PROFILES = {
+    "white": (_white, {}),
+    "impulse": (_impulse, {"spikes": int, "spike_offset": int, "power_fraction": float}),
+    "interferer": (_interferer, {"width": int, "start": int, "power_fraction": float}),
+    "equalized": (_equalized, {"num_taps": int, "gain_cap": float, "seed": int}),
+}
+
+
+def make_profile(kind: str, n: int, **params) -> NoiseProfile:
+    """The stock per-bin variance profile ``kind`` of length ``n``,
+    trace-normalized to N, built by that kind's builder in :data:`PROFILES`;
+    a keyword the kind does not take raises TypeError."""
+    if kind not in PROFILES:
+        raise ConfigError(f"unknown noise profile kind {kind!r}")
+    if n < 1:
+        raise ConfigError(f"profile length must be >= 1, got {n}")
+    return PROFILES[kind][0](n, **params)
 
 
 def sample_noise(profile: NoiseProfile, sigma_w: float, rngs) -> np.ndarray:

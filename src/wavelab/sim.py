@@ -73,7 +73,7 @@ class SimConfig:
         if not self.targets:
             raise ConfigError("need at least one target")
         if self.qam_order not in QAM_ORDERS:
-            raise ConfigError(f"QAM order must be one of {QAM_ORDERS}")
+            raise ConfigError(f"'qam_order' must be one of {QAM_ORDERS}, got {self.qam_order!r}")
         if len(self.snr_db) == 0:
             raise ConfigError("need at least one SNR point")
         if not all(math.isfinite(s) for s in self.snr_db):
@@ -83,12 +83,10 @@ class SimConfig:
         except OverflowError:
             raise ConfigError(f"'snr_db' {min(self.snr_db)!r} overflows sigma_w**2") from None
         if self.bits_per_point < MIN_BITS_PER_POINT:
-            raise ConfigError(
-                f"bit budget per point must be >= {MIN_BITS_PER_POINT}, "
-                f"got {self.bits_per_point}"
-            )
+            raise ConfigError(f"'bits_per_point' must be >= {MIN_BITS_PER_POINT}, "
+                              f"got {self.bits_per_point}")
         if self.equalizer not in EQUALIZERS:
-            raise ConfigError(f"equalizer must be one of {EQUALIZERS}")
+            raise ConfigError(f"'equalizer' must be one of {EQUALIZERS}, got {self.equalizer!r}")
         if self.seed < 0:
             raise ConfigError("seed must be a nonnegative integer")
         n = self.n

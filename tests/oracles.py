@@ -20,7 +20,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from wavelab.analysis import DEFAULT_SPARSITY_TOL
 from wavelab.channel import CONDITION_LIMIT, ChannelSpec, check_delays, equalize
 from wavelab.exceptions import ConfigError, DimensionError, EqualizationError
 from wavelab.noise import sample_noise
@@ -190,6 +189,9 @@ def equalized_gains(n: int, num_taps: int, gain_cap: float, seed: int) -> np.nda
     taps /= np.sqrt(2 * num_taps)
     gains = np.minimum(1.0 / np.abs(np.fft.fft(taps, n)) ** 2, gain_cap)
     return gains * (gains.size / gains.sum())
+
+
+DEFAULT_SPARSITY_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)

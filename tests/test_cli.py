@@ -1028,6 +1028,22 @@ class TestStrictConfigReader:
         ("ber", "waveforms: [{kind: otfs, l: 4, alpha: 0.1}]", "alpha"),
         ("sparsity", "entries: [{kind: afdm, n: 8, q: 0.5, k: 2}]", "k"),
         ("fdma-demo", "layout: [{kind: ofdm, n: 4, l: 2}, {kind: otfs, k: 2, l: 2}]", "l"),
+        # each of these was refused with exit 2 without naming its key
+        ("ber", "equalizer: foo", "equalizer"),
+        ("ber", "qam_order: 3", "qam_order"),
+        ("ber", "bits_per_point: 5", "bits_per_point"),
+        ("ber", "waveforms: [{kind: otfs}]", "k"),
+        ("ber", "n: 5\nwaveforms: [{kind: otfs, k: -1, l: -5}]", "k"),
+        ("ber", "noise: {kind: white, n: 7}", "n"),
+        ("ber", "channel: {num_taps: 0}", "num_taps"),
+        ("ber", "n: 8\nwaveforms: [{kind: ofdm}]\n"
+                "noise: {kind: impulse, spikes: 8, power_fraction: 0.0}", "power_fraction"),
+        ("ber", "noise: {kind: impulse, spikes: 0}", "spikes"),
+        ("ber", "noise: {kind: interferer, width: 0}", "width"),
+        ("ber", "noise: {kind: interferer, power_fraction: 1.5}", "power_fraction"),
+        # overflowed the trace normalization: a RuntimeWarning, then refused with no key named
+        ("ber", "n: 8\nwaveforms: [{kind: ofdm}]\n"
+                "noise: {kind: interferer, width: 8, power_fraction: 1.0e-310}", "power_fraction"),
     ]
 
     @staticmethod
@@ -1071,6 +1087,33 @@ class TestStrictConfigReader:
         assert run_cli("ber", "--config", str(config), "--out", str(out), *flags) == 2
         assert f"cannot parse config file {config}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("dry_run", [False, True])
+    def test_config_whose_top_level_is_a_list_refused(self, tmp_path, capsys, dry_run):
+        config = tmp_path / "bad.yaml"
+        config.write_text("- n: 12\n- seed: 3\n")
+        out = tmp_path / "o"
+        flags = ["--dry-run"] if dry_run else []
+        assert run_cli("ber", "--config", str(config), "--out", str(out), *flags) == 2
+        assert f"config file {config} must contain a mapping at top level" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dry_run", [False, True])
+    def test_empty_config_runs_the_defaults(self, tmp_path, capsys, dry_run):
+        config = tmp_path / "empty.yaml"
+        config.write_text("")
+        flags = ["--dry-run"] if dry_run else []
+        runs = []
+        for name, given in (("empty", ["--config", str(config)]), ("none", [])):
+            out = tmp_path / name
+            assert run_cli("ber", *given, "--out", str(out), *flags) == 0
+            printed = capsys.readouterr().out.replace(str(out), "OUT")
+            written = {} if dry_run else {
+                path.name: path.read_bytes() for path in out.iterdir() if path.suffix == ".csv"}
+            runs.append((printed, written))
+        assert runs[0] == runs[1]
+        assert dry_run or runs[0][1]
 
     @pytest.mark.parametrize("dry_run", [False, True])
     @pytest.mark.parametrize("subcommand", ["ber", "analyze-noise"])

@@ -1,5 +1,8 @@
 """Tests for colored-noise profiles, sampling, and whitening metrics."""
 
+import inspect
+import sys
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -80,14 +83,33 @@ class TestMakeProfile:
             wl.make_profile("equalized", 16, gain_cap=gain_cap)
 
     def test_parameter_errors(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="'spikes'"):
             wl.make_profile("impulse", 8, spikes=9)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="'width'"):
             wl.make_profile("interferer", 8, width=9)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="'power_fraction'"):
             wl.make_profile("interferer", 8, power_fraction=1.5)
         with pytest.raises(ConfigError):
             wl.make_profile("pink", 8)
+
+    def test_keyword_of_another_kind_refused(self):
+        # used to be ignored: a white profile
+        with pytest.raises(TypeError, match="'spikes'"):
+            wl.make_profile("white", 8, spikes=3)
+
+    @pytest.mark.parametrize("fraction", [0.0, 5e-324, 1e-310])
+    @pytest.mark.parametrize("kind,key", [("impulse", "spikes"), ("interferer", "width")])
+    def test_all_bins_without_normal_power_refused(self, kind, key, fraction):
+        # at 0, "no power"; below it, the normalization overflowed to inf (a RuntimeWarning)
+        with pytest.raises(ConfigError, match="'power_fraction'"):
+            wl.make_profile(kind, 8, **{key: 8, "power_fraction": fraction})
+        prof = wl.make_profile(kind, 8, **{key: 8, "power_fraction": sys.float_info.min})
+        assert_allclose(prof.gains, np.ones(8))
+
+    def test_profile_table_lists_each_builders_keywords(self):
+        for kind, (builder, keys) in wl.noise.PROFILES.items():
+            assert list(inspect.signature(builder).parameters) == ["n", *keys]
+            assert builder(8).kind == kind
 
     def test_negative_gains_rejected(self):
         with pytest.raises(ConfigError):
