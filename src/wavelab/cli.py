@@ -15,8 +15,14 @@ imports the modules its run uses: the analyses never load the BER engine,
 nor a BER run ``analysis``. Once it has parsed, ``main`` freezes the heap
 once per process (``gc.freeze``), so no later collection, those at
 interpreter exit included, walks it again. While it runs, ``main`` hides
-OpenSSL's ``_hashlib`` from imports when hashlib's builtin hashes stand in
-for it, so a run that loads ``numpy.random`` never maps libcrypto.
+from imports the native modules no run calls, OpenSSL's ``_hashlib`` (when
+hashlib's builtin hashes stand in for it) and PyYAML's ``yaml._yaml``, so a
+run never maps libcrypto or libyaml. ``import wavelab.cli`` loads no numpy,
+so ``main`` also sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
+MKL_NUM_THREADS to 1 when none is set and numpy is not loaded yet: its BLAS
+then starts one thread, not one per CPU, which is faster for a run's small
+solves. Setting any one of them keeps a multi-threaded BLAS. Once ``main``
+returns, the environment and ``sys.modules`` hold none of these entries.
 """
 
 from __future__ import annotations
@@ -34,8 +40,6 @@ import time
 from collections.abc import Callable
 from dataclasses import asdict, replace
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .configio import (
@@ -56,6 +60,9 @@ from .exceptions import ConfigError, EqualizationError, WavelabError
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+
+# the thread counts a BLAS reads once, when numpy loads it
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # ---------------------------------------------------------------------------
 # built-in default configs (desk-scale analogues of the headline experiments)
@@ -177,6 +184,7 @@ class Run:
         return self.out / name
 
     def finish(self) -> None:
+        import numpy as np
         try:  # numpy < 1.26 takes no mode
             blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
         except (TypeError, KeyError):
@@ -189,6 +197,7 @@ class Run:
             "python": ".".join(map(str, sys.version_info[:3])),
             "numpy": np.__version__,
             "blas": blas,
+            "blas_threads": {name: os.environ.get(name) for name in THREAD_VARS},
             "duration_s": time.perf_counter() - self.started,
             "outputs": sorted(self.outputs),
         }
@@ -342,6 +351,7 @@ def cmd_fdma_demo(config: dict, run: Run) -> Callable[[], int]:
     whitening_path = run.path("block_whitening.csv")
 
     def work() -> int:
+        import numpy as np
         rng = np.random.default_rng(seed)
         data = [(rng.standard_normal(wf.N) + 1j * rng.standard_normal(wf.N)) / np.sqrt(2)
                 for wf in layout.configs]
@@ -379,6 +389,8 @@ def cmd_fdma_demo(config: dict, run: Run) -> Callable[[], int]:
 
 
 def cmd_verify_appendix(config: dict, run: Run) -> Callable[[], int]:
+    import numpy as np
+
     from .analysis import rect_window_spectrum, row_sparsity, verify_decimation_identity
     from .waveform import afdm_inverse_column, chirp_phase
     decimation_tol = _tolerance(config, "decimation_tol")
@@ -515,31 +527,48 @@ def _freeze_heap() -> None:
     gc.freeze()
 
 
+def _pin_blas() -> tuple:
+    """Set every THREAD_VARS to "1" until ``main`` returns, so that numpy's BLAS, the
+    first time it loads, starts one thread, not one per CPU: a run's small solves
+    are faster on one. Only when none is set (a user's own setting wins) and numpy
+    is not loaded yet; returns the names it set."""
+    if "numpy" in sys.modules or any(name in os.environ for name in THREAD_VARS):
+        return ()
+    os.environ.update(dict.fromkeys(THREAD_VARS, "1"))
+    return THREAD_VARS
+
+
 # the modules hashlib falls back to when it cannot import OpenSSL's _hashlib
 _BUILTIN_HASHES = ("_md5", "_sha1",
                    *(("_sha2",) if sys.version_info >= (3, 12) else ("_sha256", "_sha512")),
                    "_sha3", "_blake2")
 
+# native module no run calls -> the module whose first import would load it:
+# OpenSSL's _hashlib, through numpy.random's secrets -> hmac/hashlib chain, and
+# PyYAML's libyaml binding (safe_load is pure Python)
+_UNCALLED = {"_hashlib": "numpy.random", "yaml._yaml": "yaml"}
 
-def _hide_openssl() -> bool:
-    """Make ``import _hashlib`` fail until ``main`` returns, so that numpy.random's
-    ``secrets`` -> ``hmac``/``hashlib`` chain, the first time it loads, takes the
-    builtin hashes and never maps libcrypto, which no run uses. Only when neither
-    is loaded yet and hashlib would find every builtin hash; True if hidden."""
-    if "_hashlib" in sys.modules or "numpy.random" in sys.modules:
-        return False
+
+def _hide_uncalled() -> list:
+    """Make each ``import`` of an _UNCALLED module fail until ``main`` returns, so
+    that its loader takes the pure-Python path and never maps the library
+    (libcrypto, libyaml). Only while neither the module nor its loader is loaded
+    yet, and _hashlib only when hashlib would find every builtin hash; returns the
+    names it hid."""
     from importlib.util import find_spec
-    if not all(find_spec(name) for name in _BUILTIN_HASHES):
-        return False  # hashlib would log each missing hash and lack some
-    sys.modules["_hashlib"] = None
-    return True
+    hidden = [name for name, loader in _UNCALLED.items()
+              if name not in sys.modules and loader not in sys.modules]
+    if "_hashlib" in hidden and not all(find_spec(name) for name in _BUILTIN_HASHES):
+        hidden.remove("_hashlib")  # hashlib would log each missing hash and lack some
+    sys.modules.update(dict.fromkeys(hidden))
+    return hidden
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handler, defaults, optional = _SUBCOMMANDS[args.subcommand]
     out_dir = args.out or f"wavelab_out/{args.subcommand}"
-    hidden = _hide_openssl()
+    pinned, hidden = _pin_blas(), _hide_uncalled()
     try:
         config = _resolve_config(args, defaults)
         check_keys(config, set(defaults) | optional, "config")
@@ -573,8 +602,11 @@ def main(argv=None) -> int:
         print(f"wavelab {args.subcommand}: error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     finally:
-        if hidden and sys.modules.get("_hashlib", 0) is None:
-            del sys.modules["_hashlib"]
+        for name in pinned:
+            os.environ.pop(name, None)
+        for name in hidden:
+            if sys.modules.get(name, 0) is None:
+                del sys.modules[name]
 
 
 if __name__ == "__main__":

@@ -20,13 +20,13 @@ import sys
 from typing import TYPE_CHECKING
 
 from .exceptions import ConfigError
-from .waveform import AFDM, OFDM, OTFS, WaveformConfig
 
 if TYPE_CHECKING:  # each parser imports its section's module when it runs
     from .channel import ChannelGenerator, ChannelSpec
     from .fdma import BlockLayout
     from .noise import NoiseProfile
     from .sim import SimConfig
+    from .waveform import WaveformConfig
 
 # Largest array length a config may ask for: a grid size N, a tap count or
 # a size-bN transform of the decimation identity. The parse refuses more,
@@ -133,22 +133,23 @@ def check_size(size: int, key: str, context: str) -> int:
     return size
 
 
-# per waveform kind, the keys its section may set besides kind and n
-_WAVEFORM_KEYS = {OFDM: set(), OTFS: {"k", "l"}, AFDM: {"q", "alpha"}}
+# per waveform kind (waveform.KINDS), the keys its section may set besides kind and n
+_WAVEFORM_KEYS = {"ofdm": set(), "otfs": {"k", "l"}, "afdm": {"q", "alpha"}}
 
 
 def parse_waveform(section: dict, default_n: int | None = None) -> WaveformConfig:
     """One waveform, ``n`` defaulting to ``default_n``; an OTFS k*l grid needs no ``n``."""
+    from .waveform import WaveformConfig
     kind = read(section, "kind", str, context="waveform").lower()
     if kind not in _WAVEFORM_KEYS:
         raise ConfigError(f"unknown waveform kind {kind!r}")
     check_keys(section, _WAVEFORM_KEYS[kind] | {"kind", "n"}, f"{kind} waveform")
     n = read(section, "n", int, default_n, "waveform", minimum=1)
-    if n is None and not (kind == OTFS and "k" in section and "l" in section):
+    if n is None and not (kind == "otfs" and "k" in section and "l" in section):
         raise ConfigError("waveform: missing required key 'n'")
-    if kind == OFDM:
+    if kind == "ofdm":
         wf = WaveformConfig.ofdm(n)
-    elif kind == OTFS:
+    elif kind == "otfs":
         k = read(section, "k", int, None, "waveform", minimum=1)
         l = read(section, "l", int, None, "waveform", minimum=1)
         if l is None and k is None:
@@ -156,7 +157,7 @@ def parse_waveform(section: dict, default_n: int | None = None) -> WaveformConfi
         if l is None or k is None:
             name, given = ("k", k) if l is None else ("l", l)
             if n % given:
-                raise ConfigError(f"OTFS {name}={given} does not divide n={n}")
+                raise ConfigError(f"waveform {name!r}: OTFS {name}={given} does not divide n={n}")
             k, l = (given, n // given) if l is None else (n // given, given)
         elif "n" in section and k * l != n:
             raise ConfigError(f"waveform: 'n' = {n} is not the OTFS grid size k*l = {k * l}")
@@ -175,8 +176,12 @@ def parse_channel(section: dict, n: int) -> ChannelGenerator | ChannelSpec:
         taps = []  # per tap: delay, gain, doppler
         for entry in read(section, "taps", [dict], context="channel"):
             check_keys(entry, {"delay", "gain_re", "gain_im", "doppler"}, "channel tap")
+            delay = read(entry, "delay", int, context="channel tap", minimum=0)
+            if delay >= n:
+                raise ConfigError(f"channel tap: 'delay' = {shown(delay)} does not fit in a "
+                                  f"block of {n} samples")
             taps.append((
-                read(entry, "delay", int, context="channel tap"),
+                delay,
                 complex(read(entry, "gain_re", float, 0.0, "channel tap"),
                         read(entry, "gain_im", float, 0.0, "channel tap")),
                 read(entry, "doppler", float, 0.0, "channel tap"),
@@ -192,8 +197,11 @@ def parse_channel(section: dict, n: int) -> ChannelGenerator | ChannelSpec:
         return spec
     check_keys(section, {"num_taps", "max_doppler"}, "channel")
     num_taps = read(section, "num_taps", int, context="channel", minimum=1)
+    if num_taps > n:  # delays 0 .. num_taps - 1; n itself passed check_size
+        raise ConfigError(f"channel: 'num_taps' = {shown(num_taps)} taps do not fit in a "
+                          f"block of {n} samples")
     return ChannelGenerator(
-        num_taps=check_size(num_taps, "num_taps", "channel"),
+        num_taps=num_taps,
         max_doppler=read(section, "max_doppler", float, 0.0, "channel"),
     )
 
@@ -229,6 +237,9 @@ def parse_sim(doc: dict) -> SimConfig:
         targets = (parse_layout(read(doc, "layout", [dict])),)
     else:
         targets = tuple(parse_waveform(e, default_n=n) for e in read(doc, "waveforms", [dict]))
+        if any(wf.N != targets[0].N for wf in targets):
+            raise ConfigError(f"config: every waveform must have one grid size 'n', "
+                              f"got {shown([wf.N for wf in targets])}")
     # a single SNR point may be given as a scalar
     snr = read(doc, "snr_db", object)
     snr_db = read({"snr_db": snr if isinstance(snr, list) else [snr]}, "snr_db", [float])

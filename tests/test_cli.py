@@ -1044,6 +1044,12 @@ class TestStrictConfigReader:
         # overflowed the trace normalization: a RuntimeWarning, then refused with no key named
         ("ber", "n: 8\nwaveforms: [{kind: ofdm}]\n"
                 "noise: {kind: interferer, width: 8, power_fraction: 1.0e-310}", "power_fraction"),
+        # each of these was refused by the library with exit 2 and no key named
+        ("ber", "waveforms: [{kind: ofdm, n: 8}, {kind: ofdm, n: 12}]", "n"),
+        ("ber", "channel: {taps: [{delay: 500}]}", "delay"),
+        ("ber", "channel: {taps: [{delay: -1}]}", "delay"),
+        ("ber", "waveforms: [{kind: otfs, l: 7}]", "l"),
+        ("ber", "channel: {num_taps: 121}", "num_taps"),
     ]
 
     @staticmethod
@@ -1360,13 +1366,13 @@ class TestStartup:
         cfg = cli.parse_sim({**cli.DEFAULT_BER, **yaml.safe_load(self.CASES[0][1])})
         assert wl.config_fingerprint(cfg) == summary["config_digest"]
 
-    def hashlib_entry_during_main(self, monkeypatch, tmp_path):
-        """``sys.modules``' ``_hashlib`` entry (``"absent"`` if none) while ``main`` parses
-        a dry ``ber`` run, which loads neither numpy.random nor hashlib."""
+    def entry_during_main(self, monkeypatch, tmp_path, name="_hashlib"):
+        """``sys.modules``' ``name`` entry (``"absent"`` if none) while ``main`` parses a
+        dry ``ber`` run, which loads neither numpy.random, hashlib nor (with no config) yaml."""
         seen, parse = [], cli.parse_sim
 
         def parse_sim(config):
-            seen.append(sys.modules.get("_hashlib", "absent"))
+            seen.append(sys.modules.get(name, "absent"))
             return parse(config)
 
         monkeypatch.setattr(cli, "parse_sim", parse_sim)
@@ -1377,14 +1383,14 @@ class TestStartup:
         monkeypatch.delitem(sys.modules, "_hashlib", raising=False)
         monkeypatch.delitem(sys.modules, "numpy.random", raising=False)
         monkeypatch.setattr(cli, "_BUILTIN_HASHES", ("json",))  # found wherever this runs
-        assert self.hashlib_entry_during_main(monkeypatch, tmp_path) is None
+        assert self.entry_during_main(monkeypatch, tmp_path) is None
         assert "_hashlib" not in sys.modules
 
     def test_nothing_hidden_without_a_builtin_hash(self, tmp_path, monkeypatch):
         monkeypatch.delitem(sys.modules, "_hashlib", raising=False)
         monkeypatch.delitem(sys.modules, "numpy.random", raising=False)
         monkeypatch.setattr(cli, "_BUILTIN_HASHES", (*cli._BUILTIN_HASHES, "_no_such_hash"))
-        assert self.hashlib_entry_during_main(monkeypatch, tmp_path) == "absent"
+        assert self.entry_during_main(monkeypatch, tmp_path) == "absent"
         assert "_hashlib" not in sys.modules
 
     @pytest.mark.parametrize("name", ["_hashlib", "numpy.random"])
@@ -1394,9 +1400,102 @@ class TestStartup:
         monkeypatch.delitem(sys.modules, other, raising=False)
         monkeypatch.setitem(sys.modules, name, loaded)
         monkeypatch.setattr(cli, "_BUILTIN_HASHES", ("json",))
-        entry = self.hashlib_entry_during_main(monkeypatch, tmp_path)
+        entry = self.entry_during_main(monkeypatch, tmp_path)
         assert entry is (loaded if name == "_hashlib" else "absent")
         assert sys.modules[name] is loaded
+
+    def test_main_hides_libyaml_while_it_runs(self, tmp_path, monkeypatch):
+        monkeypatch.delitem(sys.modules, "yaml", raising=False)
+        monkeypatch.delitem(sys.modules, "yaml._yaml", raising=False)
+        assert self.entry_during_main(monkeypatch, tmp_path, "yaml._yaml") is None
+        assert "yaml._yaml" not in sys.modules
+
+    @pytest.mark.parametrize("name", ["yaml._yaml", "yaml"])
+    def test_libyaml_not_hidden_once_yaml_loaded(self, tmp_path, monkeypatch, name):
+        loaded = object()  # stands for the module
+        other = "yaml" if name == "yaml._yaml" else "yaml._yaml"
+        monkeypatch.delitem(sys.modules, other, raising=False)
+        monkeypatch.setitem(sys.modules, name, loaded)
+        entry = self.entry_during_main(monkeypatch, tmp_path, "yaml._yaml")
+        assert entry is (loaded if name == "yaml._yaml" else "absent")
+        assert sys.modules[name] is loaded
+
+    # main in a new interpreter, as run_fresh, watching the thread counts numpy loads under
+    SETUP_SCRIPT = (
+        "import json, os, sys\n"
+        "from wavelab.cli import THREAD_VARS\n"
+        "seen = []\n"
+        "class Watch:\n"
+        "    def find_spec(name, path=None, target=None):\n"
+        "        if name == 'numpy' and not seen:\n"
+        "            seen.append({var: os.environ.get(var) for var in THREAD_VARS})\n"
+        "sys.meta_path.insert(0, Watch)\n"
+        "none_before = sorted(name for name, m in sys.modules.items() if m is None)\n"
+        "from wavelab.cli import main\n"
+        "on_import = 'numpy' in sys.modules\n"
+        "try:\n"
+        "    code = main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "print(json.dumps({'code': code, 'numpy_on_import': on_import,\n"
+        "                  'numpy': 'numpy' in sys.modules, 'seen': seen[0] if seen else None,\n"
+        "                  'after': {var: os.environ.get(var) for var in THREAD_VARS},\n"
+        "                  'libyaml': 'yaml._yaml' in sys.modules, 'none_before': none_before,\n"
+        "                  'none': sorted(name for name, m in sys.modules.items() if m is None)}))\n"
+    )
+    UNPINNED = {var: None for var in cli.THREAD_VARS}
+
+    def run_setup(self, tmp_path, argv, text=None, **thread_vars):
+        """SETUP_SCRIPT's report for ``main(argv)`` (no call if empty), in an environment
+        without the thread counts (tier-1's conftest sets them) but ``thread_vars``."""
+        if text is not None:
+            config = tmp_path / "cfg.yaml"
+            config.write_text(text + "\n")
+            argv = [*argv, "--config", str(config)]
+        env = {name: value for name, value in os.environ.items()
+               if name not in cli.THREAD_VARS}
+        env["PYTHONPATH"] = str(Path(wl.__file__).resolve().parent.parent)
+        proc = subprocess.run([sys.executable, "-c", self.SETUP_SCRIPT, *argv],
+                              capture_output=True, text=True, env={**env, **thread_vars},
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout.splitlines()[-1])
+        assert report["code"] == 0, proc.stderr
+        assert report["none"] == report["none_before"]  # main leaves no None entry
+        return report
+
+    @pytest.mark.parametrize("argv", [[], ["--version"], ["--help"]],
+                             ids=["import", "version", "help"])
+    def test_cli_import_loads_no_numpy(self, tmp_path, argv):
+        report = self.run_setup(tmp_path, argv)
+        assert not report["numpy_on_import"] and not report["numpy"]
+        assert report["after"] == self.UNPINNED
+
+    def test_run_loads_numpy_on_one_blas_thread(self, tmp_path):
+        out = tmp_path / "o"
+        report = self.run_setup(tmp_path, ["ber", "--out", str(out)], self.CASES[0][1])
+        assert not report["numpy_on_import"]
+        assert report["seen"] == {var: "1" for var in cli.THREAD_VARS}
+        assert report["after"] == self.UNPINNED  # removed once main returns
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["blas_threads"] == {var: "1" for var in cli.THREAD_VARS}
+
+    def test_user_thread_count_kept(self, tmp_path):
+        out = tmp_path / "o"
+        report = self.run_setup(tmp_path, ["ber", "--out", str(out)], self.CASES[0][1],
+                                OPENBLAS_NUM_THREADS="2")
+        user = {**self.UNPINNED, "OPENBLAS_NUM_THREADS": "2"}
+        assert report["seen"] == report["after"] == user
+        assert json.loads((out / "manifest.json").read_text())["blas_threads"] == user
+
+    @pytest.mark.parametrize("subcommand,text,flags", [case[:3] for case in MODULE_CASES],
+                             ids=["analyze-noise", "sparsity", "verify-appendix",
+                                  "verify-appendix-config", "ber", "ber-dry-run", "ber-layout",
+                                  "sweep-l-dry-run", "sweep-q-dry-run", "fdma-demo"])
+    def test_no_run_loads_libyaml(self, tmp_path, subcommand, text, flags):
+        report = self.run_setup(tmp_path, [subcommand, "--out", str(tmp_path / "o"), *flags],
+                                text)
+        assert not report["libyaml"]
 
     def test_main_freezes_the_import_heap(self, tmp_path):
         _, frozen_before, frozen_after = self.run_fresh(tmp_path, *self.CASES[1][:3])
