@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .configio import MAX_EXPANDED_SIZE
-from .exceptions import ConfigError, DimensionError
+from .exceptions import MAX_EXPANDED_SIZE, ConfigError, DimensionError
 from .waveform import afdm_inverse_column, chirp_phase
 
 

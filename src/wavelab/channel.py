@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ConfigError
+from .exceptions import ConfigError, shown
 
 # Zero-forcing refuses channels whose condition number exceeds this.
 CONDITION_LIMIT = 1e12
@@ -123,8 +123,10 @@ class ChannelSpec:
 
 def check_delays(delays, n: int) -> None:
     """Refuse taps whose delay does not fit in a block of ``n`` samples."""
-    if max(delays) >= n:
-        raise ConfigError(f"tap delay {max(delays)} does not fit in a block of {n} samples")
+    largest = max(np.asarray(delays).tolist())  # a Python int, past int64 too
+    if largest >= n:
+        raise ConfigError(f"channel tap 'delay': tap delay {shown(largest)} does not fit in a "
+                          f"block of {n} samples")
 
 
 def equalize(delays, gains, dopplers, z, w_f, rho: float, equalizer: str):

@@ -44,7 +44,6 @@ from pathlib import Path
 from . import __version__
 from .configio import (
     HEADROOM,
-    MAX_EXPANDED_SIZE,
     check_keys,
     check_size,
     load_config_file,
@@ -53,9 +52,8 @@ from .configio import (
     parse_sim,
     parse_waveform,
     read,
-    shown,
 )
-from .exceptions import ConfigError, EqualizationError, WavelabError
+from .exceptions import MAX_EXPANDED_SIZE, ConfigError, EqualizationError, WavelabError, shown
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -307,7 +305,8 @@ def _sweep_table(run: Run, column: str, config: dict, sections) -> Callable[[], 
     """Work of a sweep: ``config`` at its one SNR point, on one waveform per section."""
     cfg = parse_sim(config)
     if len(cfg.snr_db) != 1:
-        raise ConfigError("parameter sweeps need a template with exactly one SNR point")
+        raise ConfigError(f"config: 'snr_db' = {shown(list(cfg.snr_db))}: parameter sweeps "
+                          f"need a template with exactly one SNR point")
     cfg = replace(cfg, targets=tuple(parse_waveform(s, default_n=cfg.n) for s in sections))
     path = run.path(f"sweep_{column}.csv")
 
@@ -328,7 +327,8 @@ def cmd_sweep_l(config: dict, run: Run) -> Callable[[], int]:
 def cmd_sweep_q(config: dict, run: Run) -> Callable[[], int]:
     q_values, alpha = read(config, "q_values", [float]), read(config, "alpha", float)
     if 0.0 in q_values:
-        raise ConfigError("q=0 degenerates to OFDM; sweep values must be nonzero")
+        raise ConfigError("config: 'q_values' holds 0: q=0 degenerates to OFDM; sweep values "
+                          "must be nonzero")
     return _sweep_table(run, "q", config, [dict(kind="afdm", q=q, alpha=alpha) for q in q_values])
 
 
@@ -339,7 +339,8 @@ def cmd_fdma_demo(config: dict, run: Run) -> Callable[[], int]:
     seed = read(config, "seed", int, minimum=0)
     jammed = read(config, "jammed_block", int)
     if not 0 <= jammed < len(layout.blocks):
-        raise ConfigError(f"jammed_block {jammed} out of range")
+        raise ConfigError(f"config: 'jammed_block' = {shown(jammed)} is not a block index "
+                          f"in [0, {len(layout.blocks)})")
     jam_power = read(config, "jam_power", float, minimum=0)
     limit = HEADROOM / n  # no block's demod_power sums more than n * (1 + jam_power)
     if jam_power > limit:

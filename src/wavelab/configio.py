@@ -3,9 +3,12 @@
 Configs are plain nested key/value documents; the parsers turn them into
 the objects a run takes, a sweep's waveforms included. Each validates its
 section's keys eagerly (a waveform or noise section takes only its kind's
-keys; ``cli.main`` checks the top-level ones) and reads every value through
-:func:`read`, which checks its type strictly; each refusal is a
-ConfigError naming the key, which the CLI maps to exit code 2. Sizes pass
+keys, from ``waveform.KINDS`` or ``noise.PROFILES``; ``cli.main`` checks the
+top-level ones) and reads every value through :func:`read`, which checks its
+type strictly; each refusal is a ConfigError naming the key, which the CLI
+maps to exit code 2. A rule the objects' constructors check on every path
+(one grid size, a tap delay inside the block, an OTFS ``n`` of k*l) is left
+to them, and their messages name the key as well. Sizes pass
 :func:`check_size`, so a huge one is refused before any array is
 allocated. Each parser imports its section's module when it runs. The
 CLI merges each file over its built-in defaults, so :func:`parse_sim`
@@ -15,11 +18,10 @@ requires every top-level key it reads.
 from __future__ import annotations
 
 import math
-import reprlib
 import sys
 from typing import TYPE_CHECKING
 
-from .exceptions import ConfigError
+from .exceptions import MAX_EXPANDED_SIZE, ConfigError, shown
 
 if TYPE_CHECKING:  # each parser imports its section's module when it runs
     from .channel import ChannelGenerator, ChannelSpec
@@ -27,11 +29,6 @@ if TYPE_CHECKING:  # each parser imports its section's module when it runs
     from .noise import NoiseProfile
     from .sim import SimConfig
     from .waveform import WaveformConfig
-
-# Largest array length a config may ask for: a grid size N, a tap count or
-# a size-bN transform of the decimation identity. The parse refuses more,
-# naming the key, before any array is allocated.
-MAX_EXPANDED_SIZE = 1 << 20
 
 # Half the largest float: a power over N bins (noise, jamming, a fixed channel)
 # is refused above it, so the rounding of the sums and FFTs cannot overflow.
@@ -53,33 +50,6 @@ def load_config_file(path: str) -> dict:
     if not isinstance(doc, dict):
         raise ConfigError(f"config file {path} must contain a mapping at top level")
     return doc
-
-
-# A refused value is shown whole up to about 1000 characters, and past them
-# within reprlib's limits (3 levels, 6 items a list): a YAML alias lets a file
-# of a few hundred bytes hold a value whose repr runs to gigabytes.
-_SHORT = reprlib.Repr()
-_SHORT.maxlevel = 3
-
-
-def shown(value) -> str:
-    """``repr(value)``, or a shortened repr when that would pass 1000 characters; an
-    integer past about 3,000 digits (a computed size, which Python may refuse to
-    convert past 4,300) by its bit length."""
-    if isinstance(value, int) and value.bit_length() > 10_000:
-        return f"an integer of {value.bit_length()} bits"
-    return repr(value) if _room(value, 1000) >= 0 else _SHORT.repr(value)
-
-
-def _room(value, room: int) -> int:
-    """``room`` less about the length of ``repr(value)``; it stops walking below 0."""
-    if not isinstance(value, (list, tuple, dict)):
-        return room - len(repr(value))
-    for item in value.items() if isinstance(value, dict) else value:
-        if room < 0:
-            break
-        room = _room(item, room - 2)  # and its separator
-    return room
 
 
 _REQUIRED = object()
@@ -133,17 +103,13 @@ def check_size(size: int, key: str, context: str) -> int:
     return size
 
 
-# per waveform kind (waveform.KINDS), the keys its section may set besides kind and n
-_WAVEFORM_KEYS = {"ofdm": set(), "otfs": {"k", "l"}, "afdm": {"q", "alpha"}}
-
-
 def parse_waveform(section: dict, default_n: int | None = None) -> WaveformConfig:
     """One waveform, ``n`` defaulting to ``default_n``; an OTFS k*l grid needs no ``n``."""
-    from .waveform import WaveformConfig
+    from .waveform import KINDS, WaveformConfig
     kind = read(section, "kind", str, context="waveform").lower()
-    if kind not in _WAVEFORM_KEYS:
-        raise ConfigError(f"unknown waveform kind {kind!r}")
-    check_keys(section, _WAVEFORM_KEYS[kind] | {"kind", "n"}, f"{kind} waveform")
+    if kind not in KINDS:
+        raise ConfigError(f"waveform: 'kind' = {shown(kind)} is not one of {list(KINDS)}")
+    check_keys(section, {*KINDS[kind], "kind", "n"}, f"{kind} waveform")
     n = read(section, "n", int, default_n, "waveform", minimum=1)
     if n is None and not (kind == "otfs" and "k" in section and "l" in section):
         raise ConfigError("waveform: missing required key 'n'")
@@ -159,9 +125,7 @@ def parse_waveform(section: dict, default_n: int | None = None) -> WaveformConfi
             if n % given:
                 raise ConfigError(f"waveform {name!r}: OTFS {name}={given} does not divide n={n}")
             k, l = (given, n // given) if l is None else (n // given, given)
-        elif "n" in section and k * l != n:
-            raise ConfigError(f"waveform: 'n' = {n} is not the OTFS grid size k*l = {k * l}")
-        wf = WaveformConfig.otfs(k, l)
+        wf = WaveformConfig(kind, n, K=k, L=l) if "n" in section else WaveformConfig.otfs(k, l)
     else:
         q = read(section, "q", float, context="AFDM waveform")
         wf = WaveformConfig.afdm(n, q, read(section, "alpha", float, 0.0, "waveform"))
@@ -176,12 +140,8 @@ def parse_channel(section: dict, n: int) -> ChannelGenerator | ChannelSpec:
         taps = []  # per tap: delay, gain, doppler
         for entry in read(section, "taps", [dict], context="channel"):
             check_keys(entry, {"delay", "gain_re", "gain_im", "doppler"}, "channel tap")
-            delay = read(entry, "delay", int, context="channel tap", minimum=0)
-            if delay >= n:
-                raise ConfigError(f"channel tap: 'delay' = {shown(delay)} does not fit in a "
-                                  f"block of {n} samples")
             taps.append((
-                delay,
+                read(entry, "delay", int, context="channel tap", minimum=0),
                 complex(read(entry, "gain_re", float, 0.0, "channel tap"),
                         read(entry, "gain_im", float, 0.0, "channel tap")),
                 read(entry, "doppler", float, 0.0, "channel tap"),
@@ -210,7 +170,7 @@ def parse_profile(section: dict, n: int) -> NoiseProfile:
     from .noise import PROFILES, make_profile
     kind = read(section, "kind", str, context="noise").lower()
     if kind not in PROFILES:
-        raise ConfigError(f"unknown noise profile kind {kind!r}")
+        raise ConfigError(f"noise: 'kind' = {shown(kind)} is not one of {list(PROFILES)}")
     keys = PROFILES[kind][1]
     check_keys(section, set(keys) | {"kind", "n"}, f"{kind} noise")
     if read(section, "n", int, n, "noise") != n:
@@ -237,18 +197,17 @@ def parse_sim(doc: dict) -> SimConfig:
         targets = (parse_layout(read(doc, "layout", [dict])),)
     else:
         targets = tuple(parse_waveform(e, default_n=n) for e in read(doc, "waveforms", [dict]))
-        if any(wf.N != targets[0].N for wf in targets):
-            raise ConfigError(f"config: every waveform must have one grid size 'n', "
-                              f"got {shown([wf.N for wf in targets])}")
     # a single SNR point may be given as a scalar
     snr = read(doc, "snr_db", object)
     snr_db = read({"snr_db": snr if isinstance(snr, list) else [snr]}, "snr_db", [float])
     # checked but unused: the discrete-time model is dimensionless
     read(doc, "subcarrier_spacing_hz", float, None)
-    channel = parse_channel(read(doc, "channel", dict), targets[0].N)
+    section = read(doc, "channel", dict)
+    channel = parse_channel(section, targets[0].N)
     if "layout" in doc and channel.max_doppler != 0.0:
-        raise ConfigError("FDMA layouts support quasi-static channels only; "
-                          "Doppler breaks block independence")
+        key = "doppler" if "taps" in section else "max_doppler"
+        raise ConfigError(f"channel: {key!r} must be 0: FDMA layouts support quasi-static "
+                          f"channels only; Doppler breaks block independence")
     return SimConfig(
         channel=channel,
         profile=parse_profile(read(doc, "noise", dict), targets[0].N),

@@ -103,7 +103,8 @@ def _impulse(n: int, *, spikes: int | None = None, spike_offset: int = 0,
     p = max(1, n // 32) if spikes is None else spikes
     if not 1 <= p <= n:
         raise ConfigError(f"impulse profile 'spikes' must be in [1, {n}], got {p}")
-    return _concentrated(n, (spike_offset + (np.arange(p) * n) // p) % n, power_fraction,
+    # the offset is reduced mod n first, so one past int64 neither overflows nor wraps
+    return _concentrated(n, (spike_offset % n + (np.arange(p) * n) // p) % n, power_fraction,
                          "impulse")
 
 
@@ -117,7 +118,7 @@ def _interferer(n: int, *, width: int | None = None, start: int = 0,
     w = (n // 8 + 1) if width is None else width
     if not 1 <= w <= n:
         raise ConfigError(f"interferer profile 'width' must be in [1, {n}], got {w}")
-    return _concentrated(n, (start + np.arange(w)) % n, power_fraction, "interferer")
+    return _concentrated(n, (start % n + np.arange(w)) % n, power_fraction, "interferer")
 
 
 def _equalized(n: int, *, num_taps: int = DEFAULT_EQUALIZED_TAPS,

@@ -90,8 +90,10 @@ class SimConfig:
         if self.seed < 0:
             raise ConfigError("seed must be a nonnegative integer")
         n = self.n
-        if any(target.N != n for target in self.targets):
-            raise ConfigError("all targets must share one subcarrier count")
+        for target in self.targets:
+            if target.N != n:
+                raise ConfigError(f"every target must have one grid size 'n', "
+                                  f"got {n} and {target.N}")
         if self.profile.N != n:
             raise ConfigError(f"noise profile length {self.profile.N} does not match N={n}")
         check_delays(self.channel.delays, n)

@@ -23,12 +23,13 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .exceptions import ConfigError, DimensionError
+from .exceptions import ConfigError, DimensionError, shown
 
 OFDM = "ofdm"
 OTFS = "otfs"
 AFDM = "afdm"
-KINDS = (OFDM, OTFS, AFDM)
+# The one table of waveform kinds: each kind's config keys besides kind and n.
+KINDS = {OFDM: (), OTFS: ("k", "l"), AFDM: ("q", "alpha")}
 
 
 @dataclass(frozen=True)
@@ -52,16 +53,15 @@ class WaveformConfig:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ConfigError(f"unknown waveform kind {self.kind!r}")
+            raise ConfigError(f"waveform: 'kind' = {self.kind!r} is not one of {list(KINDS)}")
         if self.N < 1:
             raise ConfigError(f"subcarrier count must be >= 1, got {self.N}")
         if self.kind == OTFS:
             if self.K < 1 or self.L < 1:
                 raise ConfigError("OTFS requires positive grid dimensions K and L")
             if self.K * self.L != self.N:
-                raise ConfigError(
-                    f"OTFS grid {self.K}x{self.L} does not match N={self.N}"
-                )
+                raise ConfigError(f"waveform: 'n' = {shown(self.N)} is not the OTFS grid size "
+                                  f"k*l = {shown(self.K * self.L)}")
         if self.kind == AFDM:
             for name, rate in (("q", self.q), ("alpha", self.alpha)):
                 if not math.isfinite(chirp_phase(self.N, rate, self.N - 1)):  # the largest k

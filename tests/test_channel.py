@@ -89,11 +89,17 @@ class TestChannelSpec:
 
     def test_delay_past_int64_is_refused_by_the_block(self):
         # it stays a Python int in the array, for SimConfig's block check to name
-        with pytest.raises(ConfigError, match=f"tap delay {10**30} does not fit"):
+        message = f"channel tap 'delay': tap delay {10**30} does not fit"
+        with pytest.raises(ConfigError, match=message):
             wl.channel.check_delays(wl.ChannelSpec([10**30], [1.0], [0.0]).delays, 8)
 
 
 class TestRandomChannel:
+    def test_needs_a_tap(self):
+        # the parse refuses num_taps: 0 first, so only the library reaches this
+        with pytest.raises(ConfigError, match="channel needs at least one tap, got 0"):
+            wl.ChannelGenerator(num_taps=0)
+
     def test_zero_max_doppler_gives_static_taps(self):
         delays, _, dopplers = taps_of(wl.ChannelGenerator(num_taps=6), np.random.default_rng(0))
         assert all(doppler == 0.0 for doppler in dopplers)

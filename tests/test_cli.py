@@ -1050,6 +1050,16 @@ class TestStrictConfigReader:
         ("ber", "channel: {taps: [{delay: -1}]}", "delay"),
         ("ber", "waveforms: [{kind: otfs, l: 7}]", "l"),
         ("ber", "channel: {num_taps: 121}", "num_taps"),
+        # each of these was refused with exit 2 and no key named
+        ("sweep-l", "snr_db: [10.0, 20.0]", "snr_db"),
+        ("sweep-q", "q_values: [0.0, 1.0]", "q_values"),
+        ("fdma-demo", "jammed_block: 3", "jammed_block"),
+        ("ber", "waveforms: [{kind: foo}]", "kind"),
+        ("ber", "noise: {kind: foo}", "kind"),
+        ("ber", "layout: [{kind: ofdm, n: 12}]\nchannel: {num_taps: 2, max_doppler: 0.1}",
+         "max_doppler"),
+        ("ber", "layout: [{kind: ofdm, n: 12}]\n"
+                "channel: {taps: [{delay: 0, gain_re: 1.0, doppler: 0.1}]}", "doppler"),
     ]
 
     @staticmethod
@@ -1237,6 +1247,19 @@ class TestParser:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "invalid choice: 'bogus'" in err if argv == ["bogus"] else "required" in err
+
+
+@pytest.mark.parametrize("dry_run", [False, True])
+def test_library_error_exits_2(tmp_path, monkeypatch, capsys, dry_run):
+    # a WavelabError that is neither a ConfigError nor an EqualizationError
+    def handler(config, run):
+        raise wl.DimensionError("gains shape (3,) does not match N=4")
+
+    monkeypatch.setitem(cli._SUBCOMMANDS, "sparsity", (handler, cli.DEFAULT_SPARSITY, set()))
+    out = tmp_path / "o"
+    assert run_cli("sparsity", "--out", str(out), *(["--dry-run"] if dry_run else [])) == 2
+    assert "wavelab sparsity: error: gains shape (3,)" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def fresh_modules(statement: str) -> set:

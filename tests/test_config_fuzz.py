@@ -31,8 +31,9 @@ CASES_PER_CONFIG = 48
 
 POOL = [-3, 0, math.nan, True, "abc", [], [[1, 2]], {"x": 1}]
 
-# sizes and budgets no real run could finish: tried at every key by --dry-run alone
-DRY_RUN_POOL = [10**18]
+# sizes and budgets no real run could finish, and integers just past int64 (a noise
+# offset there overflowed numpy): tried at every key by --dry-run alone
+DRY_RUN_POOL = [10**18, 2**63, -2**63 - 1]
 
 # float extremes: tried for real at every float key of a channel section and at
 # the paths of EXTREME_KEYS

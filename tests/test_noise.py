@@ -111,6 +111,17 @@ class TestMakeProfile:
             assert list(inspect.signature(builder).parameters) == ["n", *keys]
             assert builder(8).kind == kind
 
+    @pytest.mark.parametrize("offset", [2**63 - 1, 2**63 - 50, 2**63, -2**63 - 1, 10**23])
+    def test_offsets_past_int64_place_the_python_int_bins(self, offset):
+        # int64 arithmetic wrapped these silently near its top and overflowed past it
+        n, p, w = 120, 3, 4
+        impulse = wl.make_profile("impulse", n, spikes=p, spike_offset=offset).gains
+        assert np.flatnonzero(impulse > 1).tolist() == sorted(
+            (offset + i * n // p) % n for i in range(p))
+        interferer = wl.make_profile("interferer", n, width=w, start=offset).gains
+        assert np.flatnonzero(interferer > 1).tolist() == sorted(
+            (offset + i) % n for i in range(w))
+
     def test_negative_gains_rejected(self):
         with pytest.raises(ConfigError):
             wl.NoiseProfile(np.array([2.0, -1.0, 1.0]), "white")
@@ -223,6 +234,19 @@ class TestDemodVariance:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             demod_noise_variance(np.eye(4), np.ones(5))
+
+
+@pytest.mark.parametrize("call,error,match", [
+    (lambda: wl.NoiseProfile(np.ones((2, 2)), "white"), DimensionError,
+     r"gains must be a nonempty 1-D vector, got \(2, 2\)"),
+    (lambda: wl.make_profile("white", 0), ConfigError, "profile length must be >= 1, got 0"),
+    (lambda: wl.sample_noise(wl.make_profile("white", 4), -1.0, []), ConfigError,
+     "sigma_w must be >= 0"),
+    (lambda: wl.whitening_std([]), DimensionError, "expected a nonempty 1-D vector"),
+], ids=["gains", "n", "sigma_w", "whitening"])
+def test_library_refusals(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
 
 
 class TestWhiteningStd:

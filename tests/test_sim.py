@@ -98,10 +98,22 @@ class TestConfigValidation:
             white_cfg(channel=wl.ChannelSpec([120], [1.0 + 0j], [0.0]))
 
     def test_rejects_mixed_block_sizes(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="every target must have one grid size 'n', "
+                                              "got 120 and 60"):
             white_cfg(
                 targets=(wl.WaveformConfig.ofdm(120), wl.WaveformConfig.ofdm(60))
             )
+
+    @pytest.mark.parametrize("overrides,match", [
+        ({"targets": ()}, "need at least one target"),
+        ({"snr_db": ()}, "need at least one SNR point"),
+        ({"snr_db": (20.0, math.nan)}, r"SNR points must be finite, got \[20.0, nan\]"),
+        ({"seed": -1}, "seed must be a nonnegative integer"),
+    ], ids=["targets", "snr_db", "snr_db-nan", "seed"])
+    def test_library_refusals(self, overrides, match):
+        # the parse refuses each of these first, so only the library reaches them
+        with pytest.raises(ConfigError, match=match):
+            white_cfg(**overrides)
 
 
 class TestRunFrame:

@@ -36,8 +36,17 @@ ALL_KINDS = [
 
 
 class TestConfig:
+    @pytest.mark.parametrize("call,error,match", [
+        (lambda: wl.WaveformConfig("otfs", 12, K=0, L=12), ConfigError,
+         "OTFS requires positive grid dimensions"),
+        (lambda: afdm_inverse_column(0, 0.5), DimensionError, "column length must be >= 1"),
+    ], ids=["otfs-k", "column"])
+    def test_library_refusals(self, call, error, match):
+        with pytest.raises(error, match=match):
+            call()
+
     def test_otfs_grid_must_match_n(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"'n' = 16 is not the OTFS grid size k\*l = 12"):
             wl.WaveformConfig("otfs", 16, K=3, L=4)
 
     def test_positive_n_required(self):
@@ -45,7 +54,7 @@ class TestConfig:
             wl.WaveformConfig.ofdm(0)
 
     def test_unknown_kind(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="'kind' = 'dft-s-ofdm' is not one of"):
             wl.WaveformConfig("dft-s-ofdm", 16)
 
     @pytest.mark.parametrize("n", [1, 2, 16, 1024])
