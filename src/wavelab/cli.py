@@ -43,7 +43,7 @@ from pathlib import Path
 
 from . import __version__
 from .configio import (
-    HEADROOM,
+    check_headroom,
     check_keys,
     check_size,
     load_config_file,
@@ -53,7 +53,7 @@ from .configio import (
     parse_waveform,
     read,
 )
-from .exceptions import MAX_EXPANDED_SIZE, ConfigError, EqualizationError, WavelabError, shown
+from .exceptions import ConfigError, EqualizationError, WavelabError, shown
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -235,11 +235,8 @@ def cmd_analyze_noise(config: dict, run: Run) -> Callable[[], int]:
     if any(wf.N != n for wf in waveforms):
         raise ConfigError(f"config: every waveform must have the grid size 'n' = {n}")
     profiles = [parse_profile(p, n) for p in read(config, "profiles", [dict])]
-    sigma_w = read(config, "sigma_w", float, minimum=0)
-    limit = math.sqrt(HEADROOM / n)  # no variance, nor their sum, exceeds sigma_w**2 * n
-    if sigma_w > limit:
-        raise ConfigError(f"config: 'sigma_w' = {sigma_w!r} is over {limit!r}, where the "
-                          f"noise power sigma_w**2 * {n} passes half the largest float")
+    sigma_w = read(config, "sigma_w", float, minimum=0)  # the variances' sum <= n * sigma_w**2
+    check_headroom(sigma_w, n, "config: 'sigma_w'", amplitude=True)
     curves = [(profile, wf, run.path(f"variance_{wf.slug}_{profile.kind}.csv"))
               for profile in profiles for wf in waveforms]
     summary_path = run.path("summary.csv")
@@ -342,10 +339,7 @@ def cmd_fdma_demo(config: dict, run: Run) -> Callable[[], int]:
         raise ConfigError(f"config: 'jammed_block' = {shown(jammed)} is not a block index "
                           f"in [0, {len(layout.blocks)})")
     jam_power = read(config, "jam_power", float, minimum=0)
-    limit = HEADROOM / n  # no block's demod_power sums more than n * (1 + jam_power)
-    if jam_power > limit:
-        raise ConfigError(f"config: 'jam_power' = {jam_power!r} is over {limit!r}, half the "
-                          f"largest float over the layout's n = {n} bins")
+    check_headroom(jam_power, n, "config: 'jam_power'")  # demod_power sums <= n * (1 + jam_power)
     roundtrip_path = run.path("roundtrip.csv")
     leakage_path = run.path("leakage.csv")
     variance_path = run.path("jammer_variance.csv")
@@ -401,9 +395,7 @@ def cmd_verify_appendix(config: dict, run: Run) -> Callable[[], int]:
     rates = []
     for n, a, b in itertools.product(n_values, a_values, b_values):
         g = math.gcd(a, b)  # the rate a/b in lowest terms, exactly
-        if b // g * n > MAX_EXPANDED_SIZE:
-            raise ConfigError(f"config: 'n_values' item {n} with a/b = {a}/{b} needs a "
-                              f"size-{b // g * n} transform, over the {MAX_EXPANDED_SIZE} guard")
+        check_size(b // g * n, "n_values", "config")  # the size-bn transform of a/b
         try:  # the largest phase of the identity's sequence and of its column, k = n - 1;
             # an a too large for a float raises
             finite = (math.isfinite(chirp_phase(b // g * n, a // g, n - 1))
@@ -411,8 +403,8 @@ def cmd_verify_appendix(config: dict, run: Run) -> Callable[[], int]:
         except OverflowError:
             finite = False
         if not finite:
-            raise ConfigError(f"config: 'a_values' item {a} with b = {b} and n = {n} makes the "
-                              f"chirp phase pi*(a/b)*k**2/n overflow for k < n")
+            raise ConfigError(f"config: 'a_values' item {shown(a)} with b = {shown(b)} and "
+                              f"n = {n} makes the chirp phase pi*(a/b)*k**2/n overflow for k < n")
         rates.append((n, a, b, g))
     dirichlet_tol = _tolerance(config, "dirichlet_tol")
     dirichlet_cases = read(config, "dirichlet_cases", [[int]], minimum=1)

@@ -8,11 +8,11 @@ top-level ones) and reads every value through :func:`read`, which checks its
 type strictly; each refusal is a ConfigError naming the key, which the CLI
 maps to exit code 2. A rule the objects' constructors check on every path
 (one grid size, a tap delay inside the block, an OTFS ``n`` of k*l) is left
-to them, and their messages name the key as well. Sizes pass
-:func:`check_size`, so a huge one is refused before any array is
-allocated. Each parser imports its section's module when it runs. The
-CLI merges each file over its built-in defaults, so :func:`parse_sim`
-requires every top-level key it reads.
+to them, and their messages name the key as well. :func:`check_size` refuses
+a huge size before any array is allocated, and :func:`check_headroom` a power
+over the bins past half the largest float, the CLI's too. Each parser imports
+its section's module when it runs. The CLI merges each file over its built-in
+defaults, so :func:`parse_sim` requires every top-level key it reads.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ if TYPE_CHECKING:  # each parser imports its section's module when it runs
     from .waveform import WaveformConfig
 
 # Half the largest float: a power over N bins (noise, jamming, a fixed channel)
-# is refused above it, so the rounding of the sums and FFTs cannot overflow.
+# is refused above it (check_headroom), so the rounding of sums and FFTs cannot overflow.
 HEADROOM = sys.float_info.max / 2
 
 
@@ -78,9 +78,10 @@ def read(section: dict, key: str, kind, default=_REQUIRED, context: str = "confi
         if not isinstance(value, kind):
             raise ConfigError(f"{name} must be a {kind.__name__}, got {shown(value)}")
         return value
-    # the chained comparison refuses NaN and infinities without converting ints
+    # converting no int: NaN, infinities, and at a float key an int float() cannot take
     if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not -math.inf < value < math.inf):
+            or not -math.inf < value < math.inf
+            or kind is float and abs(value) > sys.float_info.max):
         raise ConfigError(f"{name} must be a finite number, got {shown(value)}")
     if kind is int and value != int(value):
         raise ConfigError(f"{name} must be an integer, got {shown(value)}")
@@ -103,6 +104,14 @@ def check_size(size: int, key: str, context: str) -> int:
     return size
 
 
+def check_headroom(value: float, n: int, name: str, amplitude: bool = False) -> None:
+    """Refuse a power over ``n`` bins past HEADROOM: ``value``, or n * value**2 if an amplitude."""
+    limit = math.sqrt(HEADROOM / n) if amplitude else HEADROOM / n
+    if not value <= limit:  # inf as well
+        raise ConfigError(f"{name} = {shown(value)} is over {limit!r}, where its power over "
+                          f"n = {n} bins passes half the largest float")
+
+
 def parse_waveform(section: dict, default_n: int | None = None) -> WaveformConfig:
     """One waveform, ``n`` defaulting to ``default_n``; an OTFS k*l grid needs no ``n``."""
     from .waveform import KINDS, WaveformConfig
@@ -111,7 +120,9 @@ def parse_waveform(section: dict, default_n: int | None = None) -> WaveformConfi
         raise ConfigError(f"waveform: 'kind' = {shown(kind)} is not one of {list(KINDS)}")
     check_keys(section, {*KINDS[kind], "kind", "n"}, f"{kind} waveform")
     n = read(section, "n", int, default_n, "waveform", minimum=1)
-    if n is None and not (kind == "otfs" and "k" in section and "l" in section):
+    if n is not None:
+        check_size(n, "n", "waveform")  # before an AFDM waveform's chirp check divides by it
+    elif not (kind == "otfs" and "k" in section and "l" in section):
         raise ConfigError("waveform: missing required key 'n'")
     if kind == "ofdm":
         wf = WaveformConfig.ofdm(n)
@@ -123,13 +134,14 @@ def parse_waveform(section: dict, default_n: int | None = None) -> WaveformConfi
         if l is None or k is None:
             name, given = ("k", k) if l is None else ("l", l)
             if n % given:
-                raise ConfigError(f"waveform {name!r}: OTFS {name}={given} does not divide n={n}")
+                raise ConfigError(f"waveform {name!r}: OTFS {name}={shown(given)} does not "
+                                  f"divide n={n}")
             k, l = (given, n // given) if l is None else (n // given, given)
         wf = WaveformConfig(kind, n, K=k, L=l) if "n" in section else WaveformConfig.otfs(k, l)
     else:
         q = read(section, "q", float, context="AFDM waveform")
         wf = WaveformConfig.afdm(n, q, read(section, "alpha", float, 0.0, "waveform"))
-    check_size(wf.N, "n", "waveform")
+    check_size(wf.N, "n", "waveform")  # an OTFS grid k*l as well
     return wf
 
 
@@ -149,11 +161,7 @@ def parse_channel(section: dict, n: int) -> ChannelGenerator | ChannelSpec:
         spec = ChannelSpec(*zip(*taps))
         # every |h_f| <= sum_p |h_p| = total: the power over the bins is <= n * total**2
         total = sum(math.hypot(gain.real, gain.imag) for _, gain, _ in taps)  # abs() may raise
-        limit = math.sqrt(HEADROOM / n)
-        if not total <= limit:  # inf as well
-            raise ConfigError(f"channel tap: 'gain_re'/'gain_im' give a total |gain| {total!r}"
-                              f" over {limit!r}: the power over n = {n} bins passes "
-                              f"half the largest float")
+        check_headroom(total, n, "channel tap: total |gain| of 'gain_re'/'gain_im'", amplitude=True)
         return spec
     check_keys(section, {"num_taps", "max_doppler"}, "channel")
     num_taps = read(section, "num_taps", int, context="channel", minimum=1)
@@ -174,7 +182,7 @@ def parse_profile(section: dict, n: int) -> NoiseProfile:
     keys = PROFILES[kind][1]
     check_keys(section, set(keys) | {"kind", "n"}, f"{kind} noise")
     if read(section, "n", int, n, "noise") != n:
-        raise ConfigError(f"noise: 'n' = {section['n']} does not match the grid size {n}")
+        raise ConfigError(f"noise: 'n' = {shown(section['n'])} does not match the grid size {n}")
     kwargs = {key: read(section, key, typ, context="noise")
               for key, typ in keys.items() if key in section}
     return make_profile(kind, n, **kwargs)  # which refuses more taps than n

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ConfigError, DimensionError
+from .exceptions import ConfigError, DimensionError, shown
 
 # Seed and tap count of the fixed channel behind the default "equalized" profile.
 DEFAULT_EQUALIZED_SEED = 7
@@ -102,7 +102,7 @@ def _impulse(n: int, *, spikes: int | None = None, spike_offset: int = 0,
     compare such grids."""
     p = max(1, n // 32) if spikes is None else spikes
     if not 1 <= p <= n:
-        raise ConfigError(f"impulse profile 'spikes' must be in [1, {n}], got {p}")
+        raise ConfigError(f"impulse profile 'spikes' must be in [1, {n}], got {shown(p)}")
     # the offset is reduced mod n first, so one past int64 neither overflows nor wraps
     return _concentrated(n, (spike_offset % n + (np.arange(p) * n) // p) % n, power_fraction,
                          "impulse")
@@ -117,7 +117,7 @@ def _interferer(n: int, *, width: int | None = None, start: int = 0,
     collapse whitening comparisons to a tie."""
     w = (n // 8 + 1) if width is None else width
     if not 1 <= w <= n:
-        raise ConfigError(f"interferer profile 'width' must be in [1, {n}], got {w}")
+        raise ConfigError(f"interferer profile 'width' must be in [1, {n}], got {shown(w)}")
     return _concentrated(n, (start % n + np.arange(w)) % n, power_fraction, "interferer")
 
 
@@ -134,9 +134,10 @@ def _equalized(n: int, *, num_taps: int = DEFAULT_EQUALIZED_TAPS,
     float, so the trace normalization, which can scale by 1/gain_cap, stays
     finite."""
     if not 1 <= num_taps <= n:  # np.fft.fft(taps, n) would crop the taps past n
-        raise ConfigError(f"equalized profile 'num_taps' must be in [1, {n}], got {num_taps}")
+        raise ConfigError(f"equalized profile 'num_taps' must be in [1, {n}], "
+                          f"got {shown(num_taps)}")
     if seed < 0:
-        raise ConfigError(f"equalized profile 'seed' must be >= 0, got {seed}")
+        raise ConfigError(f"equalized profile 'seed' must be >= 0, got {shown(seed)}")
     if not gain_cap >= sys.float_info.min:  # NaN as well
         raise ConfigError(f"equalized profile 'gain_cap' must be >= {sys.float_info.min!r}, "
                           f"where 1/gain_cap stays finite, got {gain_cap!r}")

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import EQUALIZERS, ChannelGenerator, ChannelSpec, check_delays, equalize
-from .exceptions import ConfigError, EqualizationError
+from .exceptions import ConfigError, EqualizationError, shown
 from .noise import NoiseProfile, sample_noise
 from .qam import POPCOUNT, QAM_ORDERS, qam_decide, qam_label, qam_map
 
@@ -73,7 +73,8 @@ class SimConfig:
         if not self.targets:
             raise ConfigError("need at least one target")
         if self.qam_order not in QAM_ORDERS:
-            raise ConfigError(f"'qam_order' must be one of {QAM_ORDERS}, got {self.qam_order!r}")
+            raise ConfigError(f"'qam_order' must be one of {QAM_ORDERS}, "
+                              f"got {shown(self.qam_order)}")
         if len(self.snr_db) == 0:
             raise ConfigError("need at least one SNR point")
         if not all(math.isfinite(s) for s in self.snr_db):
@@ -84,7 +85,7 @@ class SimConfig:
             raise ConfigError(f"'snr_db' {min(self.snr_db)!r} overflows sigma_w**2") from None
         if self.bits_per_point < MIN_BITS_PER_POINT:
             raise ConfigError(f"'bits_per_point' must be >= {MIN_BITS_PER_POINT}, "
-                              f"got {self.bits_per_point}")
+                              f"got {shown(self.bits_per_point)}")
         if self.equalizer not in EQUALIZERS:
             raise ConfigError(f"'equalizer' must be one of {EQUALIZERS}, got {self.equalizer!r}")
         if self.seed < 0:

@@ -9,11 +9,14 @@ those forms against; nothing in ``src/`` calls them. Nor does it call
 ``rational_chirp_decompose``: ``verify-appendix`` reduces each integer rate
 a/b exactly, and never approximates a float rate; nor ``rect_window_entry``,
 the per-index form of the Dirichlet kernel that ``rect_window_spectrum``
-computes as one array.
+computes as one array. ``zf_expected_errors`` is the exact expected bit-error
+count of zero-forcing on a quasi-static channel, given the engine's own channel
+draws, that ``run_ber``'s counts are checked against.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,9 +25,10 @@ import numpy as np
 
 from wavelab.channel import CONDITION_LIMIT, ChannelSpec, check_delays, equalize
 from wavelab.exceptions import ConfigError, DimensionError, EqualizationError
+from wavelab.fdma import BlockLayout
 from wavelab.noise import sample_noise
 from wavelab.qam import _axis_bits, energy_scale, qam_decide, qam_label, qam_map
-from wavelab.sim import SimConfig, _sigma_w
+from wavelab.sim import SimConfig, _sigma_w, frame_rng
 from wavelab.waveform import OFDM, OTFS, WaveformConfig, chirp_diagonal
 
 # ---------------------------------------------------------------------------
@@ -343,3 +347,50 @@ def run_frame(cfg: SimConfig, rng: np.random.Generator, target=None, snr_db=None
     if refused[0]:
         raise EqualizationError("zero-forcing refused the frame's channel")
     return bits, label_bits(qam_decide(target.receive(r)[0], cfg.qam_order), cfg.qam_order)
+
+
+def zf_expected_errors(cfg: SimConfig, point: int):
+    """Each target's exact expected bit errors at SNR point ``point`` under zero-forcing
+    on a quasi-static channel, given the engine's channel draws: ((targets,) floats, the
+    count of frames the per-bin guard keeps).
+
+    With every Doppler zero, ZF gives r_f = z + w_f / h_f, so symbol m of a target
+    carries circular Gaussian noise of variance sigma_w^2 * v_m, where
+    v = demod_power(profile.gains / |h_f|^2), block by block for a layout. Each axis is
+    Gray PAM at level spacing 2d: a level decided at or past k levels away, with
+    probability Q((2k - 1) d / s) at s = sqrt(sigma_w^2 v_m / 2), adds that step's
+    Hamming distance. This is quasi-analytic BER estimation (Jeruchim, Balaban &
+    Shanmugan, Simulation of Communication Systems, 2nd ed., 2000), conditioned on
+    each channel draw; no bits or noise are drawn.
+    """
+    levels, d = 1 << _axis_bits(cfg.qam_order), energy_scale(cfg.qam_order)
+    gray = [i ^ (i >> 1) for i in range(levels)]
+
+    def flips(i, j):  # the bits between the Gray codes of levels i and j
+        return bin(gray[i] ^ gray[j]).count("1")
+
+    # steps[k]: the bits a threshold k levels out adds, flips(i, i + k) - flips(i, i + k - 1)
+    # or the same downwards, averaged over the sent level i
+    steps = [0.0] * levels
+    for i, j in itertools.product(range(levels), repeat=2):
+        if i != j:
+            steps[abs(j - i)] += (flips(i, j) - flips(i, j - (1 if j > i else -1))) / levels
+    gains, dopplers = cfg.channel.draw(
+        [frame_rng(cfg.seed, point, f) for f in range(cfg.frames_per_point)])
+    assert not np.any(dopplers), "the closed form holds on quasi-static channels only"
+    h_f = np.zeros((len(gains), cfg.n), dtype=complex)
+    for p, delay in enumerate(cfg.channel.delays):  # delays may repeat
+        h_f[:, delay] += gains[:, p]
+    mags = np.abs(np.fft.fft(h_f))
+    mags = mags[mags.max(axis=1) <= CONDITION_LIMIT * mags.min(axis=1)]  # the ZF guard
+    sigma2 = _sigma_w(cfg.snr_db[point]) ** 2
+    expected = []
+    for target in cfg.targets:
+        blocks = (list(zip(target.configs, target.blocks)) if isinstance(target, BlockLayout)
+                  else [(target, slice(None))])
+        v = np.array([np.concatenate([wf.demod_power(g[sl]) for wf, sl in blocks])
+                      for g in cfg.profile.gains / mags**2])
+        thresholds = np.arange(1, 2 * levels - 1, 2) * d / np.sqrt(sigma2 * v[..., None])
+        q = np.reshape(list(map(math.erfc, thresholds.ravel().tolist())), thresholds.shape)
+        expected.append(float((q @ steps[1:]).sum()))  # 2 axes of erfc/2 each
+    return np.array(expected), len(mags)

@@ -6,12 +6,12 @@ and types, writes it as YAML and runs ``main`` in-process. An exception
 escaping ``main`` fails the test, as would a traceback at the command line.
 A case refused with exit 2 must be refused by its ``--dry-run`` as well.
 Values too large to run are tried by ``--dry-run`` alone, which must exit 0
-or 2 without allocating them. Float extremes are tried for real on a
-channel section's float keys and at the paths of ``EXTREME_KEYS`` (the AFDM
-rates, the noise and jammer powers, ``gain_cap`` and ``power_fraction``, an
-SNR, the subcarrier spacing, the tolerances and thresholds, and
-``verify-appendix``'s ``a_values``), where no output may hold a NaN or an
-infinity.
+or 2 without allocating them, and write at most ``MAX_STDERR`` bytes of
+stderr. Float extremes are tried for real on a channel section's float keys
+and at the paths of ``EXTREME_KEYS`` (the AFDM rates, the noise and jammer
+powers, ``gain_cap`` and ``power_fraction``, an SNR, the subcarrier spacing,
+the tolerances and thresholds, and ``verify-appendix``'s ``a_values``),
+where no output may hold a NaN or an infinity.
 """
 
 import copy
@@ -31,9 +31,12 @@ CASES_PER_CONFIG = 48
 
 POOL = [-3, 0, math.nan, True, "abc", [], [[1, 2]], {"x": 1}]
 
-# sizes and budgets no real run could finish, and integers just past int64 (a noise
-# offset there overflowed numpy): tried at every key by --dry-run alone
-DRY_RUN_POOL = [10**18, 2**63, -2**63 - 1]
+# sizes and budgets no real run could finish, integers just past int64 (a noise
+# offset there overflowed numpy) and past the largest float (float() raised at a
+# float key): tried at every key by --dry-run alone
+DRY_RUN_POOL = [10**18, 2**63, -2**63 - 1, 10**4000 - 1, -(10**4000 - 1)]
+# a refusal quotes a value whole only up to about 1,000 characters
+MAX_STDERR = 1200
 
 # float extremes: tried for real at every float key of a channel section and at
 # the paths of EXTREME_KEYS
@@ -159,17 +162,20 @@ def test_every_case_exits_0_2_or_3(tmp_path, subcommand):
 
 
 @pytest.mark.parametrize("subcommand", list(CONFIGS))
-def test_huge_values_dry_run_exits_0_or_2(tmp_path, subcommand):
+def test_huge_values_dry_run_exits_0_or_2(tmp_path, capsys, subcommand):
     for i, path in enumerate(_paths(CONFIGS[subcommand])):
-        for value in DRY_RUN_POOL:
+        for j, value in enumerate(DRY_RUN_POOL):
             config = tmp_path / f"case{i}.yaml"
             config.write_text(yaml.safe_dump(_with_value(CONFIGS[subcommand], path, value)))
             argv = [subcommand, "--dry-run", "--config", str(config), "--out", str(tmp_path)]
+            case = f"{subcommand} {path}=DRY_RUN_POOL[{j}]"  # a repr may run to 4,000 digits
             try:
                 code = main(argv)
             except Exception as exc:  # e.g. numpy's _ArrayMemoryError
-                pytest.fail(f"{subcommand} {path}={value!r} raised {exc!r}")
-            assert code in (0, 2), f"{subcommand} {path}={value!r} exited {code}"
+                pytest.fail(f"{case} raised {type(exc).__name__}")
+            err = capsys.readouterr().err
+            assert code in (0, 2), f"{case} exited {code}"
+            assert len(err.encode()) <= MAX_STDERR, f"{case}: {len(err.encode())} bytes on stderr"
 
 
 def _non_finite(out):

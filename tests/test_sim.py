@@ -12,7 +12,13 @@ import wavelab as wl
 from wavelab.cli import main
 from wavelab.exceptions import ConfigError, EqualizationError
 
-from oracles import IDENTITY_CHANNEL, build_precoder, demod_noise_variance, run_frame
+from oracles import (
+    IDENTITY_CHANNEL,
+    build_precoder,
+    demod_noise_variance,
+    run_frame,
+    zf_expected_errors,
+)
 
 
 def white_cfg(n=120, **overrides):
@@ -205,6 +211,41 @@ class TestAwgnOracle:
         point = wl.run_ber(cfg)[0].points[0]
         reference = qam16_awgn_ber(snr_db)
         assert abs(point.ber - reference) / reference < 0.15
+
+
+class TestZeroForcingOracle:
+    # at N = 16 an AFDM q of -4 is a comb that ties OTFS with L = 4 exactly: a dense q
+    TARGETS = {
+        "waveforms": (wl.WaveformConfig.ofdm(16), wl.WaveformConfig("otfs", 16, K=4, L=4),
+                      wl.WaveformConfig.afdm(16, 0.3, 0.1)),
+        "fdma": (wl.BlockLayout([wl.WaveformConfig.ofdm(4), wl.WaveformConfig.afdm(8, 0.3, 0.1),
+                                 wl.WaveformConfig.otfs(2, 2)]),),
+    }
+
+    @pytest.mark.parametrize("targets", list(TARGETS.values()), ids=list(TARGETS))
+    def test_counts_match_the_exact_conditional_sum(self, targets):
+        # ROADMAP item 14 (a) and (b): each count lies within 4 frame-cluster sigma of
+        # the exact expected errors over the same channel draws
+        cfg = wl.SimConfig(
+            channel=wl.ChannelGenerator(num_taps=4),
+            profile=wl.make_profile("impulse", 16, spikes=2),
+            targets=targets,
+            qam_order=16,
+            snr_db=(10.0, 20.0),
+            bits_per_point=20_000,
+            seed=1,
+            equalizer="zf",
+        )
+        curves = wl.run_ber(cfg)
+        for pi in range(len(cfg.snr_db)):
+            expected, kept = zf_expected_errors(cfg, pi)
+            for curve, mean in zip(curves, expected):
+                point = curve.points[pi]
+                assert point.bits == kept * cfg.bits_per_frame
+                frame_var = (point.errors_sq - point.errors**2 / kept) / (kept - 1)
+                assert point.errors > 0
+                assert abs(point.errors - mean) <= 4 * math.sqrt(kept * frame_var), (
+                    curve.label, cfg.snr_db[pi], point.errors, mean)
 
 
 class TestDeterminism:
