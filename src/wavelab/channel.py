@@ -12,17 +12,18 @@ dopplers)``, one realization per generator, each (frames, P) for P delays.
 target at a time, and returns the refusal mask with an iterator over
 each target's equalized bins. With every Doppler zero, H is circulant
 and ``_equalize_per_bin`` works in the DFT basis, equalizing each target
-in place as the iterator reaches it; otherwise ``_equalize_banded`` takes
-each target through the taps in its own memory and solves the cyclic
-band H^H H + rho I per frame with every target as a right-hand side,
-refusing a frame whose band is singular. Through the solves it holds the
-chunk's band, each target's H^H y (in its z's memory) and, under
-zero-forcing only, the taps' Doppler ramps; every other chunk-sized
-array is freed at its last use. Each path owns its zero-forcing guard. The
-banded one clears a frame when a Cholesky factorization of its Gram, less
-1e-8 of its norm, proves cond(H) <= about 1e4; the others take an SVD of
-their dense H, filled from the ramps. The dense oracles (``build_channel``,
-the ZF/MMSE G) live in ``tests/oracles.py``.
+in place as the iterator reaches it; otherwise ``_equalize_banded`` stacks
+the targets as one (targets, frames, N) array, takes the stack through the
+taps at once and solves the cyclic band H^H H + rho I per frame with every
+target as a right-hand side, refusing a frame whose band is singular;
+z's arrays are left as they were. Through the solves it holds the
+chunk's band, the stack's H^H y and, under zero-forcing only, the taps'
+Doppler ramps; every other chunk-sized array is freed at its last use.
+Each path owns its zero-forcing guard. The banded one clears a frame
+when a Cholesky factorization of its Gram, less 1e-8 of its norm, proves
+cond(H) <= about 1e4; the others take an SVD of their dense H, filled
+from the ramps. The dense oracles (``build_channel``, the ZF/MMSE G) live
+in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -136,9 +137,9 @@ def equalize(delays, gains, dopplers, z, w_f, rho: float, equalizer: str):
     else by one solve of (H^H H + rho I) x = H^H y per frame with the
     targets as right-hand sides. ``z`` gives the bins one target at a time:
     any iterable of (frames, N) arrays, such as a generator of precoded
-    targets or a (targets, frames, N) stack, whose arrays may be
-    overwritten. ``equalizer`` is one of EQUALIZERS: "mmse", or "zf", which
-    is rho = 0 behind the condition guard.
+    targets or a (targets, frames, N) stack; per bin they are overwritten,
+    the banded path copies them into one stack. ``equalizer`` is one of
+    EQUALIZERS: "mmse", or "zf", which is rho = 0 behind the condition guard.
 
     Returns ``refused``, a (frames,) bool mask of the frames whose condition
     number zero-forcing refuses, or whose banded solve meets a singular
@@ -191,27 +192,21 @@ def _equalize_per_bin(delays, gains, dopplers, z, w_f, rho: float, zf: bool):
 def _equalize_banded(delays, gains, dopplers, z, w_f, rho: float, zf: bool):
     # H = sum_p diag(u_p) Pi^{d_p} with u_p[m] = h_p exp(2j pi theta_p m / N), so
     # y = sum_p u_p . Pi^{d_p} x and H^H y = sum_p Pi^{-d_p} (u_p^* . y) need no H;
-    # each target's x = F^H z and then H^H y take its z's memory, and each other
-    # chunk-sized array is dropped at its last use
+    # the targets are one stack x = F^H z, (targets, frames, N), which then holds H^H y
+    # and the solves, and each other chunk-sized array is dropped at its last use
     n, rows = w_f.shape[-1], np.arange(w_f.shape[-1])
     u = 1j * (2 * np.pi / n) * dopplers[..., None] * rows
     np.exp(u, out=u)
     np.multiply(gains[..., None], u, out=u)
-    noise = np.fft.ifft(w_f, norm="ortho")
-
-    def adjoint(bins):  # H^H y for one target's z, in its memory
-        bins[...] = np.fft.ifft(bins, norm="ortho")
-        y = np.zeros_like(bins)  # summed in place from 0, in tap order
-        for p, d in enumerate(delays):
-            y += u[:, p] * _roll(bins, d)
-        y += noise
-        bins[...] = 0
-        for p, d in enumerate(delays):
-            bins += _roll(u[:, p].conj() * y, -d)
-        return bins
-
-    rhs = [adjoint(bins) for bins in z]
-    del noise
+    x = np.fft.ifft(np.array(list(z)), norm="ortho")
+    y = np.zeros_like(x)  # summed in place from 0, in tap order
+    for p, d in enumerate(delays):
+        y += u[:, p] * _roll(x, d)
+    y += np.fft.ifft(w_f, norm="ortho")
+    x[...] = 0
+    for p, d in enumerate(delays):
+        x += _roll(u[:, p].conj() * y, -d)
+    del y
     # H^H H is a cyclic band: A[i, i + d_a - d_b] += u_a^*[i + d_a] u_b[i + d_a]
     diffs = (delays[:, None] - delays) % n
     deltas = np.array(sorted(set(diffs.flat)))  # np.unique would import numpy.ma
@@ -232,14 +227,11 @@ def _equalize_banded(delays, gains, dopplers, z, w_f, rho: float, zf: bool):
             refused[f] = _guard_refuses(gram, band[f], u[f], delays)
         if not refused[f]:  # a refused frame's bins keep H^H y
             try:
-                solved = np.linalg.solve(gram, np.array([bins[f] for bins in rhs]).T)
+                x[:, f] = np.linalg.solve(gram, x[:, f].T).T
             except np.linalg.LinAlgError:  # an exact zero pivot: the Gram is singular
                 refused[f] = True
-            else:
-                for bins, column in zip(rhs, solved.T):
-                    bins[f] = column
     del band
-    return refused, (np.fft.fft(bins, norm="ortho") for bins in rhs)
+    return refused, iter(np.fft.fft(x, norm="ortho"))
 
 
 def _roll(x, shift):

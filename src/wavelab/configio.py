@@ -21,7 +21,7 @@ import math
 import sys
 from typing import TYPE_CHECKING
 
-from .exceptions import MAX_EXPANDED_SIZE, ConfigError, shown
+from .exceptions import MAX_EXPANDED_SIZE, ConfigError, kind_entry, shown
 
 if TYPE_CHECKING:  # each parser imports its section's module when it runs
     from .channel import ChannelGenerator, ChannelSpec
@@ -116,9 +116,7 @@ def parse_waveform(section: dict, default_n: int | None = None) -> WaveformConfi
     """One waveform, ``n`` defaulting to ``default_n``; an OTFS k*l grid needs no ``n``."""
     from .waveform import KINDS, WaveformConfig
     kind = read(section, "kind", str, context="waveform").lower()
-    if kind not in KINDS:
-        raise ConfigError(f"waveform: 'kind' = {shown(kind)} is not one of {list(KINDS)}")
-    check_keys(section, {*KINDS[kind], "kind", "n"}, f"{kind} waveform")
+    check_keys(section, {*kind_entry(KINDS, kind, "waveform"), "kind", "n"}, f"{kind} waveform")
     n = read(section, "n", int, default_n, "waveform", minimum=1)
     if n is not None:
         check_size(n, "n", "waveform")  # before an AFDM waveform's chirp check divides by it
@@ -177,9 +175,7 @@ def parse_channel(section: dict, n: int) -> ChannelGenerator | ChannelSpec:
 def parse_profile(section: dict, n: int) -> NoiseProfile:
     from .noise import PROFILES, make_profile
     kind = read(section, "kind", str, context="noise").lower()
-    if kind not in PROFILES:
-        raise ConfigError(f"noise: 'kind' = {shown(kind)} is not one of {list(PROFILES)}")
-    keys = PROFILES[kind][1]
+    keys = kind_entry(PROFILES, kind, "noise")[1]
     check_keys(section, set(keys) | {"kind", "n"}, f"{kind} noise")
     if read(section, "n", int, n, "noise") != n:
         raise ConfigError(f"noise: 'n' = {shown(section['n'])} does not match the grid size {n}")

@@ -1,5 +1,6 @@
 """Exception types shared across the package, the size guard the parse and
-the analysis share, and :func:`shown`, which quotes a refused value in a message."""
+the analysis share, :func:`shown`, which quotes a refused value in a message,
+and :func:`kind_entry`, the one lookup of a config's ``kind`` in its table."""
 
 import reprlib
 
@@ -50,3 +51,10 @@ def _room(value, room: int) -> int:
             break
         room = _room(item, room - 2)  # and its separator
     return room
+
+
+def kind_entry(table: dict, kind, section: str):
+    """``table[kind]``, or a ConfigError naming ``section``'s 'kind' key and the table's kinds."""
+    if kind not in table:
+        raise ConfigError(f"{section}: 'kind' = {shown(kind)} is not one of {list(table)}")
+    return table[kind]

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ConfigError, DimensionError, shown
+from .exceptions import ConfigError, DimensionError, kind_entry, shown
 
 # Seed and tap count of the fixed channel behind the default "equalized" profile.
 DEFAULT_EQUALIZED_SEED = 7
@@ -164,11 +164,10 @@ def make_profile(kind: str, n: int, **params) -> NoiseProfile:
     """The stock per-bin variance profile ``kind`` of length ``n``,
     trace-normalized to N, built by that kind's builder in :data:`PROFILES`;
     a keyword the kind does not take raises TypeError."""
-    if kind not in PROFILES:
-        raise ConfigError(f"unknown noise profile kind {kind!r}")
+    builder = kind_entry(PROFILES, kind, "noise")[0]
     if n < 1:
         raise ConfigError(f"profile length must be >= 1, got {n}")
-    return PROFILES[kind][0](n, **params)
+    return builder(n, **params)
 
 
 def sample_noise(profile: NoiseProfile, sigma_w: float, rngs) -> np.ndarray:

@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .exceptions import ConfigError, DimensionError, shown
+from .exceptions import ConfigError, DimensionError, kind_entry, shown
 
 OFDM = "ofdm"
 OTFS = "otfs"
@@ -52,8 +52,7 @@ class WaveformConfig:
     alpha: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ConfigError(f"waveform: 'kind' = {self.kind!r} is not one of {list(KINDS)}")
+        kind_entry(KINDS, self.kind, "waveform")  # refuses an unknown kind
         if self.N < 1:
             raise ConfigError(f"subcarrier count must be >= 1, got {self.N}")
         if self.kind == OTFS:

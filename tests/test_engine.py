@@ -167,9 +167,12 @@ def test_dispersive_receive_matches_dense(channel, n):
 @pytest.mark.parametrize("equalizer", wl.channel.EQUALIZERS)
 def test_dispersive_chunk_solves_frame_by_frame(equalizer):
     # a chunk of 32 frames never holds a (frames, N, N) stack at once; under MMSE
-    # its peak reads 6.8 z.nbytes. With numpy.fft's import counted as well it read
-    # 7.3, 10.3 when the chunk's temporaries outlived their last use, and 11.3 when
-    # x = F^H z also stayed bound to a name through the solves
+    # its peak reads 7.8 z.nbytes, 9.0 under ZF. This caller holds z, so the
+    # targets' stack is one z more than when each target's H^H y was written into
+    # z's own arrays (6.8 and 8.0); in the engine z is a generator of fresh arrays,
+    # which die once stacked. With numpy.fft's import counted as well MMSE read 8.3
+    # (7.3 before the stack), 10.3 when the chunk's temporaries outlived their last
+    # use, and 11.3 when x = F^H z also stayed bound to a name through the solves
     rng = np.random.default_rng(7)
     frames, n, channel = 32, 120, wl.ChannelGenerator(num_taps=8, max_doppler=0.3)
     gains, dopplers = channel.draw([rng] * frames)
@@ -178,7 +181,7 @@ def test_dispersive_chunk_solves_frame_by_frame(equalizer):
     tracemalloc.start()
     try:
         for _ in wl.equalize(channel.delays, gains, dopplers, z, w_f, 0.05, equalizer)[1]:
-            pass  # each target's bins, dropped as the next is equalized
+            pass  # each target's bins in turn
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -348,6 +351,36 @@ def test_banded_path_matches_per_bin_path(rho, zf):
     assert refused.tolist() == [False, zf, False, zf]
     kept = ~refused
     assert np.abs(banded[:, kept] - per_bin[:, kept]).max() < 1e-10
+
+
+@pytest.mark.parametrize("equalizer", wl.channel.EQUALIZERS)
+@pytest.mark.parametrize("max_doppler", [0.0, 0.3], ids=["per_bin", "banded"])
+def test_target_bins_do_not_depend_on_the_other_targets(max_doppler, equalizer):
+    # the banded path solves a frame once for all targets, as the columns of one
+    # right-hand side; each column must come out as that target's solve alone
+    rng = np.random.default_rng(8)
+    frames, n, channel = 21, 120, wl.ChannelGenerator(num_taps=8, max_doppler=max_doppler)
+    gains, dopplers = channel.draw([rng] * frames)
+    z, w_f = stacked(rng, 3 * frames, n).reshape(3, frames, n), stacked(rng, frames, n)
+    args = channel.delays, gains, dopplers
+    for chunk in ((bins.copy() for bins in z), z.copy()):  # a generator, then a stack
+        together, refused = equalize_all(*args, chunk, w_f, 0.05, equalizer)
+        for bins, alone in zip(together, z):
+            alone, kept = equalize_all(*args, alone[None].copy(), w_f, 0.05, equalizer)
+            assert np.array_equal(refused, kept)
+            assert np.array_equal(bins, alone[0])
+
+
+@pytest.mark.parametrize("equalizer", wl.channel.EQUALIZERS)
+@pytest.mark.parametrize("max_doppler", [0.0, 0.3], ids=["per_bin", "banded"])
+def test_target_counts_do_not_depend_on_the_other_targets(max_doppler, equalizer):
+    cfg = wl.SimConfig(channel=wl.ChannelGenerator(num_taps=4, max_doppler=max_doppler),
+                       profile=wl.make_profile("impulse", 36),
+                       targets=(TARGETS[0], TARGETS[4], TARGETS[3]), snr_db=(10.0, 20.0),
+                       bits_per_point=10_000, seed=5, equalizer=equalizer)
+    assert cfg.frames_per_point > 2 * sim.CHUNK_FRAMES  # several chunks a point
+    alone = wl.run_ber(dataclasses.replace(cfg, targets=cfg.targets[1:2]))
+    assert wl.run_ber(cfg)[1].points == alone[0].points
 
 
 @pytest.mark.parametrize("doppler", [0.0, 0.2], ids=["per_bin", "dense"])

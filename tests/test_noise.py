@@ -240,10 +240,12 @@ class TestDemodVariance:
     (lambda: wl.NoiseProfile(np.ones((2, 2)), "white"), DimensionError,
      r"gains must be a nonempty 1-D vector, got \(2, 2\)"),
     (lambda: wl.make_profile("white", 0), ConfigError, "profile length must be >= 1, got 0"),
+    (lambda: wl.make_profile("pink", 4), ConfigError,
+     r"noise: 'kind' = 'pink' is not one of \['white', 'impulse'"),
     (lambda: wl.sample_noise(wl.make_profile("white", 4), -1.0, []), ConfigError,
      "sigma_w must be >= 0"),
     (lambda: wl.whitening_std([]), DimensionError, "expected a nonempty 1-D vector"),
-], ids=["gains", "n", "sigma_w", "whitening"])
+], ids=["gains", "n", "kind", "sigma_w", "whitening"])
 def test_library_refusals(call, error, match):
     with pytest.raises(error, match=match):
         call()
