@@ -16,8 +16,10 @@ nor a BER run ``analysis``. Once it has parsed, ``main`` freezes the heap
 once per process (``gc.freeze``), so no later collection, those at
 interpreter exit included, walks it again. While it runs, ``main`` hides
 from imports the native modules no run calls, OpenSSL's ``_hashlib`` (when
-hashlib's builtin hashes stand in for it) and PyYAML's ``yaml._yaml``, so a
-run never maps libcrypto or libyaml. ``import wavelab.cli`` loads no numpy,
+hashlib's builtin hashes stand in for it), PyYAML's ``yaml._yaml`` and
+``_ctypes``, so a run never maps libcrypto, libyaml or libffi; numpy imports
+ctypes under a guard, and a numpy first loaded during ``main`` has no
+``ndarray.ctypes.data_as``. ``import wavelab.cli`` loads no numpy,
 so ``main`` also sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
 MKL_NUM_THREADS to 1 when none is set and numpy is not loaded yet: its BLAS
 then starts one thread, not one per CPU, which is faster for a run's small
@@ -537,17 +539,19 @@ _BUILTIN_HASHES = ("_md5", "_sha1",
                    "_sha3", "_blake2")
 
 # native module no run calls -> the module whose first import would load it:
-# OpenSSL's _hashlib, through numpy.random's secrets -> hmac/hashlib chain, and
-# PyYAML's libyaml binding (safe_load is pure Python)
-_UNCALLED = {"_hashlib": "numpy.random", "yaml._yaml": "yaml"}
+# OpenSSL's _hashlib, through numpy.random's secrets -> hmac/hashlib chain,
+# PyYAML's libyaml binding (safe_load is pure Python) and _ctypes with libffi,
+# which numpy imports under a guard and calls only from ndarray.ctypes and
+# numpy.ctypeslib: a numpy first loaded during main lacks those
+_UNCALLED = {"_hashlib": "numpy.random", "yaml._yaml": "yaml", "_ctypes": "numpy"}
 
 
 def _hide_uncalled() -> list:
     """Make each ``import`` of an _UNCALLED module fail until ``main`` returns, so
-    that its loader takes the pure-Python path and never maps the library
-    (libcrypto, libyaml). Only while neither the module nor its loader is loaded
-    yet, and _hashlib only when hashlib would find every builtin hash; returns the
-    names it hid."""
+    that its loader goes without it (a pure-Python path, or numpy's ctypes = None)
+    and never maps the library (libcrypto, libyaml, libffi). Only while neither
+    the module nor its loader is loaded yet, and _hashlib only when hashlib would
+    find every builtin hash; returns the names it hid."""
     from importlib.util import find_spec
     hidden = [name for name, loader in _UNCALLED.items()
               if name not in sys.modules and loader not in sys.modules]

@@ -4,10 +4,11 @@
 and is a target like a waveform; ``blocks`` holds each waveform's bins as a
 ``slice(start, stop)``. ``precode`` writes each block's precoded data
 z_i = Q_i c_i into its bins (one size-N inverse DFT of the result is the
-time-domain block); ``receive`` applies each Q_i^{-1} to its block's bins.
+time-domain block); ``receive`` applies each Q_i^{-1} to its block's bins,
+and ``demod_power`` each block's |Q_i^{-1}|^2 to its bins' noise gains.
 The blocks stay orthogonal over any channel that is diagonal in frequency.
-Layout data is the blocks' data back to back, and both methods act along the
-last axis of frames (..., N).
+Layout data is the blocks' data back to back, and all three methods act along
+the last axis of frames (..., N).
 """
 
 from __future__ import annotations
@@ -61,4 +62,11 @@ class BlockLayout:
         v = _as_vector(r_f, self.N)
         return np.concatenate(
             [wf.receive(v[..., sl]) for wf, sl in zip(self.configs, self.blocks)], axis=-1
+        )
+
+    def demod_power(self, gains) -> np.ndarray:
+        """Noise gains (..., N) to each block's demodulated noise power on its bins."""
+        g = _as_vector(gains, self.N, float)
+        return np.concatenate(
+            [wf.demod_power(g[..., sl]) for wf, sl in zip(self.configs, self.blocks)], axis=-1
         )

@@ -11,8 +11,8 @@ and ``receive`` (Q^{-1} r_f) use FFT-based forms, so simulation loops never
 pay for O(N^2) matrix products; the one F^H between them belongs to the
 channel (:func:`wavelab.channel.equalize`). They act along the last axis: a
 stack of blocks (..., N) is transformed row by row. The CLI's whitening and
-sparsity analysis uses ``row_magnitudes`` and ``demod_power``, which take
-|Q^{-1}| from each waveform's structure at any N. The dense precoders and
+sparsity analysis uses ``row_magnitudes`` and ``demod_power`` (along the last
+axis too), which take |Q^{-1}| from each waveform's structure at any N. The dense precoders and
 closed forms of Q^{-1} they are checked against live in ``tests/oracles.py``.
 """
 
@@ -137,23 +137,23 @@ class WaveformConfig:
         return np.abs(np.roll(afdm_inverse_column(n, self.q)[::-1], 1)) / np.sqrt(n)
 
     def demod_power(self, gains) -> np.ndarray:
-        """|Q^{-1}|^2 @ gains without forming Q^{-1}: O(N), or O(N log N) for AFDM."""
-        g = np.asarray(gains, dtype=float)
-        if g.shape != (self.N,):
-            raise DimensionError(f"gains shape {g.shape} does not match N={self.N}")
+        """|Q^{-1}|^2 @ gains for gains (..., N), each row as if alone, without forming
+        Q^{-1}: O(N) a row, or O(N log N) for AFDM."""
+        g = _as_vector(gains, self.N, float)
         if np.any(g < 0):
             raise ConfigError("noise gains must be nonnegative")
         if self.kind == OFDM:
             return g.copy()
         if self.kind == OTFS:  # row u sums the residue class floor(u/K) mod L
-            return np.repeat(g.reshape(self.K, self.L).sum(0) * (self.L / self.N), self.K)
+            classes = g.reshape(g.shape[:-1] + (self.K, self.L)).sum(-2)
+            return np.repeat(classes * (self.L / self.N), self.K, axis=-1)
         # |Q^{-1}_{m,v}|^2 = r_{(v-m) mod N}^2; clip the FFT rounding below 0
-        spectrum = np.fft.rfft(self.row_magnitudes() ** 2).conj() * np.fft.rfft(g)
-        return np.maximum(np.fft.irfft(spectrum, self.N), 0.0)
+        spectrum = np.fft.rfft(self.row_magnitudes() ** 2).conj() * np.fft.rfft(g, axis=-1)
+        return np.maximum(np.fft.irfft(spectrum, self.N, axis=-1), 0.0)
 
 
-def _as_vector(x, n: int) -> np.ndarray:
-    v = np.asarray(x, dtype=complex)
+def _as_vector(x, n: int, dtype=complex) -> np.ndarray:
+    v = np.asarray(x, dtype=dtype)
     if v.ndim == 0 or v.shape[-1] != n:
         raise DimensionError(f"expected length-{n} vectors, got shape {v.shape}")
     return v

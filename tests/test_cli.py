@@ -1276,7 +1276,8 @@ class TestStartup:
     in the functions that need them, and each subcommand's handler imports
     the modules its run uses (see README, Conventions). ``main`` freezes the
     heap once the handler has parsed, once per process, and keeps OpenSSL's
-    ``_hashlib`` out of the imports it makes when builtin hashes stand in."""
+    ``_hashlib`` (when builtin hashes stand in), libyaml and ``_ctypes`` out of
+    the imports it makes."""
 
     # a thread pool (with logging), which no run starts, and rational arithmetic:
     # verify-appendix reduces its rates a/b with math.gcd
@@ -1388,6 +1389,14 @@ class TestStartup:
         assert summary["config_digest"] == "c38ede28bf872eec"
         cfg = cli.parse_sim({**cli.DEFAULT_BER, **yaml.safe_load(self.CASES[0][1])})
         assert wl.config_fingerprint(cfg) == summary["config_digest"]
+        # its numpy loaded without _ctypes, this one's with it: the tables are the same bytes
+        assert main(["ber", "--config", str(tmp_path / "cfg.yaml"), "--out",
+                     str(tmp_path / "here")]) == 0
+        fresh = sorted((tmp_path / "o").glob("*.csv"))
+        assert fresh and [path.name for path in fresh] == sorted(
+            path.name for path in (tmp_path / "here").glob("*.csv"))
+        for path in fresh:
+            assert path.read_bytes() == (tmp_path / "here" / path.name).read_bytes()
 
     def entry_during_main(self, monkeypatch, tmp_path, name="_hashlib"):
         """``sys.modules``' ``name`` entry (``"absent"`` if none) while ``main`` parses a
@@ -1443,6 +1452,33 @@ class TestStartup:
         assert entry is (loaded if name == "yaml._yaml" else "absent")
         assert sys.modules[name] is loaded
 
+    def ctypes_entry(self, monkeypatch, **loaded):
+        """``sys.modules``' ``_ctypes`` entry (``"absent"`` if none) as ``_hide_uncalled``
+        leaves it when, of numpy and _ctypes, only the keys of ``loaded`` are loaded (as
+        its values). Not through ``main``: with numpy out of ``sys.modules`` an import
+        would load a second numpy, so the entries it set go before any import runs."""
+        with monkeypatch.context() as patch:
+            for name in ("numpy", "_ctypes"):
+                if name in loaded:
+                    patch.setitem(sys.modules, name, loaded[name])
+                else:
+                    patch.delitem(sys.modules, name, raising=False)
+            hidden = cli._hide_uncalled()
+            entry = sys.modules.get("_ctypes", "absent")
+            for name in hidden:
+                del sys.modules[name]
+        return entry
+
+    def test_ctypes_hidden_while_numpy_unloaded(self, monkeypatch):
+        assert self.ctypes_entry(monkeypatch) is None
+        assert "numpy" in sys.modules and sys.modules.get("_ctypes", 0) is not None
+
+    @pytest.mark.parametrize("name", ["_ctypes", "numpy"])
+    def test_ctypes_not_hidden_once_loaded(self, monkeypatch, name):
+        loaded = object()  # stands for the module
+        entry = self.ctypes_entry(monkeypatch, **{name: loaded})
+        assert entry is (loaded if name == "_ctypes" else "absent")
+
     # main in a new interpreter, as run_fresh, watching the thread counts numpy loads under
     SETUP_SCRIPT = (
         "import json, os, sys\n"
@@ -1463,7 +1499,8 @@ class TestStartup:
         "print(json.dumps({'code': code, 'numpy_on_import': on_import,\n"
         "                  'numpy': 'numpy' in sys.modules, 'seen': seen[0] if seen else None,\n"
         "                  'after': {var: os.environ.get(var) for var in THREAD_VARS},\n"
-        "                  'libyaml': 'yaml._yaml' in sys.modules, 'none_before': none_before,\n"
+        "                  'libyaml': 'yaml._yaml' in sys.modules,\n"
+        "                  'ctypes': '_ctypes' in sys.modules, 'none_before': none_before,\n"
         "                  'none': sorted(name for name, m in sys.modules.items() if m is None)}))\n"
     )
     UNPINNED = {var: None for var in cli.THREAD_VARS}
@@ -1519,6 +1556,7 @@ class TestStartup:
         report = self.run_setup(tmp_path, [subcommand, "--out", str(tmp_path / "o"), *flags],
                                 text)
         assert not report["libyaml"]
+        assert not report["ctypes"]  # nor, through numpy's guarded import, libffi
 
     def test_main_freezes_the_import_heap(self, tmp_path):
         _, frozen_before, frozen_after = self.run_fresh(tmp_path, *self.CASES[1][:3])

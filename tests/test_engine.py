@@ -186,8 +186,8 @@ def test_dispersive_chunk_solves_frame_by_frame(equalizer):
     finally:
         tracemalloc.stop()
     assert peak < frames * n * n * np.dtype(complex).itemsize
+    assert peak < 11 * z.nbytes
     if equalizer == "mmse":
-        assert peak < 11 * z.nbytes
         assert peak < 8 * z.nbytes
 
 

@@ -163,3 +163,22 @@ class TestBlockNoise:
         s_ofdm = wl.whitening_std(demod_noise_variance(q_ofdm, local))
         s_afdm = wl.whitening_std(demod_noise_variance(q_afdm, local))
         assert s_afdm < s_ofdm
+
+    def test_layout_demod_power_is_each_blocks_over_stacked_rows(self):
+        layout = mixed_layout()
+        gains = np.random.default_rng(3).exponential(size=(3, 5, layout.N))
+        stacked = layout.demod_power(gains)
+        for row, got in zip(gains.reshape(-1, layout.N), stacked.reshape(-1, layout.N)):
+            alone = layout.demod_power(row)
+            assert np.array_equal(got, alone)
+            for wf, sl in zip(layout.configs, layout.blocks):
+                assert np.array_equal(alone[sl], wf.demod_power(row[sl]))
+                dense = demod_noise_variance(build_precoder(wf).Q_inv, row[sl])
+                assert_allclose(alone[sl], dense, rtol=0, atol=1e-12 * dense.max())
+
+    def test_layout_demod_power_refuses_bad_gains(self):
+        layout = mixed_layout()
+        with pytest.raises(DimensionError):  # a row past the last block
+            layout.demod_power(np.ones(layout.N + 1))
+        with pytest.raises(ConfigError):
+            layout.demod_power(np.r_[np.ones(layout.N - 1), -1.0])

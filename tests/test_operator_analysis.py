@@ -49,6 +49,18 @@ def test_demod_power_matches_dense(case):
         assert_allclose(cfg.demod_power(gains), dense, rtol=0, atol=1e-12 * dense.max())
 
 
+def test_demod_power_over_stacked_rows(case):
+    # (..., N) gains: each row bit for bit what it gives alone, and the dense value
+    cfg, q_inv = case
+    gains = np.random.default_rng(cfg.N).exponential(size=(2, 16, cfg.N))
+    stacked = cfg.demod_power(gains)
+    assert stacked.shape == gains.shape
+    rows = [cfg.demod_power(row) for row in gains.reshape(-1, cfg.N)]
+    assert np.array_equal(stacked.reshape(-1, cfg.N), np.array(rows))
+    dense = demod_noise_variance(q_inv, gains[1, 3])
+    assert_allclose(stacked[1, 3], dense, rtol=0, atol=1e-12 * dense.max())
+
+
 def test_row_magnitudes_match_every_dense_row(case):
     cfg, q_inv = case
     row = cfg.row_magnitudes()
@@ -84,6 +96,12 @@ def test_demod_power_refuses_bad_gains():
         cfg.demod_power(np.r_[-1.0, np.ones(15)])
     with pytest.raises(DimensionError):
         cfg.demod_power(np.ones(15))
+    with pytest.raises(DimensionError):
+        cfg.demod_power(np.ones((16, 15)))
+    with pytest.raises(DimensionError):
+        cfg.demod_power(1.0)
+    with pytest.raises(ConfigError):  # one negative gain in any row
+        cfg.demod_power(np.r_[np.ones(31), -1.0].reshape(2, 16))
 
 
 def test_row_sparsity_refuses_zero_tolerance():
