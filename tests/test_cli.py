@@ -1392,11 +1392,9 @@ class TestStartup:
         # its numpy loaded without _ctypes, this one's with it: the tables are the same bytes
         assert main(["ber", "--config", str(tmp_path / "cfg.yaml"), "--out",
                      str(tmp_path / "here")]) == 0
-        fresh = sorted((tmp_path / "o").glob("*.csv"))
-        assert fresh and [path.name for path in fresh] == sorted(
-            path.name for path in (tmp_path / "here").glob("*.csv"))
-        for path in fresh:
-            assert path.read_bytes() == (tmp_path / "here" / path.name).read_bytes()
+        fresh, here = ({path.name: path.read_bytes() for path in (tmp_path / out).glob("*.csv")}
+                       for out in ("o", "here"))
+        assert fresh and fresh == here
 
     def entry_during_main(self, monkeypatch, tmp_path, name="_hashlib"):
         """``sys.modules``' ``name`` entry (``"absent"`` if none) while ``main`` parses a

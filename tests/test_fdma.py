@@ -168,12 +168,13 @@ class TestBlockNoise:
         layout = mixed_layout()
         gains = np.random.default_rng(3).exponential(size=(3, 5, layout.N))
         stacked = layout.demod_power(gains)
+        q_invs = [build_precoder(wf).Q_inv for wf in layout.configs]
         for row, got in zip(gains.reshape(-1, layout.N), stacked.reshape(-1, layout.N)):
             alone = layout.demod_power(row)
             assert np.array_equal(got, alone)
-            for wf, sl in zip(layout.configs, layout.blocks):
+            for wf, sl, q_inv in zip(layout.configs, layout.blocks, q_invs):
                 assert np.array_equal(alone[sl], wf.demod_power(row[sl]))
-                dense = demod_noise_variance(build_precoder(wf).Q_inv, row[sl])
+                dense = demod_noise_variance(q_inv, row[sl])
                 assert_allclose(alone[sl], dense, rtol=0, atol=1e-12 * dense.max())
 
     def test_layout_demod_power_refuses_bad_gains(self):
