@@ -82,7 +82,11 @@ def read(section: dict, key: str, kind, default=_REQUIRED, context: str = "confi
     if (isinstance(value, bool) or not isinstance(value, (int, float))
             or not -math.inf < value < math.inf
             or kind is float and abs(value) > sys.float_info.max):
-        raise ConfigError(f"{name} must be a finite number, got {shown(value)}")
+        import re  # YAML 1.1 reads 1e-9 as a string: its floats have a dot and a signed exponent
+        m = isinstance(value, str) and re.fullmatch(r"([-+]?\d*\.?\d+)[eE]([-+]?)(\d+)", value)
+        got = (f"the string {shown(value)}; in YAML the float is {m[1]}{'.0' * ('.' not in m[1])}"
+               f"e{m[2] or '+'}{m[3]}" if m and math.isfinite(float(value)) else shown(value))
+        raise ConfigError(f"{name} must be a finite number, got {got}")
     if kind is int and value != int(value):
         raise ConfigError(f"{name} must be an integer, got {shown(value)}")
     if minimum is not None and value < minimum:

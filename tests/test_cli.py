@@ -286,7 +286,7 @@ class TestBer:
         assert run_cli("ber", "--config", config, "--out", str(out), "--threads", "4") == 0
         assert "threads" not in json.loads((out / "manifest.json").read_text())
 
-    def test_mmse_null_bins_at_underflowed_noise_power(self, tmp_path):
+    def test_mmse_null_bins_at_underflowed_noise_power(self, tmp_path, capsys):
         # h_f = [2, 0, 2, 0]; at 4000 dB the noise power underflows to 0, and a null
         # bin's MMSE gain once read 0/0 = NaN, decided as whatever NaN casts to. Its
         # gain is now 0, so the run warns of nothing and counts what it does at 400 dB
@@ -303,6 +303,7 @@ class TestBer:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 assert run_cli("ber", "--config", config, "--out", str(out)) == 0
+            assert not capsys.readouterr().err
             header, rows = read_csv(out / "ber_ofdm.csv")
             errors.append(int(rows[0][header.index("errors")]))
         assert errors[1] == errors[0]
@@ -834,11 +835,79 @@ class TestOutputDirectory:
         assert str(out) in capsys.readouterr().err
 
 
+# ``main(argv[2:])`` in a new interpreter, which exits with main's code and writes a
+# report of its process to the file argv[1]; with no argv[2:] it only imports
+# wavelab.cli, and then numpy, to report what numpy alone loads
+PROBE = f"THREAD_VARS = {cli.THREAD_VARS!r}\n" + """\
+import gc, json, os, sys
+before = set(sys.modules)
+none_before = sorted(name for name, m in sys.modules.items() if m is None)
+seen = []
+class Watch:  # the thread counts numpy loads under
+    def find_spec(name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.append({var: os.environ.get(var) for var in THREAD_VARS})
+sys.meta_path.insert(0, Watch)
+from wavelab.cli import main
+report = {"numpy_on_import": "numpy" in sys.modules, "frozen_before": gc.get_freeze_count()}
+try:
+    code = main(sys.argv[2:]) if sys.argv[2:] else 0
+except SystemExit as exc:  # --version and --help
+    code = exc.code
+report.update(
+    code=code, loaded=sorted(set(sys.modules) - before), frozen_after=gc.get_freeze_count(),
+    numpy="numpy" in sys.modules, seen=seen[0] if seen else None,
+    after={var: os.environ.get(var) for var in THREAD_VARS},
+    libyaml="yaml._yaml" in sys.modules, ctypes="_ctypes" in sys.modules,
+    none_before=none_before, none=sorted(name for name, m in sys.modules.items() if m is None))
+if not sys.argv[2:]:
+    import numpy
+    report["numpy_loads"] = sorted(set(sys.modules) - before - set(report["loaded"]))
+with open(sys.argv[1], "w") as fh:
+    json.dump(report, fh)
+sys.exit(code)
+"""
+
+
+def launch(report: Path, argv: list, stdout=subprocess.PIPE, **env) -> dict:
+    """PROBE's report of ``main(argv)``, with its stderr, from an interpreter that
+    exited 0. Its environment has none of THREAD_VARS (tier-1's conftest sets them)
+    but those of ``env``, where a None value removes the variable."""
+    env = {**{name: value for name, value in os.environ.items() if name not in cli.THREAD_VARS},
+           "PYTHONPATH": str(Path(wl.__file__).resolve().parent.parent), **env}
+    proc = subprocess.run([sys.executable, "-c", PROBE, str(report), *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, timeout=60,
+                          env={name: value for name, value in env.items() if value is not None})
+    assert proc.returncode == 0, proc.stderr
+    return {**json.loads(report.read_text()), "stderr": proc.stderr}
+
+
+@pytest.fixture(scope="session")
+def fresh(tmp_path_factory):
+    """``fresh(subcommand, text, flags, **env)``: :func:`launch`'s report of ``main``
+    with ``text`` (if not None) as its config and ``flags``, or of ``main(flags)``
+    with no subcommand. Each invocation runs once a session; the report's ``dir``
+    holds its config (cfg.yaml) and its output directory (o)."""
+    reports = {}
+
+    def run(subcommand=None, text=None, flags=(), **env):
+        key = (subcommand, text, tuple(flags), tuple(sorted(env.items())))
+        if key not in reports:
+            tmp = tmp_path_factory.mktemp("fresh")
+            argv = [subcommand, "--out", str(tmp / "o"), *flags] if subcommand else [*flags]
+            if text is not None:
+                (tmp / "cfg.yaml").write_text(text + "\n")
+                argv += ["--config", str(tmp / "cfg.yaml")]
+            reports[key] = {**launch(tmp / "report.json", argv, **env), "dir": tmp}
+        return reports[key]
+
+    return run
+
+
 class TestClosedStdout:
     """A reader that leaves before the plan is printed, as ``| head -c 0`` does:
     the plan is dropped, and the run still exits 0 without a traceback."""
 
-    SCRIPT = "import sys\nfrom wavelab.cli import main\nsys.exit(main(sys.argv[1:]))\n"
     WIDEBAND = str(Path(wl.__file__).resolve().parents[2] / "configs" / "wideband_noise.yaml")
 
     @pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
@@ -848,18 +917,13 @@ class TestClosedStdout:
     def test_dry_run_exits_0(self, tmp_path, argv, buffered):
         read_end, write_end = os.pipe()
         os.close(read_end)  # closed before the child writes
-        env = {**os.environ, "PYTHONPATH": str(Path(wl.__file__).resolve().parent.parent)}
-        env.pop("PYTHONUNBUFFERED", None)
-        if not buffered:
-            env["PYTHONUNBUFFERED"] = "1"
-        argv = [*argv, "--dry-run", "--out", str(tmp_path / "o")]
         try:
-            proc = subprocess.run([sys.executable, "-c", self.SCRIPT, *argv], stdout=write_end,
-                                  stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+            stderr = launch(tmp_path / "report.json",
+                            [*argv, "--dry-run", "--out", str(tmp_path / "o")], stdout=write_end,
+                            PYTHONUNBUFFERED=None if buffered else "1")["stderr"]
         finally:
             os.close(write_end)
-        assert proc.returncode == 0, proc.stderr
-        assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+        assert "Traceback" not in stderr and "Exception ignored" not in stderr
 
 
 class TestVerifyAppendix:
@@ -1060,6 +1124,15 @@ class TestStrictConfigReader:
          "max_doppler"),
         ("ber", "layout: [{kind: ofdm, n: 12}]\n"
                 "channel: {taps: [{delay: 0, gain_re: 1.0, doppler: 0.1}]}", "doppler"),
+        # an OTFS n that is not k*l, a float past the largest, a 4,000-digit integer
+        ("ber", "waveforms: [{kind: otfs, n: 12, k: 3, l: 3}]", "n"),
+        pytest.param("ber", "snr_db: [" + "9" * 400 + "]", "snr_db", id="ber-snr_db-400-nines"),
+        pytest.param("ber", "qam_order: " + "9" * 4000, "qam_order",
+                     id="ber-qam_order-4000-nines"),
+        # strings to PyYAML, whose floats need a dot and a signed exponent
+        ("sparsity", "tol: 1e-9", "tol"),
+        ("ber", "snr_db: [2e5]", "snr_db"),
+        ("analyze-noise", "sigma_w: 1.0e5", "sigma_w"),
     ]
 
     @staticmethod
@@ -1071,10 +1144,19 @@ class TestStrictConfigReader:
         err = capsys.readouterr().err
         assert "config error" in err and repr(key) in err
         assert not out.exists()
+        return err
 
     @pytest.mark.parametrize("subcommand,text,key", CASES)
     def test_refused_with_exit_2(self, tmp_path, capsys, subcommand, text, key):
         self.refused(tmp_path, capsys, subcommand, text, key)
+
+    @pytest.mark.parametrize("number,form", [("1e-9", "1.0e-9"), ("2e5", "2.0e+5"),
+                                             ("1.0e5", "1.0e+5")])
+    def test_exponent_string_refused_with_its_yaml_float(self, tmp_path, capsys, number, form):
+        # the refusal used to read "must be a finite number, got '1e-9'" alone
+        err = self.refused(tmp_path, capsys, "sparsity", f"tol: {number}", "tol")
+        assert f"got the string '{number}'; in YAML the float is {form}\n" in err
+        assert yaml.safe_load(form) == float(number)
 
     @pytest.mark.parametrize("subcommand,text,key", CASES)
     def test_dry_run_refused_with_exit_2(self, tmp_path, capsys, subcommand, text, key):
@@ -1262,139 +1344,138 @@ def test_library_error_exits_2(tmp_path, monkeypatch, capsys, dry_run):
     assert not out.exists()
 
 
-def fresh_modules(statement: str) -> set:
-    """The modules that ``statement`` loads in a new interpreter."""
-    script = (f"import json, sys\nbefore = set(sys.modules)\n{statement}\n"
-              "print(json.dumps(sorted(set(sys.modules) - before)))")
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          timeout=60, check=True)
-    return set(json.loads(proc.stdout))
-
-
 class TestStartup:
     """A process loads only what its run uses: rare-path modules are imported
     in the functions that need them, and each subcommand's handler imports
     the modules its run uses (see README, Conventions). ``main`` freezes the
     heap once the handler has parsed, once per process, and keeps OpenSSL's
     ``_hashlib`` (when builtin hashes stand in), libyaml and ``_ctypes`` out of
-    the imports it makes."""
+    the imports it makes. Each fresh run's properties are read from one
+    :func:`fresh` report."""
 
     # a thread pool (with logging), which no run starts, and rational arithmetic:
     # verify-appendix reduces its rates a/b with math.gcd
     RARE = {"concurrent.futures", "logging", "fractions", "decimal"}
-    SCRIPT = (
-        "import gc, json, sys\n"
-        "before = set(sys.modules)\n"
-        "from wavelab.cli import main\n"
-        "frozen = gc.get_freeze_count()\n"
-        "code = main(sys.argv[1:])\n"
-        "print(json.dumps([code, sorted(set(sys.modules) - before), frozen,\n"
-        "                  gc.get_freeze_count()]))\n"
-    )
-    CASES = [  # subcommand, config text, flags, whether the run may load hashlib
-        ("ber", "n: 12\nwaveforms: [{kind: ofdm}]\nchannel: {num_taps: 2}\n"
-         "snr_db: [10.0]\nbits_per_point: 10000", [], True),  # numpy.random loads it
-        ("ber", "n: 12\nwaveforms: [{kind: ofdm}]", ["--dry-run"], False),
-        ("analyze-noise", "n: 16\nprofiles: [{kind: impulse}]", ["--dry-run"], False),
-        ("sparsity", "entries: [{kind: afdm, n: 16, q: 0.5}]", [], False),
-        ("verify-appendix", None, [], False),
-        ("verify-appendix", "n_values: [8]\nb_values: [1, 3]", [], False),
-    ]
+    BER = ("n: 12\nwaveforms: [{kind: ofdm}]\nchannel: {num_taps: 2}\nsnr_db: [10.0]\n"
+           "bits_per_point: 10000")
     BER_ENGINE = {"wavelab.sim", "wavelab.channel", "wavelab.fdma", "wavelab.qam"}
     LAYOUT = "layout: [{kind: ofdm, n: 12}, {kind: otfs, k: 4, l: 3}]"
-    MODULE_CASES = [  # subcommand, config text (None: no --config), flags, loads, never loads
-        ("analyze-noise", "n: 16\nprofiles: [{kind: impulse}]", [],
-         {"wavelab.noise", "yaml"}, BER_ENGINE | {"wavelab.analysis"}),
-        ("sparsity", "entries: [{kind: afdm, n: 16, q: 0.5}]", [],
-         {"wavelab.analysis", "yaml"}, BER_ENGINE),
-        ("verify-appendix", None, [], {"wavelab.analysis"}, BER_ENGINE | {"yaml"}),
-        ("verify-appendix", "n_values: [8]", [], {"wavelab.analysis", "yaml"}, BER_ENGINE),
-        (*CASES[0][:3], {"wavelab.sim", "wavelab.qam"}, {"wavelab.analysis", "wavelab.fdma"}),
-        (*CASES[1][:3], {"wavelab.sim"}, {"wavelab.analysis"}),
-        ("ber", LAYOUT + "\nchannel: {num_taps: 2}\nsnr_db: [10.0]\nbits_per_point: 10000", [],
-         {"wavelab.sim", "wavelab.fdma"}, {"wavelab.analysis"}),
-        ("sweep-l", "l_values: [1, 2]\nn: 12", ["--dry-run"], {"wavelab.sim"},
-         {"wavelab.analysis"}),
-        ("sweep-q", "q_values: [1.0, 2.0]\nn: 12", ["--dry-run"], {"wavelab.sim"},
-         {"wavelab.analysis"}),
-        ("fdma-demo", LAYOUT, [], {"wavelab.fdma", "wavelab.noise"},
-         {"wavelab.analysis", "wavelab.sim", "wavelab.qam"}),
-    ]
-
-    def run_fresh(self, tmp_path, subcommand, text, flags):
-        """``main`` in a new interpreter, with ``text`` as its config: the
-        modules it loaded, and the freeze count before and after it."""
-        argv = [subcommand, "--out", str(tmp_path / "o"), *flags]
-        if text is not None:
-            config = tmp_path / "cfg.yaml"
-            config.write_text(text + "\n")
-            argv += ["--config", str(config)]
-        src = str(Path(wl.__file__).resolve().parent.parent)
-        proc = subprocess.run([sys.executable, "-c", self.SCRIPT, *argv], capture_output=True,
-                              text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        code, loaded, frozen_before, frozen_after = json.loads(proc.stdout.splitlines()[-1])
-        assert code == 0, proc.stderr
-        return loaded, frozen_before, frozen_after
-
-    @pytest.mark.parametrize("subcommand,text,flags,may_load_hashlib", CASES,
-                             ids=["ber", "ber-dry-run", "analyze-noise-dry-run", "sparsity",
-                                  "verify-appendix", "verify-appendix-config"])
-    def test_rare_modules_stay_unloaded(self, tmp_path, subcommand, text, flags,
-                                        may_load_hashlib):
-        loaded, _, _ = self.run_fresh(tmp_path, subcommand, text, flags)
-        assert not self.RARE & set(loaded)
-        assert may_load_hashlib or "hashlib" not in loaded
-
-    @pytest.mark.parametrize(
-        "subcommand,text,flags,loads,never_loads", MODULE_CASES,
-        ids=["analyze-noise", "sparsity", "verify-appendix", "verify-appendix-config", "ber",
-             "ber-dry-run", "ber-layout", "sweep-l-dry-run", "sweep-q-dry-run",
-             "fdma-demo"])
-    def test_each_subcommand_loads_only_what_it_runs(self, tmp_path, subcommand, text, flags,
-                                                     loads, never_loads):
-        loaded, _, frozen_after = self.run_fresh(tmp_path, subcommand, text, flags)
-        assert loads <= set(loaded)
-        assert not never_loads & set(loaded)
-        assert frozen_after > 0
-
-    @pytest.mark.parametrize("flags", [[], ["--dry-run"]], ids=["real", "dry-run"])
-    def test_default_equalized_profile_loads_no_random_generator(self, tmp_path, flags):
-        # numpy 1.x imports numpy.random, and with it hashlib, with numpy itself
-        with_numpy = fresh_modules("import numpy")
-        loaded, _, _ = self.run_fresh(tmp_path, "analyze-noise",
-                                      "profiles: [{kind: equalized}]", flags)
-        assert not {"numpy.random", "hashlib"} & (set(loaded) - with_numpy)
+    NOISE = "n: 16\nprofiles: [{kind: impulse}]"
+    EQUALIZED, SEEDED = "profiles: [{kind: equalized}]", "profiles: [{kind: equalized, seed: 3}]"
+    RANDOM = {"numpy.random", "hashlib"}  # the generator, and hashlib, which it loads
+    RUNS = {  # id: subcommand, config text (None: no --config), flags, loads, never loads
+        "ber": ("ber", BER, [], {"wavelab.sim", "wavelab.qam"},
+                {"wavelab.analysis", "wavelab.fdma"}),
+        "ber-dry-run": ("ber", "n: 12\nwaveforms: [{kind: ofdm}]", ["--dry-run"],
+                        {"wavelab.sim"}, {"wavelab.analysis", "hashlib"}),
+        "ber-layout": ("ber", LAYOUT + "\nchannel: {num_taps: 2}\nsnr_db: [10.0]\n"
+                       "bits_per_point: 10000", [], {"wavelab.sim", "wavelab.fdma"},
+                       {"wavelab.analysis"}),
+        "sweep-l-dry-run": ("sweep-l", "l_values: [1, 2]\nn: 12", ["--dry-run"],
+                            {"wavelab.sim"}, {"wavelab.analysis"}),
+        "sweep-q-dry-run": ("sweep-q", "q_values: [1.0, 2.0]\nn: 12", ["--dry-run"],
+                            {"wavelab.sim"}, {"wavelab.analysis"}),
+        "fdma-demo": ("fdma-demo", LAYOUT, [], {"wavelab.fdma", "wavelab.noise"},
+                      {"wavelab.analysis", "wavelab.sim", "wavelab.qam"}),
+        "analyze-noise": ("analyze-noise", NOISE, [], {"wavelab.noise", "yaml"},
+                          BER_ENGINE | {"wavelab.analysis"}),
+        "analyze-noise-dry-run": ("analyze-noise", NOISE, ["--dry-run"],
+                                  {"wavelab.noise", "yaml"},
+                                  BER_ENGINE | {"wavelab.analysis", "hashlib"}),
+        # the default profiles' "equalized" channel is a constant: no generator to load
+        "equalized": ("analyze-noise", EQUALIZED, [], set(), RANDOM),
+        "equalized-dry-run": ("analyze-noise", EQUALIZED, ["--dry-run"], set(), RANDOM),
         # another seed draws its channel, and the same run loads the generator
-        loaded, _, _ = self.run_fresh(tmp_path, "analyze-noise",
-                                      "profiles: [{kind: equalized, seed: 3}]", flags)
-        assert "numpy.random" in loaded
+        "equalized-seed": ("analyze-noise", SEEDED, [], {"numpy.random"}, set()),
+        "equalized-seed-dry-run": ("analyze-noise", SEEDED, ["--dry-run"], {"numpy.random"},
+                                   set()),
+        "sparsity": ("sparsity", "entries: [{kind: afdm, n: 16, q: 0.5}]", [],
+                     {"wavelab.analysis", "yaml"}, BER_ENGINE | {"hashlib"}),
+        "verify-appendix": ("verify-appendix", None, [], {"wavelab.analysis"},
+                            BER_ENGINE | {"yaml", "hashlib"}),
+        "verify-appendix-config": ("verify-appendix", "n_values: [8]", [],
+                                   {"wavelab.analysis", "yaml"}, BER_ENGINE),
+        "verify-appendix-b-values": ("verify-appendix", "n_values: [8]\nb_values: [1, 3]", [],
+                                     {"wavelab.analysis", "yaml"}, BER_ENGINE | {"hashlib"}),
+    }
+    SETUPS = {"import": (None, None, []), "version": (None, None, ["--version"]),
+              "help": (None, None, ["--help"])}  # id: as RUNS, with no subcommand
+    UNPINNED = {var: None for var in cli.THREAD_VARS}
 
-    @pytest.mark.parametrize("subcommand,text,flags",
-                             [CASES[0][:3], ("fdma-demo", LAYOUT, [])], ids=["ber", "fdma-demo"])
-    def test_random_generator_loads_without_openssl(self, tmp_path, subcommand, text, flags):
-        if "numpy.random" in fresh_modules("import numpy"):
+    @pytest.mark.parametrize("name", RUNS)
+    def test_rare_modules_stay_unloaded(self, fresh, name):
+        assert not self.RARE & set(fresh(*self.RUNS[name][:3])["loaded"])
+
+    @pytest.mark.parametrize("name", RUNS)
+    def test_each_subcommand_loads_only_what_it_runs(self, fresh, name):
+        loads, never_loads = self.RUNS[name][3:]
+        loaded = set(fresh(*self.RUNS[name][:3])["loaded"])
+        assert loads <= loaded
+        # numpy 1.x imports numpy.random, and with it hashlib, with numpy itself
+        assert not never_loads & (loaded - set(fresh()["numpy_loads"]))
+
+    @pytest.mark.parametrize("name", RUNS)
+    def test_no_run_loads_libyaml(self, fresh, name):
+        report = fresh(*self.RUNS[name][:3])
+        assert not report["libyaml"]
+        assert not report["ctypes"]  # nor, through numpy's guarded import, libffi
+
+    @pytest.mark.parametrize("name", [*RUNS, *SETUPS])
+    def test_main_leaves_no_none_entry(self, fresh, name):
+        report = fresh(*{**self.RUNS, **self.SETUPS}[name][:3])
+        assert report["none"] == report["none_before"]
+
+    @pytest.mark.parametrize("name", RUNS)
+    def test_main_freezes_the_import_heap(self, fresh, name):
+        report = fresh(*self.RUNS[name][:3])
+        assert report["frozen_before"] == 0 and report["frozen_after"] > 0
+
+    @pytest.mark.parametrize("name", ["ber", "fdma-demo"])
+    def test_random_generator_loads_without_openssl(self, fresh, name):
+        if "numpy.random" in fresh()["numpy_loads"]:
             pytest.skip("numpy 1.x imports numpy.random, and with it _hashlib, with numpy")
         if not all(map(importlib.util.find_spec, cli._BUILTIN_HASHES)):
             pytest.skip("this Python lacks a builtin hash, so hashlib keeps OpenSSL")
-        loaded, _, _ = self.run_fresh(tmp_path, subcommand, text, flags)
+        loaded = fresh(*self.RUNS[name][:3])["loaded"]
         # neither loaded nor left behind as main's None entry
         assert "numpy.random" in loaded and "_hashlib" not in loaded
 
-    def test_digest_of_a_fresh_ber_run(self, tmp_path):
+    def test_digest_of_a_fresh_ber_run(self, fresh, tmp_path):
         # the fresh process hashes with hashlib's builtin SHA-256 (on numpy 2), this
         # one with the backend it loaded first
-        self.run_fresh(tmp_path, *self.CASES[0][:3])
-        summary = json.loads((tmp_path / "o" / "curves.json").read_text())
+        run = fresh(*self.RUNS["ber"][:3])["dir"]
+        summary = json.loads((run / "o" / "curves.json").read_text())
         assert summary["config_digest"] == "c38ede28bf872eec"
-        cfg = cli.parse_sim({**cli.DEFAULT_BER, **yaml.safe_load(self.CASES[0][1])})
+        cfg = cli.parse_sim({**cli.DEFAULT_BER, **yaml.safe_load(self.BER)})
         assert wl.config_fingerprint(cfg) == summary["config_digest"]
         # its numpy loaded without _ctypes, this one's with it: the tables are the same bytes
-        assert main(["ber", "--config", str(tmp_path / "cfg.yaml"), "--out",
+        assert main(["ber", "--config", str(run / "cfg.yaml"), "--out",
                      str(tmp_path / "here")]) == 0
-        fresh, here = ({path.name: path.read_bytes() for path in (tmp_path / out).glob("*.csv")}
-                       for out in ("o", "here"))
-        assert fresh and fresh == here
+        fresh_csv, here = ({path.name: path.read_bytes() for path in out.glob("*.csv")}
+                           for out in (run / "o", tmp_path / "here"))
+        assert fresh_csv and fresh_csv == here
+
+    @pytest.mark.parametrize("name", SETUPS)
+    def test_cli_import_loads_no_numpy(self, fresh, name):
+        report = fresh(*self.SETUPS[name])
+        assert not report["numpy_on_import"] and not report["numpy"]
+        assert report["after"] == self.UNPINNED
+
+    def test_run_loads_numpy_on_one_blas_thread(self, fresh):
+        report = fresh(*self.RUNS["ber"][:3])
+        assert not report["numpy_on_import"]
+        assert report["seen"] == {var: "1" for var in cli.THREAD_VARS}
+        assert report["after"] == self.UNPINNED  # removed once main returns
+        manifest = json.loads((report["dir"] / "o" / "manifest.json").read_text())
+        assert manifest["blas_threads"] == {var: "1" for var in cli.THREAD_VARS}
+
+    def test_user_thread_count_kept(self, fresh):
+        report = fresh(*self.RUNS["ber"][:3], OPENBLAS_NUM_THREADS="2")
+        user = {**self.UNPINNED, "OPENBLAS_NUM_THREADS": "2"}
+        assert report["seen"] == report["after"] == user
+        assert report["none"] == report["none_before"]
+        manifest = json.loads((report["dir"] / "o" / "manifest.json").read_text())
+        assert manifest["blas_threads"] == user
 
     def entry_during_main(self, monkeypatch, tmp_path, name="_hashlib"):
         """``sys.modules``' ``name`` entry (``"absent"`` if none) while ``main`` parses a
@@ -1476,89 +1557,6 @@ class TestStartup:
         loaded = object()  # stands for the module
         entry = self.ctypes_entry(monkeypatch, **{name: loaded})
         assert entry is (loaded if name == "_ctypes" else "absent")
-
-    # main in a new interpreter, as run_fresh, watching the thread counts numpy loads under
-    SETUP_SCRIPT = (
-        "import json, os, sys\n"
-        "from wavelab.cli import THREAD_VARS\n"
-        "seen = []\n"
-        "class Watch:\n"
-        "    def find_spec(name, path=None, target=None):\n"
-        "        if name == 'numpy' and not seen:\n"
-        "            seen.append({var: os.environ.get(var) for var in THREAD_VARS})\n"
-        "sys.meta_path.insert(0, Watch)\n"
-        "none_before = sorted(name for name, m in sys.modules.items() if m is None)\n"
-        "from wavelab.cli import main\n"
-        "on_import = 'numpy' in sys.modules\n"
-        "try:\n"
-        "    code = main(sys.argv[1:]) if sys.argv[1:] else 0\n"
-        "except SystemExit as exc:\n"
-        "    code = exc.code\n"
-        "print(json.dumps({'code': code, 'numpy_on_import': on_import,\n"
-        "                  'numpy': 'numpy' in sys.modules, 'seen': seen[0] if seen else None,\n"
-        "                  'after': {var: os.environ.get(var) for var in THREAD_VARS},\n"
-        "                  'libyaml': 'yaml._yaml' in sys.modules,\n"
-        "                  'ctypes': '_ctypes' in sys.modules, 'none_before': none_before,\n"
-        "                  'none': sorted(name for name, m in sys.modules.items() if m is None)}))\n"
-    )
-    UNPINNED = {var: None for var in cli.THREAD_VARS}
-
-    def run_setup(self, tmp_path, argv, text=None, **thread_vars):
-        """SETUP_SCRIPT's report for ``main(argv)`` (no call if empty), in an environment
-        without the thread counts (tier-1's conftest sets them) but ``thread_vars``."""
-        if text is not None:
-            config = tmp_path / "cfg.yaml"
-            config.write_text(text + "\n")
-            argv = [*argv, "--config", str(config)]
-        env = {name: value for name, value in os.environ.items()
-               if name not in cli.THREAD_VARS}
-        env["PYTHONPATH"] = str(Path(wl.__file__).resolve().parent.parent)
-        proc = subprocess.run([sys.executable, "-c", self.SETUP_SCRIPT, *argv],
-                              capture_output=True, text=True, env={**env, **thread_vars},
-                              timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        report = json.loads(proc.stdout.splitlines()[-1])
-        assert report["code"] == 0, proc.stderr
-        assert report["none"] == report["none_before"]  # main leaves no None entry
-        return report
-
-    @pytest.mark.parametrize("argv", [[], ["--version"], ["--help"]],
-                             ids=["import", "version", "help"])
-    def test_cli_import_loads_no_numpy(self, tmp_path, argv):
-        report = self.run_setup(tmp_path, argv)
-        assert not report["numpy_on_import"] and not report["numpy"]
-        assert report["after"] == self.UNPINNED
-
-    def test_run_loads_numpy_on_one_blas_thread(self, tmp_path):
-        out = tmp_path / "o"
-        report = self.run_setup(tmp_path, ["ber", "--out", str(out)], self.CASES[0][1])
-        assert not report["numpy_on_import"]
-        assert report["seen"] == {var: "1" for var in cli.THREAD_VARS}
-        assert report["after"] == self.UNPINNED  # removed once main returns
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["blas_threads"] == {var: "1" for var in cli.THREAD_VARS}
-
-    def test_user_thread_count_kept(self, tmp_path):
-        out = tmp_path / "o"
-        report = self.run_setup(tmp_path, ["ber", "--out", str(out)], self.CASES[0][1],
-                                OPENBLAS_NUM_THREADS="2")
-        user = {**self.UNPINNED, "OPENBLAS_NUM_THREADS": "2"}
-        assert report["seen"] == report["after"] == user
-        assert json.loads((out / "manifest.json").read_text())["blas_threads"] == user
-
-    @pytest.mark.parametrize("subcommand,text,flags", [case[:3] for case in MODULE_CASES],
-                             ids=["analyze-noise", "sparsity", "verify-appendix",
-                                  "verify-appendix-config", "ber", "ber-dry-run", "ber-layout",
-                                  "sweep-l-dry-run", "sweep-q-dry-run", "fdma-demo"])
-    def test_no_run_loads_libyaml(self, tmp_path, subcommand, text, flags):
-        report = self.run_setup(tmp_path, [subcommand, "--out", str(tmp_path / "o"), *flags],
-                                text)
-        assert not report["libyaml"]
-        assert not report["ctypes"]  # nor, through numpy's guarded import, libffi
-
-    def test_main_freezes_the_import_heap(self, tmp_path):
-        _, frozen_before, frozen_after = self.run_fresh(tmp_path, *self.CASES[1][:3])
-        assert frozen_before == 0 and frozen_after > 0
 
     def test_main_freezes_once_per_process(self, tmp_path):
         argv = ["ber", "--out", str(tmp_path / "o"), "--dry-run"]
