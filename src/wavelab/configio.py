@@ -83,7 +83,7 @@ def read(section: dict, key: str, kind, default=_REQUIRED, context: str = "confi
             or not -math.inf < value < math.inf
             or kind is float and abs(value) > sys.float_info.max):
         import re  # YAML 1.1 reads 1e-9 as a string: its floats have a dot and a signed exponent
-        m = isinstance(value, str) and re.fullmatch(r"([-+]?\d*\.?\d+)[eE]([-+]?)(\d+)", value)
+        m = isinstance(value, str) and re.fullmatch(r"([-+]?(?:\d+\.?\d*|\.\d+))[eE]([-+]?)(\d+)", value)
         got = (f"the string {shown(value)}; in YAML the float is {m[1]}{'.0' * ('.' not in m[1])}"
                f"e{m[2] or '+'}{m[3]}" if m and math.isfinite(float(value)) else shown(value))
         raise ConfigError(f"{name} must be a finite number, got {got}")

@@ -6,12 +6,10 @@ and ``channel.equalize`` (whose zero-forcing guard alone fills a dense H, from
 its Doppler ramps), and decides QAM symbols as labels (``qam_decide``). The
 dense N x N forms and the bitwise demapper below are what the tests check
 those forms against; nothing in ``src/`` calls them. Nor does it call
-``rational_chirp_decompose``: ``verify-appendix`` reduces each integer rate
-a/b exactly, and never approximates a float rate; nor ``rect_window_entry``,
-the per-index form of the Dirichlet kernel that ``rect_window_spectrum``
-computes as one array. ``zf_expected_errors`` is the exact expected bit-error
-count of zero-forcing on a quasi-static channel, given the engine's own channel
-draws, that ``run_ber``'s counts are checked against.
+``rect_window_entry``, the per-index form of the Dirichlet kernel that
+``rect_window_spectrum`` computes as one array. ``zf_expected_errors`` is the
+exact expected bit-error count of zero-forcing on a quasi-static channel, given
+the engine's own channel draws, that ``run_ber``'s counts are checked against.
 """
 
 from __future__ import annotations
@@ -19,13 +17,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from wavelab.channel import CONDITION_LIMIT, ChannelSpec, check_delays, equalize
 from wavelab.exceptions import ConfigError, DimensionError, EqualizationError
-from wavelab.fdma import BlockLayout
 from wavelab.noise import sample_noise
 from wavelab.qam import _axis_bits, energy_scale, qam_decide, qam_label, qam_map
 from wavelab.sim import SimConfig, _sigma_w, frame_rng
@@ -204,11 +200,9 @@ class SparsityReport:
 
     row_counts: np.ndarray
     density: float
-    tol: float
-    label: str
 
 
-def sparsity_profile(m, tol: float = DEFAULT_SPARSITY_TOL, label: str = "") -> SparsityReport:
+def sparsity_profile(m, tol: float = DEFAULT_SPARSITY_TOL) -> SparsityReport:
     """Count entries with magnitude above tol * max|M|, per row and overall."""
     if tol <= 0:
         raise ConfigError(f"sparsity tolerance must be > 0, got {tol}")
@@ -222,46 +216,7 @@ def sparsity_profile(m, tol: float = DEFAULT_SPARSITY_TOL, label: str = "") -> S
     else:
         counts = (mags > tol * peak).sum(axis=1)
     density = float(counts.sum()) / m.size
-    return SparsityReport(counts, density, tol, label)
-
-
-@dataclass(frozen=True)
-class RationalChirp:
-    """A chirp rate a/b in lowest terms, ``error`` away from the rate it stands for."""
-
-    a: int
-    b: int
-    error: float
-
-    def __post_init__(self):
-        if self.b < 1:
-            raise ConfigError(f"denominator must be >= 1, got {self.b}")
-        if math.gcd(abs(self.a), self.b) != 1:
-            raise ConfigError(f"{self.a}/{self.b} is not gcd-reduced")
-
-
-def rational_chirp_decompose(q: float, tol: float = 1e-9) -> RationalChirp:
-    """Smallest-denominator fraction a/b with |q - a/b| <= tol.
-
-    Uses exact rational arithmetic on the binary value of ``q`` and a
-    binary search over the maximum denominator (best-approximation error
-    is non-increasing in the denominator bound), so the result is both
-    within tolerance and minimal in b. The denominator is bounded by
-    ceil(1/tol), which always suffices.
-    """
-    if tol <= 0:
-        raise ConfigError(f"tolerance must be > 0, got {tol}")
-    exact = Fraction(q)
-    bound = Fraction(tol)
-    lo, hi = 1, max(1, math.ceil(1.0 / tol))
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if abs(exact - exact.limit_denominator(mid)) <= bound:
-            hi = mid
-        else:
-            lo = mid + 1
-    frac = exact.limit_denominator(lo)
-    return RationalChirp(frac.numerator, frac.denominator, float(abs(q - frac)))
+    return SparsityReport(counts, density)
 
 
 def rect_window_entry(n: int, b: int, u: int) -> complex:
@@ -272,21 +227,6 @@ def rect_window_entry(n: int, b: int, u: int) -> complex:
         return complex(n / np.sqrt(bn))
     phase = np.exp(-1j * np.pi * u * (1.0 / b - 1.0 / bn))
     return complex(phase / np.sqrt(bn) * np.sin(np.pi * u / b) / np.sin(np.pi * u / bn))
-
-
-def chirp_spectrum(n: int, b: int, a: int, u: int) -> complex:
-    """Size-bN unitary DFT of the full-length chirp exp(-1j*pi*a*k^2/(bN)), at u.
-
-    Direct summation of (1/sqrt(bN)) * sum_k exp(-1j*pi*a*k^2/(bN))
-    * exp(-2j*pi*k*u/(bN)). Sparse with evenly spaced nonzeros only when
-    b = 1 and N/a is an integer; dense otherwise.
-    """
-    bn = b * n
-    if not 0 <= u < bn:
-        raise IndexError(f"index {u} out of range for size {bn}")
-    k = np.arange(bn)
-    terms = np.exp((-1j * np.pi * a / bn) * k * k) * np.exp((-2j * np.pi * u / bn) * k)
-    return complex(terms.sum() / np.sqrt(bn))
 
 
 # ---------------------------------------------------------------------------
@@ -386,10 +326,7 @@ def zf_expected_errors(cfg: SimConfig, point: int):
     sigma2 = _sigma_w(cfg.snr_db[point]) ** 2
     expected = []
     for target in cfg.targets:
-        blocks = (list(zip(target.configs, target.blocks)) if isinstance(target, BlockLayout)
-                  else [(target, slice(None))])
-        v = np.array([np.concatenate([wf.demod_power(g[sl]) for wf, sl in blocks])
-                      for g in cfg.profile.gains / mags**2])
+        v = target.demod_power(cfg.profile.gains / mags**2)
         thresholds = np.arange(1, 2 * levels - 1, 2) * d / np.sqrt(sigma2 * v[..., None])
         q = np.reshape(list(map(math.erfc, thresholds.ravel().tolist())), thresholds.shape)
         expected.append(float((q @ steps[1:]).sum()))  # 2 axes of erfc/2 each

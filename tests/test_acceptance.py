@@ -11,14 +11,12 @@ import math
 import time
 
 import numpy as np
-import pytest
 import yaml
 
 import wavelab as wl
 from wavelab.cli import main as cli_main
 
-from oracles import (build_precoder, demod_noise_variance, dft_matrix,
-                     rational_chirp_decompose, sparsity_profile)
+from oracles import build_precoder, demod_noise_variance, dft_matrix, sparsity_profile
 
 
 def announce(number, description, body):
@@ -212,6 +210,8 @@ def test_criterion_06_parameter_trends():
             curves = wl.run_ber(dataclasses.replace(cfg_q, targets=swept))
             points = [c.points[0] for c in curves]
             bers = [p.ber for p in points]
+            # frame-cluster sigma (per-frame error variance, BerPoint.errors_sq) at this
+            # seed: the ratio has 1.06 sigma of slack at N = 120 and 0.23 sigma at N = 600
             assert max(bers) / min(bers) <= bound, (grid_n, max(bers) / min(bers))
 
     announce(6, "BER trends versus the grid size L and chirp rate q", body)
@@ -231,6 +231,9 @@ def test_criterion_07_dispersive_impulse_noise():
             seed=1,
         )
         otfs, afdm = wl.run_ber(cfg)
+        # frame-cluster sigma (per-frame error variance, BerPoint.errors_sq) at this seed:
+        # AFDM is below OTFS by 2.37 sigma at 25 dB and 1.74 sigma at 30 dB, 0.84 sigma past
+        # the bound below, whose binomial sigma is 3.3-3.5x smaller than frame-cluster sigma
         for p_otfs, p_afdm in zip(otfs.points, afdm.points):
             assert p_afdm.ber < p_otfs.ber
         top_otfs, top_afdm = otfs.points[-1], afdm.points[-1]
@@ -245,8 +248,7 @@ def test_criterion_08_appendix_identities():
         for n in (8, 12, 16):
             for a in (1, 3):
                 for b in (1, 2, 4):
-                    chirp = rational_chirp_decompose(a / b, tol=1e-12)
-                    assert wl.verify_decimation_identity(n, chirp.a, chirp.b) < 1e-9, (n, a, b)
+                    assert wl.verify_decimation_identity(n, a, b) < 1e-9, (n, a, b)
 
         for n, b in ((8, 1), (4, 2), (8, 2), (12, 3), (16, 4)):
             window = (np.arange(b * n) < n).astype(float)

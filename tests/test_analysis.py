@@ -1,18 +1,14 @@
-"""Tests for sparsity reports and the rational-chirp spectrum identities."""
+"""Tests for sparsity reports and the rational-rate appendix identities."""
 
 import cmath
-import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
 import wavelab as wl
 from wavelab.exceptions import ConfigError, DimensionError
 
-from oracles import (RationalChirp, build_precoder, chirp_spectrum, rational_chirp_decompose,
-                     rect_window_entry, sparsity_profile)
+from oracles import build_precoder, rect_window_entry, sparsity_profile
 
 
 def slow_dft(n):
@@ -52,53 +48,14 @@ class TestSparsityProfile:
             sparsity_profile(np.eye(4), tol=0.0)
 
 
-class TestRationalChirp:
-    @pytest.mark.parametrize(
-        "q,a,b", [(-4.0, -4, 1), (0.5, 1, 2), (0.1, 1, 10), (0.75, 3, 4)]
-    )
-    def test_known_values(self, q, a, b):
-        chirp = rational_chirp_decompose(q)
-        assert (chirp.a, chirp.b) == (a, b)
-        assert chirp.error <= 1e-9
-
-    def test_smallest_denominator_against_scan(self):
-        # brute-force oracle at a loose tolerance
-        for target, tol in ((np.pi, 1e-3), (0.47, 1e-2), (-1.618, 1e-3)):
-            chirp = rational_chirp_decompose(target, tol)
-            assert abs(target - chirp.a / chirp.b) <= tol
-            for b in range(1, chirp.b):
-                a = round(target * b)
-                assert abs(target - a / b) > tol, (target, a, b)
-
-    def test_gcd_reduction_enforced(self):
-        chirp = rational_chirp_decompose(0.25, 1e-6)
-        assert (chirp.a, chirp.b) == (1, 4)
-        with pytest.raises(ConfigError):
-            RationalChirp(2, 4, 0.0)
-
-    def test_search_finds_each_small_integer_rate_in_lowest_terms(self):
-        # verify-appendix reduces its integer rates a/b with math.gcd; the search agrees
-        for a in range(-8, 9):
-            for b in range(1, 17):
-                g = math.gcd(a, b)
-                chirp = rational_chirp_decompose(a / b, tol=1e-12)
-                assert (chirp.a, chirp.b) == (a // g, b // g), (a, b)
-
-    def test_bad_tolerance(self):
-        with pytest.raises(ConfigError):
-            rational_chirp_decompose(0.5, 0.0)
-
-
 class TestDecimationIdentity:
     def test_unit_denominator_exact(self):
         for a in (-4, 1, 3):
-            chirp = rational_chirp_decompose(float(a))
-            assert wl.verify_decimation_identity(8, chirp.a, chirp.b) < 1e-12
+            assert wl.verify_decimation_identity(8, a, 1) < 1e-12
 
-    @pytest.mark.parametrize("n,q", [(8, 0.5), (12, 0.75)])
-    def test_rational_rates(self, n, q):
-        chirp = rational_chirp_decompose(q)
-        assert wl.verify_decimation_identity(n, chirp.a, chirp.b) < 1e-10
+    @pytest.mark.parametrize("n,a,b", [(8, 1, 2), (12, 3, 4)])
+    def test_rational_rates(self, n, a, b):
+        assert wl.verify_decimation_identity(n, a, b) < 1e-10
 
     def test_unreduced_rate(self):
         # the identity holds for any a/b: lowest terms only keep bN small
@@ -152,47 +109,12 @@ class TestRectWindowSpectrum:
                                              for u in range(b * n)]).tobytes()
 
 
-class TestChirpSpectrum:
-    def test_zero_rate_is_impulse(self):
-        assert chirp_spectrum(4, 2, 0, 0) == pytest.approx(np.sqrt(8))
-        for u in range(1, 8):
-            assert abs(chirp_spectrum(4, 2, 0, u)) < 1e-12
-
-    def test_integer_rate_comb(self):
-        # b = 1 with N/a integer: N/a evenly spaced nonzeros
-        n, a = 8, 4
-        values = np.array([chirp_spectrum(n, 1, a, u) for u in range(n)])
-        support = np.flatnonzero(np.abs(values) > 1e-9 * np.abs(values).max())
-        assert support.tolist() == [0, 4]
-
-    def test_reverse_summation_oracle(self):
-        n, b, a = 8, 2, 1
-        bn = b * n
-        for u in range(bn):
-            acc = 0j
-            for k in reversed(range(bn)):
-                acc += cmath.exp(-1j * cmath.pi * a * k * k / bn) * cmath.exp(
-                    -2j * cmath.pi * k * u / bn
-                )
-            expected = acc / cmath.sqrt(bn)
-            assert abs(chirp_spectrum(n, b, a, u) - expected) < 1e-12
-
-    def test_index_error(self):
-        with pytest.raises(IndexError):
-            chirp_spectrum(8, 2, 1, 16)
-
-
 class TestDensityClaim:
     @pytest.mark.parametrize("n", [12, 64])
     @pytest.mark.parametrize("b", [2, 3, 5])
     def test_rational_rates_are_dense(self, n, b):
         q_inv = build_precoder(wl.WaveformConfig.afdm(n, 1.0 / b)).Q_inv
         assert sparsity_profile(q_inv, tol=1e-9).density > 0.9
-
-    def test_rational_approximation_of_float_rate(self):
-        # Fraction(1/3 as float) reduces to a denominator-3 fraction
-        chirp = rational_chirp_decompose(1 / 3, 1e-9)
-        assert (chirp.a, chirp.b) == (1, 3)
 
     @pytest.mark.parametrize("n", [8, 64, 120])
     def test_negative_integer_rate_observed_comb(self, n):

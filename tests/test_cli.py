@@ -270,15 +270,6 @@ class TestBer:
         manifest = json.loads((out_a / "manifest.json").read_text())
         assert manifest["seed"] == 9
 
-    def test_byte_identical_across_threads(self, tmp_path):
-        config = self.small_config(tmp_path)
-        out_a = tmp_path / "t1"
-        out_b = tmp_path / "t4"
-        assert run_cli("ber", "--config", config, "--out", str(out_a), "--threads", "1") == 0
-        assert run_cli("ber", "--config", config, "--out", str(out_b), "--threads", "4") == 0
-        for name in ("ber_ofdm.csv", "ber_afdm_qm4_a0p1.csv"):
-            assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
-
     def test_manifest_records_no_thread_count(self, tmp_path):
         # chunks run serially whatever --threads says, so the manifest does not claim one
         config = self.small_config(tmp_path)
@@ -1151,7 +1142,8 @@ class TestStrictConfigReader:
         self.refused(tmp_path, capsys, subcommand, text, key)
 
     @pytest.mark.parametrize("number,form", [("1e-9", "1.0e-9"), ("2e5", "2.0e+5"),
-                                             ("1.0e5", "1.0e+5")])
+                                             ("1.0e5", "1.0e+5"), ("5.e3", "5.e+3"),
+                                             ("5.E3", "5.e+3")])
     def test_exponent_string_refused_with_its_yaml_float(self, tmp_path, capsys, number, form):
         # the refusal used to read "must be a finite number, got '1e-9'" alone
         err = self.refused(tmp_path, capsys, "sparsity", f"tol: {number}", "tol")

@@ -3,14 +3,16 @@ property of a class, is used somewhere in src/.
 
 A function, class or constant that only the tests call belongs in
 ``tests/oracles.py``. Exports in ``__init__.py`` (its name table is made of
-strings), imports and docstrings are not uses.
+strings), imports and docstrings are not uses. Nor does a module in src/ or
+tests/ import a name it never loads, except on a line marked ``# noqa: F401``.
 """
 
 import ast
 from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "wavelab"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "wavelab"
 
 
 def defined_names(tree):
@@ -89,3 +91,26 @@ def test_every_method_and_property_is_used_in_src():
         if loads[name] - attribute_loads(node)[name] == 0
     ]
     assert not unused, "a src/ method or property used only outside src/:\n" + "\n".join(unused)
+
+
+def unused_imports(source):
+    """``line: name`` of each name an import binds that the module never loads."""
+    tree, lines = ast.parse(source), source.splitlines()
+    loads = {node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [
+        f"{alias.lineno}: {name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+        for name in [(alias.asname or alias.name).split(".")[0]]
+        if name not in loads and "# noqa: F401" not in lines[alias.lineno - 1]
+    ]
+
+
+def test_no_module_imports_a_name_it_never_loads():
+    unused = [f"{path.relative_to(TESTS.parent)}:{entry}"
+              for path in sorted([*SRC.glob("*.py"), *TESTS.glob("*.py")])
+              for entry in unused_imports(path.read_text())]
+    assert not unused, "imported but never loaded:\n" + "\n".join(unused)
