@@ -53,7 +53,8 @@ class TestDecimationIdentity:
         for a in (-4, 1, 3):
             assert wl.verify_decimation_identity(8, a, 1) < 1e-12
 
-    @pytest.mark.parametrize("n,a,b", [(8, 1, 2), (12, 3, 4)])
+    @pytest.mark.parametrize("n,a,b", [(8, 1, 2), (12, 3, 4), (10, 1, 10), (9, 1, 3),
+                                       (12, -3, 4), (16, -1, 2)])
     def test_rational_rates(self, n, a, b):
         assert wl.verify_decimation_identity(n, a, b) < 1e-10
 
@@ -100,6 +101,14 @@ class TestRectWindowSpectrum:
         direct = np.fft.fft(window, norm="ortho")
         closed = wl.rect_window_spectrum(n, b)
         assert np.abs(direct - closed).max() < 1e-10
+
+    @pytest.mark.parametrize("n,b", [(8, 1), (4, 2), (12, 3)])
+    def test_decimation_leaves_an_impulse(self, n, b):
+        # the zero-rate case of the decimation identity: every b-th sample of
+        # the window's spectrum vanishes but the first, sqrt(N) once scaled
+        expected = np.zeros(n)
+        expected[0] = np.sqrt(n)
+        assert np.abs(wl.rect_window_spectrum(n, b)[::b] * np.sqrt(b) - expected).max() < 1e-12
 
     @pytest.mark.parametrize("n,b", [(1, 1), (8, 1), (4, 2), (12, 3), (7, 13)])
     def test_equals_the_per_index_form(self, n, b):

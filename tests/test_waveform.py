@@ -243,11 +243,18 @@ class TestAfdmInverseColumn:
         support = np.flatnonzero(np.abs(col) > 1e-9 * np.abs(col).max())
         assert support.tolist() == [0, 4]
 
+    @pytest.mark.parametrize("n,q", [(12, 3.0), (16, 2.0), (64, 4.0)])
+    def test_integer_rate_comb_spacing(self, n, q):
+        col = wl.afdm_inverse_column(n, q)
+        support = np.flatnonzero(np.abs(col) > 1e-9 * np.abs(col).max())
+        assert support.tolist() == list(range(0, n, int(q)))
+
     def test_half_rate_is_dense(self):
         col = wl.afdm_inverse_column(8, 0.5)
         assert (np.abs(col) > 1e-6).all()
 
-    @pytest.mark.parametrize("n,q", [(8, 0.5), (12, -4.0), (16, 0.37)])
+    @pytest.mark.parametrize("n,q", [(8, 0.5), (12, -4.0), (16, 0.37), (12, 0.75), (10, 0.1),
+                                     (16, -0.75)])
     def test_direct_summation_oracle(self, n, q):
         expected = np.empty(n, complex)
         for u in range(n):
