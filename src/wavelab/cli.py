@@ -507,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args, defaults: dict) -> dict:
-    overrides = load_config_file(args.config) if args.config else {}
+    overrides = load_config_file(args.config) if args.config is not None else {}
     config = {**defaults, **overrides}
     if args.seed is not None:
         config["seed"] = args.seed

@@ -1,6 +1,5 @@
 """Tests for the Monte-Carlo BER engine."""
 
-import json
 import math
 import tracemalloc
 from dataclasses import replace
@@ -9,7 +8,6 @@ import numpy as np
 import pytest
 
 import wavelab as wl
-from wavelab.cli import main
 from wavelab.exceptions import ConfigError, EqualizationError
 
 from oracles import (
@@ -46,23 +44,9 @@ def qam16_awgn_ber(snr_db):
 
 
 class TestConfigValidation:
-    def test_rejects_small_bit_budget(self):
-        with pytest.raises(ConfigError):
-            white_cfg(bits_per_point=0)
-        with pytest.raises(ConfigError):
-            white_cfg(bits_per_point=9_999)
-
-    def test_rejects_bad_order(self):
-        with pytest.raises(ConfigError):
-            white_cfg(qam_order=32)
-
-    def test_rejects_profile_length_mismatch(self):
-        with pytest.raises(ConfigError):
-            white_cfg(profile=wl.make_profile("white", 64))
-
-    def test_rejects_layout_with_doppler(self, tmp_path, capsys):
-        # a library layout over Doppler runs (joint MMSE over all N bins);
-        # the parse refuses it, on real runs and dry runs alike
+    def test_rejects_layout_with_doppler(self):
+        # a library layout over Doppler runs (joint MMSE over all N bins); the parse
+        # refuses it, and so does the CLI (test_cli.py's TestStrictConfigReader.CASES)
         from wavelab.configio import parse_sim
 
         layout = wl.BlockLayout([wl.WaveformConfig.ofdm(60), wl.WaveformConfig.ofdm(60)])
@@ -78,16 +62,8 @@ class TestConfigValidation:
             "qam_order": 16, "snr_db": [20.0], "bits_per_point": 10_000, "seed": 1,
             "equalizer": "mmse",
         }
-        message = "FDMA layouts support quasi-static channels only"
-        with pytest.raises(ConfigError, match=message):
+        with pytest.raises(ConfigError, match="FDMA layouts support quasi-static channels only"):
             parse_sim(doc)
-        config = tmp_path / "layout.yaml"
-        config.write_text(json.dumps(doc))
-        for dry_run in ([], ["--dry-run"]):
-            out = tmp_path / "out"
-            assert main(["ber", "--config", str(config), "--out", str(out), *dry_run]) == 2
-            assert message in capsys.readouterr().err
-            assert not out.exists()
 
     def test_rejects_snr_whose_noise_power_overflows(self):
         # sigma_w**2 = 10**(-snr/10) overflows between -3082.54 and -3082.55 dB
@@ -103,21 +79,21 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="does not fit"):
             white_cfg(channel=wl.ChannelSpec([120], [1.0 + 0j], [0.0]))
 
-    def test_rejects_mixed_block_sizes(self):
-        with pytest.raises(ConfigError, match="every target must have one grid size 'n', "
-                                              "got 120 and 60"):
-            white_cfg(
-                targets=(wl.WaveformConfig.ofdm(120), wl.WaveformConfig.ofdm(60))
-            )
-
     @pytest.mark.parametrize("overrides,match", [
         ({"targets": ()}, "need at least one target"),
         ({"snr_db": ()}, "need at least one SNR point"),
         ({"snr_db": (20.0, math.nan)}, r"SNR points must be finite, got \[20.0, nan\]"),
         ({"seed": -1}, "seed must be a nonnegative integer"),
-    ], ids=["targets", "snr_db", "snr_db-nan", "seed"])
+        ({"bits_per_point": 0}, "'bits_per_point' must be >= 10000, got 0"),
+        ({"bits_per_point": 9_999}, "'bits_per_point' must be >= 10000, got 9999"),
+        ({"qam_order": 32}, r"'qam_order' must be one of \(4, 16, 64\), got 32"),
+        ({"profile": wl.make_profile("white", 64)}, "noise profile length 64 does not match N=120"),
+        ({"targets": (wl.WaveformConfig.ofdm(120), wl.WaveformConfig.ofdm(60))},
+         "every target must have one grid size 'n', got 120 and 60"),
+    ], ids=["targets", "snr_db", "snr_db-nan", "seed", "bits-0", "bits-9999", "qam_order",
+            "profile-length", "mixed-sizes"])
     def test_library_refusals(self, overrides, match):
-        # the parse refuses each of these first, so only the library reaches them
+        # SimConfig's own checks, whether or not the parse refuses the value first
         with pytest.raises(ConfigError, match=match):
             white_cfg(**overrides)
 
@@ -301,17 +277,6 @@ def otfs_sweep(cfg, l_values):
 
 
 class TestSweeps:
-    # the parse refuses a bad sweep: test_cli.py's TestSweeps and TestStrictConfigReader
-
-    def test_sweeps_refuse_empty_values(self, tmp_path, capsys):
-        for subcommand, key in (("sweep-l", "l_values"), ("sweep-q", "q_values")):
-            config = tmp_path / f"{key}.yaml"
-            config.write_text(json.dumps({key: []}))
-            out = tmp_path / key
-            assert main([subcommand, "--config", str(config), "--out", str(out)]) == 2
-            assert f"'{key}' must be a nonempty list" in capsys.readouterr().err
-            assert not out.exists()
-
     def test_sweep_l_shares_draws_with_run_ber(self):
         cfg = white_cfg(bits_per_point=20_000)
         swept = otfs_sweep(cfg, [1, 120])
