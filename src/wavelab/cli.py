@@ -514,6 +514,8 @@ def _resolve_config(args, defaults: dict) -> dict:
     read(config, "seed", int, minimum=0)  # checked, not rewritten: the manifest echoes it
     if args.threads < 1:
         raise ConfigError("--threads must be a positive integer")
+    if args.out == "":
+        raise ConfigError("--out must name a directory, got ''")
     return config
 
 
@@ -564,7 +566,7 @@ def _hide_uncalled() -> list:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handler, defaults, optional = _SUBCOMMANDS[args.subcommand]
-    out_dir = args.out or f"wavelab_out/{args.subcommand}"
+    out_dir = f"wavelab_out/{args.subcommand}" if args.out is None else args.out
     pinned, hidden = _pin_blas(), _hide_uncalled()
     try:
         config = _resolve_config(args, defaults)

@@ -14,6 +14,7 @@ the engine's own channel draws, that ``run_ber``'s counts are checked against.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -40,6 +41,15 @@ def dft_matrix(n: int) -> np.ndarray:
         raise DimensionError(f"transform size must be a positive integer, got {n}")
     idx = np.arange(n)
     return np.exp((-2j * np.pi / n) * np.outer(idx, idx)) / np.sqrt(n)
+
+
+def slow_dft(n: int) -> np.ndarray:
+    """Loop-built unitary DFT matrix, independent of numpy's vectorized paths."""
+    out = np.empty((n, n), dtype=complex)
+    for j in range(n):
+        for k in range(n):
+            out[j, k] = cmath.exp(-2j * cmath.pi * j * k / n) / cmath.sqrt(n)
+    return out
 
 
 def otfs_inverse_entry(u: int, v: int, k: int, l: int) -> complex:

@@ -2,8 +2,10 @@
 
 Each test prints one PASS/FAIL line (visible with ``pytest -s``). Monte-
 Carlo assertions run at frozen seeds that were calibrated once and then
-pinned; statistical claims carry binomial 3-sigma bands unless the
-criterion states otherwise.
+pinned. BER comparisons are bands in the binomial ``stderr``, which
+understates the spread of a BER because a frame's bit errors are correlated;
+criteria 6(b) and 7 record their margins in frame-cluster sigma in comments.
+Each criterion is checked here alone: no unit test repeats one.
 """
 
 import dataclasses

@@ -1,22 +1,12 @@
 """Tests for sparsity reports and the rational-rate appendix identities."""
 
-import cmath
-
 import numpy as np
 import pytest
 
 import wavelab as wl
-from wavelab.exceptions import ConfigError, DimensionError
+from wavelab.exceptions import ConfigError
 
-from oracles import build_precoder, rect_window_entry, sparsity_profile
-
-
-def slow_dft(n):
-    out = np.empty((n, n), dtype=complex)
-    for j in range(n):
-        for k in range(n):
-            out[j, k] = cmath.exp(-2j * cmath.pi * j * k / n) / cmath.sqrt(n)
-    return out
+from oracles import build_precoder, rect_window_entry, slow_dft, sparsity_profile
 
 
 class TestSparsityProfile:
@@ -61,14 +51,6 @@ class TestDecimationIdentity:
     def test_unreduced_rate(self):
         # the identity holds for any a/b: lowest terms only keep bN small
         assert wl.verify_decimation_identity(8, 2, 4) < 1e-10
-
-    def test_expansion_guard(self):
-        with pytest.raises(DimensionError):
-            wl.verify_decimation_identity(4096, 1, 4096)
-
-    def test_zero_denominator_refused(self):
-        with pytest.raises(DimensionError):
-            wl.verify_decimation_identity(8, 1, 0)
 
     @pytest.mark.parametrize("n", [8, 12, 16])
     @pytest.mark.parametrize("a", [1, 3])

@@ -61,23 +61,6 @@ class TestBuildChannel:
 
 class TestChannelSpec:
     TOP = wl.channel.MAX_DOPPLER
-    ABOVE = float(np.nextafter(TOP, np.inf))
-
-    @pytest.mark.parametrize("delays, dopplers, message", [
-        ([], [], "channel spec needs at least one tap"),
-        ([0, 1], [0.0], "channel spec: delays, gains and dopplers must be 1-D and of one "
-                        "length, got shapes [(2,), (2,), (1,)]"),
-        ([0, -1], [0.0, 0.0], "tap delay must be >= 0, got -1"),
-        ([-10**30, 0], [0.0, 0.0], f"tap delay must be >= 0, got {-10**30}"),
-        ([0, 1], [0.0, -ABOVE], f"channel tap: 'doppler' = {-ABOVE!r} is over {TOP!r} in "
-                                f"magnitude, where 2*pi*doppler overflows"),
-        ([0, 1], [np.nan, 0.0], f"channel tap: 'doppler' = nan is over {TOP!r} in "
-                                f"magnitude, where 2*pi*doppler overflows"),
-    ], ids=["no-taps", "unequal-lengths", "negative-delay", "huge-negative-delay",
-            "doppler-above", "doppler-nan"])
-    def test_refusals(self, delays, dopplers, message):
-        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
-            wl.ChannelSpec(delays, [1.0] * len(delays), dopplers)
 
     def test_holds_read_only_arrays(self):
         spec = wl.ChannelSpec([0, 3], [0.5, 0.2j], [-self.TOP, 0.1])
@@ -87,19 +70,8 @@ class TestChannelSpec:
             assert not array.flags.writeable
         assert spec.describe() == {"taps": [[0, 0.5, 0.0, -self.TOP], [3, 0.0, 0.2, 0.1]]}
 
-    def test_delay_past_int64_is_refused_by_the_block(self):
-        # it stays a Python int in the array, for SimConfig's block check to name
-        message = f"channel tap 'delay': tap delay {10**30} does not fit"
-        with pytest.raises(ConfigError, match=message):
-            wl.channel.check_delays(wl.ChannelSpec([10**30], [1.0], [0.0]).delays, 8)
-
 
 class TestRandomChannel:
-    def test_needs_a_tap(self):
-        # the parse refuses num_taps: 0 first, so only the library reaches this
-        with pytest.raises(ConfigError, match="channel needs at least one tap, got 0"):
-            wl.ChannelGenerator(num_taps=0)
-
     def test_zero_max_doppler_gives_static_taps(self):
         delays, _, dopplers = taps_of(wl.ChannelGenerator(num_taps=6), np.random.default_rng(0))
         assert all(doppler == 0.0 for doppler in dopplers)

@@ -708,6 +708,15 @@ class TestOutputDirectory:
         assert run_cli("ber", "--out", str(out)) == 2
         assert str(out) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [[], ["--dry-run"]], ids=["real", "dry-run"])
+    def test_empty_out_refused(self, tmp_path, capsys, monkeypatch, flags):
+        # used to exit 0 and write to wavelab_out/sparsity
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("sparsity", "--out", "", *flags) == 2
+        assert capsys.readouterr().err == (
+            "wavelab sparsity: config error: --out must name a directory, got ''\n")
+        assert not (tmp_path / "wavelab_out").exists()
+
 
 # ``main(argv[2:])`` in a new interpreter, which exits with main's code and writes a
 # report of its process to the file argv[1]; with no argv[2:] it only imports

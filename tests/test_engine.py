@@ -383,33 +383,6 @@ def test_target_counts_do_not_depend_on_the_other_targets(max_doppler, equalizer
     assert wl.run_ber(cfg)[1].points == alone[0].points
 
 
-@pytest.mark.parametrize("doppler", [0.0, 0.2], ids=["per_bin", "dense"])
-def test_unknown_equalizer_refused(doppler):
-    z, w_f = np.ones((1, 1, 8), dtype=complex), np.zeros((1, 8), dtype=complex)
-    with pytest.raises(wl.ConfigError, match="equalizer must be one of"):
-        wl.equalize(np.arange(1), np.ones((1, 1)), np.full((1, 1), doppler), z, w_f, 0.1, "ZF")
-
-
-@pytest.mark.parametrize("doppler", [0.0, 0.2], ids=["per_bin", "dense"])
-def test_delay_beyond_block_refused(doppler):
-    # refused at entry: the per-bin scatter has no bin N, and the banded rolls
-    # would wrap it onto delay 0
-    z, w_f = np.ones((1, 1, 8), dtype=complex), np.zeros((1, 8), dtype=complex)
-    gains, dopplers = np.array([[1.0, 0.5]]), np.array([[0.0, doppler]])
-    with pytest.raises(wl.ConfigError, match="tap delay 8 does not fit in a block of 8"):
-        wl.equalize(np.array([0, 8]), gains, dopplers, z, w_f, 0.1, "mmse")
-
-
-@pytest.mark.parametrize("doppler", [0.0, 0.2], ids=["per_bin", "dense"])
-@pytest.mark.parametrize("rho", [-1.25, np.nan])
-def test_bad_rho_refused(doppler, rho):
-    # rho = -1.25 meets |h_f|^2 at a bin of this channel, where G_f would blow up
-    z, w_f = np.ones((1, 1, 8), dtype=complex), np.zeros((1, 8), dtype=complex)
-    gains, dopplers = np.array([[1.0, 0.5]]), np.array([[0.0, doppler]])
-    with pytest.raises(wl.ConfigError, match="noise-to-signal ratio must be >= 0"):
-        wl.equalize(np.arange(2), gains, dopplers, z, w_f, rho, "mmse")
-
-
 def frame_by_frame(cfg, target):
     """(errors, errors_sq, skipped_frames) of the first point, one frame at a time."""
     errors, skipped = [], 0

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 import wavelab as wl
-from wavelab.exceptions import ConfigError
 from wavelab.qam import POPCOUNT, energy_scale
 
 from oracles import label_bits, qam_alphabet, qam_demap
@@ -141,19 +140,3 @@ class TestHammingCount:
         assert np.array_equal(labels, bits)
         assert labels.sum() > 0
 
-
-class TestValidation:
-    def test_invalid_order(self):
-        with pytest.raises(ConfigError):
-            wl.qam_label(np.zeros(6, dtype=np.uint8), 32)
-        for func in (wl.qam_map, wl.qam_decide):
-            with pytest.raises(ConfigError):
-                func(np.zeros(3, dtype=np.int64), 32)
-
-    def test_ragged_bit_count(self):
-        with pytest.raises(ConfigError):
-            wl.qam_label(np.zeros(7, dtype=np.uint8), 16)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ConfigError):
-            wl.qam_label(np.zeros(0, dtype=np.uint8), 16)

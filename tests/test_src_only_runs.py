@@ -4,7 +4,9 @@ property of a class, is used somewhere in src/.
 A function, class or constant that only the tests call belongs in
 ``tests/oracles.py``. Exports in ``__init__.py`` (its name table is made of
 strings), imports and docstrings are not uses. Nor does a module in src/ or
-tests/ import a name it never loads, except on a line marked ``# noqa: F401``.
+tests/ import a name it never loads, except on a line marked ``# noqa: F401``,
+and no two functions there share their arguments and body: one of them belongs
+in ``tests/oracles.py`` or in the module both use.
 """
 
 import ast
@@ -13,6 +15,7 @@ from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "wavelab"
+MODULES = sorted([*SRC.glob("*.py"), *TESTS.glob("*.py")])
 
 
 def defined_names(tree):
@@ -111,6 +114,23 @@ def unused_imports(source):
 
 def test_no_module_imports_a_name_it_never_loads():
     unused = [f"{path.relative_to(TESTS.parent)}:{entry}"
-              for path in sorted([*SRC.glob("*.py"), *TESTS.glob("*.py")])
+              for path in MODULES
               for entry in unused_imports(path.read_text())]
     assert not unused, "imported but never loaded:\n" + "\n".join(unused)
+
+
+def function_text(node):
+    """``node``'s arguments and body as AST dumps, without a leading docstring."""
+    body = node.body[1:] if ast.get_docstring(node, clean=False) is not None else node.body
+    return ast.dump(node.args), *(ast.dump(statement) for statement in body)
+
+
+def test_no_two_functions_share_a_body():
+    places = {}
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                place = f"{path.relative_to(TESTS.parent)}:{node.lineno} {node.name}"
+                places.setdefault(function_text(node), []).append(place)
+    shared = [" = ".join(names) for names in places.values() if len(names) > 1]
+    assert not shared, "functions with one body:\n" + "\n".join(shared)

@@ -12,16 +12,8 @@ import wavelab as wl
 from wavelab.exceptions import ConfigError, DimensionError
 from wavelab.waveform import afdm_inverse_column, chirp_diagonal
 
-from oracles import build_precoder, dft_matrix, otfs_inverse_entry, otfs_inverse_matrix
-
-
-def slow_dft(n):
-    """Loop-built unitary DFT matrix, independent of the library path."""
-    out = np.empty((n, n), dtype=complex)
-    for j in range(n):
-        for k in range(n):
-            out[j, k] = cmath.exp(-2j * cmath.pi * j * k / n) / cmath.sqrt(n)
-    return out
+from oracles import (build_precoder, dft_matrix, otfs_inverse_entry, otfs_inverse_matrix,
+                     slow_dft)
 
 
 def random_qam_like(rng, n):
@@ -36,27 +28,6 @@ ALL_KINDS = [
 
 
 class TestConfig:
-    @pytest.mark.parametrize("call,error,match", [
-        (lambda: wl.WaveformConfig("otfs", 12, K=0, L=12), ConfigError,
-         "OTFS requires positive grid dimensions"),
-        (lambda: afdm_inverse_column(0, 0.5), DimensionError, "column length must be >= 1"),
-    ], ids=["otfs-k", "column"])
-    def test_library_refusals(self, call, error, match):
-        with pytest.raises(error, match=match):
-            call()
-
-    def test_otfs_grid_must_match_n(self):
-        with pytest.raises(ConfigError, match=r"'n' = 16 is not the OTFS grid size k\*l = 12"):
-            wl.WaveformConfig("otfs", 16, K=3, L=4)
-
-    def test_positive_n_required(self):
-        with pytest.raises(ConfigError):
-            wl.WaveformConfig.ofdm(0)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ConfigError, match="'kind' = 'dft-s-ofdm' is not one of"):
-            wl.WaveformConfig("dft-s-ofdm", 16)
-
     @pytest.mark.parametrize("n", [1, 2, 16, 1024])
     def test_chirp_rate_refused_where_the_phase_overflows(self, n):
         def accepted(rate):
@@ -125,10 +96,6 @@ class TestBuildPrecoder:
         expected = f4 @ np.kron(f2.conj().T, np.eye(2))
         assert np.abs(p.Q - expected).max() < 1e-12
 
-    def test_otfs_l_equals_n_is_ofdm(self):
-        p = build_precoder(wl.WaveformConfig.otfs(1, 8))
-        assert np.abs(p.Q - np.eye(8)).max() < 1e-10
-
     def test_dense_size_guard(self):
         with pytest.raises(ConfigError):
             build_precoder(wl.WaveformConfig.ofdm(8192))
@@ -195,10 +162,6 @@ class TestModulateDemodulate:
         direct = np.sqrt(sum(abs(z) ** 2 for z in noise))
         assert abs(np.linalg.norm(out) - direct) < 1e-10
 
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(DimensionError):
-            wl.WaveformConfig.ofdm(8).precode(np.ones(7, complex))
-
 
 class TestOtfsInverse:
     def test_2x2_entries(self):
@@ -237,14 +200,9 @@ class TestAfdmInverseColumn:
         expected[0] = np.sqrt(8)
         assert_allclose(col, expected, atol=1e-12)
 
-    def test_integer_rate_comb(self):
-        # q and N/q integers: exactly N/q nonzeros, evenly spaced
-        col = wl.afdm_inverse_column(8, 4.0)
-        support = np.flatnonzero(np.abs(col) > 1e-9 * np.abs(col).max())
-        assert support.tolist() == [0, 4]
-
     @pytest.mark.parametrize("n,q", [(12, 3.0), (16, 2.0), (64, 4.0)])
     def test_integer_rate_comb_spacing(self, n, q):
+        # q and N/q integers: exactly N/q nonzeros, evenly spaced
         col = wl.afdm_inverse_column(n, q)
         support = np.flatnonzero(np.abs(col) > 1e-9 * np.abs(col).max())
         assert support.tolist() == list(range(0, n, int(q)))
@@ -287,17 +245,6 @@ class TestStructuralInvariants:
         lam_a = np.diag(np.exp(1j * np.pi * cfg.alpha * np.arange(n) ** 2 / n))
         brute = np.linalg.inv(f @ lam_q @ f.conj().T @ lam_a)
         assert np.abs(p.Q_inv - brute).max() < 1e-10
-
-    def test_reduction_chain(self):
-        assert np.abs(
-            build_precoder(wl.WaveformConfig.afdm(16, 0.0, 0.0)).Q - np.eye(16)
-        ).max() < 1e-10
-        assert np.abs(
-            build_precoder(wl.WaveformConfig.otfs(1, 16)).Q - np.eye(16)
-        ).max() < 1e-10
-        assert np.abs(
-            build_precoder(wl.WaveformConfig.otfs(16, 1)).Q - dft_matrix(16)
-        ).max() < 1e-10
 
     @pytest.mark.parametrize("n", [4, 12, 16, 64])
     def test_identity_channel_roundtrip(self, n):
